@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 import random
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
@@ -163,7 +164,8 @@ class _HttpJsonClient:
         self.backoff_base = backoff_base
         self._session = requests.Session()
 
-    def post(self, path: str, payload: dict) -> dict:
+    def post(self, path: str, payload: dict) -> tuple[int, dict]:
+        """Return the status and the JSON object of the first non-error response."""
         url = f"{self.endpoint}{path}"
         headers = {"Content-Type": "application/json"}
         if self.bearer_token:
@@ -183,9 +185,12 @@ class _HttpJsonClient:
             if response.status_code >= 400:
                 raise BackendError(response.status_code, response.text[:200])
             try:
-                return response.json()
+                body = response.json()
             except ValueError as exc:
                 raise BackendError(response.status_code, f"unparseable body: {exc}")
+            if not isinstance(body, dict):
+                raise BackendError(response.status_code, f"body is a JSON {type(body).__name__}, not an object")
+            return response.status_code, body
         raise BackendUnreachableError(f"{url}: giving up after {self.max_retries + 1} attempts ({last_error})")
 
 
@@ -222,12 +227,15 @@ class HttpTranslationBackend(TranslationBackend):
             "tgt_lang": tgt_lang,
             "texts": [t.tagged for t in chunk],
         }
-        body = self._client.post("/translate", payload)
+        status, body = self._client.post("/translate", payload)
         translations = body.get("translations")
         if not isinstance(translations, list) or len(translations) != len(chunk):
             got = len(translations) if isinstance(translations, list) else "no"
             raise AlignmentError(f"{got} translations returned for {len(chunk)} texts")
-        return [str(t) for t in translations]
+        for t in translations:
+            if not isinstance(t, str):
+                raise BackendError(status, f"translation {t!r} is not a string")
+        return translations
 
     def translate_batch(
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
@@ -278,9 +286,14 @@ class HttpScorerBackend(ScorerBackend):
         if not pairs:
             raise EmptyInputError("score_batch requires at least one pair")
         payload = {"pairs": [{"src": src, "hyp": hyp, "ref": ref} for src, hyp, ref in pairs]}
-        body = self._client.post("/score", payload)
+        status, body = self._client.post("/score", payload)
         scores = body.get("scores")
         if not isinstance(scores, list) or len(scores) != len(pairs):
             got = len(scores) if isinstance(scores, list) else "no"
             raise AlignmentError(f"{got} scores returned for {len(pairs)} pairs")
+        for s in scores:
+            # type() excludes bool; the bounds also reject NaN, infinities and
+            # integers too large for a float.
+            if type(s) not in (int, float) or not -sys.float_info.max <= s <= sys.float_info.max:
+                raise BackendError(status, f"score {s!r} is not a finite number")
         return [float(s) for s in scores]

@@ -46,8 +46,8 @@ from .dataio import (
     qa_question_counts,
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError
-from .evaluation import EvalGroup, build_report
-from .model import AnnotatedText, Diagnostic, ParallelExample, TaggedText
+from .evaluation import EvalGroup, build_report, occurrences, render_table
+from .model import AnnotatedText, Diagnostic, ParallelExample, Span, TaggedText
 from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
@@ -319,8 +319,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     marker_pairs = None
     if args.source_tagged and args.hypothesis_tagged:
-        sources, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.source_tagged)))
-        hypotheses, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.hypothesis_tagged)))
+        sources, hypotheses = (
+            load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(path)), args.error_budget)[0]
+            for path in (args.source_tagged, args.hypothesis_tagged)
+        )
         if len(sources) != len(hypotheses):
             raise AlignmentError("source/hypothesis tagged files differ in length")
         marker_pairs = list(zip(sources, hypotheses))
@@ -331,6 +333,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = build_report(groups, threshold=args.threshold, scheme=_scheme(args))
     _emit_report(report, args.report, args.report_out)
     return 0
+
+
+def _with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> AnnotatedText:
+    """Give each span the label of the source span with the same (tag, occurrence index)."""
+    labels: list[str | None] = [None] * len(doc.spans)
+    source_positions = occurrences(source.spans)
+    for tag, positions in occurrences(doc.spans).items():
+        for i, j in zip(positions, source_positions.get(tag, ())):
+            labels[i] = source.spans[j].label
+    return replace(doc, spans=tuple(Span(s.tag, s.start, s.end, label) for s, label in zip(doc.spans, labels)))
 
 
 def cmd_project(args: argparse.Namespace) -> int:
@@ -344,8 +356,10 @@ def cmd_project(args: argparse.Namespace) -> int:
 
     projected = []
     diag_records = [_diag_record(d) for d in load_diags]
-    for hypothesis in hypotheses:
+    for source, hypothesis in zip(docs, hypotheses):
         doc, diags = decode(hypothesis, scheme)
+        if scheme is MarkerScheme.XML:
+            doc = _with_source_labels(doc, source)
         projected.append(replace(doc, lang=args.tgt_lang))
         diag_records.extend(_diag_record(d, hypothesis.id) for d in diags)
 
@@ -445,10 +459,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
     else:
         header = ["language", "examples", "total_tags", "min_tags", "max_tags", "avg_tags", "max_unique_tags"]
-        widths = [max(len(h), *(len(str(r[h])) for r in rows)) for h in header] if rows else [len(h) for h in header]
-        sys.stdout.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
-        for r in rows:
-            sys.stdout.write("  ".join(str(r[h]).ljust(w) for h, w in zip(header, widths)) + "\n")
+        sys.stdout.write(render_table(header, [[str(r[h]) for h in header] for r in rows]))
     return 0
 
 
@@ -458,10 +469,17 @@ def _add_io(parser: argparse.ArgumentParser, output: bool = True) -> None:
         parser.add_argument("--output", "-o", required=True, help="output dataset path")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheme", choices=["xml", "brackets"], default="xml")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--error-budget", type=int, default=0, help="malformed records tolerated before aborting")
+_SHARED_FLAGS = {
+    "--scheme": dict(choices=["xml", "brackets"], default="xml"),
+    "--seed": dict(type=int, default=0),
+    "--error-budget": dict(type=int, default=0, help="malformed records tolerated before aborting"),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the named shared flags; a command registers only those it reads."""
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
@@ -489,18 +507,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="annotated JSONL -> tagged JSONL")
     _add_io(p)
-    _add_common(p)
+    _add_shared(p, "--scheme", "--error-budget")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="tagged JSONL -> annotated JSONL plus diagnostics")
     _add_io(p)
-    _add_common(p)
+    _add_shared(p, "--scheme", "--error-budget")
     p.add_argument("--diagnostics", default=None, help="diagnostics sidecar path")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("synth", help="plain text -> annotated JSONL with sampled spans")
     _add_io(p)
-    _add_common(p)
+    _add_shared(p, "--seed")
     p.add_argument("--mode", choices=[m.value for m in InsertionMode], default="complex")
     p.add_argument("--p-open", type=float, default=0.2)
     p.add_argument("--p-close", type=float, default=0.5)
@@ -510,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tagswap", help="normalize raw markup pairs to lettered tags")
     _add_io(p)
-    _add_common(p)
     p.add_argument("--diagnostics", default=None)
     p.set_defaults(func=cmd_tagswap)
 
@@ -518,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dev-fraction", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    _add_shared(p, "--seed")
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("filter-qa", help="keep parallel QA contexts with matching counts and score")
@@ -534,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="tagged JSONL -> tagged JSONL through a backend")
     _add_io(p)
-    _add_common(p)
+    _add_shared(p, "--error-budget", "--seed")
     _add_backend(p)
     p.set_defaults(func=cmd_translate)
 
@@ -543,13 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True)
     p.add_argument("--source-tagged", default=None)
     p.add_argument("--hypothesis-tagged", default=None)
-    _add_common(p)
+    _add_shared(p, "--scheme", "--error-budget")
     _add_report(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("project", help="encode, translate, decode, and optionally evaluate")
     _add_io(p)
-    _add_common(p)
+    _add_shared(p, "--scheme", "--error-budget", "--seed")
     _add_backend(p)
     _add_report(p)
     p.add_argument("--reference", default=None, help="gold annotated JSONL in the target language")
@@ -559,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="generate tagged corpora over a (p_open, p_close) grid")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    _add_shared(p, "--scheme", "--seed")
     p.add_argument("--mode", choices=[m.value for m in InsertionMode], default="complex")
     p.add_argument("--src-lang", default="eng_Latn")
     p.add_argument("--p-open-min", type=float, default=0.1)
@@ -574,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--format", choices=["annotated", "tagged"], default="annotated")
     p.add_argument("--report", choices=["table", "json"], default="table")
-    _add_common(p)
+    _add_shared(p, "--scheme", "--error-budget")
     p.set_defaults(func=cmd_stats)
 
     return parser

@@ -35,9 +35,13 @@ from .model import (
 
 MarkerKind = Literal["open", "close"]
 
-# Anything delimited by single angle brackets; used to report marker-like
-# substrings (e.g. "<1>") that do not match the marker grammar.
-_LOOKALIKE_RE = re.compile(r"</?[^<>]*>")
+# One scanner per case setting: the marker grammar, else any other
+# angle-bracketed substring (e.g. "<1>"), reported as a literal lookalike.
+# Both alternatives end at the first ">", so a grammar match spans exactly
+# the lookalike it would otherwise be.
+_SCANNERS = {
+    upper: re.compile(marker_pattern(upper).pattern + r"|</?[^<>]*>") for upper in (False, True)
+}
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
@@ -97,8 +101,7 @@ class MarkerSignature:
     __slots__ = ("_counts",)
 
     def __init__(self, markers: Iterable[tuple[str, MarkerKind]] = ()):
-        counts = Counter(markers)
-        self._counts = Counter({key: n for key, n in counts.items() if n > 0})
+        self._counts = Counter(markers)
 
     @property
     def counts(self) -> dict[tuple[str, MarkerKind], int]:
@@ -132,32 +135,25 @@ def scan_markers(
     substrings that look like markers but do not match the grammar; those
     substrings stay part of the text.
     """
+    if scheme is MarkerScheme.BRACKETS:
+        kinds: dict[str, MarkerKind] = {"[": "open", "]": "close"}
+        return [MarkerToken("", kinds[m.group()], m.start(), m.end()) for m in re.finditer(r"[\[\]]", tagged)], []
+
     tokens: list[MarkerToken] = []
     diagnostics: list[Diagnostic] = []
-    if scheme is MarkerScheme.BRACKETS:
-        for i, ch in enumerate(tagged):
-            if ch == "[":
-                tokens.append(MarkerToken("", "open", i, i + 1))
-            elif ch == "]":
-                tokens.append(MarkerToken("", "close", i, i + 1))
-        return tokens, diagnostics
-
-    grammar = marker_pattern(allow_uppercase)
-    for match in _LOOKALIKE_RE.finditer(tagged):
-        token = match.group(0)
-        exact = grammar.fullmatch(token)
-        if exact is None:
+    for match in _SCANNERS[allow_uppercase].finditer(tagged):
+        slash, name = match.group(1, 2)
+        if name is None:
             diagnostics.append(
                 Diagnostic(
                     SEVERITY_INFO,
                     "IGNORED_LITERAL",
-                    f"marker-like substring {token!r} left as literal text",
+                    f"marker-like substring {match.group(0)!r} left as literal text",
                     offset=match.start(),
                 )
             )
-            continue
-        kind: MarkerKind = "close" if exact.group(1) else "open"
-        tokens.append(MarkerToken(exact.group(2), kind, match.start(), match.end()))
+        else:
+            tokens.append(MarkerToken(name, "close" if slash else "open", match.start(), match.end()))
     return tokens, diagnostics
 
 
@@ -166,35 +162,32 @@ def pair_markers(
 ) -> tuple[list[tuple[MarkerToken, MarkerToken]], list[MarkerToken], list[MarkerToken]]:
     """Pair opens with closes per tag name, last-opened-first-closed.
 
-    Returns (pairs in opening order, orphan closes, unclosed opens).
+    Returns (pairs in opening order, orphan closes, unclosed opens in text
+    order).
     """
-    stacks: dict[str, list[int]] = {}
-    opens_paired: dict[int, MarkerToken] = {}
+    stacks: dict[str, list[MarkerToken]] = {}
+    pairs: list[tuple[MarkerToken, MarkerToken]] = []
     orphans: list[MarkerToken] = []
-    pair_of: dict[int, MarkerToken] = {}
-    for i, token in enumerate(tokens):
+    for token in tokens:
         if token.kind == "open":
-            stacks.setdefault(token.name, []).append(i)
+            stacks.setdefault(token.name, []).append(token)
+        elif stacks.get(token.name):
+            pairs.append((stacks[token.name].pop(), token))
         else:
-            stack = stacks.get(token.name)
-            if stack:
-                j = stack.pop()
-                opens_paired[j] = tokens[j]
-                pair_of[j] = token
-            else:
-                orphans.append(token)
-    unclosed = [tokens[i] for indices in stacks.values() for i in indices]
-    unclosed.sort(key=lambda t: t.start)
-    pairs = [(opens_paired[j], pair_of[j]) for j in sorted(pair_of)]
+            orphans.append(token)
+    pairs.sort(key=lambda pair: pair[0].start)
+    unclosed = sorted((t for stack in stacks.values() for t in stack), key=lambda t: t.start)
     return pairs, orphans, unclosed
 
 
-def _ordered_opens(spans: tuple[Span, ...]) -> list[tuple[int, Span]]:
-    # Opening order: by start, then longest span first, then tag sequence
-    # order, then input position for full ties.
-    indexed = list(enumerate(spans))
-    indexed.sort(key=lambda item: (item[1].start, -item[1].length(), _tag_sort_key(item[1].tag), item[0]))
-    return indexed
+def _strip(raw: str, tokens: list[MarkerToken]) -> str:
+    pieces = []
+    cursor = 0
+    for token in tokens:
+        pieces.append(raw[cursor : token.start])
+        cursor = token.end
+    pieces.append(raw[cursor:])
+    return "".join(pieces)
 
 
 def encode(
@@ -214,42 +207,29 @@ def encode(
         codes = ", ".join(sorted({d.code for d in diagnostics if d.severity == "error"}))
         raise InvalidAnnotationError(f"document {doc.id!r} fails validation: {codes}")
 
-    opens = _ordered_opens(doc.spans)
-    open_rank = {idx: rank for rank, (idx, _) in enumerate(opens)}
-
-    opens_at: dict[int, list[int]] = {}
-    closes_at: dict[int, list[int]] = {}
-    zero_width_at: dict[int, list[int]] = {}
-    for idx, span in opens:
-        opens_at.setdefault(span.start, []).append(idx)
-        if span.start == span.end:
-            zero_width_at.setdefault(span.end, []).append(idx)
+    # Opening order: by start, then longest span first, then tag sequence
+    # order; the stable sort keeps input order for full ties.
+    opening = sorted(doc.spans, key=lambda s: (s.start, -s.length(), _tag_sort_key(s.tag)))
+    # (offset, phase, rank, marker): at one offset, closes (phase 0) precede
+    # opens (1), which precede zero-width closes (2); closes go in reverse
+    # opening order. Ranks are unique, so the marker is never compared.
+    events: list[tuple[int, int, int, str]] = []
+    for rank, span in enumerate(opening):
+        if scheme is MarkerScheme.XML:
+            open_marker, close_marker = f"<{span.tag}>", f"</{span.tag}>"
         else:
-            closes_at.setdefault(span.end, []).append(idx)
-
-    if scheme is MarkerScheme.BRACKETS:
-        def open_marker(span: Span) -> str:
-            return "["
-
-        def close_marker(span: Span) -> str:
-            return "]"
-    else:
-        def open_marker(span: Span) -> str:
-            return f"<{span.tag}>"
-
-        def close_marker(span: Span) -> str:
-            return f"</{span.tag}>"
+            open_marker, close_marker = "[", "]"
+        events.append((span.start, 1, rank, open_marker))
+        events.append((span.end, 2 if span.start == span.end else 0, -rank, close_marker))
+    events.sort()
 
     pieces: list[str] = []
-    for pos in range(len(doc.text) + 1):
-        for idx in sorted(closes_at.get(pos, ()), key=lambda i: -open_rank[i]):
-            pieces.append(close_marker(doc.spans[idx]))
-        for idx in opens_at.get(pos, ()):
-            pieces.append(open_marker(doc.spans[idx]))
-        for idx in sorted(zero_width_at.get(pos, ()), key=lambda i: -open_rank[i]):
-            pieces.append(close_marker(doc.spans[idx]))
-        if pos < len(doc.text):
-            pieces.append(doc.text[pos])
+    cursor = 0
+    for offset, _, _, marker in events:
+        pieces.append(doc.text[cursor:offset])
+        pieces.append(marker)
+        cursor = offset
+    pieces.append(doc.text[cursor:])
     return TaggedText(id=doc.id, lang=doc.lang, tagged="".join(pieces))
 
 
@@ -280,63 +260,43 @@ def decode(
         raw = tagged
 
     tokens, diagnostics = scan_markers(raw, scheme, allow_uppercase)
-    out: list[str] = []
-    out_len = 0
-    cursor = 0
-    # Per tag name: stack of (offset in stripped text, raw offset, open order).
-    stacks: dict[str, list[tuple[int, int, int]]] = {}
-    open_count = 0
-    spans: list[Span] = []
+    pairs, orphans, unclosed = pair_markers(tokens)
+    text = _strip(raw, tokens)
 
+    # Offset in the stripped text of each marker, keyed by its raw offset.
+    at: dict[int, int] = {}
+    removed = 0
     for token in tokens:
-        if cursor < token.start:
-            chunk = raw[cursor : token.start]
-            out.append(chunk)
-            out_len += len(chunk)
-        cursor = token.end
-        if token.kind == "open":
-            stacks.setdefault(token.name, []).append((out_len, token.start, open_count))
-            open_count += 1
-        else:
-            stack = stacks.get(token.name)
-            if stack:
-                start, _, order = stack.pop()
-                name = token.name if scheme is MarkerScheme.XML else tag_name(order)
-                spans.append(Span(name, start, out_len))
-            else:
-                diagnostics.append(
-                    Diagnostic(
-                        SEVERITY_WARNING,
-                        "ORPHAN_CLOSE",
-                        f"close marker {raw[token.start:token.end]!r} without a matching open",
-                        offset=token.start,
-                    )
-                )
-    if cursor < len(raw):
-        chunk = raw[cursor:]
-        out.append(chunk)
-        out_len += len(chunk)
+        at[token.start] = token.start - removed
+        removed += token.end - token.start
 
-    leftovers = [
-        (raw_pos, order, name, start)
-        for name, stack in stacks.items()
-        for (start, raw_pos, order) in stack
-    ]
-    for raw_pos, order, name, start in sorted(leftovers):
-        shown = name if scheme is MarkerScheme.XML else tag_name(order)
-        spans.append(Span(shown, start, out_len))
+    # Span name for each open marker; bracket spans are named in opening order.
+    opens = [t for t in tokens if t.kind == "open"]
+    shown = {t.start: t.name if scheme is MarkerScheme.XML else tag_name(k) for k, t in enumerate(opens)}
+
+    spans = [Span(shown[o.start], at[o.start], at[c.start]) for o, c in pairs]
+    for token in orphans:
+        diagnostics.append(
+            Diagnostic(
+                SEVERITY_WARNING,
+                "ORPHAN_CLOSE",
+                f"close marker {raw[token.start:token.end]!r} without a matching open",
+                offset=token.start,
+            )
+        )
+    for token in unclosed:
+        spans.append(Span(shown[token.start], at[token.start], len(text)))
         diagnostics.append(
             Diagnostic(
                 SEVERITY_WARNING,
                 "UNCLOSED_OPEN",
-                f"open marker for {shown!r} never closed; span extended to end of text",
-                offset=raw_pos,
+                f"open marker for {shown[token.start]!r} never closed; span extended to end of text",
+                offset=token.start,
             )
         )
 
     spans.sort(key=lambda s: (s.start, -s.end, _tag_sort_key(s.tag)))
     diagnostics.sort(key=lambda d: (d.offset if d.offset is not None else 1 << 62))
-    text = "".join(out)
     return AnnotatedText(id=doc_id, lang=lang, text=text, spans=tuple(spans)), diagnostics
 
 
@@ -346,13 +306,7 @@ def strip_markers(
     """Remove all recognized markers, keeping everything else verbatim."""
     raw = tagged.tagged if isinstance(tagged, TaggedText) else tagged
     tokens, _ = scan_markers(raw, scheme, allow_uppercase)
-    pieces = []
-    cursor = 0
-    for token in tokens:
-        pieces.append(raw[cursor : token.start])
-        cursor = token.end
-    pieces.append(raw[cursor:])
-    return "".join(pieces)
+    return _strip(raw, tokens)
 
 
 def signature(

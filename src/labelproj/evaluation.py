@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .codec import MarkerScheme, signature
 from .errors import AlignmentError, EmptyInputError
-from .model import AnnotatedText, TaggedText
+from .model import AnnotatedText, Span, TaggedText
 from .similarity import gestalt_ratio
 
 DEFAULT_THRESHOLD = 0.5
@@ -55,20 +55,28 @@ def _index_by_id(docs: Sequence[AnnotatedText], side: str) -> dict[str, Annotate
     return index
 
 
+def occurrences(spans: Sequence[Span]) -> dict[str, list[int]]:
+    """Positions in ``spans`` grouped by tag, each group in text order.
+
+    The k-th position under a tag is that tag's occurrence k: the
+    correspondence key between a projected and a reference document.
+    """
+    by_tag: dict[str, list[int]] = {}
+    for i in sorted(range(len(spans)), key=lambda i: (spans[i].start, spans[i].end)):
+        by_tag.setdefault(spans[i].tag, []).append(i)
+    return by_tag
+
+
 def _doc_counts(
     projected: AnnotatedText, reference: AnnotatedText, threshold: float, normalize: bool
 ) -> tuple[int, int, int]:
-    proj_by_tag: dict[str, list] = {}
-    for span in projected.spans:
-        proj_by_tag.setdefault(span.tag, []).append(span)
-    ref_by_tag: dict[str, list] = {}
-    for span in reference.spans:
-        ref_by_tag.setdefault(span.tag, []).append(span)
+    proj_by_tag = occurrences(projected.spans)
+    ref_by_tag = occurrences(reference.spans)
 
     tp = fp = fn = 0
     for tag in set(proj_by_tag) | set(ref_by_tag):
-        proj_spans = sorted(proj_by_tag.get(tag, ()), key=lambda s: (s.start, s.end))
-        ref_spans = sorted(ref_by_tag.get(tag, ()), key=lambda s: (s.start, s.end))
+        proj_spans = proj_by_tag.get(tag, ())
+        ref_spans = ref_by_tag.get(tag, ())
         for k in range(max(len(proj_spans), len(ref_spans))):
             if k >= len(ref_spans):
                 fp += 1
@@ -76,8 +84,8 @@ def _doc_counts(
                 fn += 1
             else:
                 ratio = gestalt_ratio(
-                    projected.span_text(proj_spans[k]),
-                    reference.span_text(ref_spans[k]),
+                    projected.span_text(projected.spans[proj_spans[k]]),
+                    reference.span_text(reference.spans[ref_spans[k]]),
                     normalize=normalize,
                 )
                 if ratio >= threshold:
@@ -119,12 +127,9 @@ def label_match_f1(
     return PRF.from_counts(tp, fp, fn)
 
 
-def projection_rate(
-    pairs: Sequence[tuple[TaggedText, TaggedText]],
-    scheme: MarkerScheme = MarkerScheme.XML,
-    allow_uppercase: bool = False,
-) -> float:
-    """Fraction of pairs whose two sides carry identical marker multisets."""
+def _count_matches(
+    pairs: Sequence[tuple[TaggedText, TaggedText]], scheme: MarkerScheme, allow_uppercase: bool = False
+) -> int:
     if not pairs:
         raise EmptyInputError("projection rate is undefined on an empty pair list")
     matches = 0
@@ -133,7 +138,16 @@ def projection_rate(
             raise AlignmentError(f"pair ids differ: {source.id!r} vs {hypothesis.id!r}")
         if signature(source, scheme, allow_uppercase) == signature(hypothesis, scheme, allow_uppercase):
             matches += 1
-    return matches / len(pairs)
+    return matches
+
+
+def projection_rate(
+    pairs: Sequence[tuple[TaggedText, TaggedText]],
+    scheme: MarkerScheme = MarkerScheme.XML,
+    allow_uppercase: bool = False,
+) -> float:
+    """Fraction of pairs whose two sides carry identical marker multisets."""
+    return _count_matches(pairs, scheme, allow_uppercase) / len(pairs)
 
 
 @dataclass(frozen=True)
@@ -163,6 +177,13 @@ class ReportRow:
     spans: int
     prf: PRF
     projection_rate: float | None
+
+
+def render_table(header: Sequence[str], body: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns two spaces apart, with a dashed rule under the header."""
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    lines = [header, ["-" * w for w in widths], *body]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)) + "\n" for line in lines)
 
 
 @dataclass(frozen=True)
@@ -248,14 +269,8 @@ class EvalReport:
         return json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
 
     def to_table(self) -> str:
-        header = list(self.CSV_COLUMNS)
         body = [self._row_values(r) for r in self.rows] + [self._row_values(self.total)]
-        widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-        lines.append("  ".join("-" * w for w in widths))
-        for r in body:
-            lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(header))))
-        return "\n".join(lines) + "\n"
+        return render_table(self.CSV_COLUMNS, body)
 
 
 def build_report(
@@ -277,17 +292,17 @@ def build_report(
     rows: list[ReportRow] = []
     tp = fp = fn = 0
     examples = spans = 0
-    all_pairs: list[tuple[TaggedText, TaggedText]] = []
-    any_pairs = False
+    matches = n_pairs = 0
     for group in ordered:
         if not group.reference:
             raise EmptyInputError(f"group ({group.language!r}, {group.dataset!r}) is empty")
         prf = label_match_f1(group.projected, group.reference, threshold, normalize=normalize)
         rate = None
         if group.marker_pairs is not None:
-            any_pairs = True
-            rate = projection_rate(group.marker_pairs, scheme)
-            all_pairs.extend(group.marker_pairs)
+            group_matches = _count_matches(group.marker_pairs, scheme)
+            rate = group_matches / len(group.marker_pairs)
+            matches += group_matches
+            n_pairs += len(group.marker_pairs)
         n_spans = sum(len(doc.spans) for doc in group.reference)
         rows.append(ReportRow(group.language, group.dataset, len(group.reference), n_spans, prf, rate))
         tp += prf.tp
@@ -296,7 +311,7 @@ def build_report(
         examples += len(group.reference)
         spans += n_spans
 
-    global_rate = projection_rate(all_pairs, scheme) if any_pairs and all_pairs else None
+    global_rate = matches / n_pairs if n_pairs else None
     total = ReportRow("(all)", "(all)", examples, spans, PRF.from_counts(tp, fp, fn), global_rate)
     macro_p = sum(r.prf.precision for r in rows) / len(rows)
     macro_r = sum(r.prf.recall for r in rows) / len(rows)

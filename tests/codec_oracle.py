@@ -1,0 +1,162 @@
+"""Reference codec: the character-by-character encoder and the two-step
+scanner with its own pairing loop that ``labelproj.codec`` replaced.
+
+Kept only as an oracle: tests require the production codec to give
+byte-equal tagged strings and equal (document, diagnostics) results.
+"""
+
+from __future__ import annotations
+
+import re
+
+from labelproj import AnnotatedText, MarkerScheme, Span, TaggedText, tag_name
+from labelproj.codec import MarkerToken
+from labelproj.errors import InvalidAnnotationError
+from labelproj.model import SEVERITY_INFO, SEVERITY_WARNING, Diagnostic, has_errors, marker_pattern, validate
+
+_LOOKALIKE_RE = re.compile(r"</?[^<>]*>")
+
+
+def _tag_sort_key(tag: str) -> tuple[int, str]:
+    return (len(tag), tag)
+
+
+def oracle_scan_markers(tagged, scheme=MarkerScheme.XML, allow_uppercase=False):
+    tokens, diagnostics = [], []
+    if scheme is MarkerScheme.BRACKETS:
+        for i, ch in enumerate(tagged):
+            if ch == "[":
+                tokens.append(MarkerToken("", "open", i, i + 1))
+            elif ch == "]":
+                tokens.append(MarkerToken("", "close", i, i + 1))
+        return tokens, diagnostics
+
+    grammar = marker_pattern(allow_uppercase)
+    for match in _LOOKALIKE_RE.finditer(tagged):
+        token = match.group(0)
+        exact = grammar.fullmatch(token)
+        if exact is None:
+            diagnostics.append(
+                Diagnostic(
+                    SEVERITY_INFO,
+                    "IGNORED_LITERAL",
+                    f"marker-like substring {token!r} left as literal text",
+                    offset=match.start(),
+                )
+            )
+            continue
+        kind = "close" if exact.group(1) else "open"
+        tokens.append(MarkerToken(exact.group(2), kind, match.start(), match.end()))
+    return tokens, diagnostics
+
+
+def oracle_encode(doc: AnnotatedText, scheme=MarkerScheme.XML, allow_uppercase=False) -> TaggedText:
+    diagnostics = validate(doc, allow_uppercase)
+    if has_errors(diagnostics):
+        codes = ", ".join(sorted({d.code for d in diagnostics if d.severity == "error"}))
+        raise InvalidAnnotationError(f"document {doc.id!r} fails validation: {codes}")
+
+    opens = list(enumerate(doc.spans))
+    opens.sort(key=lambda item: (item[1].start, -item[1].length(), _tag_sort_key(item[1].tag), item[0]))
+    open_rank = {idx: rank for rank, (idx, _) in enumerate(opens)}
+
+    opens_at: dict[int, list[int]] = {}
+    closes_at: dict[int, list[int]] = {}
+    zero_width_at: dict[int, list[int]] = {}
+    for idx, span in opens:
+        opens_at.setdefault(span.start, []).append(idx)
+        if span.start == span.end:
+            zero_width_at.setdefault(span.end, []).append(idx)
+        else:
+            closes_at.setdefault(span.end, []).append(idx)
+
+    if scheme is MarkerScheme.BRACKETS:
+        def open_marker(span):
+            return "["
+
+        def close_marker(span):
+            return "]"
+    else:
+        def open_marker(span):
+            return f"<{span.tag}>"
+
+        def close_marker(span):
+            return f"</{span.tag}>"
+
+    pieces = []
+    for pos in range(len(doc.text) + 1):
+        for idx in sorted(closes_at.get(pos, ()), key=lambda i: -open_rank[i]):
+            pieces.append(close_marker(doc.spans[idx]))
+        for idx in opens_at.get(pos, ()):
+            pieces.append(open_marker(doc.spans[idx]))
+        for idx in sorted(zero_width_at.get(pos, ()), key=lambda i: -open_rank[i]):
+            pieces.append(close_marker(doc.spans[idx]))
+        if pos < len(doc.text):
+            pieces.append(doc.text[pos])
+    return TaggedText(id=doc.id, lang=doc.lang, tagged="".join(pieces))
+
+
+def oracle_decode(tagged, scheme=MarkerScheme.XML, allow_uppercase=False, *, doc_id="", lang=""):
+    if isinstance(tagged, TaggedText):
+        raw, doc_id, lang = tagged.tagged, tagged.id, tagged.lang
+    else:
+        raw = tagged
+
+    tokens, diagnostics = oracle_scan_markers(raw, scheme, allow_uppercase)
+    out = []
+    out_len = 0
+    cursor = 0
+    stacks: dict[str, list[tuple[int, int, int]]] = {}
+    open_count = 0
+    spans = []
+
+    for token in tokens:
+        if cursor < token.start:
+            chunk = raw[cursor : token.start]
+            out.append(chunk)
+            out_len += len(chunk)
+        cursor = token.end
+        if token.kind == "open":
+            stacks.setdefault(token.name, []).append((out_len, token.start, open_count))
+            open_count += 1
+        else:
+            stack = stacks.get(token.name)
+            if stack:
+                start, _, order = stack.pop()
+                name = token.name if scheme is MarkerScheme.XML else tag_name(order)
+                spans.append(Span(name, start, out_len))
+            else:
+                diagnostics.append(
+                    Diagnostic(
+                        SEVERITY_WARNING,
+                        "ORPHAN_CLOSE",
+                        f"close marker {raw[token.start:token.end]!r} without a matching open",
+                        offset=token.start,
+                    )
+                )
+    if cursor < len(raw):
+        chunk = raw[cursor:]
+        out.append(chunk)
+        out_len += len(chunk)
+
+    leftovers = [
+        (raw_pos, order, name, start)
+        for name, stack in stacks.items()
+        for (start, raw_pos, order) in stack
+    ]
+    for raw_pos, order, name, start in sorted(leftovers):
+        shown = name if scheme is MarkerScheme.XML else tag_name(order)
+        spans.append(Span(shown, start, out_len))
+        diagnostics.append(
+            Diagnostic(
+                SEVERITY_WARNING,
+                "UNCLOSED_OPEN",
+                f"open marker for {shown!r} never closed; span extended to end of text",
+                offset=raw_pos,
+            )
+        )
+
+    spans.sort(key=lambda s: (s.start, -s.end, _tag_sort_key(s.tag)))
+    diagnostics.sort(key=lambda d: (d.offset if d.offset is not None else 1 << 62))
+    text = "".join(out)
+    return AnnotatedText(id=doc_id, lang=lang, text=text, spans=tuple(spans)), diagnostics

@@ -150,11 +150,14 @@ def test_http_translate_wire_format_and_result():
     assert [t.tagged for t in out] == ["<A>JOHN</A> HERE", "PLAIN", "<A>X</A> <B>Y</B>"]
     assert [t.id for t in out] == ["1", "2", "3"]
     assert all(t.lang == "de" for t in out)
-    path, body, auth = seen[0]
-    assert path == "/translate"
-    assert body == {"src_lang": "en", "tgt_lang": "de", "texts": ["<a>John</a> here", "plain"]}
-    assert auth == "Bearer sekrit"
+    # Both chunks are in flight at once, so they may arrive in either order.
     assert len(seen) == 2  # two chunks of batch_size 2
+    assert all(path == "/translate" and auth == "Bearer sekrit" for path, _, auth in seen)
+    bodies = sorted((body for _, body, _ in seen), key=lambda body: body["texts"])
+    assert bodies == [
+        {"src_lang": "en", "tgt_lang": "de", "texts": ["<a>John</a> here", "plain"]},
+        {"src_lang": "en", "tgt_lang": "de", "texts": ["<a>x</a> <b>y</b>"]},
+    ]
 
 
 def test_http_translate_order_preserved_under_concurrency():
@@ -215,6 +218,24 @@ def test_http_count_mismatch_is_alignment_error():
             backend.translate_batch([tt("1", "x"), tt("2", "y")], "en", "de")
 
 
+def test_http_non_object_body_is_backend_error():
+    def behavior(path, body, headers):
+        return 200, ["x"]
+
+    with http_server(behavior) as url:
+        with pytest.raises(BackendError):
+            HttpTranslationBackend(url).translate_batch([tt("1", "x")], "en", "de")
+
+
+def test_http_non_string_translation_is_backend_error():
+    def behavior(path, body, headers):
+        return 200, {"translations": [None]}
+
+    with http_server(behavior) as url:
+        with pytest.raises(BackendError):
+            HttpTranslationBackend(url).translate_batch([tt("1", "x")], "en", "de")
+
+
 def test_http_unreachable_backend():
     backend = HttpTranslationBackend("http://127.0.0.1:1", max_retries=1, backoff_base=0.01, timeout=0.3)
     with pytest.raises(BackendUnreachableError):
@@ -238,4 +259,14 @@ def test_http_scorer_count_mismatch():
 
     with http_server(behavior) as url:
         with pytest.raises(AlignmentError):
+            HttpScorerBackend(url).score_batch([("a", "b", None), ("c", "d", None)])
+
+
+@pytest.mark.parametrize("bad", [None, True, "85", float("nan"), float("inf"), 10**400])
+def test_http_scorer_rejects_non_finite_or_non_numeric_score(bad):
+    def behavior(path, body, headers):
+        return 200, {"scores": [90.0, bad]}
+
+    with http_server(behavior) as url:
+        with pytest.raises(BackendError):
             HttpScorerBackend(url).score_batch([("a", "b", None), ("c", "d", None)])

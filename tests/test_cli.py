@@ -96,6 +96,19 @@ def test_project_identity_reports_perfect_scores(tmp_path, capsys):
     assert [d.spans for d in docs] == [d.spans for d in DOCS]
 
 
+def test_project_keeps_source_span_labels(tmp_path):
+    annotated = tmp_path / "in.jsonl"
+    out = tmp_path / "projected.jsonl"
+    doc = make_doc("John lives in Paris", [Span("a", 0, 4, "PER"), Span("b", 14, 19, "LOC")], doc_id="1")
+    write_annotated(annotated, [doc])
+    assert main([
+        "project", "-i", str(annotated), "-o", str(out),
+        "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de",
+    ]) == 0
+    docs, _ = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out))
+    assert docs[0].spans == doc.spans
+
+
 def test_project_drop_backend_zeroes_projection_rate(tmp_path):
     annotated = tmp_path / "in.jsonl"
     report_path = tmp_path / "report.json"
@@ -158,6 +171,25 @@ def test_exit_codes(tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "-i", "x", "-o", "y", "--seed", "1"],
+    ["decode", "-i", "x", "-o", "y", "--seed", "1"],
+    ["evaluate", "--projected", "x", "--reference", "y", "--seed", "1"],
+    ["stats", "-i", "x", "--seed", "1"],
+    ["synth", "-i", "x", "-o", "y", "--scheme", "xml"],
+    ["synth", "-i", "x", "-o", "y", "--error-budget", "1"],
+    ["translate", "-i", "x", "-o", "y", "--src-lang", "en", "--tgt-lang", "de", "--scheme", "xml"],
+    ["sweep", "-i", "x", "--out-dir", "y", "--error-budget", "1"],
+    ["tagswap", "-i", "x", "-o", "y", "--seed", "1"],
+    ["tagswap", "-i", "x", "-o", "y", "--scheme", "xml"],
+    ["tagswap", "-i", "x", "-o", "y", "--error-budget", "1"],
+])
+def test_flags_a_command_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
 def test_synth_deterministic_and_modes(tmp_path):
     text = tmp_path / "plain.txt"
     text.write_text("one two three four\nfive six seven\n\neight\n")
@@ -191,6 +223,22 @@ def test_evaluate_csv_report(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "language,dataset,examples,spans,tp,fp,fn,precision,recall,f1,projection_rate"
     assert lines[1].startswith("en,demo,3,4,")
+
+
+def test_evaluate_tagged_inputs_honour_error_budget(tmp_path, capsys):
+    annotated = tmp_path / "in.jsonl"
+    write_annotated(annotated, DOCS)
+    tagged = tmp_path / "tagged.jsonl"
+    assert main(["encode", "-i", str(annotated), "-o", str(tagged)]) == 0
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(tagged.read_text() + "not json\n")
+    argv = [
+        "evaluate", "--projected", str(annotated), "--reference", str(annotated),
+        "--source-tagged", str(broken), "--hypothesis-tagged", str(tagged), "--report", "csv",
+    ]
+    assert main(argv) == 2
+    assert main(argv + ["--error-budget", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",1.000000")
 
 
 def test_tagswap_and_prep(tmp_path):
@@ -293,6 +341,12 @@ def test_sweep_grid(tmp_path):
 def test_stats_command(tmp_path, capsys):
     annotated = tmp_path / "in.jsonl"
     write_annotated(annotated, DOCS)
+    assert main(["stats", "-i", str(annotated)]) == 0
+    assert capsys.readouterr().out == (
+        "language  examples  total_tags  min_tags  max_tags  avg_tags  max_unique_tags\n"
+        "--------  --------  ----------  --------  --------  --------  ---------------\n"
+        "en        3         4           0         2         1.3333    2              \n"
+    )
     assert main(["stats", "-i", str(annotated), "--report", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows == [{

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, assume, settings
 import hypothesis.strategies as st
@@ -21,7 +24,9 @@ from labelproj import (
 from labelproj.codec import pair_markers, scan_markers
 from labelproj.model import has_errors
 
+from codec_oracle import oracle_decode, oracle_encode
 from conftest import canon, make_doc
+from test_acceptance import _random_doc
 
 XML = MarkerScheme.XML
 BRACKETS = MarkerScheme.BRACKETS
@@ -304,3 +309,54 @@ def test_decode_is_total(raw):
 def test_strip_decode_agreement(raw):
     doc, _ = decode(raw, XML)
     assert doc.text == strip_markers(raw, XML)
+
+
+# ------------------------------------------------------------------ oracles
+
+def test_encode_matches_oracle_on_criterion_1_documents():
+    # The same seed and draws as acceptance criterion 1: the same 10k documents.
+    rng = random.Random(0xC0DEC)
+    for i in range(10_000):
+        doc = _random_doc(rng, f"doc{i}")
+        for scheme in (XML, BRACKETS):
+            assert encode(doc, scheme) == oracle_encode(doc, scheme)
+
+
+# Fragments that break, duplicate or imitate markers in either scheme and
+# either case setting.
+NOISE = [
+    "<", ">", "/", "[", "]", "a", "A", " ", "<1>", "< a>", "<>", "</>", "</a", "<a b>",
+    "<b>", "</b>", "<aa>", "</z>", "<A>", "</B>", "<PER>", "</PER>", "<<a>>",
+]
+
+
+def _mutate(rng: random.Random, tagged: str) -> str:
+    for _ in range(rng.randint(1, 4)):
+        pos = rng.randint(0, len(tagged))
+        op = rng.randrange(3)
+        if op == 0:  # delete a short slice, possibly part of a marker
+            tagged = tagged[:pos] + tagged[pos + rng.randint(1, 4) :]
+        elif op == 1:
+            tagged = tagged[:pos] + rng.choice(NOISE) + tagged[pos:]
+        else:  # duplicate a short slice elsewhere
+            i = rng.randint(0, len(tagged))
+            tagged = tagged[:pos] + tagged[i : i + rng.randint(1, 6)] + tagged[pos:]
+    return tagged
+
+
+def test_decode_matches_oracle_on_mutated_strings():
+    rng = random.Random(0xDEC0DE)
+    codes: Counter = Counter()
+    for i in range(3_000):
+        doc = _random_doc(rng, f"doc{i}")
+        for scheme in (XML, BRACKETS):
+            raw = _mutate(rng, encode(doc, scheme).tagged)
+            for upper in (False, True):
+                got = decode(raw, scheme, upper, doc_id=doc.id, lang=doc.lang)
+                assert got == oracle_decode(raw, scheme, upper, doc_id=doc.id, lang=doc.lang)
+                codes.update((scheme, upper, d.code) for d in got[1])
+    for upper in (False, True):
+        for code in ("IGNORED_LITERAL", "ORPHAN_CLOSE", "UNCLOSED_OPEN"):
+            assert codes[(XML, upper, code)] > 0
+        for code in ("ORPHAN_CLOSE", "UNCLOSED_OPEN"):
+            assert codes[(BRACKETS, upper, code)] > 0
