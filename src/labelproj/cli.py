@@ -32,8 +32,6 @@ from .corpus import (
     directed_record,
     filter_parallel_qa,
     prepare_training_corpus,
-    raw_pair_record,
-    read_raw_pairs,
     tag_swap,
 )
 from .dataio import (
@@ -221,21 +219,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_tagswap(args: argparse.Namespace) -> int:
-    pairs, read_diags = read_raw_pairs(Path(args.input).read_text(encoding="utf-8"))
-    records = []
+    pairs, read_diags = load(
+        DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=Path(args.input)), args.error_budget
+    )
+    normalized = []
     diag_records = [_diag_record(d) for d in read_diags]
     for pair in pairs:
-        normalized, diags = tag_swap(pair)
-        records.append(raw_pair_record(normalized))
+        swapped, diags = tag_swap(pair)
+        normalized.append(swapped)
         diag_records.extend(_diag_record(d, pair.id) for d in diags)
-    _write_jsonl(Path(args.output), records)
+    dump(normalized, DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=Path(args.output)))
     _write_jsonl(_diagnostics_path(args), diag_records)
-    print(f"normalized {len(records)} pairs -> {args.output}", file=sys.stderr)
+    print(f"normalized {len(normalized)} pairs -> {args.output}", file=sys.stderr)
     return 0
 
 
 def cmd_prep(args: argparse.Namespace) -> int:
-    pairs, read_diags = read_raw_pairs(Path(args.input).read_text(encoding="utf-8"))
+    pairs, read_diags = load(
+        DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=Path(args.input)), args.error_budget
+    )
     corpus = prepare_training_corpus(pairs, dev_fraction=args.dev_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
     _write_jsonl(out_dir / "train.jsonl", [directed_record(e) for e in corpus.train])
@@ -528,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tagswap", help="normalize raw markup pairs to lettered tags")
     _add_io(p)
+    _add_shared(p, "--error-budget")
     p.add_argument("--diagnostics", default=None)
     p.set_defaults(func=cmd_tagswap)
 
@@ -535,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dev-fraction", type=float, default=0.05)
-    _add_shared(p, "--seed")
+    _add_shared(p, "--seed", "--error-budget")
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("filter-qa", help="keep parallel QA contexts with matching counts and score")

@@ -9,7 +9,6 @@ so a translation model sees only the generic marker vocabulary.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -17,9 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .codec import tag_name
-from .errors import BackendError, BackendUnreachableError, FormatError, ScorerUnavailableError
+from .errors import BackendError, BackendUnreachableError, ScorerUnavailableError
 from .model import (
-    SEVERITY_ERROR,
     SEVERITY_WARNING,
     AnnotatedText,
     Diagnostic,
@@ -228,46 +226,6 @@ def prepare_training_corpus(
         max_unique_tags_per_pair=max_unique,
     )
     return PreparedCorpus(tuple(train), tuple(dev), tuple(dropped), provenance)
-
-
-def read_raw_pairs(text: str) -> tuple[list[RawMarkupPair], list[Diagnostic]]:
-    """Parse raw-markup JSONL content: {id, src_lang, tgt_lang, src_markup,
-    tgt_markup} per line. Unreadable lines become diagnostics."""
-    pairs: list[RawMarkupPair] = []
-    diagnostics: list[Diagnostic] = []
-    first = True
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            pair = RawMarkupPair(
-                id=str(record["id"]),
-                src_lang=str(record["src_lang"]),
-                tgt_lang=str(record["tgt_lang"]),
-                src_markup=str(record["src_markup"]),
-                tgt_markup=str(record["tgt_markup"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if first:
-                raise FormatError(f"line {lineno}: not a raw markup record: {exc}") from exc
-            diagnostics.append(
-                Diagnostic(SEVERITY_ERROR, "MALFORMED_RECORD", f"line {lineno}: {exc}", offset=lineno)
-            )
-            continue
-        first = False
-        pairs.append(pair)
-    return pairs, diagnostics
-
-
-def raw_pair_record(pair: RawMarkupPair) -> dict:
-    return {
-        "id": pair.id,
-        "src_lang": pair.src_lang,
-        "tgt_lang": pair.tgt_lang,
-        "src_markup": pair.src_markup,
-        "tgt_markup": pair.tgt_markup,
-    }
 
 
 def directed_record(example: DirectedExample) -> dict:

@@ -1,5 +1,5 @@
-"""Dataset readers and writers: annotated/tagged/parallel JSONL, QA-style
-JSON trees, and plain parallel text.
+"""Dataset readers and writers: annotated/tagged/parallel/raw-markup JSONL,
+QA-style JSON trees, and plain parallel text.
 
 All files are UTF-8 without BOM. Writers emit one record per line in a
 canonical field order with a trailing newline, so dumping twice is
@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence, TextIO
 
 from .codec import tag_name
+from .corpus import RawMarkupPair
 from .errors import ErrorBudgetExceeded, FormatError
 from .model import (
     SEVERITY_ERROR,
@@ -35,11 +36,15 @@ from .model import (
 # repairing it against the context.
 QA_REPAIR_WINDOW = 8
 
+# Raw markup records: field order on disk and RawMarkupPair's argument order.
+_RAW_FIELDS = ("id", "src_lang", "tgt_lang", "src_markup", "tgt_markup")
+
 
 class DatasetFormat(str, Enum):
     ANNOTATED_JSONL = "annotated"
     TAGGED_JSONL = "tagged"
     PARALLEL_JSONL = "parallel"
+    RAW_MARKUP_JSONL = "raw"
     QA_JSON = "qa"
     PLAIN_TEXT = "text"
 
@@ -78,10 +83,11 @@ def load(
 ) -> tuple[list[Any], list[Diagnostic]]:
     """Read a dataset, preserving record order.
 
-    Malformed records are skipped and collected into diagnostics carrying
-    their line number; once more than ``error_budget`` records have failed
-    (default 0), :class:`ErrorBudgetExceeded` aborts the load. A file whose
-    first record does not match the declared format raises
+    A rejected record is skipped and its diagnostics carry its line number:
+    an unreadable line gives one MALFORMED_RECORD, a record that fails
+    validation gives its own. Once more than ``error_budget`` records have
+    been rejected (default 0), :class:`ErrorBudgetExceeded` aborts the load.
+    A file whose first record does not match the declared format raises
     :class:`FormatError`.
     """
     text = _read_text(handle)
@@ -113,36 +119,21 @@ def load(
                 _check_first_record(handle.format, record)
                 first_checked = True
             item, record_diags = _parse_record(handle.format, record, handle.lang)
-        except FormatError:
+        except (FormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             if not first_checked:
-                raise
-            diagnostics.append(
-                Diagnostic(SEVERITY_ERROR, "MALFORMED_RECORD", f"line {lineno}: record rejected", offset=lineno)
-            )
-            errors += 1
-            if errors > error_budget:
-                raise ErrorBudgetExceeded(f"{errors} malformed records exceed budget of {error_budget}")
-            continue
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if not first_checked:
+                if isinstance(exc, FormatError):
+                    raise
                 raise FormatError(f"line {lineno}: first record unreadable: {exc}") from exc
-            diagnostics.append(
-                Diagnostic(SEVERITY_ERROR, "MALFORMED_RECORD", f"line {lineno}: {exc}", offset=lineno)
-            )
-            errors += 1
-            if errors > error_budget:
-                raise ErrorBudgetExceeded(f"{errors} malformed records exceed budget of {error_budget}")
-            continue
+            item, record_diags = None, [Diagnostic(SEVERITY_ERROR, "MALFORMED_RECORD", str(exc))]
         if record_diags:
-            skip = has_errors(record_diags)
             for diag in record_diags:
                 diagnostics.append(
                     Diagnostic(diag.severity, diag.code, f"line {lineno}: {diag.message}", offset=lineno)
                 )
-            if skip:
+            if has_errors(record_diags):
                 errors += 1
                 if errors > error_budget:
-                    raise ErrorBudgetExceeded(f"{errors} invalid records exceed budget of {error_budget}")
+                    raise ErrorBudgetExceeded(f"{errors} rejected records exceed budget of {error_budget}")
                 continue
         items.append(item)
     return items, diagnostics
@@ -153,6 +144,7 @@ def _check_first_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> None:
         DatasetFormat.ANNOTATED_JSONL: ("id", "text", "spans"),
         DatasetFormat.TAGGED_JSONL: ("id", "tagged_text"),
         DatasetFormat.PARALLEL_JSONL: ("id", "src_tagged", "tgt_tagged"),
+        DatasetFormat.RAW_MARKUP_JSONL: _RAW_FIELDS,
     }[fmt]
     missing = [key for key in required if key not in record]
     if missing:
@@ -192,6 +184,8 @@ def _parse_record(
             tgt_lang=tgt_lang,
         )
         return example, []
+    if fmt is DatasetFormat.RAW_MARKUP_JSONL:
+        return RawMarkupPair(*(str(record[key]) for key in _RAW_FIELDS)), []
     raise FormatError(f"unsupported record format {fmt}")
 
 
@@ -225,6 +219,10 @@ def _record_line(fmt: DatasetFormat, item: Any) -> str:
             "src_tagged": item.src.tagged,
             "tgt_tagged": item.tgt.tagged,
         }
+    elif fmt is DatasetFormat.RAW_MARKUP_JSONL:
+        if not isinstance(item, RawMarkupPair):
+            raise FormatError(f"expected RawMarkupPair, got {type(item).__name__}")
+        record = {key: getattr(item, key) for key in _RAW_FIELDS}
     elif fmt is DatasetFormat.PLAIN_TEXT:
         if not isinstance(item, TaggedText):
             raise FormatError(f"expected TaggedText, got {type(item).__name__}")
@@ -305,6 +303,39 @@ def qa_question_counts(tree: Mapping[str, Any]) -> dict[str, int]:
     return {doc_id: len(paragraph.get("qas", ())) for doc_id, paragraph in _iter_qa_paragraphs(tree)}
 
 
+def _answer_spans(context: str, paragraph: Mapping[str, Any], diagnostics: list[Diagnostic]) -> tuple[Span, ...]:
+    """One span per answer in the paragraph, repairing or flagging offsets."""
+    spans: list[Span] = []
+    for qa in paragraph.get("qas", ()):
+        qa_id = str(qa.get("id", ""))
+        for answer in qa.get("answers", ()):
+            answer_text = str(answer["text"])
+            stated = int(answer["answer_start"])
+            start, shift = _repair_offset(context, answer_text, stated)
+            name = qa_id or len(spans)
+            if shift is None:
+                start = min(max(stated, 0), len(context))
+                end = min(start + len(answer_text), len(context))
+                diagnostics.append(
+                    Diagnostic(
+                        SEVERITY_WARNING,
+                        "ANSWER_MISMATCH",
+                        f"answer {name}: text not found near offset {stated}",
+                        offset=start,
+                    )
+                )
+            else:
+                end = start + len(answer_text)
+                if shift != 0:
+                    diagnostics.append(
+                        Diagnostic(
+                            SEVERITY_INFO, "ANSWER_REPAIRED", f"answer {name}: offset shifted by {shift:+d}", offset=start
+                        )
+                    )
+            spans.append(Span(tag_name(len(spans)), start, end))
+    return tuple(spans)
+
+
 def ingest_qa(tree: Mapping[str, Any], lang: str) -> tuple[list[AnnotatedText], list[Diagnostic]]:
     """Convert a SQuAD-v1.1-shaped tree into one AnnotatedText per context.
 
@@ -313,43 +344,14 @@ def ingest_qa(tree: Mapping[str, Any], lang: str) -> tuple[list[AnnotatedText], 
     plus the answer text length in scalar values. An answer whose text does
     not appear at its stated offset is shifted to the nearest exact match
     within ±8 scalar values (ANSWER_REPAIRED), otherwise kept as stated and
-    flagged ANSWER_MISMATCH.
+    flagged ANSWER_MISMATCH. A tree of the wrong shape raises FormatError.
     """
     docs: list[AnnotatedText] = []
     diagnostics: list[Diagnostic] = []
-    for doc_id, paragraph in _iter_qa_paragraphs(tree):
-        context = str(paragraph["context"])
-        spans: list[Span] = []
-        tag_i = 0
-        for qa in paragraph.get("qas", ()):
-            qa_id = str(qa.get("id", ""))
-            for answer in qa.get("answers", ()):
-                answer_text = str(answer["text"])
-                stated = int(answer["answer_start"])
-                start, shift = _repair_offset(context, answer_text, stated)
-                if shift is None:
-                    start = min(max(stated, 0), len(context))
-                    end = min(start + len(answer_text), len(context))
-                    diagnostics.append(
-                        Diagnostic(
-                            SEVERITY_WARNING,
-                            "ANSWER_MISMATCH",
-                            f"answer {qa_id or tag_i}: text not found near offset {stated}",
-                            offset=start,
-                        )
-                    )
-                else:
-                    end = start + len(answer_text)
-                    if shift != 0:
-                        diagnostics.append(
-                            Diagnostic(
-                                SEVERITY_INFO,
-                                "ANSWER_REPAIRED",
-                                f"answer {qa_id or tag_i}: offset shifted by {shift:+d}",
-                                offset=start,
-                            )
-                        )
-                spans.append(Span(tag_name(tag_i), start, end))
-                tag_i += 1
-        docs.append(AnnotatedText(id=doc_id, lang=lang, text=context, spans=tuple(spans)))
+    try:
+        for doc_id, paragraph in _iter_qa_paragraphs(tree):
+            context = str(paragraph["context"])
+            docs.append(AnnotatedText(doc_id, lang, context, _answer_spans(context, paragraph, diagnostics)))
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed QA tree: {type(exc).__name__}: {exc}") from exc
     return docs, diagnostics

@@ -182,7 +182,6 @@ def test_exit_codes(tmp_path):
     ["sweep", "-i", "x", "--out-dir", "y", "--error-budget", "1"],
     ["tagswap", "-i", "x", "-o", "y", "--seed", "1"],
     ["tagswap", "-i", "x", "-o", "y", "--scheme", "xml"],
-    ["tagswap", "-i", "x", "-o", "y", "--error-budget", "1"],
 ])
 def test_flags_a_command_ignores_are_rejected(argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -272,6 +271,47 @@ def test_tagswap_and_prep(tmp_path):
     assert provenance["provenance"]["kept_pairs"] == 8
     assert provenance["provenance"]["dropped_untagged"] == 2
     assert {d["reason"] for d in provenance["dropped"]} == {"DROP_UNTAGGED"}
+
+
+def test_tagswap_and_prep_honour_error_budget(tmp_path, capsys):
+    good = {"id": "p1", "src_lang": "en", "tgt_lang": "de", "src_markup": "<b>x</b>", "tgt_markup": "<b>y</b>"}
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps(good) + "\n{broken json\n")
+    out_dir = tmp_path / "corpus"
+    prep = ["prep", "-i", str(raw), "--out-dir", str(out_dir)]
+    swap = ["tagswap", "-i", str(raw), "-o", str(tmp_path / "swapped.jsonl")]
+    for argv in (prep, swap):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert main(argv + ["--error-budget", "1"]) == 0
+
+    read_diags = json.loads((out_dir / "provenance.json").read_text())["read_diagnostics"]
+    assert [(d["code"], d["offset"]) for d in read_diags] == [("MALFORMED_RECORD", 2)]
+    swap_diags = [json.loads(line) for line in (tmp_path / "swapped.jsonl.diagnostics.jsonl").read_text().splitlines()]
+    assert [(d["code"], d["offset"]) for d in swap_diags] == [("MALFORMED_RECORD", 2)]
+    assert len((tmp_path / "swapped.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tree", [
+    {"data": [{"paragraphs": [{"qas": []}]}]},
+    {"data": [{"paragraphs": [{"context": "ab", "qas": [
+        {"id": "q1", "answers": [{"text": "a", "answer_start": None}]},
+    ]}]}]},
+    {"data": ["x"]},
+    7,
+], ids=["no-context", "null-answer-start", "non-object-article", "scalar-tree"])
+def test_filter_qa_malformed_tree_exits_1(tmp_path, capsys, tree):
+    good = {"data": [{"paragraphs": [{"context": "ab", "qas": []}]}]}
+    src = tmp_path / "src.json"
+    tgt = tmp_path / "tgt.json"
+    src.write_text(json.dumps(tree))
+    tgt.write_text(json.dumps(good))
+    code = main([
+        "filter-qa", "--src-json", str(src), "--tgt-json", str(tgt),
+        "--src-lang", "en", "--tgt-lang", "de", "--out-dir", str(tmp_path / "qa"), "--no-score-filter",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_filter_qa_command(tmp_path):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from labelproj import (
@@ -16,7 +14,7 @@ from labelproj import (
     prepare_training_corpus,
     tag_swap,
 )
-from labelproj.corpus import directed_record, raw_pair_record, read_raw_pairs
+from labelproj.corpus import directed_record
 
 
 def pair(src: str, tgt: str, pair_id: str = "p1") -> RawMarkupPair:
@@ -182,20 +180,7 @@ def test_invalid_dev_fraction():
         prepare_training_corpus(corpus_pairs(1, 0), dev_fraction=1.0)
 
 
-# ------------------------------------------------------------- jsonl layer
-
-def test_raw_pairs_roundtrip_and_bad_line():
-    source = (
-        json.dumps(raw_pair_record(pair("<ph>a</ph>", "<ph>b</ph>", "x1")))
-        + "\n"
-        + "{broken json\n"
-        + json.dumps(raw_pair_record(pair("<ph>c</ph>", "<ph>d</ph>", "x2")))
-        + "\n"
-    )
-    pairs, diags = read_raw_pairs(source)
-    assert [p.id for p in pairs] == ["x1", "x2"]
-    assert codes(diags) == ["MALFORMED_RECORD"]
-
+# ------------------------------------------------------------ record layer
 
 def test_directed_record_schema():
     corpus = prepare_training_corpus(corpus_pairs(1, 0), dev_fraction=0.0, seed=0)

@@ -12,6 +12,7 @@ from labelproj import (
     ErrorBudgetExceeded,
     FormatError,
     ParallelExample,
+    RawMarkupPair,
     Span,
     TaggedText,
     dump,
@@ -94,6 +95,40 @@ def test_load_parallel_records():
     assert example.tgt_lang == "de"
 
 
+RAW_LINE = '{"id":"r1","src_lang":"en","tgt_lang":"de","src_markup":"<b>x</b>","tgt_markup":"<b>y</b>"}'
+
+
+def test_load_raw_pairs_roundtrip_and_bad_line():
+    content = RAW_LINE + "\n{broken json\n" + RAW_LINE.replace("r1", "r2") + "\n"
+    pairs, diags = load(handle(DatasetFormat.RAW_MARKUP_JSONL, content), error_budget=1)
+    assert pairs == [RawMarkupPair(i, "en", "de", "<b>x</b>", "<b>y</b>") for i in ("r1", "r2")]
+    assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
+
+
+def test_load_raw_first_record_needs_every_field():
+    with pytest.raises(FormatError):
+        load(handle(DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE.replace('"src_markup"', '"markup"') + "\n"))
+
+
+def test_load_raw_empty_side_counts_against_budget():
+    content = RAW_LINE + "\n" + RAW_LINE.replace('"<b>y</b>"', '""') + "\n"
+    with pytest.raises(ErrorBudgetExceeded):
+        load(handle(DatasetFormat.RAW_MARKUP_JSONL, content))
+    pairs, diags = load(handle(DatasetFormat.RAW_MARKUP_JSONL, content), error_budget=1)
+    assert [p.id for p in pairs] == ["r1"]
+    assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
+
+
+def test_load_budget_counts_unreadable_and_invalid_records_alike():
+    invalid = ANNOTATED_LINE.replace('"end":2', '"end":9')
+    content = ANNOTATED_LINE + "\n[1]\n" + invalid + "\n"
+    _, diags = load(handle(DatasetFormat.ANNOTATED_JSONL, content), error_budget=2)
+    assert [d.code for d in diags] == ["MALFORMED_RECORD", "OFFSET_OOB"]
+    assert diags[0].message == "line 2: record is not a JSON object"
+    with pytest.raises(ErrorBudgetExceeded, match="2 rejected records exceed budget of 1"):
+        load(handle(DatasetFormat.ANNOTATED_JSONL, content), error_budget=1)
+
+
 def test_load_blank_lines_are_not_records():
     docs, _ = load(handle(DatasetFormat.ANNOTATED_JSONL, "\n" + ANNOTATED_LINE + "\n\n"))
     assert len(docs) == 1
@@ -128,6 +163,10 @@ def test_dump_load_identity_tagged_and_parallel():
     back, _ = roundtrip(pairs, DatasetFormat.PARALLEL_JSONL)
     assert back == pairs
 
+    raw = [RawMarkupPair("1", "en", "de", '<b class="x">é</b>', "<b>y</b>"), RawMarkupPair("2", "en", "de", "x", "y")]
+    back, _ = roundtrip(raw, DatasetFormat.RAW_MARKUP_JSONL)
+    assert back == raw
+
 
 def test_dump_is_byte_stable(tmp_path):
     docs = [make_doc("ab", [Span("a", 0, 2)], doc_id="1")]
@@ -157,6 +196,8 @@ def test_dump_tagged_record_schema():
 def test_dump_rejects_mismatched_items():
     with pytest.raises(FormatError):
         dump([TaggedText("1", "en", "x")], handle(DatasetFormat.ANNOTATED_JSONL, ""))
+    with pytest.raises(FormatError):
+        dump([TaggedText("1", "en", "x")], handle(DatasetFormat.RAW_MARKUP_JSONL, ""))
     with pytest.raises(FormatError):
         dump([make_doc("ab")], DatasetHandle(DatasetFormat.QA_JSON, stream=io.StringIO()))
 
