@@ -9,23 +9,28 @@ pipeline:
 * ``POST {endpoint}/score`` with ``{"pairs": [{"src": str, "hyp": str,
   "ref": str|null}]}`` returning ``{"scores": [number]}``.
 
-Both are UTF-8 JSON. The deterministic local backends (identity, tag
-shuffler, tag dropper) are part of the shipped toolkit, not test-only
-code: they make every pipeline runnable with no model at all.
+Both are UTF-8 JSON over the standard library's ``urllib.request``: HTTPS
+verifies against the system CA store (``SSL_CERT_FILE``), and proxies come
+from ``http_proxy``/``https_proxy``/``no_proxy``. The deterministic local
+backends (identity, tag shuffler, tag dropper) are part of the shipped
+toolkit, not test-only code: they make every pipeline runnable with no
+model at all.
 """
 
 from __future__ import annotations
 
 import abc
+import http.client
+import json
 import random
 import sys
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
-import requests
-
-from .codec import MarkerScheme, pair_markers, scan_markers
+from .codec import MarkerScheme, _strip, pair_markers, scan_markers
 from .errors import AlignmentError, BackendError, BackendUnreachableError, EmptyInputError
 from .model import TaggedText
 from .synth import derive_seed
@@ -119,21 +124,9 @@ class TagDropperBackend(TranslationBackend):
         raw = text.tagged
         tokens, _ = scan_markers(raw, self.scheme)
         pairs, _, _ = pair_markers(tokens)
-        doomed: list[tuple[int, int]] = []
-        for open_t, close_t in pairs:
-            if rng.random() < self.q:
-                doomed.append((open_t.start, open_t.end))
-                doomed.append((close_t.start, close_t.end))
-        if not doomed:
-            return text
-        doomed.sort()
-        pieces: list[str] = []
-        cursor = 0
-        for start, end in doomed:
-            pieces.append(raw[cursor:start])
-            cursor = end
-        pieces.append(raw[cursor:])
-        return TaggedText(text.id, text.lang, "".join(pieces))
+        # One draw per pair, in opening order: seeded outputs depend on it.
+        doomed = sorted((t for pair in pairs if rng.random() < self.q for t in pair), key=lambda t: t.start)
+        return TaggedText(text.id, text.lang, _strip(raw, doomed)) if doomed else text
 
     def translate_batch(
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
@@ -162,7 +155,6 @@ class _HttpJsonClient:
         self.max_retries = max_retries
         self.bearer_token = bearer_token
         self.backoff_base = backoff_base
-        self._session = requests.Session()
 
     def post(self, path: str, payload: dict) -> tuple[int, dict]:
         """Return the status and the JSON object of the first non-error response."""
@@ -170,27 +162,33 @@ class _HttpJsonClient:
         headers = {"Content-Type": "application/json"}
         if self.bearer_token:
             headers["Authorization"] = f"Bearer {self.bearer_token}"
+        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
         last_error: str | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
-                response = self._session.post(url, json=payload, timeout=self.timeout, headers=headers)
-            except requests.RequestException as exc:
+                try:
+                    response = urllib.request.urlopen(request, timeout=self.timeout)
+                except urllib.error.HTTPError as exc:
+                    response = exc  # an error status still carries a body to read
+                with response:
+                    status, data = response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = str(exc)
                 continue
-            if response.status_code >= 500:
-                last_error = f"HTTP {response.status_code}"
+            if status >= 500:
+                last_error = f"HTTP {status}"
                 continue
-            if response.status_code >= 400:
-                raise BackendError(response.status_code, response.text[:200])
+            if status >= 400:
+                raise BackendError(status, data.decode("utf-8", "replace")[:200])
             try:
-                body = response.json()
+                body = json.loads(data)
             except ValueError as exc:
-                raise BackendError(response.status_code, f"unparseable body: {exc}")
+                raise BackendError(status, f"unparseable body: {exc}")
             if not isinstance(body, dict):
-                raise BackendError(response.status_code, f"body is a JSON {type(body).__name__}, not an object")
-            return response.status_code, body
+                raise BackendError(status, f"body is a JSON {type(body).__name__}, not an object")
+            return status, body
         raise BackendUnreachableError(f"{url}: giving up after {self.max_retries + 1} attempts ({last_error})")
 
 

@@ -151,41 +151,65 @@ def _check_first_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> None:
         raise FormatError(f"first record lacks {missing}; not a {fmt.value} dataset")
 
 
+def _string(record: Mapping[str, Any], key: str, default: str | None = None) -> str:
+    """``record[key]``, or ``default`` when given and the key is absent; a JSON string."""
+    value = record[key] if default is None else record.get(key, default)
+    if not isinstance(value, str):
+        raise FormatError(f"{key!r} must be a string, not {value!r}")
+    return value
+
+
+def _integer(record: Mapping[str, Any], key: str) -> int:
+    """``record[key]``, a JSON integer (``true`` and ``1.0`` are not)."""
+    value = record[key]
+    if type(value) is not int:
+        raise FormatError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
+def _record_id(record: Mapping[str, Any]) -> str:
+    value = record["id"]
+    if type(value) is not int and not isinstance(value, str):
+        raise FormatError(f"'id' must be a string or an integer, not {value!r}")
+    return str(value)
+
+
 def _parse_record(
     fmt: DatasetFormat, record: Mapping[str, Any], default_lang: str
 ) -> tuple[Any, list[Diagnostic]]:
     if fmt is DatasetFormat.ANNOTATED_JSONL:
         spans = tuple(
-            Span(str(s["tag"]), int(s["start"]), int(s["end"]), s.get("label"))
+            Span(_string(s, "tag"), _integer(s, "start"), _integer(s, "end"), s.get("label"))
             for s in record["spans"]
         )
         doc = AnnotatedText(
-            id=str(record["id"]),
-            lang=str(record.get("lang", default_lang)),
-            text=str(record["text"]),
+            id=_record_id(record),
+            lang=_string(record, "lang", default_lang),
+            text=_string(record, "text"),
             spans=spans,
         )
         return doc, validate(doc)
     if fmt is DatasetFormat.TAGGED_JSONL:
         item = TaggedText(
-            id=str(record["id"]),
-            lang=str(record.get("lang", default_lang)),
-            tagged=str(record["tagged_text"]),
+            id=_record_id(record),
+            lang=_string(record, "lang", default_lang),
+            tagged=_string(record, "tagged_text"),
         )
         return item, []
     if fmt is DatasetFormat.PARALLEL_JSONL:
-        src_lang = str(record["src_lang"])
-        tgt_lang = str(record["tgt_lang"])
+        doc_id = _record_id(record)
+        src_lang = _string(record, "src_lang")
+        tgt_lang = _string(record, "tgt_lang")
         example = ParallelExample(
-            id=str(record["id"]),
-            src=TaggedText(str(record["id"]), src_lang, str(record["src_tagged"])),
-            tgt=TaggedText(str(record["id"]), tgt_lang, str(record["tgt_tagged"])),
+            id=doc_id,
+            src=TaggedText(doc_id, src_lang, _string(record, "src_tagged")),
+            tgt=TaggedText(doc_id, tgt_lang, _string(record, "tgt_tagged")),
             src_lang=src_lang,
             tgt_lang=tgt_lang,
         )
         return example, []
     if fmt is DatasetFormat.RAW_MARKUP_JSONL:
-        return RawMarkupPair(*(str(record[key]) for key in _RAW_FIELDS)), []
+        return RawMarkupPair(_record_id(record), *(_string(record, key) for key in _RAW_FIELDS[1:])), []
     raise FormatError(f"unsupported record format {fmt}")
 
 
@@ -309,8 +333,8 @@ def _answer_spans(context: str, paragraph: Mapping[str, Any], diagnostics: list[
     for qa in paragraph.get("qas", ()):
         qa_id = str(qa.get("id", ""))
         for answer in qa.get("answers", ()):
-            answer_text = str(answer["text"])
-            stated = int(answer["answer_start"])
+            answer_text = _string(answer, "text")
+            stated = _integer(answer, "answer_start")
             start, shift = _repair_offset(context, answer_text, stated)
             name = qa_id or len(spans)
             if shift is None:
@@ -350,7 +374,7 @@ def ingest_qa(tree: Mapping[str, Any], lang: str) -> tuple[list[AnnotatedText], 
     diagnostics: list[Diagnostic] = []
     try:
         for doc_id, paragraph in _iter_qa_paragraphs(tree):
-            context = str(paragraph["context"])
+            context = _string(paragraph, "context")
             docs.append(AnnotatedText(doc_id, lang, context, _answer_spans(context, paragraph, diagnostics)))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed QA tree: {type(exc).__name__}: {exc}") from exc

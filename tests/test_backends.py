@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -270,3 +271,92 @@ def test_http_scorer_rejects_non_finite_or_non_numeric_score(bad):
     with http_server(behavior) as url:
         with pytest.raises(BackendError):
             HttpScorerBackend(url).score_batch([("a", "b", None), ("c", "d", None)])
+
+
+# ------------------------------------------------- raw socket boundary
+
+@contextmanager
+def raw_server(reply: bytes | None):
+    """Answer every request with the literal bytes ``reply`` and close, or
+    stall without answering when ``reply`` is None. Yields (url, calls)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    calls: list[bytes] = []
+    done = threading.Event()
+
+    def serve(conn: socket.socket) -> None:
+        conn.settimeout(10)
+        with conn, conn.makefile("rb") as stream:
+            length = 0
+            while (line := stream.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            calls.append(stream.read(length))
+            if reply is None:
+                done.wait(10)
+            else:
+                conn.sendall(reply)
+
+    def accept_loop() -> None:
+        while not done.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            threading.Thread(target=serve, args=(conn,), daemon=True).start()
+
+    thread = threading.Thread(target=accept_loop, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", calls
+    finally:
+        done.set()
+        thread.join(timeout=5)
+        listener.close()
+        assert not thread.is_alive()
+
+
+def http_reply(status: str, body: bytes, length: int | None = None) -> bytes:
+    size = len(body) if length is None else length
+    return (
+        f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {size}\r\nConnection: close\r\n\r\n"
+    ).encode("ascii") + body
+
+
+def test_http_stalled_server_is_unreachable():
+    with raw_server(None) as (url, calls):
+        backend = HttpTranslationBackend(url, max_retries=1, backoff_base=0.01, timeout=0.3)
+        with pytest.raises(BackendUnreachableError):
+            backend.translate_batch([tt("1", "x")], "en", "de")
+    assert len(calls) == 2
+
+
+def test_http_truncated_body_is_retried_then_unreachable():
+    # The partial body is itself valid JSON: only the length check can catch it.
+    body = b'{"translations": ["x"]}'
+    with raw_server(http_reply("200 OK", body, length=len(body) + 50)) as (url, calls):
+        backend = HttpTranslationBackend(url, max_retries=2, backoff_base=0.01, timeout=5)
+        with pytest.raises(BackendUnreachableError):
+            backend.translate_batch([tt("1", "x")], "en", "de")
+    assert len(calls) == 3
+
+
+def test_http_non_json_200_is_sent_once():
+    with raw_server(http_reply("200 OK", b"<html>not json</html>")) as (url, calls):
+        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01, timeout=5)
+        with pytest.raises(BackendError) as excinfo:
+            backend.translate_batch([tt("1", "x")], "en", "de")
+    assert excinfo.value.status == 200
+    assert len(calls) == 1
+    assert json.loads(calls[0]) == {"src_lang": "en", "tgt_lang": "de", "texts": ["x"]}
+
+
+def test_http_400_message_carries_the_body():
+    with raw_server(http_reply("400 Bad Request", b'{"error": "texts must be a list"}')) as (url, calls):
+        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01, timeout=5)
+        with pytest.raises(BackendError, match="texts must be a list") as excinfo:
+            backend.translate_batch([tt("1", "x")], "en", "de")
+    assert excinfo.value.status == 400
+    assert len(calls) == 1

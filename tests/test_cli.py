@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import labelproj
 from labelproj import DatasetFormat, DatasetHandle, Span, dump, load
 from labelproj.cli import main, make_backend, make_scorer
 from labelproj.backends import ConstantScorer, IdentityBackend, TagDropperBackend, TagShufflerBackend
@@ -20,6 +25,22 @@ DOCS = [
     make_doc("plain sentence", [], doc_id="2"),
     make_doc("the Huguenot population", [Span("a", 0, 23), Span("b", 4, 12)], doc_id="3"),
 ]
+
+
+# ------------------------------------------------------------ dependencies
+
+def test_cli_import_loads_only_stdlib_modules():
+    # Modules loaded at interpreter start (site hooks, .pth files) are left
+    # out: only what importing the CLI adds is checked.
+    script = (
+        "import sys; before = set(sys.modules); import labelproj.cli; "
+        "print(*{m.split('.')[0] for m in set(sys.modules) - before})"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(labelproj.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "labelproj" in loaded
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"labelproj"}) == []
 
 
 # ------------------------------------------------------------ flag parsing
@@ -297,9 +318,12 @@ def test_tagswap_and_prep_honour_error_budget(tmp_path, capsys):
     {"data": [{"paragraphs": [{"context": "ab", "qas": [
         {"id": "q1", "answers": [{"text": "a", "answer_start": None}]},
     ]}]}]},
+    {"data": [{"paragraphs": [{"context": "ab", "qas": [
+        {"id": "q1", "answers": [{"text": "a", "answer_start": True}]},
+    ]}]}]},
     {"data": ["x"]},
     7,
-], ids=["no-context", "null-answer-start", "non-object-article", "scalar-tree"])
+], ids=["no-context", "null-answer-start", "bool-answer-start", "non-object-article", "scalar-tree"])
 def test_filter_qa_malformed_tree_exits_1(tmp_path, capsys, tree):
     good = {"data": [{"paragraphs": [{"context": "ab", "qas": []}]}]}
     src = tmp_path / "src.json"

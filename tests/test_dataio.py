@@ -129,6 +129,44 @@ def test_load_budget_counts_unreadable_and_invalid_records_alike():
         load(handle(DatasetFormat.ANNOTATED_JSONL, content), error_budget=1)
 
 
+TAGGED_LINE = '{"id":"t1","lang":"en","tagged_text":"<a>x</a>"}'
+PARALLEL_LINE = '{"id":"p1","src_lang":"en","tgt_lang":"de","src_tagged":"<a>x</a>","tgt_tagged":"<a>y</a>"}'
+
+
+@pytest.mark.parametrize("fmt, good, old, new", [
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"text":"ab"', '"text":null'),
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"id":"d1"', '"id":null'),
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"id":"d1"', '"id":true'),
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"lang":"en"', '"lang":3'),
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"start":0', '"start":0.9'),
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"end":2', '"end":true'),
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"end":2', '"end":"2"'),
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"tag":"a"', '"tag":1'),
+    (DatasetFormat.TAGGED_JSONL, TAGGED_LINE, '"tagged_text":"<a>x</a>"', '"tagged_text":null'),
+    (DatasetFormat.TAGGED_JSONL, TAGGED_LINE, '"id":"t1"', '"id":["t1"]'),
+    (DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE, '"src_tagged":"<a>x</a>"', '"src_tagged":null'),
+    (DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE, '"tgt_tagged":"<a>y</a>"', '"tgt_tagged":7'),
+    (DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE, '"tgt_lang":"de"', '"tgt_lang":null'),
+    (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"src_markup":"<b>x</b>"', '"src_markup":null'),
+    (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"src_lang":"en"', '"src_lang":{}'),
+    (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"id":"r1"', '"id":1.5'),
+])
+def test_load_rejects_non_json_typed_values(fmt, good, old, new):
+    bad = good.replace(old, new)
+    assert bad != good
+    content = good + "\n" + bad + "\n"
+    with pytest.raises(ErrorBudgetExceeded):
+        load(handle(fmt, content))
+    items, diags = load(handle(fmt, content), error_budget=1)
+    assert len(items) == 1
+    assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
+
+
+def test_load_integer_id_is_read_as_text():
+    docs, _ = load(handle(DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE.replace('"d1"', "7") + "\n"))
+    assert docs[0].id == "7"
+
+
 def test_load_blank_lines_are_not_records():
     docs, _ = load(handle(DatasetFormat.ANNOTATED_JSONL, "\n" + ANNOTATED_LINE + "\n\n"))
     assert len(docs) == 1
@@ -288,6 +326,19 @@ def test_ingest_multiple_contexts_and_counts():
 def test_ingest_requires_data_key():
     with pytest.raises(FormatError):
         ingest_qa({"paragraphs": []}, "en")
+
+
+@pytest.mark.parametrize("paragraph", [
+    {"context": None, "qas": []},
+    {"context": 5, "qas": []},
+    {"context": "ab", "qas": [{"id": "q1", "answers": [{"text": None, "answer_start": 0}]}]},
+    {"context": "ab", "qas": [{"id": "q1", "answers": [{"text": "a", "answer_start": True}]}]},
+    {"context": "ab", "qas": [{"id": "q1", "answers": [{"text": "a", "answer_start": 0.0}]}]},
+    {"context": "ab", "qas": [{"id": "q1", "answers": [{"text": "a", "answer_start": "0"}]}]},
+], ids=["null-context", "int-context", "null-answer-text", "bool-start", "float-start", "string-start"])
+def test_ingest_rejects_non_json_typed_values(paragraph):
+    with pytest.raises(FormatError):
+        ingest_qa(qa_tree([paragraph]), "en")
 
 
 def test_load_qa_json_handle():
