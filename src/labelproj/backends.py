@@ -20,14 +20,10 @@ model at all.
 from __future__ import annotations
 
 import abc
-import http.client
 import json
 import random
 import sys
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from .codec import MarkerScheme, _strip, pair_markers, scan_markers
@@ -158,6 +154,11 @@ class _HttpJsonClient:
 
     def post(self, path: str, payload: dict) -> tuple[int, dict]:
         """Return the status and the JSON object of the first non-error response."""
+        # Imported here so that commands which send no request do not load the HTTP stack.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         url = f"{self.endpoint}{path}"
         headers = {"Content-Type": "application/json"}
         if self.bearer_token:
@@ -239,6 +240,8 @@ class HttpTranslationBackend(TranslationBackend):
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
     ) -> list[TaggedText]:
         _check_translate_inputs(texts, src_lang, tgt_lang)
+        from concurrent.futures import ThreadPoolExecutor
+
         chunks = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             results = list(pool.map(lambda c: self._translate_chunk(c, src_lang, tgt_lang), chunks))

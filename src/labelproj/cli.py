@@ -26,7 +26,7 @@ from .backends import (
     TagShufflerBackend,
     TranslationBackend,
 )
-from .codec import MarkerScheme, decode, encode, signature
+from .codec import MarkerScheme, MarkerSignature, _decode, _encoded_signature, _place_markers, decode, encode, signature
 from .corpus import (
     QaParallelPair,
     directed_record,
@@ -44,8 +44,8 @@ from .dataio import (
     qa_question_counts,
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError
-from .evaluation import EvalGroup, build_report, occurrences, render_table
-from .model import AnnotatedText, Diagnostic, ParallelExample, Span, TaggedText
+from .evaluation import EvalGroup, build_report, markers_match, occurrences, render_table
+from .model import AnnotatedText, Diagnostic, ParallelExample, Span
 from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
@@ -134,7 +134,7 @@ def _diagnostics_path(args: argparse.Namespace) -> Path:
 def _build_groups(
     projected: Sequence[AnnotatedText],
     reference: Sequence[AnnotatedText],
-    marker_pairs: Sequence[tuple[TaggedText, TaggedText]] | None,
+    marker_matches: dict[str, bool],
     dataset: str,
 ) -> list[EvalGroup]:
     """One group per reference language; ids must cover both sides exactly."""
@@ -144,9 +144,6 @@ def _build_groups(
     by_lang: dict[str, list[AnnotatedText]] = {}
     for doc in reference:
         by_lang.setdefault(doc.lang, []).append(doc)
-    pairs_by_id = {}
-    if marker_pairs is not None:
-        pairs_by_id = {source.id: (source, hypothesis) for source, hypothesis in marker_pairs}
 
     groups = []
     claimed: set[str] = set()
@@ -159,11 +156,8 @@ def _build_groups(
                 raise AlignmentError(f"reference id {ref.id!r} has no projected document")
             projs.append(doc)
             claimed.add(ref.id)
-        group_pairs = None
-        if marker_pairs is not None:
-            selected = tuple(pairs_by_id[r.id] for r in refs if r.id in pairs_by_id)
-            group_pairs = selected or None
-        groups.append(EvalGroup(lang, dataset, tuple(projs), tuple(refs), group_pairs))
+        flags = tuple(marker_matches[r.id] for r in refs if r.id in marker_matches)
+        groups.append(EvalGroup(lang, dataset, tuple(projs), tuple(refs), flags or None))
     unclaimed = set(proj_by_id) - claimed
     if unclaimed:
         raise AlignmentError(f"projected ids with no reference: {sorted(unclaimed)[:5]}")
@@ -174,7 +168,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     docs, diagnostics = load(
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
     )
-    tagged = [encode(doc, _scheme(args)) for doc in docs]
+    tagged = [_place_markers(doc, _scheme(args)) for doc in docs]  # load has validated each one
     summary = dump(tagged, DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.output)))
     print(f"encoded {summary.count} documents -> {summary.path}", file=sys.stderr)
     if diagnostics:
@@ -319,7 +313,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     reference, _ = load(
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.reference)), args.error_budget
     )
-    marker_pairs = None
+    marker_matches = {}
     if args.source_tagged and args.hypothesis_tagged:
         sources, hypotheses = (
             load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(path)), args.error_budget)[0]
@@ -327,12 +321,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         if len(sources) != len(hypotheses):
             raise AlignmentError("source/hypothesis tagged files differ in length")
-        marker_pairs = list(zip(sources, hypotheses))
+        marker_matches = {s.id: markers_match(s, h, _scheme(args)) for s, h in zip(sources, hypotheses)}
     elif args.source_tagged or args.hypothesis_tagged:
         raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
 
-    groups = _build_groups(projected, reference, marker_pairs, args.dataset)
-    report = build_report(groups, threshold=args.threshold, scheme=_scheme(args))
+    groups = _build_groups(projected, reference, marker_matches, args.dataset)
+    report = build_report(groups, threshold=args.threshold)
     _emit_report(report, args.report, args.report_out)
     return 0
 
@@ -352,14 +346,19 @@ def cmd_project(args: argparse.Namespace) -> int:
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
     )
     scheme = _scheme(args)
-    sources = [encode(doc, scheme) for doc in docs]
+    # load has validated every document, so encode's check would only repeat it.
+    sources = [_place_markers(doc, scheme) for doc in docs]
     backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight)
     hypotheses = backend.translate_batch(sources, args.src_lang, args.tgt_lang)
 
     projected = []
+    marker_matches: dict[str, bool] = {}
     diag_records = [_diag_record(d) for d in load_diags]
     for source, hypothesis in zip(docs, hypotheses):
-        doc, diags = decode(hypothesis, scheme)
+        doc, diags, tokens = _decode(hypothesis, scheme)
+        if args.reference:
+            hypothesis_markers = MarkerSignature((t.name, t.kind) for t in tokens)
+            marker_matches[source.id] = _encoded_signature(source, scheme) == hypothesis_markers
         if scheme is MarkerScheme.XML:
             doc = _with_source_labels(doc, source)
         projected.append(replace(doc, lang=args.tgt_lang))
@@ -373,9 +372,8 @@ def cmd_project(args: argparse.Namespace) -> int:
         reference, _ = load(
             DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.reference)), args.error_budget
         )
-        marker_pairs = list(zip(sources, hypotheses))
-        groups = _build_groups(projected, reference, marker_pairs, args.dataset)
-        report = build_report(groups, threshold=args.threshold, scheme=scheme)
+        groups = _build_groups(projected, reference, marker_matches, args.dataset)
+        report = build_report(groups, threshold=args.threshold)
         _emit_report(report, args.report, args.report_out)
     return 0
 

@@ -206,7 +206,11 @@ def encode(
     if has_errors(diagnostics):
         codes = ", ".join(sorted({d.code for d in diagnostics if d.severity == "error"}))
         raise InvalidAnnotationError(f"document {doc.id!r} fails validation: {codes}")
+    return _place_markers(doc, scheme)
 
+
+def _place_markers(doc: AnnotatedText, scheme: MarkerScheme) -> TaggedText:
+    """:func:`encode` without its check, for a document that passed ``validate``."""
     # Opening order: by start, then longest span first, then tag sequence
     # order; the stable sort keeps input order for full ties.
     opening = sorted(doc.spans, key=lambda s: (s.start, -s.length(), _tag_sort_key(s.tag)))
@@ -254,11 +258,16 @@ def decode(
 
     Output spans are sorted by (start, longest first, tag sequence order).
     """
-    if isinstance(tagged, TaggedText):
-        raw, doc_id, lang = tagged.tagged, tagged.id, tagged.lang
-    else:
-        raw = tagged
+    if not isinstance(tagged, TaggedText):
+        tagged = TaggedText(doc_id, lang, tagged)
+    return _decode(tagged, scheme, allow_uppercase)[:2]
 
+
+def _decode(
+    tagged: TaggedText, scheme: MarkerScheme, allow_uppercase: bool = False
+) -> tuple[AnnotatedText, list[Diagnostic], list[MarkerToken]]:
+    """:func:`decode`, plus the marker tokens it scanned: what ``signature`` counts."""
+    raw = tagged.tagged
     tokens, diagnostics = scan_markers(raw, scheme, allow_uppercase)
     pairs, orphans, unclosed = pair_markers(tokens)
     text = _strip(raw, tokens)
@@ -297,7 +306,7 @@ def decode(
 
     spans.sort(key=lambda s: (s.start, -s.end, _tag_sort_key(s.tag)))
     diagnostics.sort(key=lambda d: (d.offset if d.offset is not None else 1 << 62))
-    return AnnotatedText(id=doc_id, lang=lang, text=text, spans=tuple(spans)), diagnostics
+    return AnnotatedText(id=tagged.id, lang=tagged.lang, text=text, spans=tuple(spans)), diagnostics, tokens
 
 
 def strip_markers(
@@ -316,3 +325,15 @@ def signature(
     raw = tagged.tagged if isinstance(tagged, TaggedText) else tagged
     tokens, _ = scan_markers(raw, scheme, allow_uppercase)
     return MarkerSignature((t.name, t.kind) for t in tokens)
+
+
+def _encoded_signature(doc: AnnotatedText, scheme: MarkerScheme, allow_uppercase: bool = False) -> MarkerSignature:
+    """``signature(encode(doc, scheme), scheme)`` for a valid document, counted from its spans. An
+    inserted marker can split a marker-shaped substring of the text, so such a text is encoded and scanned.
+    """
+    if scheme is MarkerScheme.BRACKETS:  # the text's own brackets count too
+        opens, closes = (len(doc.spans) + doc.text.count(literal) for literal in "[]")
+        return MarkerSignature([("", "open")] * opens + [("", "close")] * closes)
+    if marker_pattern(allow_uppercase).search(doc.text):
+        return signature(_place_markers(doc, scheme), scheme, allow_uppercase)
+    return MarkerSignature((span.tag, kind) for span in doc.spans for kind in ("open", "close"))

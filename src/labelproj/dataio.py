@@ -182,6 +182,8 @@ def _parse_record(
             Span(_string(s, "tag"), _integer(s, "start"), _integer(s, "end"), s.get("label"))
             for s in record["spans"]
         )
+        if any(span.label is not None and not isinstance(span.label, str) for span in spans):
+            raise FormatError("span 'label' must be a string or null")
         doc = AnnotatedText(
             id=_record_id(record),
             lang=_string(record, "lang", default_lang),

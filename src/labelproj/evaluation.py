@@ -9,7 +9,8 @@ of the two surface strings reaches the threshold (default 0.5); counts are
 micro-aggregated across all documents into a global precision/recall/F1.
 
 The projection rate is the fraction of translation pairs whose hypothesis
-contains exactly the same multiset of markers as its source.
+contains exactly the same multiset of markers as its source: the sum of
+one match flag per pair (:func:`markers_match`) over the number of pairs.
 """
 
 from __future__ import annotations
@@ -127,18 +128,13 @@ def label_match_f1(
     return PRF.from_counts(tp, fp, fn)
 
 
-def _count_matches(
-    pairs: Sequence[tuple[TaggedText, TaggedText]], scheme: MarkerScheme, allow_uppercase: bool = False
-) -> int:
-    if not pairs:
-        raise EmptyInputError("projection rate is undefined on an empty pair list")
-    matches = 0
-    for source, hypothesis in pairs:
-        if source.id != hypothesis.id:
-            raise AlignmentError(f"pair ids differ: {source.id!r} vs {hypothesis.id!r}")
-        if signature(source, scheme, allow_uppercase) == signature(hypothesis, scheme, allow_uppercase):
-            matches += 1
-    return matches
+def markers_match(
+    source: TaggedText, hypothesis: TaggedText, scheme: MarkerScheme = MarkerScheme.XML, allow_uppercase: bool = False
+) -> bool:
+    """One pair's match flag: do both sides carry the same marker multiset?"""
+    if source.id != hypothesis.id:
+        raise AlignmentError(f"pair ids differ: {source.id!r} vs {hypothesis.id!r}")
+    return signature(source, scheme, allow_uppercase) == signature(hypothesis, scheme, allow_uppercase)
 
 
 def projection_rate(
@@ -147,26 +143,28 @@ def projection_rate(
     allow_uppercase: bool = False,
 ) -> float:
     """Fraction of pairs whose two sides carry identical marker multisets."""
-    return _count_matches(pairs, scheme, allow_uppercase) / len(pairs)
+    if not pairs:
+        raise EmptyInputError("projection rate is undefined on an empty pair list")
+    return sum(markers_match(source, hyp, scheme, allow_uppercase) for source, hyp in pairs) / len(pairs)
 
 
 @dataclass(frozen=True)
 class EvalGroup:
-    """Inputs for one (language, dataset) row of a report."""
+    """Inputs for one (language, dataset) row of a report, with a match flag per translation pair."""
 
     language: str
     dataset: str
     projected: tuple[AnnotatedText, ...]
     reference: tuple[AnnotatedText, ...]
-    marker_pairs: tuple[tuple[TaggedText, TaggedText], ...] | None = None
+    marker_matches: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.projected, tuple):
             object.__setattr__(self, "projected", tuple(self.projected))
         if not isinstance(self.reference, tuple):
             object.__setattr__(self, "reference", tuple(self.reference))
-        if self.marker_pairs is not None and not isinstance(self.marker_pairs, tuple):
-            object.__setattr__(self, "marker_pairs", tuple(self.marker_pairs))
+        if self.marker_matches is not None and not isinstance(self.marker_matches, tuple):
+            object.__setattr__(self, "marker_matches", tuple(self.marker_matches))
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,8 @@ def build_report(
     """Score every group and aggregate a deterministic report.
 
     Rows sort by (language, dataset). Raises :class:`EmptyInputError` for a
-    group with no reference documents.
+    group with no reference documents or an empty tuple of match flags.
+    ``scheme`` is not read: a group's match flags already embody it.
     """
     ordered = sorted(groups, key=lambda g: (g.language, g.dataset))
     if not ordered:
@@ -298,11 +297,13 @@ def build_report(
             raise EmptyInputError(f"group ({group.language!r}, {group.dataset!r}) is empty")
         prf = label_match_f1(group.projected, group.reference, threshold, normalize=normalize)
         rate = None
-        if group.marker_pairs is not None:
-            group_matches = _count_matches(group.marker_pairs, scheme)
-            rate = group_matches / len(group.marker_pairs)
+        if group.marker_matches is not None:
+            if not group.marker_matches:
+                raise EmptyInputError("projection rate is undefined on an empty pair list")
+            group_matches = sum(group.marker_matches)
+            rate = group_matches / len(group.marker_matches)
             matches += group_matches
-            n_pairs += len(group.marker_pairs)
+            n_pairs += len(group.marker_matches)
         n_spans = sum(len(doc.spans) for doc in group.reference)
         rows.append(ReportRow(group.language, group.dataset, len(group.reference), n_spans, prf, rate))
         tp += prf.tp

@@ -24,7 +24,7 @@ def gestalt_ratio(a: str, b: str, *, normalize: bool = True) -> float:
     if normalize:
         a = unicodedata.normalize("NFC", a)
         b = unicodedata.normalize("NFC", b)
-    if not a and not b:
+    if a == b:  # exact: every character matches; also covers two empty strings
         return 1.0
     return 2.0 * _matched_total(a, b) / (len(a) + len(b))
 

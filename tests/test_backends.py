@@ -128,7 +128,8 @@ class _Handler(BaseHTTPRequestHandler):
 def http_server(behavior):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.behavior = behavior
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval for serve_forever to notice.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}"

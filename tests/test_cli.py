@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import labelproj
-from labelproj import DatasetFormat, DatasetHandle, Span, dump, load
+from labelproj import DatasetFormat, DatasetHandle, Span, codec, dump, load, model
 from labelproj.cli import main, make_backend, make_scorer
 from labelproj.backends import ConstantScorer, IdentityBackend, TagDropperBackend, TagShufflerBackend
 
 from conftest import make_doc
+from test_acceptance import _random_doc
 
 
 def write_annotated(path, docs):
@@ -41,6 +43,15 @@ def test_cli_import_loads_only_stdlib_modules():
     loaded = set(out.stdout.split())
     assert "labelproj" in loaded
     assert sorted(loaded - set(sys.stdlib_module_names) - {"labelproj"}) == []
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    # Only an HTTP backend or scorer needs these; they load on the first request.
+    heavy = ["http.client", "urllib.request", "ssl", "concurrent.futures"]
+    script = f"import sys; import labelproj.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(labelproj.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 # ------------------------------------------------------------ flag parsing
@@ -149,6 +160,33 @@ def test_project_drop_backend_zeroes_projection_rate(tmp_path):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["global"]["projection_rate"] == 0.0
+
+
+def test_project_scans_and_validates_each_document_at_most_twice(tmp_path, monkeypatch):
+    rng = random.Random(0x5CA7)
+    docs = [_random_doc(rng, f"d{i}") for i in range(200)]
+    annotated = tmp_path / "in.jsonl"
+    write_annotated(annotated, docs)
+    calls = {"scan_markers": 0, "validate": 0}
+    for defining, name in ((codec, "scan_markers"), (model, "validate")):
+        original = getattr(defining, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("labelproj")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    assert main([
+        "project", "-i", str(annotated), "-o", str(tmp_path / "projected.jsonl"),
+        "--reference", str(annotated), "--backend", "drop:0.3", "--src-lang", "en", "--tgt-lang", "de",
+        "--report", "json", "--report-out", str(tmp_path / "report.json"),
+    ]) == 0
+    # One scan in the dropper and one in decode; one validation per load.
+    assert calls["scan_markers"] <= 2 * len(docs)
+    assert calls["validate"] == 2 * len(docs)
 
 
 def test_project_uses_env_backend(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 
@@ -21,7 +22,7 @@ from labelproj import (
     tag_name,
     validate,
 )
-from labelproj.codec import pair_markers, scan_markers
+from labelproj.codec import _decode, _encoded_signature, pair_markers, scan_markers
 from labelproj.model import has_errors
 
 from codec_oracle import oracle_decode, oracle_encode
@@ -313,11 +314,15 @@ def test_strip_decode_agreement(raw):
 
 # ------------------------------------------------------------------ oracles
 
-def test_encode_matches_oracle_on_criterion_1_documents():
+@functools.cache
+def _criterion_1_docs() -> tuple:
     # The same seed and draws as acceptance criterion 1: the same 10k documents.
     rng = random.Random(0xC0DEC)
-    for i in range(10_000):
-        doc = _random_doc(rng, f"doc{i}")
+    return tuple(_random_doc(rng, f"doc{i}") for i in range(10_000))
+
+
+def test_encode_matches_oracle_on_criterion_1_documents():
+    for doc in _criterion_1_docs():
         for scheme in (XML, BRACKETS):
             assert encode(doc, scheme) == oracle_encode(doc, scheme)
 
@@ -344,19 +349,66 @@ def _mutate(rng: random.Random, tagged: str) -> str:
     return tagged
 
 
-def test_decode_matches_oracle_on_mutated_strings():
+def _mutated_strings():
+    """(document, scheme, mutated encoding): 3,000 seeded documents, both schemes."""
     rng = random.Random(0xDEC0DE)
-    codes: Counter = Counter()
     for i in range(3_000):
         doc = _random_doc(rng, f"doc{i}")
         for scheme in (XML, BRACKETS):
-            raw = _mutate(rng, encode(doc, scheme).tagged)
-            for upper in (False, True):
-                got = decode(raw, scheme, upper, doc_id=doc.id, lang=doc.lang)
-                assert got == oracle_decode(raw, scheme, upper, doc_id=doc.id, lang=doc.lang)
-                codes.update((scheme, upper, d.code) for d in got[1])
+            yield doc, scheme, _mutate(rng, encode(doc, scheme).tagged)
+
+
+def test_decode_matches_oracle_on_mutated_strings():
+    codes: Counter = Counter()
+    for doc, scheme, raw in _mutated_strings():
+        for upper in (False, True):
+            got = decode(raw, scheme, upper, doc_id=doc.id, lang=doc.lang)
+            assert got == oracle_decode(raw, scheme, upper, doc_id=doc.id, lang=doc.lang)
+            codes.update((scheme, upper, d.code) for d in got[1])
     for upper in (False, True):
         for code in ("IGNORED_LITERAL", "ORPHAN_CLOSE", "UNCLOSED_OPEN"):
             assert codes[(XML, upper, code)] > 0
         for code in ("ORPHAN_CLOSE", "UNCLOSED_OPEN"):
             assert codes[(BRACKETS, upper, code)] > 0
+
+
+def test_decode_tokens_are_the_signature_on_mutated_strings():
+    for _, scheme, raw in _mutated_strings():
+        for upper in (False, True):
+            _, _, tokens = _decode(TaggedText("d", "en", raw), scheme, upper)
+            assert MarkerSignature((t.name, t.kind) for t in tokens) == signature(raw, scheme, upper)
+
+
+# Marker-shaped and bracket substrings for document texts: an inserted marker
+# can split one, so it may or may not survive encoding as a scanned marker.
+COLLISIONS = ["<ab>", "</a>", "<b>", "<z>", "</ab>", "[", "]", "[]", "<<a>>", "<a", "a>", "<1>"]
+
+
+def _colliding_doc(rng: random.Random, doc_id: str):
+    """A seeded document with 1-3 such substrings spliced into its text, each
+    with a zero-width span somewhere in it."""
+    doc = _random_doc(rng, doc_id)
+    text, spans = doc.text, list(doc.spans)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        extra = rng.choice(COLLISIONS)
+        text = text[:pos] + extra + text[pos:]
+        n = len(extra)
+        spans = [Span(s.tag, s.start + n * (s.start > pos), s.end + n * (s.end >= pos)) for s in spans]
+        at = pos + rng.randint(0, n)
+        spans.append(Span(tag_name(rng.randrange(24)), at, at))
+    return make_doc(text, canon(spans), doc_id=doc_id)
+
+
+def test_encoded_signature_matches_scan_of_encoding():
+    rng = random.Random(0x51C)
+    docs = [*_criterion_1_docs(), *(_colliding_doc(rng, f"col{i}") for i in range(3_000))]
+    collisions = 0
+    for doc in docs:
+        diagnostics = validate(doc)
+        if has_errors(diagnostics):
+            continue
+        collisions += any(d.code == "MARKER_COLLISION" for d in diagnostics)
+        for scheme in (XML, BRACKETS):
+            assert _encoded_signature(doc, scheme) == signature(encode(doc, scheme), scheme)
+    assert collisions > 1_000

@@ -142,6 +142,8 @@ PARALLEL_LINE = '{"id":"p1","src_lang":"en","tgt_lang":"de","src_tagged":"<a>x</
     (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"end":2', '"end":true'),
     (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"end":2', '"end":"2"'),
     (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"tag":"a"', '"tag":1'),
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"label":null', '"label":5'),
+    (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"label":null', '"label":["PER"]'),
     (DatasetFormat.TAGGED_JSONL, TAGGED_LINE, '"tagged_text":"<a>x</a>"', '"tagged_text":null'),
     (DatasetFormat.TAGGED_JSONL, TAGGED_LINE, '"id":"t1"', '"id":["t1"]'),
     (DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE, '"src_tagged":"<a>x</a>"', '"src_tagged":null'),

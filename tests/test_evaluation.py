@@ -198,10 +198,20 @@ def group_for(prefix: str, language: str, dataset: str, spec: list[tuple[int, in
 
 
 def test_report_identity_group():
-    group = EvalGroup("de", "demo", (REF_DOC,), (REF_DOC,), ((tt("r1", "<a>x</a>"), tt("r1", "<a>x</a>")),))
+    group = EvalGroup("de", "demo", (REF_DOC,), (REF_DOC,), (True,))
     report = build_report([group])
     assert report.total.prf.f1 == 1.0
     assert report.total.projection_rate == 1.0
+
+
+def test_report_projection_rate_sums_match_flags():
+    g1 = EvalGroup("de", "d1", (REF_DOC,), (REF_DOC,), (True, False))
+    g2 = EvalGroup("es", "d1", (REF_DOC,), (REF_DOC,), [True])
+    report = build_report([g1, g2])
+    assert [r.projection_rate for r in report.rows] == [0.5, 1.0]
+    assert report.total.projection_rate == 2 / 3
+    with pytest.raises(EmptyInputError):
+        build_report([EvalGroup("de", "d1", (REF_DOC,), (REF_DOC,), ())])
 
 
 def test_report_global_micro_sum():

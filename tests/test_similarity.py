@@ -74,6 +74,16 @@ def test_nfc_normalization_default_on():
     assert gestalt_ratio(composed, decomposed, normalize=False) < 1.0
 
 
+def test_equal_and_nfc_equivalent_inputs_agree_with_oracle():
+    rng = random.Random(0xE0)
+    for _ in range(300):
+        a = "".join(rng.choice("abcé\u0301e\u0308中") for _ in range(rng.randint(0, 10)))
+        b = unicodedata.normalize(rng.choice(["NFC", "NFD"]), a)
+        nfc = unicodedata.normalize("NFC", a)
+        assert gestalt_ratio(a, a, normalize=False) == oracle_ratio(a, a) == 1.0
+        assert gestalt_ratio(a, b) == oracle_ratio(nfc, unicodedata.normalize("NFC", b)) == 1.0
+
+
 @given(st.text(alphabet="abcd", max_size=12), st.text(alphabet="abcd", max_size=12))
 def test_matches_brute_force_oracle(a, b):
     assert gestalt_ratio(a, b, normalize=False) == oracle_ratio(a, b)
