@@ -241,7 +241,6 @@ class HttpTranslationBackend(TranslationBackend):
     ) -> list[TaggedText]:
         _check_translate_inputs(texts, src_lang, tgt_lang)
         from concurrent.futures import ThreadPoolExecutor
-
         chunks = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             results = list(pool.map(lambda c: self._translate_chunk(c, src_lang, tgt_lang), chunks))

@@ -321,7 +321,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         if len(sources) != len(hypotheses):
             raise AlignmentError("source/hypothesis tagged files differ in length")
-        marker_matches = {s.id: markers_match(s, h, _scheme(args)) for s, h in zip(sources, hypotheses)}
+        pairs = {s.id: (s, h) for s, h in zip(sources, hypotheses)}  # only reference ids are scored and checked
+        marker_matches = {r.id: markers_match(*pairs[r.id], _scheme(args)) for r in reference if r.id in pairs}
     elif args.source_tagged or args.hypothesis_tagged:
         raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
 
@@ -354,11 +355,11 @@ def cmd_project(args: argparse.Namespace) -> int:
     projected = []
     marker_matches: dict[str, bool] = {}
     diag_records = [_diag_record(d) for d in load_diags]
-    for source, hypothesis in zip(docs, hypotheses):
+    for source, encoded, hypothesis in zip(docs, sources, hypotheses):
         doc, diags, tokens = _decode(hypothesis, scheme)
         if args.reference:
             hypothesis_markers = MarkerSignature((t.name, t.kind) for t in tokens)
-            marker_matches[source.id] = _encoded_signature(source, scheme) == hypothesis_markers
+            marker_matches[source.id] = _encoded_signature(source, encoded, scheme) == hypothesis_markers
         if scheme is MarkerScheme.XML:
             doc = _with_source_labels(doc, source)
         projected.append(replace(doc, lang=args.tgt_lang))

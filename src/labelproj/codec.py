@@ -327,13 +327,13 @@ def signature(
     return MarkerSignature((t.name, t.kind) for t in tokens)
 
 
-def _encoded_signature(doc: AnnotatedText, scheme: MarkerScheme, allow_uppercase: bool = False) -> MarkerSignature:
-    """``signature(encode(doc, scheme), scheme)`` for a valid document, counted from its spans. An
-    inserted marker can split a marker-shaped substring of the text, so such a text is encoded and scanned.
+def _encoded_signature(doc: AnnotatedText, encoded: TaggedText, scheme: MarkerScheme) -> MarkerSignature:
+    """``signature(encoded, scheme)`` for ``encoded = encode(doc, scheme)``, counted from the spans. An
+    inserted marker can split a marker-shaped substring of the text, so such a text's encoding is scanned.
     """
     if scheme is MarkerScheme.BRACKETS:  # the text's own brackets count too
         opens, closes = (len(doc.spans) + doc.text.count(literal) for literal in "[]")
         return MarkerSignature([("", "open")] * opens + [("", "close")] * closes)
-    if marker_pattern(allow_uppercase).search(doc.text):
-        return signature(_place_markers(doc, scheme), scheme, allow_uppercase)
+    if marker_pattern().search(doc.text):
+        return signature(encoded, scheme)
     return MarkerSignature((span.tag, kind) for span in doc.spans for kind in ("open", "close"))

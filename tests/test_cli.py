@@ -299,6 +299,29 @@ def test_evaluate_tagged_inputs_honour_error_budget(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].endswith(",1.000000")
 
 
+def test_evaluate_checks_pair_ids_only_for_reference_ids(tmp_path, capsys):
+    annotated = tmp_path / "in.jsonl"
+    write_annotated(annotated, DOCS)
+    tagged = tmp_path / "tagged.jsonl"
+    assert main(["encode", "-i", str(annotated), "-o", str(tagged)]) == 0
+    lines = tagged.read_text().splitlines()
+    renamed = lambda line, new_id: json.dumps(dict(json.loads(line), id=new_id))
+    source, hypothesis = tmp_path / "source.jsonl", tmp_path / "hypothesis.jsonl"
+    argv = [
+        "evaluate", "--projected", str(annotated), "--reference", str(annotated),
+        "--source-tagged", str(source), "--hypothesis-tagged", str(hypothesis), "--report", "csv",
+    ]
+    # A pair whose ids differ but belong to no reference document is neither scored nor checked.
+    source.write_text("\n".join([*lines, renamed(lines[0], "x1")]) + "\n")
+    hypothesis.write_text("\n".join([*lines, renamed(lines[0], "x2")]) + "\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",1.000000")
+    # The same mismatch on a reference id is an alignment error.
+    hypothesis.write_text("\n".join([renamed(lines[0], "x2"), *lines[1:], renamed(lines[0], "x2")]) + "\n")
+    assert main(argv) == 1
+    assert "pair ids differ: '1' vs 'x2'" in capsys.readouterr().err
+
+
 def test_tagswap_and_prep(tmp_path):
     raw = tmp_path / "raw.jsonl"
     records = []

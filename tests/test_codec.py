@@ -410,5 +410,6 @@ def test_encoded_signature_matches_scan_of_encoding():
             continue
         collisions += any(d.code == "MARKER_COLLISION" for d in diagnostics)
         for scheme in (XML, BRACKETS):
-            assert _encoded_signature(doc, scheme) == signature(encode(doc, scheme), scheme)
+            encoded = encode(doc, scheme)
+            assert _encoded_signature(doc, encoded, scheme) == signature(encoded, scheme)
     assert collisions > 1_000
