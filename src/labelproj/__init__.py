@@ -20,12 +20,12 @@ from .codec import (
     MarkerSignature,
     decode,
     encode,
+    project,
     signature,
-    strip_markers,
-    tag_index,
     tag_name,
 )
 from .corpus import (
+    DirectedExample,
     PreparedCorpus,
     QaParallelPair,
     RawMarkupPair,
@@ -62,6 +62,7 @@ __all__ = [
     "DatasetFormat",
     "DatasetHandle",
     "Diagnostic",
+    "DirectedExample",
     "EmptyInputError",
     "ErrorBudgetExceeded",
     "EvalGroup",
@@ -101,10 +102,9 @@ __all__ = [
     "label_match_f1",
     "load",
     "prepare_training_corpus",
+    "project",
     "projection_rate",
     "signature",
-    "strip_markers",
-    "tag_index",
     "tag_name",
     "tag_swap",
     "tokenize_boundaries",

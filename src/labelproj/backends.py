@@ -136,7 +136,8 @@ class TagDropperBackend(TranslationBackend):
 
 class _HttpJsonClient:
     """POSTs JSON with retries: transport errors and 5xx back off
-    exponentially, 4xx is terminal so a malformed payload is never re-sent."""
+    exponentially, 4xx is terminal so a malformed payload is never re-sent,
+    and so is a TLS certificate that fails verification."""
 
     def __init__(
         self,
@@ -156,6 +157,7 @@ class _HttpJsonClient:
         """Return the status and the JSON object of the first non-error response."""
         # Imported here so that commands which send no request do not load the HTTP stack.
         import http.client
+        import ssl
         import urllib.error
         import urllib.request
 
@@ -176,6 +178,8 @@ class _HttpJsonClient:
                 with response:
                     status, data = response.status, response.read()
             except (OSError, http.client.HTTPException) as exc:
+                if isinstance(getattr(exc, "reason", None), ssl.SSLCertVerificationError):
+                    raise BackendUnreachableError(f"{url}: not retried: {exc.reason}") from exc
                 last_error = str(exc)
                 continue
             if status >= 500:

@@ -26,14 +26,8 @@ from .backends import (
     TagShufflerBackend,
     TranslationBackend,
 )
-from .codec import MarkerScheme, MarkerSignature, _decode, _encoded_signature, _place_markers, decode, encode, signature
-from .corpus import (
-    QaParallelPair,
-    directed_record,
-    filter_parallel_qa,
-    prepare_training_corpus,
-    tag_swap,
-)
+from .codec import MarkerScheme, _place_markers, decode, encode, project, signature
+from .corpus import QaParallelPair, filter_parallel_qa, prepare_training_corpus, tag_swap
 from .dataio import (
     DatasetFormat,
     DatasetHandle,
@@ -42,10 +36,11 @@ from .dataio import (
     ingest_qa,
     load,
     qa_question_counts,
+    write_records,
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError
-from .evaluation import EvalGroup, build_report, markers_match, occurrences, render_table
-from .model import AnnotatedText, Diagnostic, ParallelExample, Span
+from .evaluation import EvalGroup, build_report, markers_match, render_table
+from .model import AnnotatedText, Diagnostic, ParallelExample
 from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
@@ -101,11 +96,6 @@ def _diag_record(diag: Diagnostic, doc_id: str | None = None) -> dict:
     if doc_id is not None:
         record["id"] = doc_id
     return record
-
-
-def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
-    payload = "".join(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n" for r in records)
-    atomic_write_text(Path(path), payload)
 
 
 def _emit_report(report, fmt: str, out_path: str | None) -> None:
@@ -187,7 +177,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         docs.append(doc)
         diag_records.extend(_diag_record(d, text.id) for d in diags)
     summary = dump(docs, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.output)))
-    _write_jsonl(_diagnostics_path(args), diag_records)
+    write_records(_diagnostics_path(args), diag_records)
     print(f"decoded {summary.count} documents -> {summary.path}", file=sys.stderr)
     return 0
 
@@ -223,7 +213,7 @@ def cmd_tagswap(args: argparse.Namespace) -> int:
         normalized.append(swapped)
         diag_records.extend(_diag_record(d, pair.id) for d in diags)
     dump(normalized, DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=Path(args.output)))
-    _write_jsonl(_diagnostics_path(args), diag_records)
+    write_records(_diagnostics_path(args), diag_records)
     print(f"normalized {len(normalized)} pairs -> {args.output}", file=sys.stderr)
     return 0
 
@@ -234,8 +224,8 @@ def cmd_prep(args: argparse.Namespace) -> int:
     )
     corpus = prepare_training_corpus(pairs, dev_fraction=args.dev_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
-    _write_jsonl(out_dir / "train.jsonl", [directed_record(e) for e in corpus.train])
-    _write_jsonl(out_dir / "dev.jsonl", [directed_record(e) for e in corpus.dev])
+    dump(corpus.train, DatasetHandle(DatasetFormat.PARALLEL_JSONL, path=out_dir / "train.jsonl"))
+    dump(corpus.dev, DatasetHandle(DatasetFormat.PARALLEL_JSONL, path=out_dir / "dev.jsonl"))
     provenance = {
         "provenance": corpus.provenance.to_json_dict(),
         "dropped": [{"id": pair.id, "reason": reason} for pair, reason in corpus.dropped],
@@ -288,11 +278,11 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
     tgt_handle = DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out_dir / "kept.tgt.jsonl")
     dump([pair.example.src for pair in kept], src_handle)
     dump([pair.example.tgt for pair in kept], tgt_handle)
-    _write_jsonl(
+    write_records(
         out_dir / "dropped.jsonl",
         [{"id": pair.example.id, "reason": reason} for pair, reason in dropped],
     )
-    _write_jsonl(out_dir / "diagnostics.jsonl", diag_records)
+    write_records(out_dir / "diagnostics.jsonl", diag_records)
     print(f"kept {len(kept)} / dropped {len(dropped)} context pairs -> {out_dir}", file=sys.stderr)
     return 0
 
@@ -332,49 +322,30 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> AnnotatedText:
-    """Give each span the label of the source span with the same (tag, occurrence index)."""
-    labels: list[str | None] = [None] * len(doc.spans)
-    source_positions = occurrences(source.spans)
-    for tag, positions in occurrences(doc.spans).items():
-        for i, j in zip(positions, source_positions.get(tag, ())):
-            labels[i] = source.spans[j].label
-    return replace(doc, spans=tuple(Span(s.tag, s.start, s.end, label) for s, label in zip(doc.spans, labels)))
-
-
 def cmd_project(args: argparse.Namespace) -> int:
+    # Both inputs are loaded and the report is built before the first file is written.
     docs, load_diags = load(
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
     )
-    scheme = _scheme(args)
-    # load has validated every document, so encode's check would only repeat it.
-    sources = [_place_markers(doc, scheme) for doc in docs]
-    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight)
-    hypotheses = backend.translate_batch(sources, args.src_lang, args.tgt_lang)
-
-    projected = []
-    marker_matches: dict[str, bool] = {}
-    diag_records = [_diag_record(d) for d in load_diags]
-    for source, encoded, hypothesis in zip(docs, sources, hypotheses):
-        doc, diags, tokens = _decode(hypothesis, scheme)
-        if args.reference:
-            hypothesis_markers = MarkerSignature((t.name, t.kind) for t in tokens)
-            marker_matches[source.id] = _encoded_signature(source, encoded, scheme) == hypothesis_markers
-        if scheme is MarkerScheme.XML:
-            doc = _with_source_labels(doc, source)
-        projected.append(replace(doc, lang=args.tgt_lang))
-        diag_records.extend(_diag_record(d, hypothesis.id) for d in diags)
-
-    summary = dump(projected, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.output)))
-    _write_jsonl(_diagnostics_path(args), diag_records)
-    print(f"projected {summary.count} documents -> {summary.path}", file=sys.stderr)
-
+    reference = None
     if args.reference:
         reference, _ = load(
             DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.reference)), args.error_budget
         )
-        groups = _build_groups(projected, reference, marker_matches, args.dataset)
+    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight)
+    results = project(docs, backend, args.src_lang, args.tgt_lang, _scheme(args))
+    projected = [doc for doc, _, _ in results]
+    report = None
+    if reference is not None:
+        groups = _build_groups(projected, reference, {doc.id: flag for doc, _, flag in results}, args.dataset)
         report = build_report(groups, threshold=args.threshold)
+
+    summary = dump(projected, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.output)))
+    diag_records = [_diag_record(d) for d in load_diags]
+    diag_records.extend(_diag_record(d, doc.id) for doc, diags, _ in results for d in diags)
+    write_records(_diagnostics_path(args), diag_records)
+    print(f"projected {summary.count} documents -> {summary.path}", file=sys.stderr)
+    if report is not None:
         _emit_report(report, args.report, args.report_out)
     return 0
 

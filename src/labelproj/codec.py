@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Literal
+from typing import TYPE_CHECKING, Iterable, Literal, Sequence
 
 from .errors import InvalidAnnotationError
 from .model import (
@@ -32,6 +32,9 @@ from .model import (
     marker_pattern,
     validate,
 )
+
+if TYPE_CHECKING:  # backends imports this module
+    from .backends import TranslationBackend
 
 MarkerKind = Literal["open", "close"]
 
@@ -64,16 +67,6 @@ def tag_name(index: int) -> str:
         n, rem = divmod(n - 1, 26)
         out.append(_ALPHA[rem])
     return "".join(reversed(out))
-
-
-def tag_index(name: str) -> int:
-    """Inverse of :func:`tag_name` for lowercase names."""
-    if not name or any(ch not in _ALPHA for ch in name):
-        raise ValueError(f"not a generated tag name: {name!r}")
-    n = 0
-    for ch in name:
-        n = n * 26 + (ord(ch) - ord("a") + 1)
-    return n - 1
 
 
 def _tag_sort_key(tag: str) -> tuple[int, str]:
@@ -309,15 +302,6 @@ def _decode(
     return AnnotatedText(id=tagged.id, lang=tagged.lang, text=text, spans=tuple(spans)), diagnostics, tokens
 
 
-def strip_markers(
-    tagged: TaggedText | str, scheme: MarkerScheme = MarkerScheme.XML, allow_uppercase: bool = False
-) -> str:
-    """Remove all recognized markers, keeping everything else verbatim."""
-    raw = tagged.tagged if isinstance(tagged, TaggedText) else tagged
-    tokens, _ = scan_markers(raw, scheme, allow_uppercase)
-    return _strip(raw, tokens)
-
-
 def signature(
     tagged: TaggedText | str, scheme: MarkerScheme = MarkerScheme.XML, allow_uppercase: bool = False
 ) -> MarkerSignature:
@@ -337,3 +321,48 @@ def _encoded_signature(doc: AnnotatedText, encoded: TaggedText, scheme: MarkerSc
     if marker_pattern().search(doc.text):
         return signature(encoded, scheme)
     return MarkerSignature((span.tag, kind) for span in doc.spans for kind in ("open", "close"))
+
+
+def occurrences(spans: Sequence[Span]) -> dict[str, list[int]]:
+    """Positions in ``spans`` grouped by tag, each group in text order.
+
+    The k-th position under a tag is that tag's occurrence k: the
+    correspondence key between a projected and a reference document.
+    """
+    by_tag: dict[str, list[int]] = {}
+    for i in sorted(range(len(spans)), key=lambda i: (spans[i].start, spans[i].end)):
+        by_tag.setdefault(spans[i].tag, []).append(i)
+    return by_tag
+
+
+def _with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> AnnotatedText:
+    """Give each span the label of the source span with the same (tag, occurrence index)."""
+    labels: list[str | None] = [None] * len(doc.spans)
+    source_positions = occurrences(source.spans)
+    for tag, positions in occurrences(doc.spans).items():
+        for i, j in zip(positions, source_positions.get(tag, ())):
+            labels[i] = source.spans[j].label
+    return replace(doc, spans=tuple(Span(s.tag, s.start, s.end, label) for s, label in zip(doc.spans, labels)))
+
+
+def project(
+    docs: Sequence[AnnotatedText],
+    backend: TranslationBackend,
+    src_lang: str,
+    tgt_lang: str,
+    scheme: MarkerScheme = MarkerScheme.XML,
+) -> list[tuple[AnnotatedText, list[Diagnostic], bool]]:
+    """Encode, translate in one batch, and decode. Per input, in order: the projected document in
+    ``tgt_lang`` (XML spans keep their source labels), its decode diagnostics, and whether the
+    translation kept exactly the source's markers. Inputs must have passed ``validate``, as ``load``'s have.
+    """
+    sources = [_place_markers(doc, scheme) for doc in docs]
+    hypotheses = backend.translate_batch(sources, src_lang, tgt_lang)
+    results = []
+    for doc, encoded, hypothesis in zip(docs, sources, hypotheses):
+        projected, diagnostics, tokens = _decode(hypothesis, scheme)
+        matched = _encoded_signature(doc, encoded, scheme) == MarkerSignature((t.name, t.kind) for t in tokens)
+        if scheme is MarkerScheme.XML:
+            projected = _with_source_labels(projected, doc)
+        results.append((replace(projected, lang=tgt_lang), diagnostics, matched))
+    return results

@@ -45,6 +45,8 @@ class RawMarkupPair:
 
 @dataclass(frozen=True)
 class DirectedExample:
+    """One translation direction of a training pair; the ``parallel`` dataset item."""
+
     id: str
     direction: str  # "forward" (src -> tgt) or "reverse"
     src: TaggedText
@@ -226,17 +228,6 @@ def prepare_training_corpus(
         max_unique_tags_per_pair=max_unique,
     )
     return PreparedCorpus(tuple(train), tuple(dev), tuple(dropped), provenance)
-
-
-def directed_record(example: DirectedExample) -> dict:
-    return {
-        "id": example.id,
-        "direction": example.direction,
-        "src_lang": example.src.lang,
-        "tgt_lang": example.tgt.lang,
-        "src_tagged": example.src.tagged,
-        "tgt_tagged": example.tgt.tagged,
-    }
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ QA-style JSON trees, and plain parallel text.
 
 All files are UTF-8 without BOM. Writers emit one record per line in a
 canonical field order with a trailing newline, so dumping twice is
-byte-stable and ``load(dump(x)) == x`` on valid datasets.
+byte-stable and ``load(dump(x)) == x`` on valid datasets. Every JSONL file
+the toolkit writes goes through ``dump`` or ``write_records``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 from .codec import tag_name
-from .corpus import RawMarkupPair
+from .corpus import DirectedExample, RawMarkupPair
 from .errors import ErrorBudgetExceeded, FormatError
 from .model import (
     SEVERITY_ERROR,
@@ -25,7 +26,6 @@ from .model import (
     SEVERITY_WARNING,
     AnnotatedText,
     Diagnostic,
-    ParallelExample,
     Span,
     TaggedText,
     has_errors,
@@ -143,7 +143,7 @@ def _check_first_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> None:
     required = {
         DatasetFormat.ANNOTATED_JSONL: ("id", "text", "spans"),
         DatasetFormat.TAGGED_JSONL: ("id", "tagged_text"),
-        DatasetFormat.PARALLEL_JSONL: ("id", "src_tagged", "tgt_tagged"),
+        DatasetFormat.PARALLEL_JSONL: ("id", "direction", "src_lang", "tgt_lang", "src_tagged", "tgt_tagged"),
         DatasetFormat.RAW_MARKUP_JSONL: _RAW_FIELDS,
     }[fmt]
     missing = [key for key in required if key not in record]
@@ -200,14 +200,11 @@ def _parse_record(
         return item, []
     if fmt is DatasetFormat.PARALLEL_JSONL:
         doc_id = _record_id(record)
-        src_lang = _string(record, "src_lang")
-        tgt_lang = _string(record, "tgt_lang")
-        example = ParallelExample(
-            id=doc_id,
-            src=TaggedText(doc_id, src_lang, _string(record, "src_tagged")),
-            tgt=TaggedText(doc_id, tgt_lang, _string(record, "tgt_tagged")),
-            src_lang=src_lang,
-            tgt_lang=tgt_lang,
+        example = DirectedExample(
+            doc_id,
+            _string(record, "direction"),
+            TaggedText(doc_id, _string(record, "src_lang"), _string(record, "src_tagged")),
+            TaggedText(doc_id, _string(record, "tgt_lang"), _string(record, "tgt_tagged")),
         )
         return example, []
     if fmt is DatasetFormat.RAW_MARKUP_JSONL:
@@ -234,14 +231,13 @@ def _record_line(fmt: DatasetFormat, item: Any) -> str:
             raise FormatError(f"expected TaggedText, got {type(item).__name__}")
         record = {"id": item.id, "lang": item.lang, "tagged_text": item.tagged}
     elif fmt is DatasetFormat.PARALLEL_JSONL:
-        if not isinstance(item, ParallelExample):
-            raise FormatError(f"expected ParallelExample, got {type(item).__name__}")
-        if not isinstance(item.src, TaggedText) or not isinstance(item.tgt, TaggedText):
-            raise FormatError("parallel records serialize tagged sides only")
+        if not isinstance(item, DirectedExample):
+            raise FormatError(f"expected DirectedExample, got {type(item).__name__}")
         record = {
             "id": item.id,
-            "src_lang": item.src_lang,
-            "tgt_lang": item.tgt_lang,
+            "direction": item.direction,
+            "src_lang": item.src.lang,
+            "tgt_lang": item.tgt.lang,
             "src_tagged": item.src.tagged,
             "tgt_tagged": item.tgt.tagged,
         }
@@ -255,6 +251,10 @@ def _record_line(fmt: DatasetFormat, item: Any) -> str:
         return item.tagged
     else:
         raise FormatError(f"{fmt.value} datasets are ingest-only")
+    return _json_line(record)
+
+
+def _json_line(record: Mapping[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
@@ -280,13 +280,17 @@ def dump(items: Sequence[Any], handle: DatasetHandle) -> DumpSummary:
 
     Content is written atomically when the handle names a path.
     """
-    lines = [_record_line(handle.format, item) for item in items]
-    payload = "".join(line + "\n" for line in lines)
+    payload = "".join(_record_line(handle.format, item) + "\n" for item in items)
     if handle.stream is not None:
         handle.stream.write(payload)
         return DumpSummary(count=len(items), path=None)
     atomic_write_text(handle.path, payload)
     return DumpSummary(count=len(items), path=str(handle.path))
+
+
+def write_records(path: Path, records: Iterable[Mapping[str, Any]]) -> None:
+    """Write plain JSON records atomically, one canonical line each, in ``dump``'s encoding."""
+    atomic_write_text(path, "".join(_json_line(record) + "\n" for record in records))
 
 
 def _repair_offset(context: str, answer: str, start: int) -> tuple[int, int | None]:

@@ -21,9 +21,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codec import MarkerScheme, signature
+from .codec import MarkerScheme, occurrences, signature
 from .errors import AlignmentError, EmptyInputError
-from .model import AnnotatedText, Span, TaggedText
+from .model import AnnotatedText, TaggedText
 from .similarity import gestalt_ratio
 
 DEFAULT_THRESHOLD = 0.5
@@ -54,18 +54,6 @@ def _index_by_id(docs: Sequence[AnnotatedText], side: str) -> dict[str, Annotate
             raise AlignmentError(f"duplicate id {doc.id!r} on the {side} side")
         index[doc.id] = doc
     return index
-
-
-def occurrences(spans: Sequence[Span]) -> dict[str, list[int]]:
-    """Positions in ``spans`` grouped by tag, each group in text order.
-
-    The k-th position under a tag is that tag's occurrence k: the
-    correspondence key between a projected and a reference document.
-    """
-    by_tag: dict[str, list[int]] = {}
-    for i in sorted(range(len(spans)), key=lambda i: (spans[i].start, spans[i].end)):
-        by_tag.setdefault(spans[i].tag, []).append(i)
-    return by_tag
 
 
 def _doc_counts(
@@ -274,7 +262,6 @@ class EvalReport:
 def build_report(
     groups: Iterable[EvalGroup],
     threshold: float = DEFAULT_THRESHOLD,
-    scheme: MarkerScheme = MarkerScheme.XML,
     *,
     normalize: bool = True,
 ) -> EvalReport:
@@ -282,7 +269,6 @@ def build_report(
 
     Rows sort by (language, dataset). Raises :class:`EmptyInputError` for a
     group with no reference documents or an empty tuple of match flags.
-    ``scheme`` is not read: a group's match flags already embody it.
     """
     ordered = sorted(groups, key=lambda g: (g.language, g.dataset))
     if not ordered:

@@ -3,6 +3,8 @@ scanner with its own pairing loop that ``labelproj.codec`` replaced.
 
 Kept only as an oracle: tests require the production codec to give
 byte-equal tagged strings and equal (document, diagnostics) results.
+``strip_markers``, once public in the codec, is the oracle for the text
+``decode`` recovers.
 """
 
 from __future__ import annotations
@@ -48,6 +50,17 @@ def oracle_scan_markers(tagged, scheme=MarkerScheme.XML, allow_uppercase=False):
         kind = "close" if exact.group(1) else "open"
         tokens.append(MarkerToken(exact.group(2), kind, match.start(), match.end()))
     return tokens, diagnostics
+
+
+def strip_markers(tagged, scheme=MarkerScheme.XML, allow_uppercase=False) -> str:
+    """Remove every recognized marker, keeping everything else verbatim."""
+    raw = tagged.tagged if isinstance(tagged, TaggedText) else tagged
+    tokens, _ = oracle_scan_markers(raw, scheme, allow_uppercase)
+    pieces, cursor = [], 0
+    for token in tokens:
+        pieces.append(raw[cursor : token.start])
+        cursor = token.end
+    return "".join(pieces) + raw[cursor:]
 
 
 def oracle_encode(doc: AnnotatedText, scheme=MarkerScheme.XML, allow_uppercase=False) -> TaggedText:

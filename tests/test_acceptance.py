@@ -4,6 +4,7 @@ deterministic local backends."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -223,12 +224,9 @@ def test_criterion_5_corpus_prep_fixture():
         assert corpus.provenance.dropped_untagged == 20
         assert len(corpus.train) + len(corpus.dev) == 160
         assert len(corpus.dev) == 8  # ceil(.05 * 80) = 4 ids x 2 directions
-        from labelproj.corpus import directed_record
-
-        payload = json.dumps(
-            [directed_record(e) for e in corpus.train + corpus.dev], ensure_ascii=False
-        ).encode("utf-8")
-        runs.append(payload)
+        out = io.StringIO()
+        dump(corpus.train + corpus.dev, DatasetHandle(DatasetFormat.PARALLEL_JSONL, stream=out))
+        runs.append(out.getvalue().encode("utf-8"))
     assert runs[0] == runs[1]
 
     swapped, diags = tag_swap(

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import socket
+import ssl
 import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -124,15 +127,23 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+# A self-signed certificate for 127.0.0.1 and localhost, valid 2000-2100.
+LOOPBACK_CERT = Path(__file__).with_name("loopback_cert.pem")
+
+
 @contextmanager
-def http_server(behavior):
+def http_server(behavior, tls=False):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.behavior = behavior
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(LOOPBACK_CERT, LOOPBACK_CERT.with_name("loopback_key.pem"))
+        server.socket = context.wrap_socket(server.socket, server_side=True)
     # shutdown() waits up to one poll interval for serve_forever to notice.
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_port}"
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
     finally:
         server.shutdown()
         server.server_close()
@@ -272,6 +283,39 @@ def test_http_scorer_rejects_non_finite_or_non_numeric_score(bad):
     with http_server(behavior) as url:
         with pytest.raises(BackendError):
             HttpScorerBackend(url).score_batch([("a", "b", None), ("c", "d", None)])
+
+
+def test_https_verifies_against_ssl_cert_file(monkeypatch):
+    calls = []
+
+    def behavior(path, body, headers):
+        calls.append(path)
+        return 200, {"translations": body["texts"]}
+
+    monkeypatch.setenv("SSL_CERT_FILE", str(LOOPBACK_CERT))
+    with http_server(behavior, tls=True) as url:
+        out = HttpTranslationBackend(url).translate_batch([tt("1", "<a>x</a>")], "en", "de")
+    assert [t.tagged for t in out] == ["<a>x</a>"]
+    assert calls == ["/translate"]
+
+
+def test_https_unverified_certificate_is_terminal(tmp_path, monkeypatch, capsys):
+    from labelproj import backends
+    from labelproj.cli import main
+
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    backoffs = []
+    monkeypatch.setattr(backends, "time", SimpleNamespace(sleep=backoffs.append))
+    (tmp_path / "in.jsonl").write_text('{"id":"1","lang":"en","tagged_text":"<a>x</a>"}\n')
+    with http_server(lambda path, body, headers: pytest.fail("request sent"), tls=True) as url:
+        code = main([
+            "translate", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl"),
+            "--backend", url, "--src-lang", "en", "--tgt-lang", "de",
+        ])
+    assert code == 1
+    assert backoffs == []  # one attempt: a retry would back off first
+    assert "CERTIFICATE_VERIFY_FAILED" in capsys.readouterr().err
 
 
 # ------------------------------------------------- raw socket boundary

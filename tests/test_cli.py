@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 import labelproj
-from labelproj import DatasetFormat, DatasetHandle, Span, codec, dump, load, model
+from labelproj import (
+    DatasetFormat,
+    DatasetHandle,
+    RawMarkupPair,
+    Span,
+    codec,
+    dump,
+    load,
+    model,
+    prepare_training_corpus,
+)
 from labelproj.cli import main, make_backend, make_scorer
 from labelproj.backends import ConstantScorer, IdentityBackend, TagDropperBackend, TagShufflerBackend
 
@@ -160,6 +170,22 @@ def test_project_drop_backend_zeroes_projection_rate(tmp_path):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["global"]["projection_rate"] == 0.0
+
+
+@pytest.mark.parametrize("case", ["duplicate-ids", "bad-threshold", "missing-reference"])
+def test_project_failure_writes_nothing(tmp_path, capsys, case):
+    annotated = tmp_path / "in.jsonl"
+    write_annotated(annotated, DOCS + [DOCS[0]] if case == "duplicate-ids" else DOCS)
+    reference = tmp_path / "absent.jsonl" if case == "missing-reference" else annotated
+    out = tmp_path / "out.jsonl"
+    assert main([
+        "project", "-i", str(annotated), "-o", str(out), "--reference", str(reference),
+        "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de",
+        "--threshold", "2" if case == "bad-threshold" else "0.5",
+    ]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.jsonl.diagnostics.jsonl").exists()
 
 
 def test_project_scans_and_validates_each_document_at_most_twice(tmp_path, monkeypatch):
@@ -353,6 +379,18 @@ def test_tagswap_and_prep(tmp_path):
     assert provenance["provenance"]["kept_pairs"] == 8
     assert provenance["provenance"]["dropped_untagged"] == 2
     assert {d["reason"] for d in provenance["dropped"]} == {"DROP_UNTAGGED"}
+
+
+def test_prep_output_loads_back_as_its_corpus(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    pairs = [RawMarkupPair(f"p{i}", "en", "de", f"<ph>é{i}</ph> <b>x</b>", f"<b>y</b> <ph>é{i}</ph>") for i in range(12)]
+    dump(pairs, DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=raw))
+    out_dir = tmp_path / "corpus"
+    assert main(["prep", "-i", str(raw), "--out-dir", str(out_dir), "--dev-fraction", "0.25", "--seed", "3"]) == 0
+    corpus = prepare_training_corpus(pairs, dev_fraction=0.25, seed=3)
+    for name, examples in (("train", corpus.train), ("dev", corpus.dev)):
+        back, _ = load(DatasetHandle(DatasetFormat.PARALLEL_JSONL, path=out_dir / f"{name}.jsonl"))
+        assert tuple(back) == examples
 
 
 def test_tagswap_and_prep_honour_error_budget(tmp_path, capsys):

@@ -17,15 +17,13 @@ from labelproj import (
     decode,
     encode,
     signature,
-    strip_markers,
-    tag_index,
     tag_name,
     validate,
 )
 from labelproj.codec import _decode, _encoded_signature, pair_markers, scan_markers
 from labelproj.model import has_errors
 
-from codec_oracle import oracle_decode, oracle_encode
+from codec_oracle import oracle_decode, oracle_encode, strip_markers
 from conftest import canon, make_doc
 from test_acceptance import _random_doc
 
@@ -55,11 +53,6 @@ def test_tag_name_fixtures(index, name):
 def test_tag_name_rejects_negative():
     with pytest.raises(ValueError):
         tag_name(-1)
-
-
-@given(st.integers(0, 100_000))
-def test_tag_index_inverts_tag_name(i):
-    assert tag_index(tag_name(i)) == i
 
 
 # ------------------------------------------------------------------- encode

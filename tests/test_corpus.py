@@ -14,7 +14,6 @@ from labelproj import (
     prepare_training_corpus,
     tag_swap,
 )
-from labelproj.corpus import directed_record
 
 
 def pair(src: str, tgt: str, pair_id: str = "p1") -> RawMarkupPair:
@@ -178,14 +177,6 @@ def test_prepare_tag_statistics():
 def test_invalid_dev_fraction():
     with pytest.raises(ValueError):
         prepare_training_corpus(corpus_pairs(1, 0), dev_fraction=1.0)
-
-
-# ------------------------------------------------------------ record layer
-
-def test_directed_record_schema():
-    corpus = prepare_training_corpus(corpus_pairs(1, 0), dev_fraction=0.0, seed=0)
-    record = directed_record(corpus.train[0])
-    assert list(record) == ["id", "direction", "src_lang", "tgt_lang", "src_tagged", "tgt_tagged"]
 
 
 # -------------------------------------------------------------- QA filter

@@ -10,8 +10,8 @@ from labelproj import (
     DatasetFormat,
     DatasetHandle,
     ErrorBudgetExceeded,
+    DirectedExample,
     FormatError,
-    ParallelExample,
     RawMarkupPair,
     Span,
     TaggedText,
@@ -86,13 +86,22 @@ def test_load_devtest_sized_plain_text_has_empty_signatures():
     assert all(signature(t).total() == 0 for t in items[:20])
 
 
+PARALLEL_LINE = (
+    '{"id":"p1","direction":"forward","src_lang":"en","tgt_lang":"de","src_tagged":"<a>x</a>","tgt_tagged":"<a>y</a>"}'
+)
+
+
 def test_load_parallel_records():
-    line = '{"id":"p1","src_lang":"en","tgt_lang":"de","src_tagged":"<a>x</a>","tgt_tagged":"<a>y</a>"}'
-    items, _ = load(handle(DatasetFormat.PARALLEL_JSONL, line + "\n"))
-    example = items[0]
-    assert isinstance(example, ParallelExample)
-    assert example.src.tagged == "<a>x</a>"
-    assert example.tgt_lang == "de"
+    items, _ = load(handle(DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE + "\n"))
+    src, tgt = TaggedText("p1", "en", "<a>x</a>"), TaggedText("p1", "de", "<a>y</a>")
+    assert items == [DirectedExample("p1", "forward", src, tgt)]
+
+
+def test_dump_parallel_writes_prep_field_order():
+    items, _ = load(handle(DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE + "\n"))
+    out = io.StringIO()
+    dump(items, DatasetHandle(DatasetFormat.PARALLEL_JSONL, stream=out))
+    assert out.getvalue() == PARALLEL_LINE + "\n"
 
 
 RAW_LINE = '{"id":"r1","src_lang":"en","tgt_lang":"de","src_markup":"<b>x</b>","tgt_markup":"<b>y</b>"}'
@@ -130,7 +139,6 @@ def test_load_budget_counts_unreadable_and_invalid_records_alike():
 
 
 TAGGED_LINE = '{"id":"t1","lang":"en","tagged_text":"<a>x</a>"}'
-PARALLEL_LINE = '{"id":"p1","src_lang":"en","tgt_lang":"de","src_tagged":"<a>x</a>","tgt_tagged":"<a>y</a>"}'
 
 
 @pytest.mark.parametrize("fmt, good, old, new", [
@@ -149,6 +157,7 @@ PARALLEL_LINE = '{"id":"p1","src_lang":"en","tgt_lang":"de","src_tagged":"<a>x</
     (DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE, '"src_tagged":"<a>x</a>"', '"src_tagged":null'),
     (DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE, '"tgt_tagged":"<a>y</a>"', '"tgt_tagged":7'),
     (DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE, '"tgt_lang":"de"', '"tgt_lang":null'),
+    (DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE, '"direction":"forward"', '"direction":1'),
     (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"src_markup":"<b>x</b>"', '"src_markup":null'),
     (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"src_lang":"en"', '"src_lang":{}'),
     (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"id":"r1"', '"id":1.5'),
@@ -198,7 +207,8 @@ def test_dump_load_identity_tagged_and_parallel():
     assert back == tagged
 
     pairs = [
-        ParallelExample("1", TaggedText("1", "en", "<a>x</a>"), TaggedText("1", "de", "<a>y</a>"))
+        DirectedExample("1", "forward", TaggedText("1", "en", "<a>x</a>"), TaggedText("1", "de", "<a>y</a>")),
+        DirectedExample("1", "reverse", TaggedText("1", "de", "<a>y</a>"), TaggedText("1", "en", "<a>x</a>")),
     ]
     back, _ = roundtrip(pairs, DatasetFormat.PARALLEL_JSONL)
     assert back == pairs
