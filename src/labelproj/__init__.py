@@ -46,7 +46,7 @@ from .errors import (
     NoTokensError,
     ScorerUnavailableError,
 )
-from .evaluation import PRF, EvalGroup, EvalReport, build_report, label_match_f1, projection_rate
+from .evaluation import PRF, EvalReport, build_report, label_match_f1, projection_rate
 from .model import AnnotatedText, Diagnostic, ParallelExample, Span, TaggedText, validate
 from .similarity import gestalt_ratio
 from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers, tokenize_boundaries
@@ -65,7 +65,6 @@ __all__ = [
     "DirectedExample",
     "EmptyInputError",
     "ErrorBudgetExceeded",
-    "EvalGroup",
     "EvalReport",
     "FormatError",
     "HttpScorerBackend",

@@ -39,8 +39,8 @@ from .dataio import (
     write_records,
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError
-from .evaluation import EvalGroup, build_report, markers_match, render_table
-from .model import AnnotatedText, Diagnostic, ParallelExample
+from .evaluation import build_report, markers_match, render_table
+from .model import Diagnostic, ParallelExample
 from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
@@ -53,18 +53,21 @@ def _bearer_token() -> str | None:
 
 
 def make_backend(
-    value: str | None, seed: int, batch_size: int, max_in_flight: int
+    value: str | None, seed: int, batch_size: int, max_in_flight: int, scheme: MarkerScheme = MarkerScheme.XML
 ) -> TranslationBackend:
-    """Parse a --backend value: identity | shuffle | drop:Q | http(s) URL."""
+    """Parse a --backend value: identity | shuffle | drop:Q | http(s) URL.
+
+    ``shuffle`` and ``drop:Q`` move or drop markers of ``scheme``.
+    """
     value = value or os.environ.get(ENV_BACKEND_URL)
     if not value:
         raise LabelProjError(f"no backend given and {ENV_BACKEND_URL} is unset")
     if value == "identity":
         return IdentityBackend()
     if value == "shuffle":
-        return TagShufflerBackend(seed)
+        return TagShufflerBackend(seed, scheme)
     if value.startswith("drop:"):
-        return TagDropperBackend(float(value[len("drop:") :]), seed)
+        return TagDropperBackend(float(value[len("drop:") :]), seed, scheme)
     if value.startswith(("http:", "https:")):
         return HttpTranslationBackend(
             value,
@@ -119,39 +122,6 @@ def _diagnostics_path(args: argparse.Namespace) -> Path:
     if args.diagnostics:
         return Path(args.diagnostics)
     return Path(str(args.output) + ".diagnostics.jsonl")
-
-
-def _build_groups(
-    projected: Sequence[AnnotatedText],
-    reference: Sequence[AnnotatedText],
-    marker_matches: dict[str, bool],
-    dataset: str,
-) -> list[EvalGroup]:
-    """One group per reference language; ids must cover both sides exactly."""
-    proj_by_id = {doc.id: doc for doc in projected}
-    if len(proj_by_id) != len(projected):
-        raise AlignmentError("duplicate ids among projected documents")
-    by_lang: dict[str, list[AnnotatedText]] = {}
-    for doc in reference:
-        by_lang.setdefault(doc.lang, []).append(doc)
-
-    groups = []
-    claimed: set[str] = set()
-    for lang in sorted(by_lang):
-        refs = by_lang[lang]
-        projs = []
-        for ref in refs:
-            doc = proj_by_id.get(ref.id)
-            if doc is None:
-                raise AlignmentError(f"reference id {ref.id!r} has no projected document")
-            projs.append(doc)
-            claimed.add(ref.id)
-        flags = tuple(marker_matches[r.id] for r in refs if r.id in marker_matches)
-        groups.append(EvalGroup(lang, dataset, tuple(projs), tuple(refs), flags or None))
-    unclaimed = set(proj_by_id) - claimed
-    if unclaimed:
-        raise AlignmentError(f"projected ids with no reference: {sorted(unclaimed)[:5]}")
-    return groups
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -316,8 +286,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     elif args.source_tagged or args.hypothesis_tagged:
         raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
 
-    groups = _build_groups(projected, reference, marker_matches, args.dataset)
-    report = build_report(groups, threshold=args.threshold)
+    report = build_report(projected, reference, marker_matches, dataset=args.dataset, threshold=args.threshold)
     _emit_report(report, args.report, args.report_out)
     return 0
 
@@ -332,13 +301,15 @@ def cmd_project(args: argparse.Namespace) -> int:
         reference, _ = load(
             DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.reference)), args.error_budget
         )
-    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight)
+    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
+    if len({doc.id for doc in docs}) != len(docs):
+        raise AlignmentError("duplicate ids among projected documents")
     results = project(docs, backend, args.src_lang, args.tgt_lang, _scheme(args))
     projected = [doc for doc, _, _ in results]
     report = None
     if reference is not None:
-        groups = _build_groups(projected, reference, {doc.id: flag for doc, _, flag in results}, args.dataset)
-        report = build_report(groups, threshold=args.threshold)
+        flags = {doc.id: flag for doc, _, flag in results}
+        report = build_report(projected, reference, flags, dataset=args.dataset, threshold=args.threshold)
 
     summary = dump(projected, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.output)))
     diag_records = [_diag_record(d) for d in load_diags]

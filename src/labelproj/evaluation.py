@@ -19,7 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .codec import MarkerScheme, occurrences, signature
 from .errors import AlignmentError, EmptyInputError
@@ -47,18 +47,28 @@ class PRF:
         return cls(tp, fp, fn, precision, recall, f1)
 
 
-def _index_by_id(docs: Sequence[AnnotatedText], side: str) -> dict[str, AnnotatedText]:
-    index: dict[str, AnnotatedText] = {}
-    for doc in docs:
-        if doc.id in index:
-            raise AlignmentError(f"duplicate id {doc.id!r} on the {side} side")
-        index[doc.id] = doc
-    return index
+def _align(projected: Sequence[AnnotatedText], reference: Sequence[AnnotatedText]) -> list[AnnotatedText]:
+    """The projected document for each reference document, in reference order.
+
+    Raises :class:`AlignmentError` on a duplicate id on either side and on
+    an id present on one side only.
+    """
+    by_id = {doc.id: doc for doc in projected}
+    if len(by_id) != len(projected):
+        raise AlignmentError("duplicate ids among projected documents")
+    aligned: dict[str, AnnotatedText] = {}
+    for ref in reference:
+        if ref.id in aligned:
+            raise AlignmentError(f"duplicate id {ref.id!r} on the reference side")
+        if ref.id not in by_id:
+            raise AlignmentError(f"reference id {ref.id!r} has no projected document")
+        aligned[ref.id] = by_id[ref.id]
+    if len(aligned) != len(by_id):
+        raise AlignmentError(f"projected ids with no reference: {sorted(by_id.keys() - aligned.keys())[:5]}")
+    return list(aligned.values())
 
 
-def _doc_counts(
-    projected: AnnotatedText, reference: AnnotatedText, threshold: float, normalize: bool
-) -> tuple[int, int, int]:
+def _doc_counts(projected: AnnotatedText, reference: AnnotatedText, threshold: float) -> tuple[int, int, int]:
     proj_by_tag = occurrences(projected.spans)
     ref_by_tag = occurrences(reference.spans)
 
@@ -75,7 +85,6 @@ def _doc_counts(
                 ratio = gestalt_ratio(
                     projected.span_text(projected.spans[proj_spans[k]]),
                     reference.span_text(reference.spans[ref_spans[k]]),
-                    normalize=normalize,
                 )
                 if ratio >= threshold:
                     tp += 1
@@ -85,35 +94,32 @@ def _doc_counts(
     return tp, fp, fn
 
 
-def label_match_f1(
-    projected: Sequence[AnnotatedText],
-    reference: Sequence[AnnotatedText],
-    threshold: float = DEFAULT_THRESHOLD,
-    *,
-    normalize: bool = True,
-) -> PRF:
-    """Global F1 over individually matched spans, micro-aggregated.
-
-    Documents align by id; an id present on only one side raises
-    :class:`AlignmentError`. A projected span with no corresponding
-    reference span, or whose similarity falls below the threshold, is a
-    false positive; the mirror cases are false negatives.
-    """
+def _prf(pairs: Iterable[tuple[AnnotatedText, AnnotatedText]], threshold: float) -> PRF:
+    """Micro-aggregated counts over aligned (projected, reference) pairs."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    proj_index = _index_by_id(projected, "projected")
-    ref_index = _index_by_id(reference, "reference")
-    missing = sorted(set(proj_index) ^ set(ref_index))
-    if missing:
-        raise AlignmentError(f"ids present on one side only: {missing[:5]}")
-
     tp = fp = fn = 0
-    for doc_id in proj_index:
-        dt, dp, dn = _doc_counts(proj_index[doc_id], ref_index[doc_id], threshold, normalize)
+    for projected, reference in pairs:
+        dt, dp, dn = _doc_counts(projected, reference, threshold)
         tp += dt
         fp += dp
         fn += dn
     return PRF.from_counts(tp, fp, fn)
+
+
+def label_match_f1(
+    projected: Sequence[AnnotatedText],
+    reference: Sequence[AnnotatedText],
+    threshold: float = DEFAULT_THRESHOLD,
+) -> PRF:
+    """Global F1 over individually matched spans, micro-aggregated.
+
+    Documents align by id: a duplicate id, or an id present on one side
+    only, raises :class:`AlignmentError`. A projected span with no
+    corresponding reference span, or whose similarity falls below the
+    threshold, is a false positive; the mirror cases are false negatives.
+    """
+    return _prf(zip(_align(projected, reference), reference), threshold)
 
 
 def markers_match(
@@ -134,25 +140,6 @@ def projection_rate(
     if not pairs:
         raise EmptyInputError("projection rate is undefined on an empty pair list")
     return sum(markers_match(source, hyp, scheme, allow_uppercase) for source, hyp in pairs) / len(pairs)
-
-
-@dataclass(frozen=True)
-class EvalGroup:
-    """Inputs for one (language, dataset) row of a report, with a match flag per translation pair."""
-
-    language: str
-    dataset: str
-    projected: tuple[AnnotatedText, ...]
-    reference: tuple[AnnotatedText, ...]
-    marker_matches: tuple[bool, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.projected, tuple):
-            object.__setattr__(self, "projected", tuple(self.projected))
-        if not isinstance(self.reference, tuple):
-            object.__setattr__(self, "reference", tuple(self.reference))
-        if self.marker_matches is not None and not isinstance(self.marker_matches, tuple):
-            object.__setattr__(self, "marker_matches", tuple(self.marker_matches))
 
 
 @dataclass(frozen=True)
@@ -260,46 +247,41 @@ class EvalReport:
 
 
 def build_report(
-    groups: Iterable[EvalGroup],
-    threshold: float = DEFAULT_THRESHOLD,
+    projected: Sequence[AnnotatedText],
+    reference: Sequence[AnnotatedText],
+    marker_matches: Mapping[str, bool] | None = None,
     *,
-    normalize: bool = True,
+    dataset: str = "dataset",
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> EvalReport:
-    """Score every group and aggregate a deterministic report.
+    """Score projected documents against their references in one row per reference language.
 
-    Rows sort by (language, dataset). Raises :class:`EmptyInputError` for a
-    group with no reference documents or an empty tuple of match flags.
+    Documents align by id as in :func:`label_match_f1`. ``marker_matches``
+    maps a pair's id to its match flag; a row's projection rate sums the
+    flags of its reference ids, and is ``None`` when it has none. Rows sort
+    by language. Raises :class:`EmptyInputError` with no reference documents.
     """
-    ordered = sorted(groups, key=lambda g: (g.language, g.dataset))
-    if not ordered:
+    by_lang: dict[str, list[tuple[AnnotatedText, AnnotatedText]]] = {}
+    for proj, ref in zip(_align(projected, reference), reference):
+        by_lang.setdefault(ref.lang, []).append((proj, ref))
+    if not by_lang:
         raise EmptyInputError("no groups to report on")
 
+    flags_by_id = marker_matches or {}
     rows: list[ReportRow] = []
-    tp = fp = fn = 0
-    examples = spans = 0
     matches = n_pairs = 0
-    for group in ordered:
-        if not group.reference:
-            raise EmptyInputError(f"group ({group.language!r}, {group.dataset!r}) is empty")
-        prf = label_match_f1(group.projected, group.reference, threshold, normalize=normalize)
-        rate = None
-        if group.marker_matches is not None:
-            if not group.marker_matches:
-                raise EmptyInputError("projection rate is undefined on an empty pair list")
-            group_matches = sum(group.marker_matches)
-            rate = group_matches / len(group.marker_matches)
-            matches += group_matches
-            n_pairs += len(group.marker_matches)
-        n_spans = sum(len(doc.spans) for doc in group.reference)
-        rows.append(ReportRow(group.language, group.dataset, len(group.reference), n_spans, prf, rate))
-        tp += prf.tp
-        fp += prf.fp
-        fn += prf.fn
-        examples += len(group.reference)
-        spans += n_spans
+    for lang in sorted(by_lang):
+        pairs = by_lang[lang]
+        flags = [flags_by_id[ref.id] for _, ref in pairs if ref.id in flags_by_id]
+        rate = sum(flags) / len(flags) if flags else None
+        matches += sum(flags)
+        n_pairs += len(flags)
+        n_spans = sum(len(ref.spans) for _, ref in pairs)
+        rows.append(ReportRow(lang, dataset, len(pairs), n_spans, _prf(pairs, threshold), rate))
 
+    prf = PRF.from_counts(sum(r.prf.tp for r in rows), sum(r.prf.fp for r in rows), sum(r.prf.fn for r in rows))
     global_rate = matches / n_pairs if n_pairs else None
-    total = ReportRow("(all)", "(all)", examples, spans, PRF.from_counts(tp, fp, fn), global_rate)
+    total = ReportRow("(all)", "(all)", sum(r.examples for r in rows), sum(r.spans for r in rows), prf, global_rate)
     macro_p = sum(r.prf.precision for r in rows) / len(rows)
     macro_r = sum(r.prf.recall for r in rows) / len(rows)
     macro_f = sum(r.prf.f1 for r in rows) / len(rows)

@@ -156,30 +156,35 @@ def test_project_drop_backend_zeroes_projection_rate(tmp_path):
     report_path = tmp_path / "report.json"
     write_annotated(annotated, [d for d in DOCS if d.spans])
 
-    code = main([
-        "project",
-        "-i", str(annotated),
-        "-o", str(tmp_path / "projected.jsonl"),
-        "--reference", str(annotated),
-        "--backend", "drop:1.0",
-        "--src-lang", "en",
-        "--tgt-lang", "de",
-        "--report", "json",
-        "--report-out", str(report_path),
-    ])
-    assert code == 0
-    report = json.loads(report_path.read_text())
-    assert report["global"]["projection_rate"] == 0.0
+    for scheme in ("xml", "brackets"):
+        code = main([
+            "project",
+            "-i", str(annotated),
+            "-o", str(tmp_path / "projected.jsonl"),
+            "--reference", str(annotated),
+            "--scheme", scheme,
+            "--backend", "drop:1.0",
+            "--src-lang", "en",
+            "--tgt-lang", "de",
+            "--report", "json",
+            "--report-out", str(report_path),
+        ])
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["global"]["projection_rate"] == 0.0, scheme
 
 
-@pytest.mark.parametrize("case", ["duplicate-ids", "bad-threshold", "missing-reference"])
+@pytest.mark.parametrize(
+    "case", ["duplicate-ids", "bad-threshold", "missing-reference", "duplicate-ids-without-reference"]
+)
 def test_project_failure_writes_nothing(tmp_path, capsys, case):
     annotated = tmp_path / "in.jsonl"
-    write_annotated(annotated, DOCS + [DOCS[0]] if case == "duplicate-ids" else DOCS)
+    write_annotated(annotated, DOCS + [DOCS[0]] if case.startswith("duplicate-ids") else DOCS)
     reference = tmp_path / "absent.jsonl" if case == "missing-reference" else annotated
     out = tmp_path / "out.jsonl"
+    reference_args = [] if case == "duplicate-ids-without-reference" else ["--reference", str(reference)]
     assert main([
-        "project", "-i", str(annotated), "-o", str(out), "--reference", str(reference),
+        "project", "-i", str(annotated), "-o", str(out), *reference_args,
         "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de",
         "--threshold", "2" if case == "bad-threshold" else "0.5",
     ]) == 1
@@ -307,6 +312,16 @@ def test_evaluate_csv_report(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "language,dataset,examples,spans,tp,fp,fn,precision,recall,f1,projection_rate"
     assert lines[1].startswith("en,demo,3,4,")
+
+
+@pytest.mark.parametrize("second_lang", ["fr", "de"])
+def test_evaluate_rejects_a_duplicate_reference_id(tmp_path, capsys, second_lang):
+    projected, reference = tmp_path / "projected.jsonl", tmp_path / "reference.jsonl"
+    doc = make_doc("John lives in Paris", [Span("a", 0, 4)], doc_id="1", lang="de")
+    write_annotated(projected, [doc])
+    write_annotated(reference, [doc, make_doc(doc.text, doc.spans, doc_id="1", lang=second_lang)])
+    assert main(["evaluate", "--projected", str(projected), "--reference", str(reference)]) == 1
+    assert "error: duplicate id '1' on the reference side" in capsys.readouterr().err
 
 
 def test_evaluate_tagged_inputs_honour_error_budget(tmp_path, capsys):

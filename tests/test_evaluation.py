@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from labelproj import (
     AlignmentError,
     EmptyInputError,
-    EvalGroup,
     PRF,
     Span,
     TaggedText,
@@ -116,6 +115,8 @@ def test_alignment_errors():
         label_match_f1([], [REF_DOC])
     with pytest.raises(AlignmentError):
         label_match_f1([REF_DOC, REF_DOC], [REF_DOC])
+    with pytest.raises(AlignmentError, match="duplicate id 'r1' on the reference side"):
+        label_match_f1([REF_DOC], [REF_DOC, REF_DOC])
 
 
 def test_threshold_out_of_range():
@@ -182,8 +183,8 @@ def test_projection_rate_id_mismatch():
 
 # ------------------------------------------------------------------ report
 
-def group_for(prefix: str, language: str, dataset: str, spec: list[tuple[int, int, int]]) -> EvalGroup:
-    """Build a group whose micro counts equal the requested (tp, fp, fn)."""
+def group_for(prefix: str, language: str, spec: list[tuple[int, int, int]]) -> tuple[list, list]:
+    """Build (projected, reference) documents whose micro counts equal the requested (tp, fp, fn)."""
     projected = []
     reference = []
     for i, (tp, fp, fn) in enumerate(spec):
@@ -194,30 +195,26 @@ def group_for(prefix: str, language: str, dataset: str, spec: list[tuple[int, in
         proj += [Span("c", j * 4, j * 4 + 3) for j in range(fp)]
         reference.append(make_doc(text, ref, doc_id=f"{prefix}{i}", lang=language))
         projected.append(make_doc(text, proj, doc_id=f"{prefix}{i}", lang=language))
-    return EvalGroup(language, dataset, tuple(projected), tuple(reference))
+    return projected, reference
 
 
 def test_report_identity_group():
-    group = EvalGroup("de", "demo", (REF_DOC,), (REF_DOC,), (True,))
-    report = build_report([group])
+    report = build_report([REF_DOC], [REF_DOC], {"r1": True}, dataset="demo")
     assert report.total.prf.f1 == 1.0
     assert report.total.projection_rate == 1.0
 
 
 def test_report_projection_rate_sums_match_flags():
-    g1 = EvalGroup("de", "d1", (REF_DOC,), (REF_DOC,), (True, False))
-    g2 = EvalGroup("es", "d1", (REF_DOC,), (REF_DOC,), [True])
-    report = build_report([g1, g2])
+    docs = [make_doc("x", doc_id="d1", lang="de"), make_doc("x", doc_id="d2", lang="de"), make_doc("x", doc_id="e1", lang="es")]
+    report = build_report(docs, docs, {"d1": True, "d2": False, "e1": True})
     assert [r.projection_rate for r in report.rows] == [0.5, 1.0]
     assert report.total.projection_rate == 2 / 3
-    with pytest.raises(EmptyInputError):
-        build_report([EvalGroup("de", "d1", (REF_DOC,), (REF_DOC,), ())])
 
 
 def test_report_global_micro_sum():
-    g1 = group_for("x", "de", "d1", [(2, 1, 1)])
-    g2 = group_for("y", "es", "d1", [(3, 0, 0)])
-    report = build_report([g2, g1])
+    x_proj, x_ref = group_for("x", "de", [(2, 1, 1)])
+    y_proj, y_ref = group_for("y", "es", [(3, 0, 0)])
+    report = build_report(y_proj + x_proj, y_ref + x_ref)
     assert [r.language for r in report.rows] == ["de", "es"]  # sorted, not input order
     assert report.total.prf.tp == 5
     assert report.total.prf.precision == pytest.approx(5 / 6)
@@ -226,22 +223,20 @@ def test_report_global_micro_sum():
 
 
 def test_report_macro_differs_from_micro():
-    g1 = group_for("x", "de", "d1", [(2, 1, 1)])
-    g2 = group_for("y", "es", "d1", [(3, 0, 0)])
-    report = build_report([g1, g2])
+    x_proj, x_ref = group_for("x", "de", [(2, 1, 1)])
+    y_proj, y_ref = group_for("y", "es", [(3, 0, 0)])
+    report = build_report(x_proj + y_proj, x_ref + y_ref)
     assert report.macro_precision == pytest.approx((2 / 3 + 1.0) / 2)
     assert report.macro_f1 == pytest.approx((2 / 3 + 1.0) / 2)
 
 
 def test_report_rejects_empty_groups():
     with pytest.raises(EmptyInputError):
-        build_report([])
-    with pytest.raises(EmptyInputError):
-        build_report([EvalGroup("de", "d", (), ())])
+        build_report([], [])
 
 
 def test_report_csv_shape():
-    report = build_report([group_for("x", "de", "d1", [(2, 1, 1)])])
+    report = build_report(*group_for("x", "de", [(2, 1, 1)]), dataset="d1")
     lines = report.to_csv().splitlines()
     assert lines[0] == "language,dataset,examples,spans,tp,fp,fn,precision,recall,f1,projection_rate"
     assert len(lines) == 3  # header, one row, global
@@ -251,7 +246,7 @@ def test_report_csv_shape():
 
 
 def test_report_json_and_table_render():
-    report = build_report([group_for("x", "de", "d1", [(1, 0, 0)])])
+    report = build_report(*group_for("x", "de", [(1, 0, 0)]))
     payload = report.to_json_dict()
     assert payload["global"]["tp"] == 1
     assert set(payload["macro"]) == {"precision", "recall", "f1"}
@@ -260,7 +255,6 @@ def test_report_json_and_table_render():
 
 
 def test_report_span_count_is_reference_side():
-    group = group_for("x", "de", "d1", [(1, 2, 3)])
-    report = build_report([group])
+    report = build_report(*group_for("x", "de", [(1, 2, 3)]))
     assert report.rows[0].spans == 4  # 1 matched + 3 missed reference spans
     assert report.rows[0].examples == 1

@@ -46,3 +46,11 @@ def test_unused_imports_are_detected():
 def test_package_modules_have_no_unused_imports():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_package_all_lists_exactly_what_init_imports():
+    tree = ast.parse(Path(labelproj.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.module != "__future__" for alias in node.names}
+    assert len(labelproj.__all__) == len(set(labelproj.__all__))
+    assert set(labelproj.__all__) == imported
