@@ -259,7 +259,7 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     texts, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.input)), args.error_budget)
-    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight)
+    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
     translated = backend.translate_batch(texts, args.src_lang, args.tgt_lang)
     summary = dump(translated, DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.output)))
     print(f"translated {summary.count} texts -> {summary.path}", file=sys.stderr)
@@ -282,6 +282,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if len(sources) != len(hypotheses):
             raise AlignmentError("source/hypothesis tagged files differ in length")
         pairs = {s.id: (s, h) for s, h in zip(sources, hypotheses)}  # only reference ids are scored and checked
+        if len(pairs) != len(sources):
+            raise AlignmentError("duplicate ids among source/hypothesis pairs")
         marker_matches = {r.id: markers_match(*pairs[r.id], _scheme(args)) for r in reference if r.id in pairs}
     elif args.source_tagged or args.hypothesis_tagged:
         raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="tagged JSONL -> tagged JSONL through a backend")
     _add_io(p)
-    _add_shared(p, "--error-budget", "--seed")
+    _add_shared(p, "--scheme", "--error-budget", "--seed")
     _add_backend(p)
     p.set_defaults(func=cmd_translate)
 

@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .codec import tag_name
 from .corpus import DirectedExample, RawMarkupPair
@@ -69,11 +69,14 @@ class DumpSummary:
     path: str | None
 
 
-def _read_text(handle: DatasetHandle) -> str:
+def _lines(handle: DatasetHandle) -> Iterator[str]:
+    """Yield the handle's lines one at a time, each keeping its terminator."""
     if handle.stream is not None:
-        return handle.stream.read()
+        yield from handle.stream
+        return
     try:
-        return handle.path.read_text(encoding="utf-8")
+        with handle.path.open(encoding="utf-8") as fh:
+            yield from fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{handle.path}: not valid UTF-8: {exc}") from exc
 
@@ -90,29 +93,25 @@ def load(
     A file whose first record does not match the declared format raises
     :class:`FormatError`.
     """
-    text = _read_text(handle)
     if handle.format is DatasetFormat.QA_JSON:
         try:
-            tree = json.loads(text)
+            tree = json.loads("".join(_lines(handle)))
         except json.JSONDecodeError as exc:
             raise FormatError(f"QA JSON does not parse: {exc}") from exc
         return ingest_qa(tree, handle.lang)
     if handle.format is DatasetFormat.PLAIN_TEXT:
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        items = [TaggedText(id=str(i + 1), lang=handle.lang, tagged=line) for i, line in enumerate(lines)]
-        return items, []
+        lines = enumerate(_lines(handle), start=1)
+        return [TaggedText(id=str(i), lang=handle.lang, tagged=line.rstrip("\n")) for i, line in lines], []
 
     items: list[Any] = []
     diagnostics: list[Diagnostic] = []
     errors = 0
     first_checked = False
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(_lines(handle), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(line.rstrip("\n"))
             if not isinstance(record, dict):
                 raise FormatError("record is not a JSON object")
             if not first_checked:
@@ -258,14 +257,15 @@ def _json_line(record: Mapping[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temporary file and rename, so readers never see partials."""
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write one string, or an iterable of strings in order, via a temporary
+    file and rename, so readers never see partials."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -276,21 +276,23 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def dump(items: Sequence[Any], handle: DatasetHandle) -> DumpSummary:
-    """Serialize items to the handle; returns a count summary.
+    """Serialize items to the handle one line at a time; returns a count summary.
 
-    Content is written atomically when the handle names a path.
+    Content is written atomically when the handle names a path. A stream
+    receives each line as it is encoded, so an item that fails to encode
+    leaves the lines before it in the stream.
     """
-    payload = "".join(_record_line(handle.format, item) + "\n" for item in items)
+    lines = (_record_line(handle.format, item) + "\n" for item in items)
     if handle.stream is not None:
-        handle.stream.write(payload)
+        handle.stream.writelines(lines)
         return DumpSummary(count=len(items), path=None)
-    atomic_write_text(handle.path, payload)
+    atomic_write_text(handle.path, lines)
     return DumpSummary(count=len(items), path=str(handle.path))
 
 
 def write_records(path: Path, records: Iterable[Mapping[str, Any]]) -> None:
     """Write plain JSON records atomically, one canonical line each, in ``dump``'s encoding."""
-    atomic_write_text(path, "".join(_json_line(record) + "\n" for record in records))
+    atomic_write_text(path, (_json_line(record) + "\n" for record in records))
 
 
 def _repair_offset(context: str, answer: str, start: int) -> tuple[int, int | None]:

@@ -7,11 +7,15 @@ emits exactly one span, ``simple`` emits disjoint non-nested spans, and
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+
+try:  # hashlib would also load OpenSSL's libcrypto, which only HTTPS needs
+    from _blake2 import blake2b
+except ImportError:  # CPython built without _blake2
+    from hashlib import blake2b
 
 from .codec import tag_name
 from .errors import NoTokensError
@@ -79,7 +83,7 @@ def tokenize_boundaries(sentence: str) -> TokenBoundaryMap:
 
 def derive_seed(seed: int, key: str) -> int:
     """Stable per-item seed for corpus-level generation: seed XOR hash(key)."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(key.encode("utf-8"), digest_size=8).digest()
     return (seed ^ int.from_bytes(digest, "big")) & (2**63 - 1)
 
 

@@ -57,11 +57,28 @@ def test_cli_import_loads_only_stdlib_modules():
 
 def test_cli_import_leaves_the_http_stack_unloaded():
     # Only an HTTP backend or scorer needs these; they load on the first request.
-    heavy = ["http.client", "urllib.request", "ssl", "concurrent.futures"]
+    heavy = ["http.client", "urllib.request", "ssl", "concurrent.futures", "_hashlib"]
     script = f"import sys; import labelproj.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(labelproj.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+@pytest.mark.parametrize("command", ["project", "synth"])
+def test_offline_commands_leave_openssl_unloaded(tmp_path, command):
+    # Importing hashlib maps OpenSSL's libcrypto, which only an HTTPS backend needs.
+    plain, annotated = tmp_path / "plain.txt", tmp_path / "in.jsonl"
+    plain.write_text("John lives in Paris\n")
+    write_annotated(annotated, DOCS)
+    argv = {
+        "project": ["project", "-i", str(annotated), "-o", str(tmp_path / "out.jsonl"), "--backend", "drop:0.3",
+                    "--src-lang", "en", "--tgt-lang", "de"],
+        "synth": ["synth", "-i", str(plain), "-o", str(tmp_path / "out.jsonl")],
+    }[command]
+    script = f"import sys; from labelproj.cli import main; assert main({argv!r}) == 0; print('_hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(labelproj.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 # ------------------------------------------------------------ flag parsing
@@ -174,6 +191,20 @@ def test_project_drop_backend_zeroes_projection_rate(tmp_path):
         assert report["global"]["projection_rate"] == 0.0, scheme
 
 
+def test_translate_drop_backend_strips_every_bracket(tmp_path):
+    annotated, tagged, translated = tmp_path / "in.jsonl", tmp_path / "tagged.jsonl", tmp_path / "out.jsonl"
+    write_annotated(annotated, DOCS)
+    assert main(["encode", "-i", str(annotated), "-o", str(tagged), "--scheme", "brackets"]) == 0
+    assert main([
+        "translate", "-i", str(tagged), "-o", str(translated), "--scheme", "brackets",
+        "--backend", "drop:1.0", "--src-lang", "en", "--tgt-lang", "de",
+    ]) == 0
+    before, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=tagged))
+    after, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=translated))
+    assert any("[" in t.tagged for t in before)
+    assert not any("[" in t.tagged or "]" in t.tagged for t in after)
+
+
 @pytest.mark.parametrize(
     "case", ["duplicate-ids", "bad-threshold", "missing-reference", "duplicate-ids-without-reference"]
 )
@@ -189,6 +220,22 @@ def test_project_failure_writes_nothing(tmp_path, capsys, case):
         "--threshold", "2" if case == "bad-threshold" else "0.5",
     ]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.jsonl.diagnostics.jsonl").exists()
+
+
+def test_project_invalid_utf8_past_the_first_read_writes_nothing(tmp_path, capsys):
+    annotated = tmp_path / "in.jsonl"
+    write_annotated(annotated, [make_doc("John lives in Paris", [Span("a", 0, 4)], doc_id=str(i)) for i in range(1000)])
+    assert annotated.stat().st_size > 64 * 1024
+    with annotated.open("ab") as fh:
+        fh.write(b'{"id":"x","lang":"en","text":"\xff","spans":[]}\n')
+    out = tmp_path / "out.jsonl"
+    assert main([
+        "project", "-i", str(annotated), "-o", str(out),
+        "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de", "--error-budget", "1",
+    ]) == 1
+    assert f"error: {annotated}: not valid UTF-8" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "out.jsonl.diagnostics.jsonl").exists()
 
@@ -268,7 +315,6 @@ def test_exit_codes(tmp_path):
     ["stats", "-i", "x", "--seed", "1"],
     ["synth", "-i", "x", "-o", "y", "--scheme", "xml"],
     ["synth", "-i", "x", "-o", "y", "--error-budget", "1"],
-    ["translate", "-i", "x", "-o", "y", "--src-lang", "en", "--tgt-lang", "de", "--scheme", "xml"],
     ["sweep", "-i", "x", "--out-dir", "y", "--error-budget", "1"],
     ["tagswap", "-i", "x", "-o", "y", "--seed", "1"],
     ["tagswap", "-i", "x", "-o", "y", "--scheme", "xml"],
@@ -322,6 +368,19 @@ def test_evaluate_rejects_a_duplicate_reference_id(tmp_path, capsys, second_lang
     write_annotated(reference, [doc, make_doc(doc.text, doc.spans, doc_id="1", lang=second_lang)])
     assert main(["evaluate", "--projected", str(projected), "--reference", str(reference)]) == 1
     assert "error: duplicate id '1' on the reference side" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_duplicate_pair_id(tmp_path, capsys):
+    annotated, source, hypothesis = tmp_path / "in.jsonl", tmp_path / "source.jsonl", tmp_path / "hypothesis.jsonl"
+    write_annotated(annotated, [make_doc("John lives", [Span("a", 0, 4)], doc_id="1")])
+    tagged = lambda text: json.dumps({"id": "1", "lang": "en", "tagged_text": text}) + "\n"
+    source.write_text(tagged("<a>John</a> lives") * 2)
+    hypothesis.write_text(tagged("John lives") + tagged("<a>John</a> lives"))
+    assert main([
+        "evaluate", "--projected", str(annotated), "--reference", str(annotated),
+        "--source-tagged", str(source), "--hypothesis-tagged", str(hypothesis),
+    ]) == 1
+    assert "error: duplicate ids among source/hypothesis pairs" in capsys.readouterr().err
 
 
 def test_evaluate_tagged_inputs_honour_error_budget(tmp_path, capsys):

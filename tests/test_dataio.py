@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -183,6 +184,43 @@ def test_load_blank_lines_are_not_records():
     assert len(docs) == 1
 
 
+def test_load_truncated_record_message_counts_columns_without_the_terminator(tmp_path):
+    content = '{"id":"1","tagged_text":"x"}\n{"id": "2"\n'
+    path = tmp_path / "tagged.jsonl"
+    path.write_text(content)
+    for source in (handle(DatasetFormat.TAGGED_JSONL, content), handle(DatasetFormat.TAGGED_JSONL, path=path)):
+        _, diags = load(source, error_budget=1)
+        assert [d.message for d in diags] == ["line 2: Expecting ',' delimiter: line 1 column 11 (char 10)"]
+
+
+@pytest.mark.parametrize("variant", ["crlf", "no-final-newline"])
+def test_load_line_endings_do_not_change_records_or_line_numbers(tmp_path, variant):
+    content = ANNOTATED_LINE + "\n\n{oops\n" + ANNOTATED_LINE.replace("d1", "d4") + "\n"
+    lf, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
+    lf.write_bytes(content.encode())
+    other.write_bytes(content.replace("\n", "\r\n").encode() if variant == "crlf" else content[:-1].encode())
+    expected = load(handle(DatasetFormat.ANNOTATED_JSONL, path=lf), error_budget=1)
+    assert load(handle(DatasetFormat.ANNOTATED_JSONL, path=other), error_budget=1) == expected
+    assert [d.id for d in expected[0]] == ["d1", "d4"] and expected[1][0].offset == 3
+
+
+def tagged_texts(n):
+    return [TaggedText(str(i), "en", f"<a>John {i}</a> lives in <b>Paris</b>, the capital of France") for i in range(n)]
+
+
+def test_load_holds_one_line_at_a_time(tmp_path):
+    path = tmp_path / "tagged.jsonl"
+    dump(tagged_texts(20_000), handle(DatasetFormat.TAGGED_JSONL, path=path))
+    tracemalloc.start()
+    try:
+        items, _ = load(handle(DatasetFormat.TAGGED_JSONL, path=path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(items) == 20_000
+    assert peak - kept < 0.1 * path.stat().st_size
+
+
 # --------------------------------------------------------------------- dump
 
 def roundtrip(items, fmt, lang="en"):
@@ -241,6 +279,27 @@ def test_dump_tagged_record_schema():
     dump([TaggedText("t1", "de", "<a>x</a>")], DatasetHandle(DatasetFormat.TAGGED_JSONL, stream=out))
     record = json.loads(out.getvalue())
     assert record == {"id": "t1", "lang": "de", "tagged_text": "<a>x</a>"}
+
+
+def test_dump_holds_one_line_at_a_time(tmp_path):
+    items = tagged_texts(20_000)
+    path = tmp_path / "tagged.jsonl"
+    tracemalloc.start()
+    try:
+        dump(items, handle(DatasetFormat.TAGGED_JSONL, path=path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * path.stat().st_size
+
+
+def test_dump_failing_partway_keeps_the_old_file(tmp_path):
+    target = tmp_path / "out.jsonl"
+    target.write_bytes(b"old\n")
+    with pytest.raises(FormatError):
+        dump([make_doc("ab"), TaggedText("2", "en", "x")], handle(DatasetFormat.ANNOTATED_JSONL, path=target))
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 def test_dump_rejects_mismatched_items():

@@ -204,3 +204,5 @@ def test_derive_seed_is_stable_and_key_sensitive():
     assert derive_seed(42, "doc-1") != derive_seed(42, "doc-2")
     assert derive_seed(42, "doc-1") != derive_seed(43, "doc-1")
     assert 0 <= derive_seed(0, "x") < 2**63
+    assert derive_seed(0, "x") == 5395104992458594383
+    assert derive_seed(7, "0:d1") == 812124045941337242
