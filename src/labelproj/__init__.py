@@ -17,7 +17,6 @@ from .backends import (
 )
 from .codec import (
     MarkerScheme,
-    MarkerSignature,
     decode,
     encode,
     project,
@@ -75,7 +74,6 @@ __all__ = [
     "LabelProjError",
     "MarkerConfig",
     "MarkerScheme",
-    "MarkerSignature",
     "NoTokensError",
     "PRF",
     "ParallelExample",

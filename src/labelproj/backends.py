@@ -26,7 +26,7 @@ import sys
 import time
 from typing import Sequence
 
-from .codec import MarkerScheme, _strip, pair_markers, scan_markers
+from .codec import MarkerScheme, MarkerToken, _strip, pair_markers, scan_markers
 from .errors import AlignmentError, BackendError, BackendUnreachableError, EmptyInputError
 from .model import TaggedText
 from .synth import derive_seed
@@ -58,7 +58,35 @@ class IdentityBackend(TranslationBackend):
         return list(texts)
 
 
-class TagShufflerBackend(TranslationBackend):
+_Pair = tuple[MarkerToken, MarkerToken]
+
+
+class _SeededMarkerBackend(TranslationBackend):
+    """Rewrites the marker pairs of ``scheme`` in each text, drawing from a
+    generator seeded by ``seed``, the text's batch position and its id."""
+
+    def __init__(self, seed: int = 0, scheme: MarkerScheme = MarkerScheme.XML):
+        self.seed = seed
+        self.scheme = scheme
+
+    @abc.abstractmethod
+    def _rewrite(self, text: TaggedText, pairs: list[_Pair], rng: random.Random) -> TaggedText: ...
+
+    def translate_batch(
+        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
+    ) -> list[TaggedText]:
+        _check_translate_inputs(texts, src_lang, tgt_lang)
+        return [
+            self._rewrite(
+                text,
+                pair_markers(scan_markers(text.tagged, self.scheme)[0])[0],
+                random.Random(derive_seed(self.seed, f"{i}:{text.id}")),
+            )
+            for i, text in enumerate(texts)
+        ]
+
+
+class TagShufflerBackend(_SeededMarkerBackend):
     """Permutes whole tagged segments within each sentence.
 
     A segment is a maximal region covered by marker pairs (overlapping or
@@ -66,14 +94,7 @@ class TagShufflerBackend(TranslationBackend):
     and the marker signature never changes.
     """
 
-    def __init__(self, seed: int = 0, scheme: MarkerScheme = MarkerScheme.XML):
-        self.seed = seed
-        self.scheme = scheme
-
-    def _shuffle_one(self, text: TaggedText, rng: random.Random) -> TaggedText:
-        raw = text.tagged
-        tokens, _ = scan_markers(raw, self.scheme)
-        pairs, _, _ = pair_markers(tokens)
+    def _rewrite(self, text: TaggedText, pairs: list[_Pair], rng: random.Random) -> TaggedText:
         if len(pairs) < 2:
             return text
         regions = sorted((open_t.start, close_t.end) for open_t, close_t in pairs)
@@ -85,6 +106,7 @@ class TagShufflerBackend(TranslationBackend):
                 blocks.append([start, end])
         if len(blocks) < 2:
             return text
+        raw = text.tagged
         segments = [raw[s:e] for s, e in blocks]
         rng.shuffle(segments)
         pieces: list[str] = []
@@ -96,42 +118,20 @@ class TagShufflerBackend(TranslationBackend):
         pieces.append(raw[cursor:])
         return TaggedText(text.id, text.lang, "".join(pieces))
 
-    def translate_batch(
-        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
-    ) -> list[TaggedText]:
-        _check_translate_inputs(texts, src_lang, tgt_lang)
-        return [
-            self._shuffle_one(text, random.Random(derive_seed(self.seed, f"{i}:{text.id}")))
-            for i, text in enumerate(texts)
-        ]
 
-
-class TagDropperBackend(TranslationBackend):
+class TagDropperBackend(_SeededMarkerBackend):
     """Removes each marker pair independently with probability q."""
 
     def __init__(self, q: float, seed: int = 0, scheme: MarkerScheme = MarkerScheme.XML):
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"drop probability must be in [0, 1], got {q}")
+        super().__init__(seed, scheme)
         self.q = q
-        self.seed = seed
-        self.scheme = scheme
 
-    def _drop_one(self, text: TaggedText, rng: random.Random) -> TaggedText:
-        raw = text.tagged
-        tokens, _ = scan_markers(raw, self.scheme)
-        pairs, _, _ = pair_markers(tokens)
+    def _rewrite(self, text: TaggedText, pairs: list[_Pair], rng: random.Random) -> TaggedText:
         # One draw per pair, in opening order: seeded outputs depend on it.
         doomed = sorted((t for pair in pairs if rng.random() < self.q for t in pair), key=lambda t: t.start)
-        return TaggedText(text.id, text.lang, _strip(raw, doomed)) if doomed else text
-
-    def translate_batch(
-        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
-    ) -> list[TaggedText]:
-        _check_translate_inputs(texts, src_lang, tgt_lang)
-        return [
-            self._drop_one(text, random.Random(derive_seed(self.seed, f"{i}:{text.id}")))
-            for i, text in enumerate(texts)
-        ]
+        return TaggedText(text.id, text.lang, _strip(text.tagged, doomed)) if doomed else text
 
 
 class _HttpJsonClient:

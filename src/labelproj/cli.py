@@ -36,10 +36,11 @@ from .dataio import (
     ingest_qa,
     load,
     qa_question_counts,
+    read_qa_tree,
     write_records,
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError
-from .evaluation import build_report, markers_match, render_table
+from .evaluation import build_report, check_threshold, markers_match, render_table
 from .model import Diagnostic, ParallelExample
 from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers
 
@@ -210,8 +211,8 @@ def cmd_prep(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_qa(args: argparse.Namespace) -> int:
-    src_tree = json.loads(Path(args.src_json).read_text(encoding="utf-8"))
-    tgt_tree = json.loads(Path(args.tgt_json).read_text(encoding="utf-8"))
+    src_tree = read_qa_tree(DatasetHandle(DatasetFormat.QA_JSON, path=Path(args.src_json)))
+    tgt_tree = read_qa_tree(DatasetHandle(DatasetFormat.QA_JSON, path=Path(args.tgt_json)))
     src_docs, src_diags = ingest_qa(src_tree, args.src_lang)
     tgt_docs, tgt_diags = ingest_qa(tgt_tree, args.tgt_lang)
     src_questions = qa_question_counts(src_tree)
@@ -294,7 +295,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    # Both inputs are loaded and the report is built before the first file is written.
+    # The report flags are checked before any input is read, and both inputs
+    # are loaded and the report is built before the first file is written.
+    if args.report_out and not args.reference:
+        raise LabelProjError("--report-out needs --reference: project reports only against a reference")
+    check_threshold(args.threshold)
     docs, load_diags = load(
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
     )
@@ -379,7 +384,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             lang = item.lang
         else:
             sig = signature(item, _scheme(args))
-            opens = [(name, n) for (name, kind), n in sig.counts.items() if kind == "open"]
+            opens = [(name, n) for (name, kind), n in sig.items() if kind == "open"]
             tags = sum(n for _, n in opens)
             unique = len(opens)
             lang = item.lang

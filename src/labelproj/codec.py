@@ -18,10 +18,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Literal, Sequence
+from typing import TYPE_CHECKING, Literal, Sequence
 
 from .errors import InvalidAnnotationError
 from .model import (
+    MARKER_RE,
     SEVERITY_INFO,
     SEVERITY_WARNING,
     AnnotatedText,
@@ -29,7 +30,6 @@ from .model import (
     Span,
     TaggedText,
     has_errors,
-    marker_pattern,
     validate,
 )
 
@@ -38,13 +38,11 @@ if TYPE_CHECKING:  # backends imports this module
 
 MarkerKind = Literal["open", "close"]
 
-# One scanner per case setting: the marker grammar, else any other
-# angle-bracketed substring (e.g. "<1>"), reported as a literal lookalike.
-# Both alternatives end at the first ">", so a grammar match spans exactly
-# the lookalike it would otherwise be.
-_SCANNERS = {
-    upper: re.compile(marker_pattern(upper).pattern + r"|</?[^<>]*>") for upper in (False, True)
-}
+# The marker grammar, else any other angle-bracketed substring (e.g. "<1>"
+# or "<PER>"), reported as a literal lookalike. Both alternatives end at the
+# first ">", so a grammar match spans exactly the lookalike it would
+# otherwise be.
+_SCANNER = re.compile(MARKER_RE.pattern + r"|</?[^<>]*>")
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
@@ -70,8 +68,7 @@ def tag_name(index: int) -> str:
 
 
 def _tag_sort_key(tag: str) -> tuple[int, str]:
-    # Orders names by their position in the a, b, ..., z, aa, ... sequence
-    # without requiring them to be lowercase.
+    # Orders names by their position in the a, b, ..., z, aa, ... sequence.
     return (len(tag), tag)
 
 
@@ -85,42 +82,8 @@ class MarkerToken:
     end: int
 
 
-class MarkerSignature:
-    """Multiset of (tag name, open/close) markers found in a tagged string.
-
-    Square-bracket markers count under the anonymous name ``""``.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, markers: Iterable[tuple[str, MarkerKind]] = ()):
-        self._counts = Counter(markers)
-
-    @property
-    def counts(self) -> dict[tuple[str, MarkerKind], int]:
-        return dict(self._counts)
-
-    def count(self, name: str, kind: MarkerKind) -> int:
-        return self._counts[(name, kind)]
-
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MarkerSignature):
-            return NotImplemented
-        return self._counts == other._counts
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._counts.items()))
-
-    def __repr__(self) -> str:
-        items = sorted(self._counts.items())
-        return f"MarkerSignature({items!r})"
-
-
 def scan_markers(
-    tagged: str, scheme: MarkerScheme = MarkerScheme.XML, allow_uppercase: bool = False
+    tagged: str, scheme: MarkerScheme = MarkerScheme.XML
 ) -> tuple[list[MarkerToken], list[Diagnostic]]:
     """Find all recognized markers left to right.
 
@@ -134,7 +97,7 @@ def scan_markers(
 
     tokens: list[MarkerToken] = []
     diagnostics: list[Diagnostic] = []
-    for match in _SCANNERS[allow_uppercase].finditer(tagged):
+    for match in _SCANNER.finditer(tagged):
         slash, name = match.group(1, 2)
         if name is None:
             diagnostics.append(
@@ -183,9 +146,7 @@ def _strip(raw: str, tokens: list[MarkerToken]) -> str:
     return "".join(pieces)
 
 
-def encode(
-    doc: AnnotatedText, scheme: MarkerScheme = MarkerScheme.XML, allow_uppercase: bool = False
-) -> TaggedText:
+def encode(doc: AnnotatedText, scheme: MarkerScheme = MarkerScheme.XML) -> TaggedText:
     """Serialize spans into inline markers around the unchanged text.
 
     Every span contributes an open marker at its start offset and a close
@@ -195,7 +156,7 @@ def encode(
     spans close immediately after the opens at that offset. Stripping all
     markers from the output reproduces ``doc.text`` exactly.
     """
-    diagnostics = validate(doc, allow_uppercase)
+    diagnostics = validate(doc)
     if has_errors(diagnostics):
         codes = ", ".join(sorted({d.code for d in diagnostics if d.severity == "error"}))
         raise InvalidAnnotationError(f"document {doc.id!r} fails validation: {codes}")
@@ -233,7 +194,6 @@ def _place_markers(doc: AnnotatedText, scheme: MarkerScheme) -> TaggedText:
 def decode(
     tagged: TaggedText | str,
     scheme: MarkerScheme = MarkerScheme.XML,
-    allow_uppercase: bool = False,
     *,
     doc_id: str = "",
     lang: str = "",
@@ -253,15 +213,15 @@ def decode(
     """
     if not isinstance(tagged, TaggedText):
         tagged = TaggedText(doc_id, lang, tagged)
-    return _decode(tagged, scheme, allow_uppercase)[:2]
+    return _decode(tagged, scheme)[:2]
 
 
 def _decode(
-    tagged: TaggedText, scheme: MarkerScheme, allow_uppercase: bool = False
+    tagged: TaggedText, scheme: MarkerScheme
 ) -> tuple[AnnotatedText, list[Diagnostic], list[MarkerToken]]:
     """:func:`decode`, plus the marker tokens it scanned: what ``signature`` counts."""
     raw = tagged.tagged
-    tokens, diagnostics = scan_markers(raw, scheme, allow_uppercase)
+    tokens, diagnostics = scan_markers(raw, scheme)
     pairs, orphans, unclosed = pair_markers(tokens)
     text = _strip(raw, tokens)
 
@@ -303,24 +263,29 @@ def _decode(
 
 
 def signature(
-    tagged: TaggedText | str, scheme: MarkerScheme = MarkerScheme.XML, allow_uppercase: bool = False
-) -> MarkerSignature:
-    """Count every recognized marker, orphans included."""
+    tagged: TaggedText | str, scheme: MarkerScheme = MarkerScheme.XML
+) -> Counter[tuple[str, MarkerKind]]:
+    """Count every recognized marker, orphans included, keyed by ``(name, "open"|"close")``.
+
+    Square-bracket markers count under the anonymous name ``""``.
+    """
     raw = tagged.tagged if isinstance(tagged, TaggedText) else tagged
-    tokens, _ = scan_markers(raw, scheme, allow_uppercase)
-    return MarkerSignature((t.name, t.kind) for t in tokens)
+    tokens, _ = scan_markers(raw, scheme)
+    return Counter((t.name, t.kind) for t in tokens)
 
 
-def _encoded_signature(doc: AnnotatedText, encoded: TaggedText, scheme: MarkerScheme) -> MarkerSignature:
+def _encoded_signature(
+    doc: AnnotatedText, encoded: TaggedText, scheme: MarkerScheme
+) -> Counter[tuple[str, MarkerKind]]:
     """``signature(encoded, scheme)`` for ``encoded = encode(doc, scheme)``, counted from the spans. An
     inserted marker can split a marker-shaped substring of the text, so such a text's encoding is scanned.
     """
     if scheme is MarkerScheme.BRACKETS:  # the text's own brackets count too
         opens, closes = (len(doc.spans) + doc.text.count(literal) for literal in "[]")
-        return MarkerSignature([("", "open")] * opens + [("", "close")] * closes)
-    if marker_pattern().search(doc.text):
+        return Counter({("", "open"): opens, ("", "close"): closes})
+    if MARKER_RE.search(doc.text):
         return signature(encoded, scheme)
-    return MarkerSignature((span.tag, kind) for span in doc.spans for kind in ("open", "close"))
+    return Counter((span.tag, kind) for span in doc.spans for kind in ("open", "close"))
 
 
 def occurrences(spans: Sequence[Span]) -> dict[str, list[int]]:
@@ -361,7 +326,7 @@ def project(
     results = []
     for doc, encoded, hypothesis in zip(docs, sources, hypotheses):
         projected, diagnostics, tokens = _decode(hypothesis, scheme)
-        matched = _encoded_signature(doc, encoded, scheme) == MarkerSignature((t.name, t.kind) for t in tokens)
+        matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in tokens)
         if scheme is MarkerScheme.XML:
             projected = _with_source_labels(projected, doc)
         results.append((replace(projected, lang=tgt_lang), diagnostics, matched))

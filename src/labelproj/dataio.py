@@ -81,6 +81,14 @@ def _lines(handle: DatasetHandle) -> Iterator[str]:
         raise FormatError(f"{handle.path}: not valid UTF-8: {exc}") from exc
 
 
+def read_qa_tree(handle: DatasetHandle) -> Any:
+    """The JSON value of a QA file; :class:`FormatError` names the file when it is not UTF-8 or not JSON."""
+    try:
+        return json.loads("".join(_lines(handle)))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{handle.path or '<stream>'}: QA JSON does not parse: {exc}") from exc
+
+
 def load(
     handle: DatasetHandle, error_budget: int = 0
 ) -> tuple[list[Any], list[Diagnostic]]:
@@ -94,11 +102,7 @@ def load(
     :class:`FormatError`.
     """
     if handle.format is DatasetFormat.QA_JSON:
-        try:
-            tree = json.loads("".join(_lines(handle)))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"QA JSON does not parse: {exc}") from exc
-        return ingest_qa(tree, handle.lang)
+        return ingest_qa(read_qa_tree(handle), handle.lang)
     if handle.format is DatasetFormat.PLAIN_TEXT:
         lines = enumerate(_lines(handle), start=1)
         return [TaggedText(id=str(i), lang=handle.lang, tagged=line.rstrip("\n")) for i, line in lines], []

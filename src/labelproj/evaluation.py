@@ -94,10 +94,15 @@ def _doc_counts(projected: AnnotatedText, reference: AnnotatedText, threshold: f
     return tp, fp, fn
 
 
-def _prf(pairs: Iterable[tuple[AnnotatedText, AnnotatedText]], threshold: float) -> PRF:
-    """Micro-aggregated counts over aligned (projected, reference) pairs."""
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless ``threshold`` is a similarity in [0, 1]."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
+def _prf(pairs: Iterable[tuple[AnnotatedText, AnnotatedText]], threshold: float) -> PRF:
+    """Micro-aggregated counts over aligned (projected, reference) pairs."""
+    check_threshold(threshold)
     tp = fp = fn = 0
     for projected, reference in pairs:
         dt, dp, dn = _doc_counts(projected, reference, threshold)
@@ -122,24 +127,20 @@ def label_match_f1(
     return _prf(zip(_align(projected, reference), reference), threshold)
 
 
-def markers_match(
-    source: TaggedText, hypothesis: TaggedText, scheme: MarkerScheme = MarkerScheme.XML, allow_uppercase: bool = False
-) -> bool:
+def markers_match(source: TaggedText, hypothesis: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> bool:
     """One pair's match flag: do both sides carry the same marker multiset?"""
     if source.id != hypothesis.id:
         raise AlignmentError(f"pair ids differ: {source.id!r} vs {hypothesis.id!r}")
-    return signature(source, scheme, allow_uppercase) == signature(hypothesis, scheme, allow_uppercase)
+    return signature(source, scheme) == signature(hypothesis, scheme)
 
 
 def projection_rate(
-    pairs: Sequence[tuple[TaggedText, TaggedText]],
-    scheme: MarkerScheme = MarkerScheme.XML,
-    allow_uppercase: bool = False,
+    pairs: Sequence[tuple[TaggedText, TaggedText]], scheme: MarkerScheme = MarkerScheme.XML
 ) -> float:
     """Fraction of pairs whose two sides carry identical marker multisets."""
     if not pairs:
         raise EmptyInputError("projection rate is undefined on an empty pair list")
-    return sum(markers_match(source, hyp, scheme, allow_uppercase) for source, hyp in pairs) / len(pairs)
+    return sum(markers_match(source, hyp, scheme) for source, hyp in pairs) / len(pairs)
 
 
 @dataclass(frozen=True)

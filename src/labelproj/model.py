@@ -16,21 +16,9 @@ SEVERITY_INFO = "info"
 
 # Inline marker grammar, shared with the codec. Bit-exact:
 # open = "<" name ">", close = "</" name ">" with name one or more ASCII
-# lowercase letters (both cases when uppercase tags are enabled).
-_MARKER_RE = re.compile(r"<(/?)([a-z]+)>")
-_MARKER_RE_UPPER = re.compile(r"<(/?)([A-Za-z]+)>")
+# lowercase letters.
+MARKER_RE = re.compile(r"<(/?)([a-z]+)>")
 _TAG_NAME_RE = re.compile(r"[a-z]+")
-_TAG_NAME_RE_UPPER = re.compile(r"[A-Za-z]+")
-
-
-def marker_pattern(allow_uppercase: bool = False) -> re.Pattern[str]:
-    """Compiled scanner matching one inline marker (open or close)."""
-    return _MARKER_RE_UPPER if allow_uppercase else _MARKER_RE
-
-
-def is_valid_tag_name(tag: str, allow_uppercase: bool = False) -> bool:
-    pattern = _TAG_NAME_RE_UPPER if allow_uppercase else _TAG_NAME_RE
-    return pattern.fullmatch(tag) is not None
 
 
 @dataclass(frozen=True)
@@ -121,7 +109,7 @@ def _partially_overlap(a: Span, b: Span) -> bool:
     return not (a_contains_b or b_contains_a)
 
 
-def validate(doc: AnnotatedText, allow_uppercase: bool = False) -> list[Diagnostic]:
+def validate(doc: AnnotatedText) -> list[Diagnostic]:
     """Check an AnnotatedText against its invariants.
 
     Returns one record per violation; an empty list means the document is
@@ -146,7 +134,7 @@ def validate(doc: AnnotatedText, allow_uppercase: bool = False) -> list[Diagnost
             diagnostics.append(
                 Diagnostic(SEVERITY_ERROR, "EMPTY_TAG", f"span {span.start}:{span.end} has an empty tag")
             )
-        elif not is_valid_tag_name(span.tag, allow_uppercase):
+        elif not _TAG_NAME_RE.fullmatch(span.tag):
             diagnostics.append(
                 Diagnostic(
                     SEVERITY_ERROR,
@@ -182,7 +170,7 @@ def validate(doc: AnnotatedText, allow_uppercase: bool = False) -> list[Diagnost
                         )
                     )
 
-    for match in marker_pattern(allow_uppercase).finditer(doc.text):
+    for match in MARKER_RE.finditer(doc.text):
         diagnostics.append(
             Diagnostic(
                 SEVERITY_WARNING,

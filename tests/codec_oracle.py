@@ -14,7 +14,7 @@ import re
 from labelproj import AnnotatedText, MarkerScheme, Span, TaggedText, tag_name
 from labelproj.codec import MarkerToken
 from labelproj.errors import InvalidAnnotationError
-from labelproj.model import SEVERITY_INFO, SEVERITY_WARNING, Diagnostic, has_errors, marker_pattern, validate
+from labelproj.model import MARKER_RE, SEVERITY_INFO, SEVERITY_WARNING, Diagnostic, has_errors, validate
 
 _LOOKALIKE_RE = re.compile(r"</?[^<>]*>")
 
@@ -23,7 +23,7 @@ def _tag_sort_key(tag: str) -> tuple[int, str]:
     return (len(tag), tag)
 
 
-def oracle_scan_markers(tagged, scheme=MarkerScheme.XML, allow_uppercase=False):
+def oracle_scan_markers(tagged, scheme=MarkerScheme.XML):
     tokens, diagnostics = [], []
     if scheme is MarkerScheme.BRACKETS:
         for i, ch in enumerate(tagged):
@@ -33,10 +33,9 @@ def oracle_scan_markers(tagged, scheme=MarkerScheme.XML, allow_uppercase=False):
                 tokens.append(MarkerToken("", "close", i, i + 1))
         return tokens, diagnostics
 
-    grammar = marker_pattern(allow_uppercase)
     for match in _LOOKALIKE_RE.finditer(tagged):
         token = match.group(0)
-        exact = grammar.fullmatch(token)
+        exact = MARKER_RE.fullmatch(token)
         if exact is None:
             diagnostics.append(
                 Diagnostic(
@@ -52,10 +51,10 @@ def oracle_scan_markers(tagged, scheme=MarkerScheme.XML, allow_uppercase=False):
     return tokens, diagnostics
 
 
-def strip_markers(tagged, scheme=MarkerScheme.XML, allow_uppercase=False) -> str:
+def strip_markers(tagged, scheme=MarkerScheme.XML) -> str:
     """Remove every recognized marker, keeping everything else verbatim."""
     raw = tagged.tagged if isinstance(tagged, TaggedText) else tagged
-    tokens, _ = oracle_scan_markers(raw, scheme, allow_uppercase)
+    tokens, _ = oracle_scan_markers(raw, scheme)
     pieces, cursor = [], 0
     for token in tokens:
         pieces.append(raw[cursor : token.start])
@@ -63,8 +62,8 @@ def strip_markers(tagged, scheme=MarkerScheme.XML, allow_uppercase=False) -> str
     return "".join(pieces) + raw[cursor:]
 
 
-def oracle_encode(doc: AnnotatedText, scheme=MarkerScheme.XML, allow_uppercase=False) -> TaggedText:
-    diagnostics = validate(doc, allow_uppercase)
+def oracle_encode(doc: AnnotatedText, scheme=MarkerScheme.XML) -> TaggedText:
+    diagnostics = validate(doc)
     if has_errors(diagnostics):
         codes = ", ".join(sorted({d.code for d in diagnostics if d.severity == "error"}))
         raise InvalidAnnotationError(f"document {doc.id!r} fails validation: {codes}")
@@ -109,13 +108,13 @@ def oracle_encode(doc: AnnotatedText, scheme=MarkerScheme.XML, allow_uppercase=F
     return TaggedText(id=doc.id, lang=doc.lang, tagged="".join(pieces))
 
 
-def oracle_decode(tagged, scheme=MarkerScheme.XML, allow_uppercase=False, *, doc_id="", lang=""):
+def oracle_decode(tagged, scheme=MarkerScheme.XML, *, doc_id="", lang=""):
     if isinstance(tagged, TaggedText):
         raw, doc_id, lang = tagged.tagged, tagged.id, tagged.lang
     else:
         raw = tagged
 
-    tokens, diagnostics = oracle_scan_markers(raw, scheme, allow_uppercase)
+    tokens, diagnostics = oracle_scan_markers(raw, scheme)
     out = []
     out_len = 0
     cursor = 0

@@ -206,21 +206,39 @@ def test_translate_drop_backend_strips_every_bracket(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["duplicate-ids", "bad-threshold", "missing-reference", "duplicate-ids-without-reference"]
+    "case",
+    [
+        "duplicate-ids",
+        "bad-threshold",
+        "missing-reference",
+        "duplicate-ids-without-reference",
+        "report-out-without-reference",
+    ],
 )
-def test_project_failure_writes_nothing(tmp_path, capsys, case):
+def test_project_failure_writes_nothing(tmp_path, capsys, monkeypatch, case):
+    batches = []
+    original = IdentityBackend.translate_batch
+    monkeypatch.setattr(
+        IdentityBackend, "translate_batch", lambda self, *args: batches.append(args) or original(self, *args)
+    )
     annotated = tmp_path / "in.jsonl"
     write_annotated(annotated, DOCS + [DOCS[0]] if case.startswith("duplicate-ids") else DOCS)
     reference = tmp_path / "absent.jsonl" if case == "missing-reference" else annotated
-    out = tmp_path / "out.jsonl"
-    reference_args = [] if case == "duplicate-ids-without-reference" else ["--reference", str(reference)]
+    out, report = tmp_path / "out.jsonl", tmp_path / "report.json"
+    reference_args = [] if case.endswith("without-reference") else ["--reference", str(reference)]
+    threshold = {"bad-threshold": "2", "report-out-without-reference": "7"}.get(case, "0.5")
+    report_args = ["--report", "json", "--report-out", str(report)] if case == "report-out-without-reference" else []
     assert main([
         "project", "-i", str(annotated), "-o", str(out), *reference_args,
-        "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de",
-        "--threshold", "2" if case == "bad-threshold" else "0.5",
+        "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de", "--threshold", threshold, *report_args,
     ]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if case == "report-out-without-reference":
+        assert "--report-out needs --reference" in err
+    assert batches == []
     assert not out.exists()
+    assert not report.exists()
     assert not (tmp_path / "out.jsonl.diagnostics.jsonl").exists()
 
 
@@ -511,6 +529,23 @@ def test_filter_qa_malformed_tree_exits_1(tmp_path, capsys, tree):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("damage", ["bad-byte", "truncated"])
+def test_filter_qa_unreadable_tree_names_its_file(tmp_path, capsys, damage):
+    good = json.dumps({"data": [{"paragraphs": [{"context": "ab", "qas": []}]}]}).encode()
+    src, tgt = tmp_path / "src.json", tmp_path / "tgt.json"
+    src.write_bytes(good)
+    tgt.write_bytes(good.replace(b"ab", b"a\xffb") if damage == "bad-byte" else good[: len(good) // 2])
+    code = main([
+        "filter-qa", "--src-json", str(src), "--tgt-json", str(tgt),
+        "--src-lang", "en", "--tgt-lang", "de", "--out-dir", str(tmp_path / "qa"), "--no-score-filter",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tgt}: ")
+    assert ("not valid UTF-8" if damage == "bad-byte" else "QA JSON does not parse") in err
+    assert not (tmp_path / "qa").exists()
+
+
 def test_filter_qa_command(tmp_path):
     def tree(lang_suffix, extra_answer=False):
         answers = [{"text": f"alpha{lang_suffix}", "answer_start": 0}]
@@ -595,3 +630,22 @@ def test_stats_command(tmp_path, capsys):
         "avg_tags": round(4 / 3, 4),
         "max_unique_tags": 2,
     }]
+
+
+def test_stats_tagged_counts_markers_in_both_schemes(tmp_path, capsys):
+    annotated = tmp_path / "in.jsonl"
+    write_annotated(annotated, DOCS)
+    rows = {}
+    for scheme in ("xml", "brackets"):
+        tagged = tmp_path / f"{scheme}.jsonl"
+        assert main(["encode", "-i", str(annotated), "-o", str(tagged), "--scheme", scheme]) == 0
+        capsys.readouterr()
+        argv = ["stats", "-i", str(tagged), "--format", "tagged", "--scheme", scheme, "--report", "json"]
+        assert main(argv) == 0
+        [rows[scheme]] = json.loads(capsys.readouterr().out)
+    annotated_row = {
+        "language": "en", "examples": 3, "total_tags": 4, "min_tags": 0, "max_tags": 2,
+        "avg_tags": round(4 / 3, 4), "max_unique_tags": 2,
+    }
+    # Bracket markers are anonymous: every span opens under the one name "".
+    assert rows == {"xml": annotated_row, "brackets": {**annotated_row, "max_unique_tags": 1}}

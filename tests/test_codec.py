@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 from labelproj import (
     InvalidAnnotationError,
     MarkerScheme,
-    MarkerSignature,
     Span,
     TaggedText,
     decode,
@@ -117,9 +116,11 @@ def test_encode_deterministic():
     assert encode(doc, XML) == encode(doc, XML)
 
 
-def test_encode_uppercase_semantic_tags():
+def test_encode_rejects_uppercase_tags():
     doc = make_doc("Paris", [Span("PER", 0, 5)])
-    assert encode(doc, XML, allow_uppercase=True).tagged == "<PER>Paris</PER>"
+    for scheme in (XML, BRACKETS):
+        with pytest.raises(InvalidAnnotationError, match="BAD_TAG_NAME"):
+            encode(doc, scheme)
 
 
 def test_encode_succeeds_on_marker_collision_text():
@@ -170,12 +171,11 @@ def test_decode_marker_lookalike_stays_literal():
     assert [d.code for d in diags] == ["IGNORED_LITERAL"]
 
 
-def test_decode_uppercase_only_with_flag():
-    doc, diags = decode("<PER>Paris</PER>")
-    assert doc.text == "<PER>Paris</PER>"
-    assert [d.code for d in diags] == ["IGNORED_LITERAL", "IGNORED_LITERAL"]
-    doc, diags = decode("<PER>Paris</PER>", allow_uppercase=True)
-    assert (doc.text, doc.spans, diags) == ("Paris", (Span("PER", 0, 5),), [])
+def test_decode_leaves_uppercase_markers_literal():
+    doc, diags = decode("<PER>Paris</PER> <a>x</a>")
+    assert (doc.text, doc.spans) == ("<PER>Paris</PER> x", (Span("a", 17, 18),))
+    assert [(d.code, d.offset) for d in diags] == [("IGNORED_LITERAL", 0), ("IGNORED_LITERAL", 10)]
+    assert signature("<PER>Paris</PER>") == Counter()
 
 
 def test_decode_brackets_names_spans_in_open_order():
@@ -207,23 +207,24 @@ def test_decode_repeated_tag_pairs_innermost_first():
 # ---------------------------------------------------------------- signature
 
 def test_signature_single_pair():
-    assert signature("<a>x</a>") == MarkerSignature([("a", "open"), ("a", "close")])
+    assert signature("<a>x</a>") == Counter([("a", "open"), ("a", "close")])
 
 
 def test_signature_repeated_tag():
     sig = signature("<a>x</a> <a>y</a>")
-    assert sig.count("a", "open") == 2
-    assert sig.count("a", "close") == 2
+    assert isinstance(sig, Counter)
+    assert sig[("a", "open")] == 2
+    assert sig[("a", "close")] == 2
     assert sig.total() == 4
 
 
 def test_signature_brackets():
     sig = signature("x [y] z", BRACKETS)
-    assert sig == MarkerSignature([("", "open"), ("", "close")])
+    assert sig == Counter([("", "open"), ("", "close")])
 
 
 def test_signature_counts_orphans_and_ignores_text():
-    assert signature("</b> text <a>") == MarkerSignature([("b", "close"), ("a", "open")])
+    assert signature("</b> text <a>") == Counter([("b", "close"), ("a", "open")])
     assert signature("<a>x</a>") == signature("<a>completely different</a>")
 
 
@@ -285,8 +286,8 @@ def test_strip_consistency(doc):
 @given(valid_docs())
 def test_signature_has_one_open_and_close_per_span(doc):
     sig = signature(encode(doc, XML), XML)
-    opens = sum(n for (name, kind), n in sig.counts.items() if kind == "open")
-    closes = sum(n for (name, kind), n in sig.counts.items() if kind == "close")
+    opens = sum(n for (name, kind), n in sig.items() if kind == "open")
+    closes = sum(n for (name, kind), n in sig.items() if kind == "close")
     assert opens == len(doc.spans)
     assert closes == len(doc.spans)
 
@@ -320,8 +321,8 @@ def test_encode_matches_oracle_on_criterion_1_documents():
             assert encode(doc, scheme) == oracle_encode(doc, scheme)
 
 
-# Fragments that break, duplicate or imitate markers in either scheme and
-# either case setting.
+# Fragments that break, duplicate or imitate markers in either scheme,
+# uppercase lookalikes included.
 NOISE = [
     "<", ">", "/", "[", "]", "a", "A", " ", "<1>", "< a>", "<>", "</>", "</a", "<a b>",
     "<b>", "</b>", "<aa>", "</z>", "<A>", "</B>", "<PER>", "</PER>", "<<a>>",
@@ -354,22 +355,19 @@ def _mutated_strings():
 def test_decode_matches_oracle_on_mutated_strings():
     codes: Counter = Counter()
     for doc, scheme, raw in _mutated_strings():
-        for upper in (False, True):
-            got = decode(raw, scheme, upper, doc_id=doc.id, lang=doc.lang)
-            assert got == oracle_decode(raw, scheme, upper, doc_id=doc.id, lang=doc.lang)
-            codes.update((scheme, upper, d.code) for d in got[1])
-    for upper in (False, True):
-        for code in ("IGNORED_LITERAL", "ORPHAN_CLOSE", "UNCLOSED_OPEN"):
-            assert codes[(XML, upper, code)] > 0
-        for code in ("ORPHAN_CLOSE", "UNCLOSED_OPEN"):
-            assert codes[(BRACKETS, upper, code)] > 0
+        got = decode(raw, scheme, doc_id=doc.id, lang=doc.lang)
+        assert got == oracle_decode(raw, scheme, doc_id=doc.id, lang=doc.lang)
+        codes.update((scheme, d.code) for d in got[1])
+    for code in ("IGNORED_LITERAL", "ORPHAN_CLOSE", "UNCLOSED_OPEN"):
+        assert codes[(XML, code)] > 0
+    for code in ("ORPHAN_CLOSE", "UNCLOSED_OPEN"):
+        assert codes[(BRACKETS, code)] > 0
 
 
 def test_decode_tokens_are_the_signature_on_mutated_strings():
     for _, scheme, raw in _mutated_strings():
-        for upper in (False, True):
-            _, _, tokens = _decode(TaggedText("d", "en", raw), scheme, upper)
-            assert MarkerSignature((t.name, t.kind) for t in tokens) == signature(raw, scheme, upper)
+        _, _, tokens = _decode(TaggedText("d", "en", raw), scheme)
+        assert Counter((t.name, t.kind) for t in tokens) == signature(raw, scheme)
 
 
 # Marker-shaped and bracket substrings for document texts: an inserted marker

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -410,6 +411,14 @@ def test_ingest_requires_data_key():
 def test_ingest_rejects_non_json_typed_values(paragraph):
     with pytest.raises(FormatError):
         ingest_qa(qa_tree([paragraph]), "en")
+
+
+@pytest.mark.parametrize("content", [b'{"data": [', b'{"data": ["\xff"]}'], ids=["truncated", "bad-byte"])
+def test_load_qa_json_error_names_the_file(tmp_path, content):
+    path = tmp_path / "qa.json"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+        load(handle(DatasetFormat.QA_JSON, path=path))
 
 
 def test_load_qa_json_handle():

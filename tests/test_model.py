@@ -45,10 +45,9 @@ def test_empty_and_malformed_tags():
     assert codes(diags) == ["EMPTY_TAG", "BAD_TAG_NAME"]
 
 
-def test_uppercase_tags_need_the_flag():
-    doc = make_doc("abcd", [Span("PER", 0, 2)])
-    assert codes(validate(doc)) == ["BAD_TAG_NAME"]
-    assert validate(doc, allow_uppercase=True) == []
+def test_uppercase_tags_are_rejected():
+    doc = make_doc("abcd", [Span("PER", 0, 2), Span("Ab", 2, 4)])
+    assert codes(validate(doc)) == ["BAD_TAG_NAME", "BAD_TAG_NAME"]
 
 
 def test_marker_collision_is_a_warning_not_an_error():
