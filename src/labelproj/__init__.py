@@ -46,7 +46,7 @@ from .errors import (
     ScorerUnavailableError,
 )
 from .evaluation import PRF, EvalReport, build_report, label_match_f1, projection_rate
-from .model import AnnotatedText, Diagnostic, ParallelExample, Span, TaggedText, validate
+from .model import AnnotatedText, Diagnostic, Span, TaggedText, validate
 from .similarity import gestalt_ratio
 from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers, tokenize_boundaries
 
@@ -76,7 +76,6 @@ __all__ = [
     "MarkerScheme",
     "NoTokensError",
     "PRF",
-    "ParallelExample",
     "PreparedCorpus",
     "QaParallelPair",
     "RawMarkupPair",

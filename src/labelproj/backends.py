@@ -189,7 +189,7 @@ class _HttpJsonClient:
                 raise BackendError(status, data.decode("utf-8", "replace")[:200])
             try:
                 body = json.loads(data)
-            except ValueError as exc:
+            except (RecursionError, ValueError) as exc:  # RecursionError: nested too deeply to decode
                 raise BackendError(status, f"unparseable body: {exc}")
             if not isinstance(body, dict):
                 raise BackendError(status, f"body is a JSON {type(body).__name__}, not an object")

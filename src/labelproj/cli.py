@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -41,7 +42,7 @@ from .dataio import (
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError
 from .evaluation import build_report, check_threshold, markers_match, render_table
-from .model import Diagnostic, ParallelExample
+from .model import Diagnostic
 from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
@@ -102,7 +103,7 @@ def _diag_record(diag: Diagnostic, doc_id: str | None = None) -> dict:
     return record
 
 
-def _emit_report(report, fmt: str, out_path: str | None) -> None:
+def _emit_report(report, fmt: str | None, out_path: str | None) -> None:
     if fmt == "csv":
         text = report.to_csv()
     elif fmt == "json":
@@ -125,6 +126,23 @@ def _diagnostics_path(args: argparse.Namespace) -> Path:
     return Path(str(args.output) + ".diagnostics.jsonl")
 
 
+def _check_distinct_outputs(args: argparse.Namespace) -> None:
+    """Raise unless -o, the diagnostics sidecar and project's --report-out name different files."""
+    seen: dict[Path, str] = {}
+    report_out = getattr(args, "report_out", None)
+    for flag, path in (("-o", args.output), ("--diagnostics", _diagnostics_path(args)), ("--report-out", report_out)):
+        if path:
+            resolved = Path(path).resolve()
+            if resolved in seen:
+                raise LabelProjError(f"{seen[resolved]} and {flag} name the same file {path}")
+            seen[resolved] = flag
+
+
+def _report_options(args: argparse.Namespace) -> dict:
+    """The --dataset and --threshold values given; ``build_report`` supplies the defaults."""
+    return {key: getattr(args, key) for key in ("dataset", "threshold") if getattr(args, key) is not None}
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
     docs, diagnostics = load(
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
@@ -138,6 +156,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    _check_distinct_outputs(args)
     texts, load_diags = load(
         DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.input)), args.error_budget
     )
@@ -154,7 +173,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    lines, _ = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input), lang=args.src_lang))
+    lines, _ = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
     base = MarkerConfig(
         mode=InsertionMode(args.mode),
         p_open=args.p_open,
@@ -174,6 +193,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_tagswap(args: argparse.Namespace) -> int:
+    _check_distinct_outputs(args)
     pairs, read_diags = load(
         DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=Path(args.input)), args.error_budget
     )
@@ -211,8 +231,8 @@ def cmd_prep(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_qa(args: argparse.Namespace) -> int:
-    src_tree = read_qa_tree(DatasetHandle(DatasetFormat.QA_JSON, path=Path(args.src_json)))
-    tgt_tree = read_qa_tree(DatasetHandle(DatasetFormat.QA_JSON, path=Path(args.tgt_json)))
+    src_tree = read_qa_tree(Path(args.src_json))
+    tgt_tree = read_qa_tree(Path(args.tgt_json))
     src_docs, src_diags = ingest_qa(src_tree, args.src_lang)
     tgt_docs, tgt_diags = ingest_qa(tgt_tree, args.tgt_lang)
     src_questions = qa_question_counts(src_tree)
@@ -230,10 +250,7 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
                 )
             )
             continue
-        example = ParallelExample(src_doc.id, src_doc, tgt_doc, args.src_lang, args.tgt_lang)
-        pairs.append(
-            QaParallelPair(example, src_questions[src_doc.id], tgt_questions[tgt_doc.id])
-        )
+        pairs.append(QaParallelPair(src_doc, tgt_doc, src_questions[src_doc.id], tgt_questions[tgt_doc.id]))
     for doc_id in tgt_by_id:
         diag_records.append(
             _diag_record(Diagnostic("warning", "UNALIGNED_CONTEXT", "no source-side context"), doc_id)
@@ -247,12 +264,9 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     src_handle = DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out_dir / "kept.src.jsonl")
     tgt_handle = DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out_dir / "kept.tgt.jsonl")
-    dump([pair.example.src for pair in kept], src_handle)
-    dump([pair.example.tgt for pair in kept], tgt_handle)
-    write_records(
-        out_dir / "dropped.jsonl",
-        [{"id": pair.example.id, "reason": reason} for pair, reason in dropped],
-    )
+    dump([pair.src for pair in kept], src_handle)
+    dump([pair.tgt for pair in kept], tgt_handle)
+    write_records(out_dir / "dropped.jsonl", [{"id": pair.id, "reason": reason} for pair, reason in dropped])
     write_records(out_dir / "diagnostics.jsonl", diag_records)
     print(f"kept {len(kept)} / dropped {len(dropped)} context pairs -> {out_dir}", file=sys.stderr)
     return 0
@@ -289,17 +303,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     elif args.source_tagged or args.hypothesis_tagged:
         raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
 
-    report = build_report(projected, reference, marker_matches, dataset=args.dataset, threshold=args.threshold)
+    report = build_report(projected, reference, marker_matches, **_report_options(args))
     _emit_report(report, args.report, args.report_out)
     return 0
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    # The report flags are checked before any input is read, and both inputs
-    # are loaded and the report is built before the first file is written.
-    if args.report_out and not args.reference:
-        raise LabelProjError("--report-out needs --reference: project reports only against a reference")
-    check_threshold(args.threshold)
+    # The flags are checked before any input is read, and both inputs are
+    # loaded and the report is built before the first file is written.
+    if not args.reference:
+        for flag in ("report_out", "report", "threshold", "dataset"):
+            if getattr(args, flag) is not None:
+                raise LabelProjError(
+                    f"--{flag.replace('_', '-')} needs --reference: project reports only against a reference"
+                )
+    if args.threshold is not None:
+        check_threshold(args.threshold)
+    _check_distinct_outputs(args)
     docs, load_diags = load(
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
     )
@@ -316,7 +336,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     report = None
     if reference is not None:
         flags = {doc.id: flag for doc, _, flag in results}
-        report = build_report(projected, reference, flags, dataset=args.dataset, threshold=args.threshold)
+        report = build_report(projected, reference, flags, **_report_options(args))
 
     summary = dump(projected, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.output)))
     diag_records = [_diag_record(d) for d in load_diags]
@@ -329,6 +349,8 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise LabelProjError("grid bounds and step must be finite numbers")
     if step <= 0:
         raise LabelProjError("grid step must be positive")
     values = []
@@ -340,7 +362,9 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    lines, _ = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input), lang=args.src_lang))
+    p_opens = _grid(args.p_open_min, args.p_open_max, args.p_open_step)
+    p_closes = _grid(args.p_close_min, args.p_close_max, args.p_close_step)
+    lines, _ = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
     sentences = [line for line in lines if line.tagged.strip()]
     out_dir = Path(args.out_dir)
     scheme = _scheme(args)
@@ -350,8 +374,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "source": str(args.input),
         "cells": [],
     }
-    for p_open in _grid(args.p_open_min, args.p_open_max, args.p_open_step):
-        for p_close in _grid(args.p_close_min, args.p_close_max, args.p_close_step):
+    for p_open in p_opens:
+        for p_close in p_closes:
             cell_seed = derive_seed(args.seed, f"{p_open}:{p_close}")
             tagged = []
             for line in sentences:
@@ -445,10 +469,11 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_report(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--report", choices=["csv", "json", "table"], default="table")
+    # Defaults are resolved where the report is built, so project can tell a given flag from a default.
+    parser.add_argument("--report", choices=["csv", "json", "table"], default=None, help="default table")
     parser.add_argument("--report-out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--threshold", type=float, default=0.5)
-    parser.add_argument("--dataset", default="dataset", help="dataset name for report rows")
+    parser.add_argument("--threshold", type=float, default=None, help="default 0.5")
+    parser.add_argument("--dataset", default=None, help="dataset name for report rows (default dataset)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -191,13 +191,7 @@ def _place_markers(doc: AnnotatedText, scheme: MarkerScheme) -> TaggedText:
     return TaggedText(id=doc.id, lang=doc.lang, tagged="".join(pieces))
 
 
-def decode(
-    tagged: TaggedText | str,
-    scheme: MarkerScheme = MarkerScheme.XML,
-    *,
-    doc_id: str = "",
-    lang: str = "",
-) -> tuple[AnnotatedText, list[Diagnostic]]:
+def decode(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> tuple[AnnotatedText, list[Diagnostic]]:
     """Recover spans from a tagged string; total over all inputs.
 
     Recognized markers are stripped from the text; recovered offsets index
@@ -211,8 +205,6 @@ def decode(
 
     Output spans are sorted by (start, longest first, tag sequence order).
     """
-    if not isinstance(tagged, TaggedText):
-        tagged = TaggedText(doc_id, lang, tagged)
     return _decode(tagged, scheme)[:2]
 
 
@@ -262,15 +254,12 @@ def _decode(
     return AnnotatedText(id=tagged.id, lang=tagged.lang, text=text, spans=tuple(spans)), diagnostics, tokens
 
 
-def signature(
-    tagged: TaggedText | str, scheme: MarkerScheme = MarkerScheme.XML
-) -> Counter[tuple[str, MarkerKind]]:
+def signature(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> Counter[tuple[str, MarkerKind]]:
     """Count every recognized marker, orphans included, keyed by ``(name, "open"|"close")``.
 
     Square-bracket markers count under the anonymous name ``""``.
     """
-    raw = tagged.tagged if isinstance(tagged, TaggedText) else tagged
-    tokens, _ = scan_markers(raw, scheme)
+    tokens, _ = scan_markers(tagged.tagged, scheme)
     return Counter((t.name, t.kind) for t in tokens)
 
 

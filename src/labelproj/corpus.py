@@ -17,13 +17,7 @@ from typing import Sequence
 
 from .codec import tag_name
 from .errors import BackendError, BackendUnreachableError, ScorerUnavailableError
-from .model import (
-    SEVERITY_WARNING,
-    AnnotatedText,
-    Diagnostic,
-    ParallelExample,
-    TaggedText,
-)
+from .model import SEVERITY_WARNING, AnnotatedText, Diagnostic, TaggedText
 
 # Markup as found in the wild: optional attributes, optional self-closing
 # slash. Attribute values containing angle brackets are not supported.
@@ -232,15 +226,22 @@ def prepare_training_corpus(
 
 @dataclass(frozen=True)
 class QaParallelPair:
-    """A parallel QA context pair plus its per-side question counts."""
+    """A parallel QA context pair sharing one id, plus its per-side question counts."""
 
-    example: ParallelExample
+    src: AnnotatedText
+    tgt: AnnotatedText
     src_questions: int
     tgt_questions: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.example.src, AnnotatedText) or not isinstance(self.example.tgt, AnnotatedText):
-            raise ValueError("QA filtering needs span-annotated sides")
+        if self.src.id != self.tgt.id:
+            raise ValueError(f"sides of {self.id!r} carry different ids")
+        if self.src.lang == self.tgt.lang:
+            raise ValueError(f"{self.id!r}: source and target language are equal")
+
+    @property
+    def id(self) -> str:
+        return self.src.id
 
 
 def filter_parallel_qa(
@@ -256,19 +257,21 @@ def filter_parallel_qa(
     (LOW_SCORE). Dropped pairs come back with their reason; text is never
     mutated. Scoring failures abort with no partial output.
     """
+    if min_score is not None and not math.isfinite(min_score):
+        raise ValueError(f"min_score must be a finite number, got {min_score}")
     kept: list[QaParallelPair] = []
     dropped: list[tuple[QaParallelPair, str]] = []
     diagnostics: list[Diagnostic] = []
     survivors: list[QaParallelPair] = []
     for pair in pairs:
-        src, tgt = pair.example.src, pair.example.tgt
+        src, tgt = pair.src, pair.tgt
         if pair.src_questions != pair.tgt_questions or len(src.spans) != len(tgt.spans):
             dropped.append((pair, "COUNT_MISMATCH"))
             diagnostics.append(
                 Diagnostic(
                     SEVERITY_WARNING,
                     "COUNT_MISMATCH",
-                    f"pair {pair.example.id!r}: {pair.src_questions}/{len(src.spans)} questions/spans"
+                    f"pair {pair.id!r}: {pair.src_questions}/{len(src.spans)} questions/spans"
                     f" vs {pair.tgt_questions}/{len(tgt.spans)}",
                 )
             )
@@ -283,9 +286,7 @@ def filter_parallel_qa(
         raise ScorerUnavailableError("score filtering enabled but no scorer configured")
     if survivors:
         try:
-            scores = scorer.score_batch(
-                [(p.example.src.text, p.example.tgt.text, None) for p in survivors]
-            )
+            scores = scorer.score_batch([(p.src.text, p.tgt.text, None) for p in survivors])
         except (BackendUnreachableError, BackendError) as exc:
             raise ScorerUnavailableError(f"scorer failed: {exc}") from exc
         for pair, score in zip(survivors, scores):
@@ -295,7 +296,7 @@ def filter_parallel_qa(
                     Diagnostic(
                         SEVERITY_WARNING,
                         "LOW_SCORE",
-                        f"pair {pair.example.id!r}: score {score} below {min_score}",
+                        f"pair {pair.id!r}: score {score} below {min_score}",
                     )
                 )
             else:

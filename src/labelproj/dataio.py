@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .codec import tag_name
 from .corpus import DirectedExample, RawMarkupPair
@@ -45,48 +45,36 @@ class DatasetFormat(str, Enum):
     TAGGED_JSONL = "tagged"
     PARALLEL_JSONL = "parallel"
     RAW_MARKUP_JSONL = "raw"
-    QA_JSON = "qa"
     PLAIN_TEXT = "text"
 
 
 @dataclass(frozen=True)
 class DatasetHandle:
     format: DatasetFormat
-    path: Path | None = None
-    stream: TextIO | None = None
-    lang: str = ""
-
-    def __post_init__(self) -> None:
-        if (self.path is None) == (self.stream is None):
-            raise ValueError("exactly one of path or stream must be given")
-        if self.path is not None and not isinstance(self.path, Path):
-            object.__setattr__(self, "path", Path(self.path))
+    path: Path
 
 
 @dataclass(frozen=True)
 class DumpSummary:
     count: int
-    path: str | None
+    path: str
 
 
-def _lines(handle: DatasetHandle) -> Iterator[str]:
-    """Yield the handle's lines one at a time, each keeping its terminator."""
-    if handle.stream is not None:
-        yield from handle.stream
-        return
+def _lines(path: Path) -> Iterator[str]:
+    """Yield the file's lines one at a time, each keeping its terminator."""
     try:
-        with handle.path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8") as fh:
             yield from fh
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{handle.path}: not valid UTF-8: {exc}") from exc
+        raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
-def read_qa_tree(handle: DatasetHandle) -> Any:
+def read_qa_tree(path: Path) -> Any:
     """The JSON value of a QA file; :class:`FormatError` names the file when it is not UTF-8 or not JSON."""
     try:
-        return json.loads("".join(_lines(handle)))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{handle.path or '<stream>'}: QA JSON does not parse: {exc}") from exc
+        return json.loads("".join(_lines(path)))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
+        raise FormatError(f"{path}: QA JSON does not parse: {exc}") from exc
 
 
 def load(
@@ -101,17 +89,15 @@ def load(
     A file whose first record does not match the declared format raises
     :class:`FormatError`.
     """
-    if handle.format is DatasetFormat.QA_JSON:
-        return ingest_qa(read_qa_tree(handle), handle.lang)
     if handle.format is DatasetFormat.PLAIN_TEXT:
-        lines = enumerate(_lines(handle), start=1)
-        return [TaggedText(id=str(i), lang=handle.lang, tagged=line.rstrip("\n")) for i, line in lines], []
+        lines = enumerate(_lines(handle.path), start=1)
+        return [TaggedText(id=str(i), lang="", tagged=line.rstrip("\n")) for i, line in lines], []
 
     items: list[Any] = []
     diagnostics: list[Diagnostic] = []
     errors = 0
     first_checked = False
-    for lineno, line in enumerate(_lines(handle), start=1):
+    for lineno, line in enumerate(_lines(handle.path), start=1):
         if not line.strip():
             continue
         try:
@@ -121,8 +107,8 @@ def load(
             if not first_checked:
                 _check_first_record(handle.format, record)
                 first_checked = True
-            item, record_diags = _parse_record(handle.format, record, handle.lang)
-        except (FormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            item, record_diags = _parse_record(handle.format, record)
+        except (FormatError, json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             if not first_checked:
                 if isinstance(exc, FormatError):
                     raise
@@ -177,9 +163,7 @@ def _record_id(record: Mapping[str, Any]) -> str:
     return str(value)
 
 
-def _parse_record(
-    fmt: DatasetFormat, record: Mapping[str, Any], default_lang: str
-) -> tuple[Any, list[Diagnostic]]:
+def _parse_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> tuple[Any, list[Diagnostic]]:
     if fmt is DatasetFormat.ANNOTATED_JSONL:
         spans = tuple(
             Span(_string(s, "tag"), _integer(s, "start"), _integer(s, "end"), s.get("label"))
@@ -189,7 +173,7 @@ def _parse_record(
             raise FormatError("span 'label' must be a string or null")
         doc = AnnotatedText(
             id=_record_id(record),
-            lang=_string(record, "lang", default_lang),
+            lang=_string(record, "lang", ""),
             text=_string(record, "text"),
             spans=spans,
         )
@@ -197,7 +181,7 @@ def _parse_record(
     if fmt is DatasetFormat.TAGGED_JSONL:
         item = TaggedText(
             id=_record_id(record),
-            lang=_string(record, "lang", default_lang),
+            lang=_string(record, "lang", ""),
             tagged=_string(record, "tagged_text"),
         )
         return item, []
@@ -248,12 +232,10 @@ def _record_line(fmt: DatasetFormat, item: Any) -> str:
         if not isinstance(item, RawMarkupPair):
             raise FormatError(f"expected RawMarkupPair, got {type(item).__name__}")
         record = {key: getattr(item, key) for key in _RAW_FIELDS}
-    elif fmt is DatasetFormat.PLAIN_TEXT:
+    else:  # plain text
         if not isinstance(item, TaggedText):
             raise FormatError(f"expected TaggedText, got {type(item).__name__}")
         return item.tagged
-    else:
-        raise FormatError(f"{fmt.value} datasets are ingest-only")
     return _json_line(record)
 
 
@@ -280,17 +262,8 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
 
 
 def dump(items: Sequence[Any], handle: DatasetHandle) -> DumpSummary:
-    """Serialize items to the handle one line at a time; returns a count summary.
-
-    Content is written atomically when the handle names a path. A stream
-    receives each line as it is encoded, so an item that fails to encode
-    leaves the lines before it in the stream.
-    """
-    lines = (_record_line(handle.format, item) + "\n" for item in items)
-    if handle.stream is not None:
-        handle.stream.writelines(lines)
-        return DumpSummary(count=len(items), path=None)
-    atomic_write_text(handle.path, lines)
+    """Serialize items to the handle's file one line at a time, atomically; returns a count summary."""
+    atomic_write_text(handle.path, (_record_line(handle.format, item) + "\n" for item in items))
     return DumpSummary(count=len(items), path=str(handle.path))
 
 

@@ -79,27 +79,6 @@ class TaggedText:
     tagged: str
 
 
-@dataclass(frozen=True)
-class ParallelExample:
-    """A bilingual pair sharing one id; the evaluation unit."""
-
-    id: str
-    src: AnnotatedText | TaggedText
-    tgt: AnnotatedText | TaggedText
-    src_lang: str = ""
-    tgt_lang: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.src_lang:
-            object.__setattr__(self, "src_lang", self.src.lang)
-        if not self.tgt_lang:
-            object.__setattr__(self, "tgt_lang", self.tgt.lang)
-        if self.src.id != self.id or self.tgt.id != self.id:
-            raise ValueError(f"sides of {self.id!r} carry different ids")
-        if self.src.lang == self.tgt.lang:
-            raise ValueError(f"{self.id!r}: source and target language are equal")
-
-
 def _partially_overlap(a: Span, b: Span) -> bool:
     # Half-open intervals: they intersect but neither contains the other.
     if not (a.start < b.end and b.start < a.end):

@@ -13,17 +13,16 @@ from __future__ import annotations
 import unicodedata
 
 
-def gestalt_ratio(a: str, b: str, *, normalize: bool = True) -> float:
+def gestalt_ratio(a: str, b: str) -> float:
     """Similarity of two strings in [0, 1]; both empty compares as 1.0.
 
     Operates on Unicode scalar values. Inputs are NFC-normalized first so
-    composed and decomposed forms of the same text compare equal; pass
-    ``normalize=False`` to compare raw. No case folding. Note the measure
-    is not symmetric in general: callers fix an argument order.
+    composed and decomposed forms of the same text compare equal. No case
+    folding. Note the measure is not symmetric in general: callers fix an
+    argument order.
     """
-    if normalize:
-        a = unicodedata.normalize("NFC", a)
-        b = unicodedata.normalize("NFC", b)
+    a = unicodedata.normalize("NFC", a)
+    b = unicodedata.normalize("NFC", b)
     if a == b:  # exact: every character matches; also covers two empty strings
         return 1.0
     return 2.0 * _matched_total(a, b) / (len(a) + len(b))

@@ -50,8 +50,6 @@ class MarkerConfig:
     sequential_lengths: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.mode, str) and not isinstance(self.mode, InsertionMode):
-            object.__setattr__(self, "mode", InsertionMode(self.mode))
         if not 0.0 <= self.p_open <= 1.0:
             raise ValueError(f"p_open must be in [0, 1], got {self.p_open}")
         if not 0.0 < self.p_close <= 1.0:
@@ -60,13 +58,9 @@ class MarkerConfig:
 
 @dataclass(frozen=True)
 class TokenBoundaryMap:
-    """Whitespace-delimited tokens and the n+1 boundaries between them."""
+    """Whitespace-delimited tokens; boundary k lies before token k, boundary n after the last."""
 
     tokens: tuple[tuple[int, int], ...]
-
-    @property
-    def boundaries(self) -> range:
-        return range(len(self.tokens) + 1)
 
     def char_start(self, boundary: int) -> int:
         return self.tokens[boundary][0]

@@ -4,7 +4,6 @@ deterministic local backends."""
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import random
@@ -24,7 +23,6 @@ from labelproj import (
     gestalt_ratio,
     insert_markers,
     label_match_f1,
-    load,
     prepare_training_corpus,
     projection_rate,
     tag_name,
@@ -34,6 +32,7 @@ from labelproj import (
 )
 from labelproj.cli import main
 from labelproj.corpus import RawMarkupPair
+from labelproj.dataio import ingest_qa, read_qa_tree
 
 from conftest import canon, make_doc
 from test_similarity import oracle_ratio
@@ -204,7 +203,7 @@ def test_criterion_4_sampler_statistics():
     )
 
 
-def test_criterion_5_corpus_prep_fixture():
+def test_criterion_5_corpus_prep_fixture(tmp_path):
     pairs = []
     for i in range(80):
         pairs.append(
@@ -224,9 +223,9 @@ def test_criterion_5_corpus_prep_fixture():
         assert corpus.provenance.dropped_untagged == 20
         assert len(corpus.train) + len(corpus.dev) == 160
         assert len(corpus.dev) == 8  # ceil(.05 * 80) = 4 ids x 2 directions
-        out = io.StringIO()
-        dump(corpus.train + corpus.dev, DatasetHandle(DatasetFormat.PARALLEL_JSONL, stream=out))
-        runs.append(out.getvalue().encode("utf-8"))
+        out = tmp_path / f"run{len(runs)}.jsonl"
+        dump(corpus.train + corpus.dev, DatasetHandle(DatasetFormat.PARALLEL_JSONL, out))
+        runs.append(out.read_bytes())
     assert runs[0] == runs[1]
 
     swapped, diags = tag_swap(
@@ -313,7 +312,7 @@ def test_criterion_7_qa_ingestion_repair(tmp_path):
     }
     path = tmp_path / "qa.json"
     path.write_text(json.dumps(tree))
-    docs, diags = load(DatasetHandle(DatasetFormat.QA_JSON, path=path, lang="en"))
+    docs, diags = ingest_qa(read_qa_tree(path), "en")
     doc = docs[0]
     assert [s.tag for s in doc.spans] == ["a", "b", "c"]
     assert doc.span_text(doc.spans[0]) == "Eiffel Tower"

@@ -398,6 +398,16 @@ def test_http_non_json_200_is_sent_once():
     assert json.loads(calls[0]) == {"src_lang": "en", "tgt_lang": "de", "texts": ["x"]}
 
 
+def test_http_too_deeply_nested_200_is_backend_error():
+    body = b'{"translations": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+    with raw_server(http_reply("200 OK", body)) as (url, calls):
+        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01, timeout=5)
+        with pytest.raises(BackendError, match="unparseable body") as excinfo:
+            backend.translate_batch([tt("1", "x")], "en", "de")
+    assert excinfo.value.status == 200
+    assert len(calls) == 1
+
+
 def test_http_400_message_carries_the_body():
     with raw_server(http_reply("400 Bad Request", b'{"error": "texts must be a list"}')) as (url, calls):
         backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01, timeout=5)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -21,7 +22,7 @@ from labelproj import (
     model,
     prepare_training_corpus,
 )
-from labelproj.cli import main, make_backend, make_scorer
+from labelproj.cli import build_parser, main, make_backend, make_scorer
 from labelproj.backends import ConstantScorer, IdentityBackend, TagDropperBackend, TagShufflerBackend
 
 from conftest import make_doc
@@ -30,6 +31,10 @@ from test_acceptance import _random_doc
 
 def write_annotated(path, docs):
     dump(docs, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=path))
+
+
+def write_raw(path):
+    dump([RawMarkupPair("p1", "en", "de", "<b>x</b>", "<b>y</b>")], DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path))
 
 
 DOCS = [
@@ -213,6 +218,9 @@ def test_translate_drop_backend_strips_every_bracket(tmp_path):
         "missing-reference",
         "duplicate-ids-without-reference",
         "report-out-without-reference",
+        "report-without-reference",
+        "threshold-without-reference",
+        "dataset-without-reference",
     ],
 )
 def test_project_failure_writes_nothing(tmp_path, capsys, monkeypatch, case):
@@ -226,20 +234,49 @@ def test_project_failure_writes_nothing(tmp_path, capsys, monkeypatch, case):
     reference = tmp_path / "absent.jsonl" if case == "missing-reference" else annotated
     out, report = tmp_path / "out.jsonl", tmp_path / "report.json"
     reference_args = [] if case.endswith("without-reference") else ["--reference", str(reference)]
-    threshold = {"bad-threshold": "2", "report-out-without-reference": "7"}.get(case, "0.5")
-    report_args = ["--report", "json", "--report-out", str(report)] if case == "report-out-without-reference" else []
+    case_args = {
+        "bad-threshold": ["--threshold", "2"],
+        # --report-out is named first, whatever else is given.
+        "report-out-without-reference": ["--report", "json", "--report-out", str(report), "--threshold", "7"],
+        "report-without-reference": ["--report", "json"],
+        "threshold-without-reference": ["--threshold", "0.9"],
+        "dataset-without-reference": ["--dataset", "foo"],
+    }.get(case, [])
     assert main([
         "project", "-i", str(annotated), "-o", str(out), *reference_args,
-        "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de", "--threshold", threshold, *report_args,
+        "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de", *case_args,
     ]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    if case == "report-out-without-reference":
-        assert "--report-out needs --reference" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    if case.endswith("-without-reference") and not case.startswith("duplicate-ids"):
+        flag = case.removesuffix("-without-reference")
+        assert err == f"error: --{flag} needs --reference: project reports only against a reference\n"
     assert batches == []
     assert not out.exists()
     assert not report.exists()
     assert not (tmp_path / "out.jsonl.diagnostics.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, aliased", [
+    ("decode", ["--diagnostics", "{dir}/./out.jsonl"]),
+    ("tagswap", ["--diagnostics", "{dir}/out.jsonl"]),
+    ("project", ["--diagnostics", "{dir}/out.jsonl"]),
+    ("project", ["--reference", "{dir}/in.jsonl", "--report-out", "{dir}/out.jsonl"]),
+    ("project", ["--reference", "{dir}/in.jsonl", "--report-out", "{dir}/out.jsonl.diagnostics.jsonl"]),
+], ids=["decode", "tagswap", "project-diagnostics", "project-report-out", "project-report-out-default-diagnostics"])
+def test_output_paths_naming_one_file_are_rejected(tmp_path, capsys, command, aliased):
+    write_annotated(tmp_path / "in.jsonl", DOCS)
+    dump([codec.encode(doc) for doc in DOCS], DatasetHandle(DatasetFormat.TAGGED_JSONL, tmp_path / "tagged.jsonl"))
+    write_raw(tmp_path / "raw.jsonl")
+    inputs = {"decode": "tagged.jsonl", "tagswap": "raw.jsonl", "project": "in.jsonl"}
+    backend = ["--backend", "identity", "--src-lang", "en", "--tgt-lang", "de"] if command == "project" else []
+    argv = [command, "-i", str(tmp_path / inputs[command]), "-o", str(tmp_path / "out.jsonl"), *backend]
+    before = sorted(tmp_path.iterdir())
+    assert main([*argv, *(arg.format(dir=tmp_path) for arg in aliased)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "name the same file" in err and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+    assert main(argv) == 0  # the same run without the aliased path succeeds
 
 
 def test_project_invalid_utf8_past_the_first_read_writes_nothing(tmp_path, capsys):
@@ -341,6 +378,48 @@ def test_flags_a_command_ignores_are_rejected(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+def _float_flags() -> list[tuple[str, str]]:
+    """(command, flag) for every float-typed flag of every subcommand."""
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, max(action.option_strings, key=len))
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.type is float
+    ]
+
+
+def _valid_run(tmp_path: Path, command: str) -> list[str]:
+    """Arguments for a tiny run of ``command`` that succeeds and writes only under tmp_path / "out"."""
+    annotated, plain, raw, qa = (tmp_path / name for name in ("in.jsonl", "plain.txt", "raw.jsonl", "qa.json"))
+    write_annotated(annotated, DOCS)
+    plain.write_text("John lives in Paris\n")
+    write_raw(raw)
+    qa.write_text(json.dumps({"data": [{"paragraphs": [{"context": "ab", "qas": []}]}]}))
+    out = tmp_path / "out"
+    backend = ["--backend", "identity", "--src-lang", "en", "--tgt-lang", "de"]
+    return [command, *map(str, {
+        "synth": ["-i", plain, "-o", out / "synth.jsonl"],
+        "prep": ["-i", raw, "--out-dir", out],
+        "filter-qa": ["--src-json", qa, "--tgt-json", qa, "--src-lang", "en", "--tgt-lang", "de",
+                      "--out-dir", out, "--scorer", "constant:90"],
+        "evaluate": ["--projected", annotated, "--reference", annotated, "--report-out", out / "report.txt"],
+        "project": ["-i", annotated, "-o", out / "projected.jsonl", "--reference", annotated, *backend],
+        "sweep": ["-i", plain, "--out-dir", out],
+    }[command])]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_every_float_flag_rejects_a_non_finite_value(tmp_path, capsys, command, flag, value):
+    argv = _valid_run(tmp_path, command)
+    assert main([*argv, f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert main(argv) == 0  # the same run without the flag succeeds
 
 
 def test_synth_deterministic_and_modes(tmp_path):

@@ -30,6 +30,11 @@ XML = MarkerScheme.XML
 BRACKETS = MarkerScheme.BRACKETS
 
 
+def bare(raw: str) -> TaggedText:
+    """``raw`` as a tagged text with an empty id and language."""
+    return TaggedText("", "", raw)
+
+
 # ---------------------------------------------------------------- tag names
 
 # First 30 names written out by hand.
@@ -133,60 +138,60 @@ def test_encode_succeeds_on_marker_collision_text():
 # ------------------------------------------------------------------- decode
 
 def test_decode_inverse_of_flat_example():
-    doc, diags = decode("<a>John</a> lives in <b>Paris</b>")
+    doc, diags = decode(bare("<a>John</a> lives in <b>Paris</b>"))
     assert doc.text == "John lives in Paris"
     assert doc.spans == (Span("a", 0, 4), Span("b", 14, 19))
     assert diags == []
 
 
 def test_decode_plain_text():
-    doc, diags = decode("plain text")
+    doc, diags = decode(bare("plain text"))
     assert (doc.text, doc.spans, diags) == ("plain text", (), [])
 
 
 def test_decode_overlapping_pair():
-    doc, diags = decode("<a>x <b>y</a> z</b>")
+    doc, diags = decode(bare("<a>x <b>y</a> z</b>"))
     assert doc.text == "x y z"
     assert doc.spans == (Span("a", 0, 3), Span("b", 2, 5))
     assert diags == []
 
 
 def test_decode_orphan_close_removed_and_reported():
-    doc, diags = decode("x </a> y")
+    doc, diags = decode(bare("x </a> y"))
     assert doc.text == "x  y"
     assert doc.spans == ()
     assert [d.code for d in diags] == ["ORPHAN_CLOSE"]
 
 
 def test_decode_unclosed_open_extends_to_end():
-    doc, diags = decode("a <b>bc d")
+    doc, diags = decode(bare("a <b>bc d"))
     assert doc.text == "a bc d"
     assert doc.spans == (Span("b", 2, 6),)
     assert [d.code for d in diags] == ["UNCLOSED_OPEN"]
 
 
 def test_decode_marker_lookalike_stays_literal():
-    doc, diags = decode("x <1> y")
+    doc, diags = decode(bare("x <1> y"))
     assert doc.text == "x <1> y"
     assert [d.code for d in diags] == ["IGNORED_LITERAL"]
 
 
 def test_decode_leaves_uppercase_markers_literal():
-    doc, diags = decode("<PER>Paris</PER> <a>x</a>")
+    doc, diags = decode(bare("<PER>Paris</PER> <a>x</a>"))
     assert (doc.text, doc.spans) == ("<PER>Paris</PER> x", (Span("a", 17, 18),))
     assert [(d.code, d.offset) for d in diags] == [("IGNORED_LITERAL", 0), ("IGNORED_LITERAL", 10)]
-    assert signature("<PER>Paris</PER>") == Counter()
+    assert signature(bare("<PER>Paris</PER>")) == Counter()
 
 
 def test_decode_brackets_names_spans_in_open_order():
-    doc, diags = decode("[John] lives in [Paris]", BRACKETS)
+    doc, diags = decode(bare("[John] lives in [Paris]"), BRACKETS)
     assert doc.text == "John lives in Paris"
     assert doc.spans == (Span("a", 0, 4), Span("b", 14, 19))
     assert diags == []
 
 
 def test_decode_brackets_nested_lifo():
-    doc, diags = decode("[x [y] z]", BRACKETS)
+    doc, diags = decode(bare("[x [y] z]"), BRACKETS)
     assert doc.text == "x y z"
     assert canon(doc.spans) == (Span("a", 0, 5), Span("b", 2, 3))
     assert diags == []
@@ -198,7 +203,7 @@ def test_decode_takes_tagged_text_value():
 
 
 def test_decode_repeated_tag_pairs_innermost_first():
-    doc, diags = decode("<a>outer <a>inner</a> rest</a>")
+    doc, diags = decode(bare("<a>outer <a>inner</a> rest</a>"))
     assert doc.text == "outer inner rest"
     assert canon(doc.spans) == (Span("a", 0, 16), Span("a", 6, 11))
     assert diags == []
@@ -207,11 +212,11 @@ def test_decode_repeated_tag_pairs_innermost_first():
 # ---------------------------------------------------------------- signature
 
 def test_signature_single_pair():
-    assert signature("<a>x</a>") == Counter([("a", "open"), ("a", "close")])
+    assert signature(bare("<a>x</a>")) == Counter([("a", "open"), ("a", "close")])
 
 
 def test_signature_repeated_tag():
-    sig = signature("<a>x</a> <a>y</a>")
+    sig = signature(bare("<a>x</a> <a>y</a>"))
     assert isinstance(sig, Counter)
     assert sig[("a", "open")] == 2
     assert sig[("a", "close")] == 2
@@ -219,18 +224,18 @@ def test_signature_repeated_tag():
 
 
 def test_signature_brackets():
-    sig = signature("x [y] z", BRACKETS)
+    sig = signature(bare("x [y] z"), BRACKETS)
     assert sig == Counter([("", "open"), ("", "close")])
 
 
 def test_signature_counts_orphans_and_ignores_text():
-    assert signature("</b> text <a>") == Counter([("b", "close"), ("a", "open")])
-    assert signature("<a>x</a>") == signature("<a>completely different</a>")
+    assert signature(bare("</b> text <a>")) == Counter([("b", "close"), ("a", "open")])
+    assert signature(bare("<a>x</a>")) == signature(bare("<a>completely different</a>"))
 
 
 def test_signature_inequality():
-    assert signature("<a>x</a>") != signature("<a>x")
-    assert signature("<a>x</a>") != signature("<b>x</b>")
+    assert signature(bare("<a>x</a>")) != signature(bare("<a>x"))
+    assert signature(bare("<a>x</a>")) != signature(bare("<b>x</b>"))
 
 
 # ------------------------------------------------------- scanner and pairing
@@ -296,13 +301,13 @@ def test_signature_has_one_open_and_close_per_span(doc):
 @settings(max_examples=300)
 def test_decode_is_total(raw):
     for scheme in (XML, BRACKETS):
-        doc, _ = decode(raw, scheme)
+        doc, _ = decode(bare(raw), scheme)
         assert isinstance(doc.text, str)
 
 
 @given(st.text(max_size=60))
 def test_strip_decode_agreement(raw):
-    doc, _ = decode(raw, XML)
+    doc, _ = decode(bare(raw), XML)
     assert doc.text == strip_markers(raw, XML)
 
 
@@ -355,7 +360,7 @@ def _mutated_strings():
 def test_decode_matches_oracle_on_mutated_strings():
     codes: Counter = Counter()
     for doc, scheme, raw in _mutated_strings():
-        got = decode(raw, scheme, doc_id=doc.id, lang=doc.lang)
+        got = decode(TaggedText(doc.id, doc.lang, raw), scheme)
         assert got == oracle_decode(raw, scheme, doc_id=doc.id, lang=doc.lang)
         codes.update((scheme, d.code) for d in got[1])
     for code in ("IGNORED_LITERAL", "ORPHAN_CLOSE", "UNCLOSED_OPEN"):
@@ -366,8 +371,8 @@ def test_decode_matches_oracle_on_mutated_strings():
 
 def test_decode_tokens_are_the_signature_on_mutated_strings():
     for _, scheme, raw in _mutated_strings():
-        _, _, tokens = _decode(TaggedText("d", "en", raw), scheme)
-        assert Counter((t.name, t.kind) for t in tokens) == signature(raw, scheme)
+        _, _, tokens = _decode(bare(raw), scheme)
+        assert Counter((t.name, t.kind) for t in tokens) == signature(bare(raw), scheme)
 
 
 # Marker-shaped and bracket substrings for document texts: an inserted marker

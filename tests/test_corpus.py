@@ -5,7 +5,6 @@ import pytest
 from labelproj import (
     AnnotatedText,
     ConstantScorer,
-    ParallelExample,
     QaParallelPair,
     RawMarkupPair,
     ScorerUnavailableError,
@@ -184,13 +183,22 @@ def test_invalid_dev_fraction():
 def qa_pair(pair_id: str, src_spans: int, tgt_spans: int, questions=(1, 1)) -> QaParallelPair:
     src = AnnotatedText(pair_id, "en", "word " * 6, tuple(Span("a", i, i + 2) for i in range(src_spans)))
     tgt = AnnotatedText(pair_id, "de", "wort " * 6, tuple(Span("a", i, i + 2) for i in range(tgt_spans)))
-    return QaParallelPair(ParallelExample(pair_id, src, tgt), questions[0], questions[1])
+    return QaParallelPair(src, tgt, questions[0], questions[1])
+
+
+def test_qa_parallel_pair_invariants():
+    src = AnnotatedText("p", "en", "x")
+    assert QaParallelPair(src, AnnotatedText("p", "de", "y"), 1, 1).id == "p"
+    with pytest.raises(ValueError, match="^sides of 'p' carry different ids$"):
+        QaParallelPair(src, AnnotatedText("other", "de", "y"), 1, 1)
+    with pytest.raises(ValueError, match="^'p': source and target language are equal$"):
+        QaParallelPair(src, AnnotatedText("p", "en", "y"), 1, 1)
 
 
 def test_filter_drops_span_count_mismatch():
     kept, dropped, diags = filter_parallel_qa([qa_pair("p", 3, 2)], ConstantScorer(90))
     assert kept == []
-    assert [(p.example.id, r) for p, r in dropped] == [("p", "COUNT_MISMATCH")]
+    assert [(p.id, r) for p, r in dropped] == [("p", "COUNT_MISMATCH")]
     assert codes(diags) == ["COUNT_MISMATCH"]
 
 
@@ -201,7 +209,7 @@ def test_filter_drops_question_count_mismatch():
 
 def test_filter_score_threshold_is_strict_less_than():
     kept, dropped, _ = filter_parallel_qa([qa_pair("p", 1, 1)], ConstantScorer(79.9), min_score=80)
-    assert kept == [] and [(p.example.id, r) for p, r in dropped] == [("p", "LOW_SCORE")]
+    assert kept == [] and [(p.id, r) for p, r in dropped] == [("p", "LOW_SCORE")]
     kept, dropped, _ = filter_parallel_qa([qa_pair("p", 1, 1)], ConstantScorer(80.0), min_score=80)
     assert len(kept) == 1 and dropped == []
 
@@ -209,6 +217,12 @@ def test_filter_score_threshold_is_strict_less_than():
 def test_filter_score_disabled_skips_scorer():
     kept, dropped, _ = filter_parallel_qa([qa_pair("p", 1, 1)], scorer=None, min_score=None)
     assert len(kept) == 1 and dropped == []
+
+
+@pytest.mark.parametrize("min_score", [float("nan"), float("inf"), float("-inf")])
+def test_filter_rejects_a_non_finite_min_score(min_score):
+    with pytest.raises(ValueError, match="min_score must be a finite number"):
+        filter_parallel_qa([qa_pair("p", 1, 1)], ConstantScorer(0), min_score=min_score)
 
 
 def test_filter_requires_scorer_when_enabled():

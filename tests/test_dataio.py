@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import re
 import tracemalloc
@@ -21,15 +21,22 @@ from labelproj import (
     ingest_qa,
     load,
 )
-from labelproj.dataio import qa_question_counts
+from labelproj.dataio import qa_question_counts, read_qa_tree
 
 from conftest import make_doc
 
 
-def handle(fmt: DatasetFormat, content: str | None = None, path=None, lang: str = "en") -> DatasetHandle:
-    if path is not None:
-        return DatasetHandle(fmt, path=path, lang=lang)
-    return DatasetHandle(fmt, stream=io.StringIO(content), lang=lang)
+@pytest.fixture
+def handle(tmp_path):
+    """Write ``content`` to a new file and return a handle on it."""
+    names = (tmp_path / f"in{i}.jsonl" for i in itertools.count())
+
+    def make(fmt: DatasetFormat, content: str) -> DatasetHandle:
+        path = next(names)
+        path.write_bytes(content.encode("utf-8"))
+        return DatasetHandle(fmt, path)
+
+    return make
 
 
 ANNOTATED_LINE = '{"id":"d1","lang":"en","text":"ab","spans":[{"tag":"a","start":0,"end":2,"label":null}]}'
@@ -37,13 +44,13 @@ ANNOTATED_LINE = '{"id":"d1","lang":"en","text":"ab","spans":[{"tag":"a","start"
 
 # --------------------------------------------------------------------- load
 
-def test_load_annotated_single_record():
+def test_load_annotated_single_record(handle):
     docs, diags = load(handle(DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE + "\n"))
     assert docs == [make_doc("ab", [Span("a", 0, 2)], doc_id="d1")]
     assert diags == []
 
 
-def test_load_skips_invalid_span_record_within_budget():
+def test_load_skips_invalid_span_record_within_budget(handle):
     bad = '{"id":"d2","lang":"en","text":"ab","spans":[{"tag":"a","start":0,"end":9,"label":null}]}'
     docs, diags = load(handle(DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE + "\n" + bad + "\n"), error_budget=1)
     assert [d.id for d in docs] == ["d1"]
@@ -51,39 +58,45 @@ def test_load_skips_invalid_span_record_within_budget():
     assert diags[0].offset == 2  # line number of the failing record
 
 
-def test_load_budget_zero_aborts_on_first_bad_record():
+def test_load_budget_zero_aborts_on_first_bad_record(handle):
     bad = '{"id":"d2","lang":"en","text":"ab","spans":[{"tag":"a","start":0,"end":9}]}'
     with pytest.raises(ErrorBudgetExceeded):
         load(handle(DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE + "\n" + bad + "\n"))
 
 
-def test_load_unparseable_line_counts_against_budget():
-    content = ANNOTATED_LINE + "\n{oops\n" + ANNOTATED_LINE.replace("d1", "d3") + "\n"
+DEEP_LINE = ANNOTATED_LINE.replace('"spans":[', '"spans":' + "[" * 5000 + "[").replace("]}", "]" * 5000 + "]}")
+
+
+@pytest.mark.parametrize("bad", ["{oops", DEEP_LINE], ids=["truncated", "nested-too-deeply"])
+def test_load_unparseable_line_counts_against_budget(handle, bad):
+    content = ANNOTATED_LINE + "\n" + bad + "\n" + ANNOTATED_LINE.replace("d1", "d3") + "\n"
+    with pytest.raises(ErrorBudgetExceeded):
+        load(handle(DatasetFormat.ANNOTATED_JSONL, content))
     docs, diags = load(handle(DatasetFormat.ANNOTATED_JSONL, content), error_budget=1)
     assert [d.id for d in docs] == ["d1", "d3"]
-    assert [d.code for d in diags] == ["MALFORMED_RECORD"]
+    assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
 
 
-def test_load_rejects_wrong_format_on_first_record():
+def test_load_rejects_wrong_format_on_first_record(handle):
     with pytest.raises(FormatError):
         load(handle(DatasetFormat.ANNOTATED_JSONL, '{"id":"x","tagged_text":"y"}\n'))
     with pytest.raises(FormatError):
         load(handle(DatasetFormat.TAGGED_JSONL, ANNOTATED_LINE + "\n"))
 
 
-def test_load_plain_text_lines():
-    items, diags = load(handle(DatasetFormat.PLAIN_TEXT, "one\ntwo\n\nfour\n", lang="eng_Latn"))
+def test_load_plain_text_lines(handle):
+    items, diags = load(handle(DatasetFormat.PLAIN_TEXT, "one\ntwo\n\nfour\n"))
     assert [t.tagged for t in items] == ["one", "two", "", "four"]
     assert [t.id for t in items] == ["1", "2", "3", "4"]
-    assert all(t.lang == "eng_Latn" for t in items)
+    assert all(t.lang == "" for t in items)
     assert diags == []
 
 
-def test_load_devtest_sized_plain_text_has_empty_signatures():
+def test_load_devtest_sized_plain_text_has_empty_signatures(handle):
     from labelproj import signature
 
     content = "".join(f"sentence number {i}\n" for i in range(1012))
-    items, _ = load(handle(DatasetFormat.PLAIN_TEXT, content, lang="eng_Latn"))
+    items, _ = load(handle(DatasetFormat.PLAIN_TEXT, content))
     assert len(items) == 1012
     assert all(signature(t).total() == 0 for t in items[:20])
 
@@ -93,35 +106,35 @@ PARALLEL_LINE = (
 )
 
 
-def test_load_parallel_records():
+def test_load_parallel_records(handle):
     items, _ = load(handle(DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE + "\n"))
     src, tgt = TaggedText("p1", "en", "<a>x</a>"), TaggedText("p1", "de", "<a>y</a>")
     assert items == [DirectedExample("p1", "forward", src, tgt)]
 
 
-def test_dump_parallel_writes_prep_field_order():
+def test_dump_parallel_writes_prep_field_order(tmp_path, handle):
     items, _ = load(handle(DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE + "\n"))
-    out = io.StringIO()
-    dump(items, DatasetHandle(DatasetFormat.PARALLEL_JSONL, stream=out))
-    assert out.getvalue() == PARALLEL_LINE + "\n"
+    out = tmp_path / "out.jsonl"
+    dump(items, DatasetHandle(DatasetFormat.PARALLEL_JSONL, out))
+    assert out.read_text() == PARALLEL_LINE + "\n"
 
 
 RAW_LINE = '{"id":"r1","src_lang":"en","tgt_lang":"de","src_markup":"<b>x</b>","tgt_markup":"<b>y</b>"}'
 
 
-def test_load_raw_pairs_roundtrip_and_bad_line():
+def test_load_raw_pairs_roundtrip_and_bad_line(handle):
     content = RAW_LINE + "\n{broken json\n" + RAW_LINE.replace("r1", "r2") + "\n"
     pairs, diags = load(handle(DatasetFormat.RAW_MARKUP_JSONL, content), error_budget=1)
     assert pairs == [RawMarkupPair(i, "en", "de", "<b>x</b>", "<b>y</b>") for i in ("r1", "r2")]
     assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
 
 
-def test_load_raw_first_record_needs_every_field():
+def test_load_raw_first_record_needs_every_field(handle):
     with pytest.raises(FormatError):
         load(handle(DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE.replace('"src_markup"', '"markup"') + "\n"))
 
 
-def test_load_raw_empty_side_counts_against_budget():
+def test_load_raw_empty_side_counts_against_budget(handle):
     content = RAW_LINE + "\n" + RAW_LINE.replace('"<b>y</b>"', '""') + "\n"
     with pytest.raises(ErrorBudgetExceeded):
         load(handle(DatasetFormat.RAW_MARKUP_JSONL, content))
@@ -130,7 +143,7 @@ def test_load_raw_empty_side_counts_against_budget():
     assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
 
 
-def test_load_budget_counts_unreadable_and_invalid_records_alike():
+def test_load_budget_counts_unreadable_and_invalid_records_alike(handle):
     invalid = ANNOTATED_LINE.replace('"end":2', '"end":9')
     content = ANNOTATED_LINE + "\n[1]\n" + invalid + "\n"
     _, diags = load(handle(DatasetFormat.ANNOTATED_JSONL, content), error_budget=2)
@@ -164,7 +177,7 @@ TAGGED_LINE = '{"id":"t1","lang":"en","tagged_text":"<a>x</a>"}'
     (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"src_lang":"en"', '"src_lang":{}'),
     (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"id":"r1"', '"id":1.5'),
 ])
-def test_load_rejects_non_json_typed_values(fmt, good, old, new):
+def test_load_rejects_non_json_typed_values(fmt, good, old, new, handle):
     bad = good.replace(old, new)
     assert bad != good
     content = good + "\n" + bad + "\n"
@@ -175,23 +188,19 @@ def test_load_rejects_non_json_typed_values(fmt, good, old, new):
     assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
 
 
-def test_load_integer_id_is_read_as_text():
+def test_load_integer_id_is_read_as_text(handle):
     docs, _ = load(handle(DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE.replace('"d1"', "7") + "\n"))
     assert docs[0].id == "7"
 
 
-def test_load_blank_lines_are_not_records():
+def test_load_blank_lines_are_not_records(handle):
     docs, _ = load(handle(DatasetFormat.ANNOTATED_JSONL, "\n" + ANNOTATED_LINE + "\n\n"))
     assert len(docs) == 1
 
 
-def test_load_truncated_record_message_counts_columns_without_the_terminator(tmp_path):
-    content = '{"id":"1","tagged_text":"x"}\n{"id": "2"\n'
-    path = tmp_path / "tagged.jsonl"
-    path.write_text(content)
-    for source in (handle(DatasetFormat.TAGGED_JSONL, content), handle(DatasetFormat.TAGGED_JSONL, path=path)):
-        _, diags = load(source, error_budget=1)
-        assert [d.message for d in diags] == ["line 2: Expecting ',' delimiter: line 1 column 11 (char 10)"]
+def test_load_truncated_record_message_counts_columns_without_the_terminator(handle):
+    _, diags = load(handle(DatasetFormat.TAGGED_JSONL, '{"id":"1","tagged_text":"x"}\n{"id": "2"\n'), error_budget=1)
+    assert [d.message for d in diags] == ["line 2: Expecting ',' delimiter: line 1 column 11 (char 10)"]
 
 
 @pytest.mark.parametrize("variant", ["crlf", "no-final-newline"])
@@ -200,8 +209,8 @@ def test_load_line_endings_do_not_change_records_or_line_numbers(tmp_path, varia
     lf, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
     lf.write_bytes(content.encode())
     other.write_bytes(content.replace("\n", "\r\n").encode() if variant == "crlf" else content[:-1].encode())
-    expected = load(handle(DatasetFormat.ANNOTATED_JSONL, path=lf), error_budget=1)
-    assert load(handle(DatasetFormat.ANNOTATED_JSONL, path=other), error_budget=1) == expected
+    expected = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, lf), error_budget=1)
+    assert load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, other), error_budget=1) == expected
     assert [d.id for d in expected[0]] == ["d1", "d4"] and expected[1][0].offset == 3
 
 
@@ -211,10 +220,10 @@ def tagged_texts(n):
 
 def test_load_holds_one_line_at_a_time(tmp_path):
     path = tmp_path / "tagged.jsonl"
-    dump(tagged_texts(20_000), handle(DatasetFormat.TAGGED_JSONL, path=path))
+    dump(tagged_texts(20_000), DatasetHandle(DatasetFormat.TAGGED_JSONL, path))
     tracemalloc.start()
     try:
-        items, _ = load(handle(DatasetFormat.TAGGED_JSONL, path=path))
+        items, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -224,36 +233,35 @@ def test_load_holds_one_line_at_a_time(tmp_path):
 
 # --------------------------------------------------------------------- dump
 
-def roundtrip(items, fmt, lang="en"):
-    out = io.StringIO()
-    dump(items, DatasetHandle(fmt, stream=out, lang=lang))
-    return load(DatasetHandle(fmt, stream=io.StringIO(out.getvalue()), lang=lang))
+def roundtrip(items, fmt, path):
+    dump(items, DatasetHandle(fmt, path))
+    return load(DatasetHandle(fmt, path))
 
 
-def test_dump_load_identity_annotated():
+def test_dump_load_identity_annotated(tmp_path):
     docs = [
         make_doc("ab", [Span("a", 0, 2)], doc_id="1"),
         make_doc("zéro", [Span("b", 0, 1, label="NUM"), Span("c", 2, 2)], doc_id="2"),
         make_doc("", [], doc_id="3"),
     ]
-    back, diags = roundtrip(docs, DatasetFormat.ANNOTATED_JSONL)
+    back, diags = roundtrip(docs, DatasetFormat.ANNOTATED_JSONL, tmp_path / "out.jsonl")
     assert back == docs and diags == []
 
 
-def test_dump_load_identity_tagged_and_parallel():
+def test_dump_load_identity_tagged_and_parallel(tmp_path):
     tagged = [TaggedText("1", "en", "<a>x</a>"), TaggedText("2", "en", "plain")]
-    back, _ = roundtrip(tagged, DatasetFormat.TAGGED_JSONL)
+    back, _ = roundtrip(tagged, DatasetFormat.TAGGED_JSONL, tmp_path / "tagged.jsonl")
     assert back == tagged
 
     pairs = [
         DirectedExample("1", "forward", TaggedText("1", "en", "<a>x</a>"), TaggedText("1", "de", "<a>y</a>")),
         DirectedExample("1", "reverse", TaggedText("1", "de", "<a>y</a>"), TaggedText("1", "en", "<a>x</a>")),
     ]
-    back, _ = roundtrip(pairs, DatasetFormat.PARALLEL_JSONL)
+    back, _ = roundtrip(pairs, DatasetFormat.PARALLEL_JSONL, tmp_path / "pairs.jsonl")
     assert back == pairs
 
     raw = [RawMarkupPair("1", "en", "de", '<b class="x">é</b>', "<b>y</b>"), RawMarkupPair("2", "en", "de", "x", "y")]
-    back, _ = roundtrip(raw, DatasetFormat.RAW_MARKUP_JSONL)
+    back, _ = roundtrip(raw, DatasetFormat.RAW_MARKUP_JSONL, tmp_path / "raw.jsonl")
     assert back == raw
 
 
@@ -275,10 +283,10 @@ def test_dump_empty_list(tmp_path):
     assert target.read_text() == ""
 
 
-def test_dump_tagged_record_schema():
-    out = io.StringIO()
-    dump([TaggedText("t1", "de", "<a>x</a>")], DatasetHandle(DatasetFormat.TAGGED_JSONL, stream=out))
-    record = json.loads(out.getvalue())
+def test_dump_tagged_record_schema(tmp_path):
+    out = tmp_path / "out.jsonl"
+    dump([TaggedText("t1", "de", "<a>x</a>")], DatasetHandle(DatasetFormat.TAGGED_JSONL, out))
+    record = json.loads(out.read_text())
     assert record == {"id": "t1", "lang": "de", "tagged_text": "<a>x</a>"}
 
 
@@ -287,7 +295,7 @@ def test_dump_holds_one_line_at_a_time(tmp_path):
     path = tmp_path / "tagged.jsonl"
     tracemalloc.start()
     try:
-        dump(items, handle(DatasetFormat.TAGGED_JSONL, path=path))
+        dump(items, DatasetHandle(DatasetFormat.TAGGED_JSONL, path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -298,23 +306,20 @@ def test_dump_failing_partway_keeps_the_old_file(tmp_path):
     target = tmp_path / "out.jsonl"
     target.write_bytes(b"old\n")
     with pytest.raises(FormatError):
-        dump([make_doc("ab"), TaggedText("2", "en", "x")], handle(DatasetFormat.ANNOTATED_JSONL, path=target))
+        dump([make_doc("ab"), TaggedText("2", "en", "x")], DatasetHandle(DatasetFormat.ANNOTATED_JSONL, target))
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
-def test_dump_rejects_mismatched_items():
+def test_dump_rejects_mismatched_items(tmp_path):
+    out = tmp_path / "out.jsonl"
     with pytest.raises(FormatError):
-        dump([TaggedText("1", "en", "x")], handle(DatasetFormat.ANNOTATED_JSONL, ""))
+        dump([TaggedText("1", "en", "x")], DatasetHandle(DatasetFormat.ANNOTATED_JSONL, out))
     with pytest.raises(FormatError):
-        dump([TaggedText("1", "en", "x")], handle(DatasetFormat.RAW_MARKUP_JSONL, ""))
+        dump([TaggedText("1", "en", "x")], DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, out))
     with pytest.raises(FormatError):
-        dump([make_doc("ab")], DatasetHandle(DatasetFormat.QA_JSON, stream=io.StringIO()))
-
-
-def test_handle_requires_exactly_one_source():
-    with pytest.raises(ValueError):
-        DatasetHandle(DatasetFormat.PLAIN_TEXT)
+        dump([make_doc("ab")], DatasetHandle(DatasetFormat.PLAIN_TEXT, out))
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- QA ingest
@@ -413,17 +418,13 @@ def test_ingest_rejects_non_json_typed_values(paragraph):
         ingest_qa(qa_tree([paragraph]), "en")
 
 
-@pytest.mark.parametrize("content", [b'{"data": [', b'{"data": ["\xff"]}'], ids=["truncated", "bad-byte"])
-def test_load_qa_json_error_names_the_file(tmp_path, content):
+@pytest.mark.parametrize(
+    "content",
+    [b'{"data": [', b'{"data": ["\xff"]}', b'{"data": ' + b"[" * 5000 + b"]" * 5000 + b"}"],
+    ids=["truncated", "bad-byte", "nested-too-deeply"],
+)
+def test_read_qa_tree_error_names_the_file(tmp_path, content):
     path = tmp_path / "qa.json"
     path.write_bytes(content)
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
-        load(handle(DatasetFormat.QA_JSON, path=path))
-
-
-def test_load_qa_json_handle():
-    tree = qa_tree([{"context": "Paris is big", "qas": [
-        {"id": "q1", "question": "?", "answers": [{"text": "Paris", "answer_start": 0}]}
-    ]}])
-    docs, diags = load(handle(DatasetFormat.QA_JSON, json.dumps(tree), lang="en"))
-    assert docs[0].spans == (Span("a", 0, 5),)
+        read_qa_tree(path)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from labelproj import AnnotatedText, ParallelExample, Span, TaggedText, encode, validate
+from labelproj import AnnotatedText, Span, TaggedText, encode, validate
 from labelproj.model import has_errors
 
 from conftest import make_doc
@@ -70,19 +70,3 @@ def test_clean_documents_always_encode():
 def test_spans_sequence_coerces_to_tuple():
     doc = AnnotatedText("d", "en", "ab", [Span("a", 0, 1)])
     assert isinstance(doc.spans, tuple)
-
-
-def test_parallel_example_invariants():
-    src = AnnotatedText("p", "en", "x")
-    tgt = AnnotatedText("p", "de", "y")
-    pair = ParallelExample("p", src, tgt)
-    assert (pair.src_lang, pair.tgt_lang) == ("en", "de")
-    with pytest.raises(ValueError):
-        ParallelExample("p", src, AnnotatedText("other", "de", "y"))
-    with pytest.raises(ValueError):
-        ParallelExample("p", src, AnnotatedText("p", "en", "y"))
-
-
-def test_parallel_example_accepts_tagged_sides():
-    pair = ParallelExample("p", TaggedText("p", "en", "<a>x</a>"), TaggedText("p", "de", "<a>y</a>"))
-    assert pair.src_lang == "en"

@@ -29,20 +29,17 @@ def spans_in_tokens(doc, sentence):
 
 def test_tokenize_three_words():
     tmap = tokenize_boundaries("a b c")
-    assert len(tmap.tokens) == 3
-    assert len(tmap.boundaries) == 4
+    assert tmap.tokens == ((0, 1), (2, 3), (4, 5))
 
 
 def test_tokenize_surrounding_whitespace():
     tmap = tokenize_boundaries("  x  ")
     assert tmap.tokens == ((2, 3),)
-    assert len(tmap.boundaries) == 2
 
 
 def test_tokenize_empty():
     tmap = tokenize_boundaries("")
     assert tmap.tokens == ()
-    assert list(tmap.boundaries) == [0]
 
 
 def test_tokenize_tabs_and_newlines_delimit():
@@ -57,10 +54,6 @@ def test_config_validates_probabilities():
     with pytest.raises(ValueError):
         MarkerConfig(InsertionMode.COMPLEX, p_close=0.0)
     MarkerConfig(InsertionMode.COMPLEX, p_open=0.0, p_close=1.0)  # closed bounds ok
-
-
-def test_config_accepts_mode_strings():
-    assert MarkerConfig("single").mode is InsertionMode.SINGLE
 
 
 # ------------------------------------------------------------------- single
