@@ -32,15 +32,13 @@ from .model import TaggedText
 from .synth import derive_seed
 
 
-def _check_translate_inputs(texts: Sequence[TaggedText], src_lang: str, tgt_lang: str) -> None:
-    if not texts:
-        raise EmptyInputError("translate_batch requires at least one text")
+def _check_languages(src_lang: str, tgt_lang: str) -> None:
     if src_lang == tgt_lang:
         raise ValueError(f"source and target language are both {src_lang!r}")
 
 
 class TranslationBackend(abc.ABC):
-    """Order-preserving batch translator: output[i] corresponds to input[i]."""
+    """Order-preserving batch translator: output[i] corresponds to input[i], and no input gives no output."""
 
     @abc.abstractmethod
     def translate_batch(
@@ -54,7 +52,7 @@ class IdentityBackend(TranslationBackend):
     def translate_batch(
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
     ) -> list[TaggedText]:
-        _check_translate_inputs(texts, src_lang, tgt_lang)
+        _check_languages(src_lang, tgt_lang)
         return list(texts)
 
 
@@ -75,7 +73,7 @@ class _SeededMarkerBackend(TranslationBackend):
     def translate_batch(
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
     ) -> list[TaggedText]:
-        _check_translate_inputs(texts, src_lang, tgt_lang)
+        _check_languages(src_lang, tgt_lang)
         return [
             self._rewrite(
                 text,
@@ -243,7 +241,7 @@ class HttpTranslationBackend(TranslationBackend):
     def translate_batch(
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
     ) -> list[TaggedText]:
-        _check_translate_inputs(texts, src_lang, tgt_lang)
+        _check_languages(src_lang, tgt_lang)
         from concurrent.futures import ThreadPoolExecutor
         chunks = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -148,8 +149,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
     )
     tagged = [_place_markers(doc, _scheme(args)) for doc in docs]  # load has validated each one
-    summary = dump(tagged, DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.output)))
-    print(f"encoded {summary.count} documents -> {summary.path}", file=sys.stderr)
+    dump(tagged, Path(args.output))
+    print(f"encoded {len(tagged)} documents -> {Path(args.output)}", file=sys.stderr)
     if diagnostics:
         print(f"{len(diagnostics)} input diagnostics", file=sys.stderr)
     return 0
@@ -166,9 +167,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         doc, diags = decode(text, _scheme(args))
         docs.append(doc)
         diag_records.extend(_diag_record(d, text.id) for d in diags)
-    summary = dump(docs, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.output)))
+    dump(docs, Path(args.output))
     write_records(_diagnostics_path(args), diag_records)
-    print(f"decoded {summary.count} documents -> {summary.path}", file=sys.stderr)
+    print(f"decoded {len(docs)} documents -> {Path(args.output)}", file=sys.stderr)
     return 0
 
 
@@ -187,8 +188,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             continue
         config = replace(base, seed=derive_seed(args.seed, line.id))
         docs.append(insert_markers(line.tagged, config, doc_id=line.id, lang=args.src_lang))
-    summary = dump(docs, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.output)))
-    print(f"sampled spans for {summary.count} sentences -> {summary.path}", file=sys.stderr)
+    dump(docs, Path(args.output))
+    print(f"sampled spans for {len(docs)} sentences -> {Path(args.output)}", file=sys.stderr)
     return 0
 
 
@@ -203,7 +204,7 @@ def cmd_tagswap(args: argparse.Namespace) -> int:
         swapped, diags = tag_swap(pair)
         normalized.append(swapped)
         diag_records.extend(_diag_record(d, pair.id) for d in diags)
-    dump(normalized, DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=Path(args.output)))
+    dump(normalized, Path(args.output))
     write_records(_diagnostics_path(args), diag_records)
     print(f"normalized {len(normalized)} pairs -> {args.output}", file=sys.stderr)
     return 0
@@ -215,8 +216,8 @@ def cmd_prep(args: argparse.Namespace) -> int:
     )
     corpus = prepare_training_corpus(pairs, dev_fraction=args.dev_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
-    dump(corpus.train, DatasetHandle(DatasetFormat.PARALLEL_JSONL, path=out_dir / "train.jsonl"))
-    dump(corpus.dev, DatasetHandle(DatasetFormat.PARALLEL_JSONL, path=out_dir / "dev.jsonl"))
+    dump(corpus.train, out_dir / "train.jsonl")
+    dump(corpus.dev, out_dir / "dev.jsonl")
     provenance = {
         "provenance": corpus.provenance.to_json_dict(),
         "dropped": [{"id": pair.id, "reason": reason} for pair, reason in corpus.dropped],
@@ -238,6 +239,10 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
     src_questions = qa_question_counts(src_tree)
     tgt_questions = qa_question_counts(tgt_tree)
 
+    for side, docs in (("source", src_docs), ("target", tgt_docs)):
+        repeated = [doc_id for doc_id, n in Counter(doc.id for doc in docs).items() if n > 1]
+        if repeated:
+            raise AlignmentError(f"duplicate context id {repeated[0]!r} on the {side} side")
     tgt_by_id = {doc.id: doc for doc in tgt_docs}
     pairs = []
     diag_records = [_diag_record(d) for d in src_diags + tgt_diags]
@@ -262,10 +267,8 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
     diag_records.extend(_diag_record(d) for d in filter_diags)
 
     out_dir = Path(args.out_dir)
-    src_handle = DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out_dir / "kept.src.jsonl")
-    tgt_handle = DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out_dir / "kept.tgt.jsonl")
-    dump([pair.src for pair in kept], src_handle)
-    dump([pair.tgt for pair in kept], tgt_handle)
+    dump([pair.src for pair in kept], out_dir / "kept.src.jsonl")
+    dump([pair.tgt for pair in kept], out_dir / "kept.tgt.jsonl")
     write_records(out_dir / "dropped.jsonl", [{"id": pair.id, "reason": reason} for pair, reason in dropped])
     write_records(out_dir / "diagnostics.jsonl", diag_records)
     print(f"kept {len(kept)} / dropped {len(dropped)} context pairs -> {out_dir}", file=sys.stderr)
@@ -276,8 +279,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
     texts, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.input)), args.error_budget)
     backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
     translated = backend.translate_batch(texts, args.src_lang, args.tgt_lang)
-    summary = dump(translated, DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.output)))
-    print(f"translated {summary.count} texts -> {summary.path}", file=sys.stderr)
+    dump(translated, Path(args.output))
+    print(f"translated {len(translated)} texts -> {Path(args.output)}", file=sys.stderr)
     return 0
 
 
@@ -338,32 +341,47 @@ def cmd_project(args: argparse.Namespace) -> int:
         flags = {doc.id: flag for doc, _, flag in results}
         report = build_report(projected, reference, flags, **_report_options(args))
 
-    summary = dump(projected, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.output)))
+    dump(projected, Path(args.output))
     diag_records = [_diag_record(d) for d in load_diags]
     diag_records.extend(_diag_record(d, doc.id) for doc, diags, _ in results for d in diags)
     write_records(_diagnostics_path(args), diag_records)
-    print(f"projected {summary.count} documents -> {summary.path}", file=sys.stderr)
+    print(f"projected {len(projected)} documents -> {Path(args.output)}", file=sys.stderr)
     if report is not None:
         _emit_report(report, args.report, args.report_out)
     return 0
 
 
+# sweep writes one corpus per cell, and refuses a larger grid before it writes any.
+MAX_SWEEP_CELLS = 10_000
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi (give or take 1e-9), each rounded to 10 places; (hi - lo) / step sets the count."""
     if not all(map(math.isfinite, (lo, hi, step))):
         raise LabelProjError("grid bounds and step must be finite numbers")
     if step <= 0:
         raise LabelProjError("grid step must be positive")
-    values = []
-    v = lo
-    while v <= hi + 1e-9:
-        values.append(round(v, 10))
-        v += step
-    return values
+    count = (hi - lo + 1e-9) / step + 1
+    if count > MAX_SWEEP_CELLS:
+        raise LabelProjError(f"a grid from {lo:g} to {hi:g} by {step:g} has more than {MAX_SWEEP_CELLS} values")
+    return [round(lo + i * step, 10) for i in range(math.floor(count))]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # Every cell's corpus name and sampler settings are made and checked before any corpus is written.
     p_opens = _grid(args.p_open_min, args.p_open_max, args.p_open_step)
     p_closes = _grid(args.p_close_min, args.p_close_max, args.p_close_step)
+    if len(p_opens) * len(p_closes) > MAX_SWEEP_CELLS:
+        raise LabelProjError(f"a {len(p_opens)} x {len(p_closes)} grid has more than {MAX_SWEEP_CELLS} cells")
+    cells: dict[str, MarkerConfig] = {}
+    for p_open in p_opens:
+        for p_close in p_closes:
+            cell_seed = derive_seed(args.seed, f"{p_open}:{p_close}")
+            config = MarkerConfig(InsertionMode(args.mode), p_open, p_close, cell_seed)
+            name = f"{args.mode}_po{p_open:g}_pc{p_close:g}.jsonl"
+            other = cells.setdefault(name, config)
+            if other is not config:
+                raise LabelProjError(f"cells ({other.p_open}, {other.p_close}) and ({p_open}, {p_close}) share {name}")
     lines, _ = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
     sentences = [line for line in lines if line.tagged.strip()]
     out_dir = Path(args.out_dir)
@@ -374,27 +392,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "source": str(args.input),
         "cells": [],
     }
-    for p_open in p_opens:
-        for p_close in p_closes:
-            cell_seed = derive_seed(args.seed, f"{p_open}:{p_close}")
-            tagged = []
-            for line in sentences:
-                config = MarkerConfig(
-                    mode=InsertionMode(args.mode),
-                    p_open=p_open,
-                    p_close=p_close,
-                    seed=derive_seed(cell_seed, line.id),
-                )
-                doc = insert_markers(line.tagged, config, doc_id=line.id, lang=args.src_lang)
-                tagged.append(encode(doc, scheme))
-            name = f"{args.mode}_po{p_open:g}_pc{p_close:g}.jsonl"
-            dump(tagged, DatasetHandle(DatasetFormat.TAGGED_JSONL, path=out_dir / name))
-            manifest["cells"].append(
-                {"p_open": p_open, "p_close": p_close, "path": name, "examples": len(tagged)}
-            )
+    for name, cell in cells.items():
+        tagged = []
+        for line in sentences:
+            config = replace(cell, seed=derive_seed(cell.seed, line.id))
+            doc = insert_markers(line.tagged, config, doc_id=line.id, lang=args.src_lang)
+            tagged.append(encode(doc, scheme))
+        dump(tagged, out_dir / name)
+        manifest["cells"].append(
+            {"p_open": cell.p_open, "p_close": cell.p_close, "path": name, "examples": len(tagged)}
+        )
     atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(manifest['cells'])} corpora -> {out_dir}", file=sys.stderr)
     return 0
+
+
+STATS_COLUMNS = ("language", "examples", "total_tags", "min_tags", "max_tags", "avg_tags", "max_unique_tags")
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -405,35 +418,23 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if fmt is DatasetFormat.ANNOTATED_JSONL:
             tags = len(item.spans)
             unique = len({span.tag for span in item.spans})
-            lang = item.lang
         else:
             sig = signature(item, _scheme(args))
             opens = [(name, n) for (name, kind), n in sig.items() if kind == "open"]
             tags = sum(n for _, n in opens)
             unique = len(opens)
-            lang = item.lang
-        per_lang.setdefault(lang, []).append((tags, unique))
+        per_lang.setdefault(item.lang, []).append((tags, unique))
 
     rows = []
     for lang in sorted(per_lang):
         counts = per_lang[lang]
         totals = [c[0] for c in counts]
-        rows.append(
-            {
-                "language": lang,
-                "examples": len(counts),
-                "total_tags": sum(totals),
-                "min_tags": min(totals),
-                "max_tags": max(totals),
-                "avg_tags": round(sum(totals) / len(counts), 4),
-                "max_unique_tags": max(c[1] for c in counts),
-            }
-        )
+        average = round(sum(totals) / len(counts), 4)
+        rows.append((lang, len(counts), sum(totals), min(totals), max(totals), average, max(c[1] for c in counts)))
     if args.report == "json":
-        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+        sys.stdout.write(json.dumps([dict(zip(STATS_COLUMNS, row)) for row in rows], indent=2) + "\n")
     else:
-        header = ["language", "examples", "total_tags", "min_tags", "max_tags", "avg_tags", "max_unique_tags"]
-        sys.stdout.write(render_table(header, [[str(r[h]) for h in header] for r in rows]))
+        sys.stdout.write(render_table(STATS_COLUMNS, [[str(value) for value in row] for row in rows]))
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .codec import tag_name
 from .errors import BackendError, BackendUnreachableError, ScorerUnavailableError
-from .model import SEVERITY_WARNING, AnnotatedText, Diagnostic, TaggedText
+from .model import SEVERITY_WARNING, AnnotatedText, Diagnostic
 
 # Markup as found in the wild: optional attributes, optional self-closing
 # slash. Attribute values containing angle brackets are not supported.
@@ -43,8 +43,10 @@ class DirectedExample:
 
     id: str
     direction: str  # "forward" (src -> tgt) or "reverse"
-    src: TaggedText
-    tgt: TaggedText
+    src_lang: str
+    tgt_lang: str
+    src_tagged: str
+    tgt_tagged: str
 
 
 @dataclass(frozen=True)
@@ -192,18 +194,8 @@ def prepare_training_corpus(
         total_tags += instances
         max_tags = max(max_tags, instances)
         max_unique = max(max_unique, unique)
-        forward = DirectedExample(
-            pair.id,
-            "forward",
-            TaggedText(pair.id, pair.src_lang, pair.src_markup),
-            TaggedText(pair.id, pair.tgt_lang, pair.tgt_markup),
-        )
-        reverse = DirectedExample(
-            pair.id,
-            "reverse",
-            TaggedText(pair.id, pair.tgt_lang, pair.tgt_markup),
-            TaggedText(pair.id, pair.src_lang, pair.src_markup),
-        )
+        forward = DirectedExample(pair.id, "forward", pair.src_lang, pair.tgt_lang, pair.src_markup, pair.tgt_markup)
+        reverse = DirectedExample(pair.id, "reverse", pair.tgt_lang, pair.src_lang, pair.tgt_markup, pair.src_markup)
         bucket = dev if pair.id in dev_ids else train
         bucket.append(forward)
         bucket.append(reverse)

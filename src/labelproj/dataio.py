@@ -36,9 +36,6 @@ from .model import (
 # repairing it against the context.
 QA_REPAIR_WINDOW = 8
 
-# Raw markup records: field order on disk and RawMarkupPair's argument order.
-_RAW_FIELDS = ("id", "src_lang", "tgt_lang", "src_markup", "tgt_markup")
-
 
 class DatasetFormat(str, Enum):
     ANNOTATED_JSONL = "annotated"
@@ -48,16 +45,20 @@ class DatasetFormat(str, Enum):
     PLAIN_TEXT = "text"
 
 
+# The flat records, whose fields are all strings: the item type of each flat
+# format, and its fields in file order, which is also the constructor's
+# argument order.
+_FLAT_TYPES = {DatasetFormat.PARALLEL_JSONL: DirectedExample, DatasetFormat.RAW_MARKUP_JSONL: RawMarkupPair}
+_FLAT_FIELDS = {
+    DirectedExample: ("id", "direction", "src_lang", "tgt_lang", "src_tagged", "tgt_tagged"),
+    RawMarkupPair: ("id", "src_lang", "tgt_lang", "src_markup", "tgt_markup"),
+}
+
+
 @dataclass(frozen=True)
 class DatasetHandle:
     format: DatasetFormat
     path: Path
-
-
-@dataclass(frozen=True)
-class DumpSummary:
-    count: int
-    path: str
 
 
 def _lines(path: Path) -> Iterator[str]:
@@ -129,12 +130,10 @@ def load(
 
 
 def _check_first_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> None:
-    required = {
-        DatasetFormat.ANNOTATED_JSONL: ("id", "text", "spans"),
-        DatasetFormat.TAGGED_JSONL: ("id", "tagged_text"),
-        DatasetFormat.PARALLEL_JSONL: ("id", "direction", "src_lang", "tgt_lang", "src_tagged", "tgt_tagged"),
-        DatasetFormat.RAW_MARKUP_JSONL: _RAW_FIELDS,
-    }[fmt]
+    if fmt in _FLAT_TYPES:
+        required = _FLAT_FIELDS[_FLAT_TYPES[fmt]]
+    else:
+        required = ("id", "text", "spans") if fmt is DatasetFormat.ANNOTATED_JSONL else ("id", "tagged_text")
     missing = [key for key in required if key not in record]
     if missing:
         raise FormatError(f"first record lacks {missing}; not a {fmt.value} dataset")
@@ -185,57 +184,31 @@ def _parse_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> tuple[Any, l
             tagged=_string(record, "tagged_text"),
         )
         return item, []
-    if fmt is DatasetFormat.PARALLEL_JSONL:
-        doc_id = _record_id(record)
-        example = DirectedExample(
-            doc_id,
-            _string(record, "direction"),
-            TaggedText(doc_id, _string(record, "src_lang"), _string(record, "src_tagged")),
-            TaggedText(doc_id, _string(record, "tgt_lang"), _string(record, "tgt_tagged")),
-        )
-        return example, []
-    if fmt is DatasetFormat.RAW_MARKUP_JSONL:
-        return RawMarkupPair(_record_id(record), *(_string(record, key) for key in _RAW_FIELDS[1:])), []
-    raise FormatError(f"unsupported record format {fmt}")
+    kind = _FLAT_TYPES[fmt]
+    return kind(_record_id(record), *(_string(record, key) for key in _FLAT_FIELDS[kind][1:])), []
 
 
 def _span_dict(span: Span) -> dict[str, Any]:
     return {"tag": span.tag, "start": span.start, "end": span.end, "label": span.label}
 
 
-def _record_line(fmt: DatasetFormat, item: Any) -> str:
-    if fmt is DatasetFormat.ANNOTATED_JSONL:
-        if not isinstance(item, AnnotatedText):
-            raise FormatError(f"expected AnnotatedText, got {type(item).__name__}")
+def _record_line(item: Any, kind: type) -> str:
+    """The record line of an item that must be of type ``kind``."""
+    if type(item) is not kind:
+        raise FormatError(f"cannot write a {type(item).__name__} among {kind.__name__} items")
+    if kind is AnnotatedText:
         record = {
             "id": item.id,
             "lang": item.lang,
             "text": item.text,
             "spans": [_span_dict(s) for s in item.spans],
         }
-    elif fmt is DatasetFormat.TAGGED_JSONL:
-        if not isinstance(item, TaggedText):
-            raise FormatError(f"expected TaggedText, got {type(item).__name__}")
+    elif kind is TaggedText:
         record = {"id": item.id, "lang": item.lang, "tagged_text": item.tagged}
-    elif fmt is DatasetFormat.PARALLEL_JSONL:
-        if not isinstance(item, DirectedExample):
-            raise FormatError(f"expected DirectedExample, got {type(item).__name__}")
-        record = {
-            "id": item.id,
-            "direction": item.direction,
-            "src_lang": item.src.lang,
-            "tgt_lang": item.tgt.lang,
-            "src_tagged": item.src.tagged,
-            "tgt_tagged": item.tgt.tagged,
-        }
-    elif fmt is DatasetFormat.RAW_MARKUP_JSONL:
-        if not isinstance(item, RawMarkupPair):
-            raise FormatError(f"expected RawMarkupPair, got {type(item).__name__}")
-        record = {key: getattr(item, key) for key in _RAW_FIELDS}
-    else:  # plain text
-        if not isinstance(item, TaggedText):
-            raise FormatError(f"expected TaggedText, got {type(item).__name__}")
-        return item.tagged
+    elif kind in _FLAT_FIELDS:
+        record = {key: getattr(item, key) for key in _FLAT_FIELDS[kind]}
+    else:
+        raise FormatError(f"no dataset format holds {kind.__name__} items")
     return _json_line(record)
 
 
@@ -261,10 +234,15 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def dump(items: Sequence[Any], handle: DatasetHandle) -> DumpSummary:
-    """Serialize items to the handle's file one line at a time, atomically; returns a count summary."""
-    atomic_write_text(handle.path, (_record_line(handle.format, item) + "\n" for item in items))
-    return DumpSummary(count=len(items), path=str(handle.path))
+def dump(items: Sequence[Any], path: Path) -> None:
+    """Write items to ``path`` one line at a time, atomically, in the format their type fixes.
+
+    The first item's type picks the format. An item of another type, or a
+    type no format holds, raises :class:`FormatError` and leaves any old
+    file in place.
+    """
+    kind = type(items[0]) if items else None
+    atomic_write_text(path, (_record_line(item, kind) + "\n" for item in items))
 
 
 def write_records(path: Path, records: Iterable[Mapping[str, Any]]) -> None:

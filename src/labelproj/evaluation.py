@@ -160,6 +160,13 @@ def render_table(header: Sequence[str], body: Sequence[Sequence[str]]) -> str:
     return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)) + "\n" for line in lines)
 
 
+def _cell(value: object) -> str:
+    """A report value as CSV or table text: a float to six places, ``None`` empty."""
+    if value is None:
+        return ""
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Per-group rows plus a global micro-aggregated row.
@@ -174,64 +181,36 @@ class EvalReport:
     macro_recall: float
     macro_f1: float
 
-    CSV_COLUMNS = (
-        "language",
-        "dataset",
-        "examples",
-        "spans",
-        "tp",
-        "fp",
-        "fn",
-        "precision",
-        "recall",
-        "f1",
-        "projection_rate",
-    )
+    def _row_dict(self, row: ReportRow) -> dict:
+        """One row's columns in report order: JSON writes it as is, CSV and the table through ``_cell``."""
+        return {
+            "language": row.language,
+            "dataset": row.dataset,
+            "examples": row.examples,
+            "spans": row.spans,
+            "tp": row.prf.tp,
+            "fp": row.prf.fp,
+            "fn": row.prf.fn,
+            "precision": row.prf.precision,
+            "recall": row.prf.recall,
+            "f1": row.prf.f1,
+            "projection_rate": row.projection_rate,
+        }
 
-    def _row_values(self, row: ReportRow) -> list[str]:
-        rate = "" if row.projection_rate is None else f"{row.projection_rate:.6f}"
-        return [
-            row.language,
-            row.dataset,
-            str(row.examples),
-            str(row.spans),
-            str(row.prf.tp),
-            str(row.prf.fp),
-            str(row.prf.fn),
-            f"{row.prf.precision:.6f}",
-            f"{row.prf.recall:.6f}",
-            f"{row.prf.f1:.6f}",
-            rate,
-        ]
+    def _cells(self) -> list[list[str]]:
+        """The header, then every row as text with the global row last."""
+        rows = [self._row_dict(r) for r in (*self.rows, self.total)]
+        return [list(rows[0]), *([_cell(v) for v in row.values()] for row in rows)]
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow(self._row_values(row))
-        writer.writerow(self._row_values(self.total))
+        csv.writer(buffer, lineterminator="\n").writerows(self._cells())
         return buffer.getvalue()
 
     def to_json_dict(self) -> dict:
-        def row_dict(row: ReportRow) -> dict:
-            return {
-                "language": row.language,
-                "dataset": row.dataset,
-                "examples": row.examples,
-                "spans": row.spans,
-                "tp": row.prf.tp,
-                "fp": row.prf.fp,
-                "fn": row.prf.fn,
-                "precision": row.prf.precision,
-                "recall": row.prf.recall,
-                "f1": row.prf.f1,
-                "projection_rate": row.projection_rate,
-            }
-
         return {
-            "rows": [row_dict(r) for r in self.rows],
-            "global": row_dict(self.total),
+            "rows": [self._row_dict(r) for r in self.rows],
+            "global": self._row_dict(self.total),
             "macro": {
                 "precision": self.macro_precision,
                 "recall": self.macro_recall,
@@ -243,8 +222,8 @@ class EvalReport:
         return json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
 
     def to_table(self) -> str:
-        body = [self._row_values(r) for r in self.rows] + [self._row_values(self.total)]
-        return render_table(self.CSV_COLUMNS, body)
+        header, *body = self._cells()
+        return render_table(header, body)
 
 
 def build_report(

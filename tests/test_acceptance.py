@@ -224,7 +224,7 @@ def test_criterion_5_corpus_prep_fixture(tmp_path):
         assert len(corpus.train) + len(corpus.dev) == 160
         assert len(corpus.dev) == 8  # ceil(.05 * 80) = 4 ids x 2 directions
         out = tmp_path / f"run{len(runs)}.jsonl"
-        dump(corpus.train + corpus.dev, DatasetHandle(DatasetFormat.PARALLEL_JSONL, out))
+        dump(corpus.train + corpus.dev, out)
         runs.append(out.read_bytes())
     assert runs[0] == runs[1]
 
@@ -254,7 +254,7 @@ def test_criterion_6_end_to_end_project(tmp_path):
         docs.append(insert_markers(sentence, config, doc_id=f"s{i}", lang="en"))
 
     annotated = tmp_path / "synthetic.jsonl"
-    dump(docs, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=annotated))
+    dump(docs, annotated)
 
     report_path = tmp_path / "identity.json"
     code = main([

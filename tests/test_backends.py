@@ -42,11 +42,11 @@ def test_identity_returns_inputs_verbatim():
     assert IdentityBackend().translate_batch(TEXTS, "en", "de") == TEXTS
 
 
-def test_backends_reject_empty_and_same_language():
-    with pytest.raises(EmptyInputError):
-        IdentityBackend().translate_batch([], "en", "de")
+@pytest.mark.parametrize("make", [IdentityBackend, TagShufflerBackend, lambda: TagDropperBackend(0.5)])
+def test_backends_return_empty_for_empty_and_reject_same_language(make):
+    assert make().translate_batch([], "en", "de") == []
     with pytest.raises(ValueError):
-        IdentityBackend().translate_batch(TEXTS, "en", "en")
+        make().translate_batch(TEXTS, "en", "en")
 
 
 def test_dropper_q1_removes_every_pair():
@@ -147,6 +147,18 @@ def http_server(behavior, tls=False):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_http_translate_of_no_texts_sends_no_request():
+    seen = []
+
+    def behavior(path, body, headers):
+        seen.append(path)
+        return 200, {"translations": []}
+
+    with http_server(behavior) as url:
+        assert HttpTranslationBackend(url).translate_batch([], "en", "de") == []
+    assert seen == []
 
 
 def test_http_translate_wire_format_and_result():

@@ -30,11 +30,11 @@ from test_acceptance import _random_doc
 
 
 def write_annotated(path, docs):
-    dump(docs, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=path))
+    dump(docs, path)
 
 
 def write_raw(path):
-    dump([RawMarkupPair("p1", "en", "de", "<b>x</b>", "<b>y</b>")], DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path))
+    dump([RawMarkupPair("p1", "en", "de", "<b>x</b>", "<b>y</b>")], path)
 
 
 DOCS = [
@@ -266,7 +266,7 @@ def test_project_failure_writes_nothing(tmp_path, capsys, monkeypatch, case):
 ], ids=["decode", "tagswap", "project-diagnostics", "project-report-out", "project-report-out-default-diagnostics"])
 def test_output_paths_naming_one_file_are_rejected(tmp_path, capsys, command, aliased):
     write_annotated(tmp_path / "in.jsonl", DOCS)
-    dump([codec.encode(doc) for doc in DOCS], DatasetHandle(DatasetFormat.TAGGED_JSONL, tmp_path / "tagged.jsonl"))
+    dump([codec.encode(doc) for doc in DOCS], tmp_path / "tagged.jsonl")
     write_raw(tmp_path / "raw.jsonl")
     inputs = {"decode": "tagged.jsonl", "tagswap": "raw.jsonl", "project": "in.jsonl"}
     backend = ["--backend", "identity", "--src-lang", "en", "--tgt-lang", "de"] if command == "project" else []
@@ -422,6 +422,39 @@ def test_every_float_flag_rejects_a_non_finite_value(tmp_path, capsys, command, 
     assert main(argv) == 0  # the same run without the flag succeeds
 
 
+@pytest.mark.parametrize("command, args, code, outputs", [
+    ("encode", ["-i", "{e}", "-o", "{out}/o.jsonl"], 0, ["o.jsonl"]),
+    ("decode", ["-i", "{e}", "-o", "{out}/o.jsonl"], 0, ["o.jsonl", "o.jsonl.diagnostics.jsonl"]),
+    ("tagswap", ["-i", "{e}", "-o", "{out}/o.jsonl"], 0, ["o.jsonl", "o.jsonl.diagnostics.jsonl"]),
+    ("prep", ["-i", "{e}", "--out-dir", "{out}"], 0, ["dev.jsonl", "train.jsonl"]),
+    ("translate", ["-i", "{e}", "-o", "{out}/o.jsonl", "--backend", "identity", "--src-lang", "en",
+                   "--tgt-lang", "de"], 0, ["o.jsonl"]),
+    ("translate", ["-i", "{e}", "-o", "{out}/o.jsonl", "--backend", "http://127.0.0.1:9", "--src-lang", "en",
+                   "--tgt-lang", "de"], 0, ["o.jsonl"]),
+    ("project", ["-i", "{e}", "-o", "{out}/o.jsonl", "--backend", "drop:0.5", "--src-lang", "en",
+                 "--tgt-lang", "de"], 0, ["o.jsonl", "o.jsonl.diagnostics.jsonl"]),
+    ("project", ["-i", "{e}", "-o", "{out}/o.jsonl", "--backend", "identity", "--src-lang", "en",
+                 "--tgt-lang", "de", "--reference", "{e}"], 1, []),
+    ("evaluate", ["--projected", "{e}", "--reference", "{e}", "--report-out", "{out}/r.txt"], 1, []),
+    ("stats", ["-i", "{e}"], 0, []),
+    ("stats", ["-i", "{e}", "--format", "tagged"], 0, []),
+], ids=["encode", "decode", "tagswap", "prep", "translate", "translate-http", "project", "project-reference",
+        "evaluate", "stats", "stats-tagged"])
+def test_empty_input_gives_empty_output(tmp_path, capsys, command, args, code, outputs):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "out"
+    empty.write_text("")
+    assert main([command, *(arg.format(e=empty, out=out) for arg in args)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err == "error: no groups to report on\n"
+        assert not out.exists()
+    else:
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert [name for name in written if name != "provenance.json"] == outputs
+        assert all((out / name).read_text() == "" for name in outputs)
+
+
 def test_synth_deterministic_and_modes(tmp_path):
     text = tmp_path / "plain.txt"
     text.write_text("one two three four\nfive six seven\n\neight\n")
@@ -555,7 +588,7 @@ def test_tagswap_and_prep(tmp_path):
 def test_prep_output_loads_back_as_its_corpus(tmp_path):
     raw = tmp_path / "raw.jsonl"
     pairs = [RawMarkupPair(f"p{i}", "en", "de", f"<ph>é{i}</ph> <b>x</b>", f"<b>y</b> <ph>é{i}</ph>") for i in range(12)]
-    dump(pairs, DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=raw))
+    dump(pairs, raw)
     out_dir = tmp_path / "corpus"
     assert main(["prep", "-i", str(raw), "--out-dir", str(out_dir), "--dev-fraction", "0.25", "--seed", "3"]) == 0
     corpus = prepare_training_corpus(pairs, dev_fraction=0.25, seed=3)
@@ -670,6 +703,23 @@ def test_filter_qa_command(tmp_path):
     assert len((out_dir3 / "kept.src.jsonl").read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_filter_qa_rejects_a_repeated_context_id(tmp_path, capsys, side):
+    def tree(*contexts):
+        return {"data": [{"title": "X", "paragraphs": [{"context": c, "qas": []}]} for c in contexts]}
+
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    once.write_text(json.dumps(tree("Gama one")))
+    twice.write_text(json.dumps(tree("Alpha beta", "Gama delta")))  # both contexts get the id X#0
+    src, tgt = (twice, once) if side == "source" else (once, twice)
+    assert main([
+        "filter-qa", "--src-json", str(src), "--tgt-json", str(tgt), "--src-lang", "en", "--tgt-lang", "de",
+        "--out-dir", str(tmp_path / "qa"), "--no-score-filter",
+    ]) == 1
+    assert capsys.readouterr().err == f"error: duplicate context id 'X#0' on the {side} side\n"
+    assert not (tmp_path / "qa").exists()
+
+
 def test_sweep_grid(tmp_path):
     text = tmp_path / "plain.txt"
     text.write_text("one two three\nfour five six\nseven eight nine\n")
@@ -687,6 +737,32 @@ def test_sweep_grid(tmp_path):
         assert len(lines) == 3
         record = json.loads(lines[0])
         assert set(record) == {"id", "lang", "tagged_text"}
+
+
+def test_sweep_default_grid(tmp_path):
+    text = tmp_path / "plain.txt"
+    text.write_text("one two three\n")
+    assert main(["sweep", "-i", str(text), "--out-dir", str(tmp_path / "sweep")]) == 0
+    cells = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["cells"]
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
+    assert [(c["p_open"], c["p_close"]) for c in cells] == [(po, pc) for po in grid for pc in grid]
+    assert cells[7]["path"] == "complex_po0.2_pc0.3.jsonl"
+
+
+@pytest.mark.parametrize("grid", [
+    ["--p-open-step", "1e-300"],
+    ["--p-open-max", "1e9"],
+    ["--p-open-min", "0.5", "--p-open-max", "1.5", "--p-open-step", "0.5"],
+    ["--p-open-min", "0.1", "--p-open-max", "0.1000003", "--p-open-step", "0.0000001"],
+    ["--p-close-min", "0", "--p-close-max", "0.2"],
+], ids=["step-too-small", "bound-too-far", "out-of-range", "names-collide", "p-close-zero"])
+def test_sweep_checks_its_whole_grid_before_writing(tmp_path, capsys, grid):
+    text = tmp_path / "plain.txt"
+    text.write_text("one two three\n")
+    assert main(["sweep", "-i", str(text), "--out-dir", str(tmp_path / "sweep"), *grid]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_stats_command(tmp_path, capsys):

@@ -134,9 +134,9 @@ def test_prepare_both_directions_share_the_split():
 def test_prepare_reverse_swaps_sides():
     corpus = prepare_training_corpus(corpus_pairs(1, 0), dev_fraction=0.0, seed=0)
     forward, reverse = corpus.train
-    assert forward.src.lang == "en" and forward.tgt.lang == "de"
-    assert reverse.src.lang == "de" and reverse.tgt.lang == "en"
-    assert forward.src.tagged == reverse.tgt.tagged
+    assert forward.src_lang == "en" and forward.tgt_lang == "de"
+    assert reverse.src_lang == "de" and reverse.tgt_lang == "en"
+    assert forward.src_tagged == reverse.tgt_tagged and forward.tgt_tagged == reverse.src_tagged
 
 
 def test_prepare_zero_dev_fraction():

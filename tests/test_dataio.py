@@ -5,7 +5,9 @@ import json
 import re
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from labelproj import (
     AnnotatedText,
@@ -108,14 +110,13 @@ PARALLEL_LINE = (
 
 def test_load_parallel_records(handle):
     items, _ = load(handle(DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE + "\n"))
-    src, tgt = TaggedText("p1", "en", "<a>x</a>"), TaggedText("p1", "de", "<a>y</a>")
-    assert items == [DirectedExample("p1", "forward", src, tgt)]
+    assert items == [DirectedExample("p1", "forward", "en", "de", "<a>x</a>", "<a>y</a>")]
 
 
 def test_dump_parallel_writes_prep_field_order(tmp_path, handle):
     items, _ = load(handle(DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE + "\n"))
     out = tmp_path / "out.jsonl"
-    dump(items, DatasetHandle(DatasetFormat.PARALLEL_JSONL, out))
+    dump(items, out)
     assert out.read_text() == PARALLEL_LINE + "\n"
 
 
@@ -220,7 +221,7 @@ def tagged_texts(n):
 
 def test_load_holds_one_line_at_a_time(tmp_path):
     path = tmp_path / "tagged.jsonl"
-    dump(tagged_texts(20_000), DatasetHandle(DatasetFormat.TAGGED_JSONL, path))
+    dump(tagged_texts(20_000), path)
     tracemalloc.start()
     try:
         items, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path))
@@ -234,7 +235,7 @@ def test_load_holds_one_line_at_a_time(tmp_path):
 # --------------------------------------------------------------------- dump
 
 def roundtrip(items, fmt, path):
-    dump(items, DatasetHandle(fmt, path))
+    dump(items, path)
     return load(DatasetHandle(fmt, path))
 
 
@@ -254,8 +255,8 @@ def test_dump_load_identity_tagged_and_parallel(tmp_path):
     assert back == tagged
 
     pairs = [
-        DirectedExample("1", "forward", TaggedText("1", "en", "<a>x</a>"), TaggedText("1", "de", "<a>y</a>")),
-        DirectedExample("1", "reverse", TaggedText("1", "de", "<a>y</a>"), TaggedText("1", "en", "<a>x</a>")),
+        DirectedExample("1", "forward", "en", "de", "<a>x</a>", "<a>y</a>"),
+        DirectedExample("1", "reverse", "de", "en", "<a>y</a>", "<a>x</a>"),
     ]
     back, _ = roundtrip(pairs, DatasetFormat.PARALLEL_JSONL, tmp_path / "pairs.jsonl")
     assert back == pairs
@@ -265,12 +266,35 @@ def test_dump_load_identity_tagged_and_parallel(tmp_path):
     assert back == raw
 
 
+# Characters json.dumps(ensure_ascii=False) escapes (quotes, backslash, control
+# characters) or writes raw (NEL, U+2028, U+2029, BOM, astral), which the line
+# reader must not split on.
+UNICODE = st.text(st.sampled_from('"\\\n\r\t\x00\x85\u2028\u2029\ufeffa\u00e9\U0001f600\U00010348 <>/')) | st.text()
+
+
+@given(
+    st.lists(st.builds(DirectedExample, UNICODE, UNICODE, UNICODE, UNICODE, UNICODE, UNICODE), max_size=4)
+    | st.lists(
+        st.builds(RawMarkupPair, UNICODE, UNICODE, UNICODE, UNICODE.filter(bool), UNICODE.filter(bool)), max_size=4
+    )
+)
+def test_flat_records_round_trip_any_unicode(tmp_path_factory, items):
+    parallel = items and type(items[0]) is DirectedExample
+    fmt = DatasetFormat.PARALLEL_JSONL if parallel else DatasetFormat.RAW_MARKUP_JSONL
+    path = tmp_path_factory.mktemp("flat") / "out.jsonl"
+    dump(items, path)
+    first = path.read_bytes()
+    assert load(DatasetHandle(fmt, path)) == (items, [])
+    dump(items, path)
+    assert path.read_bytes() == first
+
+
 def test_dump_is_byte_stable(tmp_path):
     docs = [make_doc("ab", [Span("a", 0, 2)], doc_id="1")]
     target = tmp_path / "out.jsonl"
-    dump(docs, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=target))
+    dump(docs, target)
     first = target.read_bytes()
-    dump(docs, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=target))
+    dump(docs, target)
     assert target.read_bytes() == first
     assert first.endswith(b"\n")
     assert not first.startswith(b"\xef\xbb\xbf")  # no BOM
@@ -278,14 +302,13 @@ def test_dump_is_byte_stable(tmp_path):
 
 def test_dump_empty_list(tmp_path):
     target = tmp_path / "empty.jsonl"
-    summary = dump([], DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=target))
-    assert summary.count == 0
+    dump([], target)
     assert target.read_text() == ""
 
 
 def test_dump_tagged_record_schema(tmp_path):
     out = tmp_path / "out.jsonl"
-    dump([TaggedText("t1", "de", "<a>x</a>")], DatasetHandle(DatasetFormat.TAGGED_JSONL, out))
+    dump([TaggedText("t1", "de", "<a>x</a>")], out)
     record = json.loads(out.read_text())
     assert record == {"id": "t1", "lang": "de", "tagged_text": "<a>x</a>"}
 
@@ -295,31 +318,26 @@ def test_dump_holds_one_line_at_a_time(tmp_path):
     path = tmp_path / "tagged.jsonl"
     tracemalloc.start()
     try:
-        dump(items, DatasetHandle(DatasetFormat.TAGGED_JSONL, path))
+        dump(items, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * path.stat().st_size
 
 
-def test_dump_failing_partway_keeps_the_old_file(tmp_path):
+@pytest.mark.parametrize("items", [
+    [make_doc("ab"), TaggedText("2", "en", "x")],
+    [RawMarkupPair("1", "en", "de", "x", "y"), DirectedExample("1", "forward", "en", "de", "x", "y")],
+    [Span("a", 0, 1)],
+    ["plain text"],
+], ids=["mixed-annotated-tagged", "mixed-raw-parallel", "span", "str"])
+def test_dump_refuses_items_outside_one_format_and_keeps_the_old_file(tmp_path, items):
     target = tmp_path / "out.jsonl"
     target.write_bytes(b"old\n")
     with pytest.raises(FormatError):
-        dump([make_doc("ab"), TaggedText("2", "en", "x")], DatasetHandle(DatasetFormat.ANNOTATED_JSONL, target))
+        dump(items, target)
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
-
-
-def test_dump_rejects_mismatched_items(tmp_path):
-    out = tmp_path / "out.jsonl"
-    with pytest.raises(FormatError):
-        dump([TaggedText("1", "en", "x")], DatasetHandle(DatasetFormat.ANNOTATED_JSONL, out))
-    with pytest.raises(FormatError):
-        dump([TaggedText("1", "en", "x")], DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, out))
-    with pytest.raises(FormatError):
-        dump([make_doc("ab")], DatasetHandle(DatasetFormat.PLAIN_TEXT, out))
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------- QA ingest
