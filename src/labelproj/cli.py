@@ -60,8 +60,11 @@ def make_backend(
 ) -> TranslationBackend:
     """Parse a --backend value: identity | shuffle | drop:Q | http(s) URL.
 
-    ``shuffle`` and ``drop:Q`` move or drop markers of ``scheme``.
+    ``shuffle`` and ``drop:Q`` move or drop markers of ``scheme``; any backend refuses sizes below 1.
     """
+    for name, number in (("batch_size", batch_size), ("max_in_flight", max_in_flight)):
+        if number < 1:
+            raise LabelProjError(f"{name} must be >= 1")
     value = value or os.environ.get(ENV_BACKEND_URL)
     if not value:
         raise LabelProjError(f"no backend given and {ENV_BACKEND_URL} is unset")
@@ -276,8 +279,8 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    texts, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.input)), args.error_budget)
     backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
+    texts, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.input)), args.error_budget)
     translated = backend.translate_batch(texts, args.src_lang, args.tgt_lang)
     dump(translated, Path(args.output))
     print(f"translated {len(translated)} texts -> {Path(args.output)}", file=sys.stderr)
@@ -323,6 +326,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         check_threshold(args.threshold)
     _check_distinct_outputs(args)
+    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
     docs, load_diags = load(
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
     )
@@ -331,7 +335,6 @@ def cmd_project(args: argparse.Namespace) -> int:
         reference, _ = load(
             DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.reference)), args.error_budget
         )
-    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
     if len({doc.id for doc in docs}) != len(docs):
         raise AlignmentError("duplicate ids among projected documents")
     results = project(docs, backend, args.src_lang, args.tgt_lang, _scheme(args))
@@ -355,12 +358,15 @@ def cmd_project(args: argparse.Namespace) -> int:
 MAX_SWEEP_CELLS = 10_000
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... up to hi (give or take 1e-9), each rounded to 10 places; (hi - lo) / step sets the count."""
+def _grid(args: argparse.Namespace, name: str) -> list[float]:
+    """NAME_min, NAME_min + NAME_step, ... up to NAME_max (give or take 1e-9), each rounded to 10 places."""
+    lo, hi, step = (getattr(args, f"{name}_{end}") for end in ("min", "max", "step"))
     if not all(map(math.isfinite, (lo, hi, step))):
         raise LabelProjError("grid bounds and step must be finite numbers")
     if step <= 0:
         raise LabelProjError("grid step must be positive")
+    if lo > hi:
+        raise LabelProjError(f"{name}_min {lo:g} is above {name}_max {hi:g}")
     count = (hi - lo + 1e-9) / step + 1
     if count > MAX_SWEEP_CELLS:
         raise LabelProjError(f"a grid from {lo:g} to {hi:g} by {step:g} has more than {MAX_SWEEP_CELLS} values")
@@ -369,8 +375,8 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # Every cell's corpus name and sampler settings are made and checked before any corpus is written.
-    p_opens = _grid(args.p_open_min, args.p_open_max, args.p_open_step)
-    p_closes = _grid(args.p_close_min, args.p_close_max, args.p_close_step)
+    p_opens = _grid(args, "p_open")
+    p_closes = _grid(args, "p_close")
     if len(p_opens) * len(p_closes) > MAX_SWEEP_CELLS:
         raise LabelProjError(f"a {len(p_opens)} x {len(p_closes)} grid has more than {MAX_SWEEP_CELLS} cells")
     cells: dict[str, MarkerConfig] = {}

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence
 
 from .errors import InvalidAnnotationError
 from .model import (
@@ -72,8 +71,7 @@ def _tag_sort_key(tag: str) -> tuple[int, str]:
     return (len(tag), tag)
 
 
-@dataclass(frozen=True)
-class MarkerToken:
+class MarkerToken(NamedTuple):
     """One recognized marker with its offsets in the raw tagged string."""
 
     name: str
@@ -205,13 +203,13 @@ def decode(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> tuple
 
     Output spans are sorted by (start, longest first, tag sequence order).
     """
-    return _decode(tagged, scheme)[:2]
+    return _decode(tagged, scheme, tagged.lang)[:2]
 
 
 def _decode(
-    tagged: TaggedText, scheme: MarkerScheme
+    tagged: TaggedText, scheme: MarkerScheme, lang: str
 ) -> tuple[AnnotatedText, list[Diagnostic], list[MarkerToken]]:
-    """:func:`decode`, plus the marker tokens it scanned: what ``signature`` counts."""
+    """:func:`decode` into language ``lang``, plus the marker tokens it scanned: what ``signature`` counts."""
     raw = tagged.tagged
     tokens, diagnostics = scan_markers(raw, scheme)
     pairs, orphans, unclosed = pair_markers(tokens)
@@ -251,7 +249,7 @@ def _decode(
 
     spans.sort(key=lambda s: (s.start, -s.end, _tag_sort_key(s.tag)))
     diagnostics.sort(key=lambda d: (d.offset if d.offset is not None else 1 << 62))
-    return AnnotatedText(id=tagged.id, lang=tagged.lang, text=text, spans=tuple(spans)), diagnostics, tokens
+    return AnnotatedText(id=tagged.id, lang=lang, text=text, spans=tuple(spans)), diagnostics, tokens
 
 
 def signature(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> Counter[tuple[str, MarkerKind]]:
@@ -290,13 +288,16 @@ def occurrences(spans: Sequence[Span]) -> dict[str, list[int]]:
 
 
 def _with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> AnnotatedText:
-    """Give each span the label of the source span with the same (tag, occurrence index)."""
+    """Give each span of ``doc``, which has no labels, the label of the source span with the same
+    (tag, occurrence index); ``doc`` itself when the source has no labels either."""
+    if all(span.label is None for span in source.spans):
+        return doc
     labels: list[str | None] = [None] * len(doc.spans)
     source_positions = occurrences(source.spans)
     for tag, positions in occurrences(doc.spans).items():
         for i, j in zip(positions, source_positions.get(tag, ())):
             labels[i] = source.spans[j].label
-    return replace(doc, spans=tuple(Span(s.tag, s.start, s.end, label) for s, label in zip(doc.spans, labels)))
+    return AnnotatedText(doc.id, doc.lang, doc.text, tuple(s._replace(label=x) for s, x in zip(doc.spans, labels)))
 
 
 def project(
@@ -314,9 +315,9 @@ def project(
     hypotheses = backend.translate_batch(sources, src_lang, tgt_lang)
     results = []
     for doc, encoded, hypothesis in zip(docs, sources, hypotheses):
-        projected, diagnostics, tokens = _decode(hypothesis, scheme)
+        projected, diagnostics, tokens = _decode(hypothesis, scheme, tgt_lang)
         matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in tokens)
         if scheme is MarkerScheme.XML:
             projected = _with_source_labels(projected, doc)
-        results.append((replace(projected, lang=tgt_lang), diagnostics, matched))
+        results.append((projected, diagnostics, matched))
     return results

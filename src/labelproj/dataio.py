@@ -188,10 +188,6 @@ def _parse_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> tuple[Any, l
     return kind(_record_id(record), *(_string(record, key) for key in _FLAT_FIELDS[kind][1:])), []
 
 
-def _span_dict(span: Span) -> dict[str, Any]:
-    return {"tag": span.tag, "start": span.start, "end": span.end, "label": span.label}
-
-
 def _record_line(item: Any, kind: type) -> str:
     """The record line of an item that must be of type ``kind``."""
     if type(item) is not kind:
@@ -201,7 +197,7 @@ def _record_line(item: Any, kind: type) -> str:
             "id": item.id,
             "lang": item.lang,
             "text": item.text,
-            "spans": [_span_dict(s) for s in item.spans],
+            "spans": [span._asdict() for span in item.spans],
         }
     elif kind is TaggedText:
         record = {"id": item.id, "lang": item.lang, "tagged_text": item.tagged}

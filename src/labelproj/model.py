@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -35,13 +36,12 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == SEVERITY_ERROR for d in diagnostics)
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One labeled region of text, half-open on scalar-value offsets.
 
     Zero-width spans (start == end) are permitted. The optional label
     carries free-text semantic information (e.g. an entity type) and is
-    never serialized into markers.
+    never serialized into markers. An immutable tuple that equals only a ``Span``.
     """
 
     tag: str
@@ -51,6 +51,14 @@ class Span:
 
     def length(self) -> int:
         return self.end - self.start
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Span and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Reference codec: the character-by-character encoder and the two-step
-scanner with its own pairing loop that ``labelproj.codec`` replaced.
+scanner with its own pairing loop that ``labelproj.codec`` replaced, and
+``project`` composed from the public codec calls.
 
 Kept only as an oracle: tests require the production codec to give
 byte-equal tagged strings and equal (document, diagnostics) results.
@@ -10,9 +11,10 @@ byte-equal tagged strings and equal (document, diagnostics) results.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
-from labelproj import AnnotatedText, MarkerScheme, Span, TaggedText, tag_name
-from labelproj.codec import MarkerToken
+from labelproj import AnnotatedText, MarkerScheme, Span, TaggedText, decode, encode, signature, tag_name
+from labelproj.codec import MarkerToken, occurrences
 from labelproj.errors import InvalidAnnotationError
 from labelproj.model import MARKER_RE, SEVERITY_INFO, SEVERITY_WARNING, Diagnostic, has_errors, validate
 
@@ -172,3 +174,28 @@ def oracle_decode(tagged, scheme=MarkerScheme.XML, *, doc_id="", lang=""):
     diagnostics.sort(key=lambda d: (d.offset if d.offset is not None else 1 << 62))
     text = "".join(out)
     return AnnotatedText(id=doc_id, lang=lang, text=text, spans=tuple(spans)), diagnostics
+
+
+def oracle_with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> AnnotatedText:
+    """Every span of ``doc`` rebuilt with the label of the source span with the same (tag, occurrence index)."""
+    labels = [None] * len(doc.spans)
+    source_positions = occurrences(source.spans)
+    for tag, positions in occurrences(doc.spans).items():
+        for i, j in zip(positions, source_positions.get(tag, ())):
+            labels[i] = source.spans[j].label
+    return replace(doc, spans=tuple(Span(s.tag, s.start, s.end, label) for s, label in zip(doc.spans, labels)))
+
+
+def oracle_project(docs, backend, src_lang, tgt_lang, scheme=MarkerScheme.XML):
+    """``project`` one step at a time: encode, translate, decode in the hypothesis's language, relabel
+    every span (XML only), then move the document to ``tgt_lang``; the match flag compares signatures."""
+    sources = [encode(doc, scheme) for doc in docs]
+    hypotheses = backend.translate_batch(sources, src_lang, tgt_lang)
+    results = []
+    for doc, encoded, hypothesis in zip(docs, sources, hypotheses):
+        projected, diagnostics = decode(hypothesis, scheme)
+        if scheme is MarkerScheme.XML:
+            projected = oracle_with_source_labels(projected, doc)
+        matched = signature(encoded, scheme) == signature(hypothesis, scheme)
+        results.append((replace(projected, lang=tgt_lang), diagnostics, matched))
+    return results

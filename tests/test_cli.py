@@ -380,6 +380,18 @@ def test_flags_a_command_ignores_are_rejected(argv):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("backend", ["identity", "shuffle", "drop:0.5", "http://127.0.0.1:9"])
+@pytest.mark.parametrize("command", ["translate", "project"])
+@pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--max-in-flight", "-3")])
+def test_batch_flags_below_one_are_rejected_before_input_is_read(tmp_path, capsys, backend, command, flag, value):
+    out = tmp_path / "out.jsonl"
+    argv = [command, "-i", str(tmp_path / "missing.jsonl"), "-o", str(out), "--backend", backend,
+            "--src-lang", "en", "--tgt-lang", "de", flag, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} must be >= 1\n"
+    assert not out.exists()
+
+
 def _float_flags() -> list[tuple[str, str]]:
     """(command, flag) for every float-typed flag of every subcommand."""
     [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
@@ -762,6 +774,15 @@ def test_sweep_checks_its_whole_grid_before_writing(tmp_path, capsys, grid):
     assert main(["sweep", "-i", str(text), "--out-dir", str(tmp_path / "sweep"), *grid]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("name", ["p_open", "p_close"])
+def test_sweep_rejects_a_reversed_grid_before_reading_input(tmp_path, capsys, name):
+    flag = "--" + name.replace("_", "-")
+    argv = ["sweep", "-i", str(tmp_path / "missing.txt"), "--out-dir", str(tmp_path / "sweep")]
+    assert main([*argv, f"{flag}-min", "0.5", f"{flag}-max", "0.1"]) == 1
+    assert capsys.readouterr().err == f"error: {name}_min 0.5 is above {name}_max 0.1\n"
     assert not (tmp_path / "sweep").exists()
 
 

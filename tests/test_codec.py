@@ -9,20 +9,24 @@ from hypothesis import given, assume, settings
 import hypothesis.strategies as st
 
 from labelproj import (
+    IdentityBackend,
     InvalidAnnotationError,
     MarkerScheme,
     Span,
+    TagDropperBackend,
+    TagShufflerBackend,
     TaggedText,
     decode,
     encode,
+    project,
     signature,
     tag_name,
     validate,
 )
 from labelproj.codec import _decode, _encoded_signature, pair_markers, scan_markers
-from labelproj.model import has_errors
+from labelproj.model import _partially_overlap, has_errors
 
-from codec_oracle import oracle_decode, oracle_encode, strip_markers
+from codec_oracle import oracle_decode, oracle_encode, oracle_project, strip_markers
 from conftest import canon, make_doc
 from test_acceptance import _random_doc
 
@@ -371,7 +375,7 @@ def test_decode_matches_oracle_on_mutated_strings():
 
 def test_decode_tokens_are_the_signature_on_mutated_strings():
     for _, scheme, raw in _mutated_strings():
-        _, _, tokens = _decode(bare(raw), scheme)
+        _, _, tokens = _decode(bare(raw), scheme, "")
         assert Counter((t.name, t.kind) for t in tokens) == signature(bare(raw), scheme)
 
 
@@ -409,3 +413,42 @@ def test_encoded_signature_matches_scan_of_encoding():
             encoded = encode(doc, scheme)
             assert _encoded_signature(doc, encoded, scheme) == signature(encoded, scheme)
     assert collisions > 1_000
+
+
+# ------------------------------------------------------------------ project
+
+# '<', '/' and brackets let texts hold marker-shaped substrings of both schemes.
+PROJECT_ALPHABET = list("ab <>/[]z中")
+BACKENDS = {
+    "identity": lambda seed, scheme: IdentityBackend(),
+    "shuffle": TagShufflerBackend,
+    "drop:0.3": lambda seed, scheme: TagDropperBackend(0.3, seed, scheme),
+    "drop:1.0": lambda seed, scheme: TagDropperBackend(1.0, seed, scheme),
+}
+
+
+@st.composite
+def project_batches(draw):
+    """One to three valid documents; spans carry labels only when the batch is labelled."""
+    labelled = draw(st.booleans())
+    docs = []
+    for i in range(draw(st.integers(1, 3))):
+        text = draw(st.text(alphabet=st.sampled_from(PROJECT_ALPHABET), max_size=24))
+        spans: list[Span] = []
+        for _ in range(draw(st.integers(0, 6))):
+            start = draw(st.integers(0, len(text)))
+            end = draw(st.integers(start, len(text)))
+            label = draw(st.sampled_from([None, "PER", "LOC"])) if labelled else None
+            span = Span(tag_name(draw(st.integers(0, 3))), start, end, label)
+            if not any(s.tag == span.tag and _partially_overlap(s, span) for s in spans):
+                spans.append(span)
+        docs.append(make_doc(text, spans, doc_id=f"d{i}"))
+    return docs
+
+
+@settings(max_examples=300)
+@given(project_batches(), st.sampled_from(sorted(BACKENDS)), st.sampled_from([XML, BRACKETS]), st.integers(0, 3))
+def test_project_equals_its_step_by_step_oracle(docs, backend, scheme, seed):
+    assert not any(has_errors(validate(doc)) for doc in docs)
+    translator = BACKENDS[backend](seed, scheme)
+    assert project(docs, translator, "en", "de", scheme) == oracle_project(docs, translator, "en", "de", scheme)

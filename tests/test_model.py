@@ -70,3 +70,19 @@ def test_clean_documents_always_encode():
 def test_spans_sequence_coerces_to_tuple():
     doc = AnnotatedText("d", "en", "ab", [Span("a", 0, 1)])
     assert isinstance(doc.spans, tuple)
+
+
+def test_span_contract():
+    span = Span("a", 0, 1)
+    assert span == Span("a", 0, 1, None) and not span != Span("a", 0, 1)
+    assert span != ("a", 0, 1, None) and ("a", 0, 1, None) != span
+    assert not span == ("a", 0, 1, None) and not ("a", 0, 1, None) == span
+    assert hash(span) == hash(("a", 0, 1, None))
+    assert hash(Span("per", 2, 5, "PER")) == hash(("per", 2, 5, "PER"))
+    with pytest.raises(AttributeError):
+        span.start = 3
+    assert repr(span) == "Span(tag='a', start=0, end=1, label=None)"
+    assert {span, Span("a", 0, 1), Span("a", 0, 1, "PER")} == {Span("a", 0, 1), Span("a", 0, 1, "PER")}
+    assert span.length() == 1 and len(span) == 4 and span[0] == "a"
+    tag, start, end, label = span
+    assert (tag, start, end, label) == ("a", 0, 1, None)
