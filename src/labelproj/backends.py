@@ -9,9 +9,12 @@ pipeline:
 * ``POST {endpoint}/score`` with ``{"pairs": [{"src": str, "hyp": str,
   "ref": str|null}]}`` returning ``{"scores": [number]}``.
 
-Both are UTF-8 JSON over the standard library's ``urllib.request``: HTTPS
-verifies against the system CA store (``SSL_CERT_FILE``), and proxies come
-from ``http_proxy``/``https_proxy``/``no_proxy``. The deterministic local
+Both are UTF-8 JSON over the standard library's ``http.client``. A
+translation batch keeps one HTTP/1.1 connection alive per in-flight slot
+and closes them all when it returns; a score batch uses one connection. No
+redirect is followed. HTTPS verifies against the system CA store
+(``SSL_CERT_FILE``), and proxies come from
+``http_proxy``/``https_proxy``/``no_proxy``. The deterministic local
 backends (identity, tag shuffler, tag dropper) are part of the shipped
 toolkit, not test-only code: they make every pipeline runnable with no
 model at all.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import json
+import os
 import random
 import sys
 import time
@@ -133,9 +137,14 @@ class TagDropperBackend(_SeededMarkerBackend):
 
 
 class _HttpJsonClient:
-    """POSTs JSON with retries: transport errors and 5xx back off
-    exponentially, 4xx is terminal so a malformed payload is never re-sent,
-    and so is a TLS certificate that fails verification."""
+    """POSTs JSON over HTTP/1.1 connections that stay open between requests.
+
+    Transport errors and 5xx back off exponentially; a transport error also
+    closes the connection, so the next attempt opens a fresh one. A 3xx is
+    terminal (a redirect is never followed), 4xx is terminal so a malformed
+    payload is never re-sent, and so is a TLS certificate that fails
+    verification.
+    """
 
     def __init__(
         self,
@@ -150,43 +159,101 @@ class _HttpJsonClient:
         self.max_retries = max_retries
         self.bearer_token = bearer_token
         self.backoff_base = backoff_base
+        self._route = None
 
-    def post(self, path: str, payload: dict) -> tuple[int, dict]:
-        """Return the status and the JSON object of the first non-error response."""
+    def _resolve(self):
+        """Return (connection factory, request-target prefix, headers) for the
+        endpoint, through the proxy ``http_proxy``/``https_proxy`` names for it
+        unless ``no_proxy`` lists its host."""
         # Imported here so that commands which send no request do not load the HTTP stack.
         import http.client
         import ssl
-        import urllib.error
-        import urllib.request
+        from urllib.parse import unquote
 
-        url = f"{self.endpoint}{path}"
+        scheme, _, rest = self.endpoint.partition("://")
+        netloc, slash, path = rest.partition("/")
+        host = address = unquote(netloc)
+        target = slash + path
+        tunnel = None
+        tls = scheme == "https"
         headers = {"Content-Type": "application/json"}
         if self.bearer_token:
             headers["Authorization"] = f"Bearer {self.bearer_token}"
-        request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
+        proxy = None
+        # Outside macOS and Windows, urllib reads proxies from *_proxy variables
+        # alone, so with none set it need not be loaded.
+        proxy_variables = any(v and k.lower().endswith("_proxy") for k, v in os.environ.items())
+        if proxy_variables or sys.platform in ("darwin", "win32"):
+            import urllib.request
+
+            proxy = urllib.request.getproxies().get(scheme)
+            if proxy and urllib.request.proxy_bypass(host):
+                proxy = None
+        if proxy:
+            proxy_scheme, _, authority = proxy.rpartition("://")
+            userinfo, _, proxy_host = authority.split("/", 1)[0].rpartition("@")
+            user, _, password = userinfo.partition(":")
+            proxy_headers = {}
+            if user and password:
+                from base64 import b64encode
+
+                credentials = b64encode(f"{unquote(user)}:{unquote(password)}".encode()).decode("ascii")
+                proxy_headers["Proxy-Authorization"] = f"Basic {credentials}"
+            address = unquote(proxy_host)
+            if tls:  # CONNECT through the proxy, then TLS with the endpoint itself
+                tunnel = proxy_headers
+            else:  # the whole URL goes to the proxy, which may itself speak TLS
+                target, tls = self.endpoint, proxy_scheme == "https"
+                headers.update(proxy_headers)
+        kind = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        options = {"context": ssl.create_default_context()} if tls else {}
+
+        def connect() -> http.client.HTTPConnection:
+            connection = kind(address, timeout=self.timeout, **options)
+            if tunnel is not None:
+                connection.set_tunnel(host, headers=tunnel)
+            return connection
+
+        return connect, target, headers
+
+    def connect(self):
+        """A new connection to the endpoint; it opens on its first request."""
+        if self._route is None:
+            self._route = self._resolve()
+        return self._route[0]()
+
+    def post(self, connection, path: str, payload: dict) -> tuple[int, dict]:
+        """Send on ``connection``, which one thread uses at a time, and return
+        the status and the JSON object of the first non-error response."""
+        import http.client
+        import ssl
+
+        _, target, headers = self._route
+        url = f"{self.endpoint}{path}"
+        data = json.dumps(payload).encode("utf-8")
         last_error: str | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
-                try:
-                    response = urllib.request.urlopen(request, timeout=self.timeout)
-                except urllib.error.HTTPError as exc:
-                    response = exc  # an error status still carries a body to read
-                with response:
-                    status, data = response.status, response.read()
+                connection.request("POST", target + path, data, headers)
+                response = connection.getresponse()
+                status, location, raw = response.status, response.getheader("Location"), response.read()
+            except ssl.SSLCertVerificationError as exc:
+                raise BackendUnreachableError(f"{url}: not retried: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:
-                if isinstance(getattr(exc, "reason", None), ssl.SSLCertVerificationError):
-                    raise BackendUnreachableError(f"{url}: not retried: {exc.reason}") from exc
+                connection.close()
                 last_error = str(exc)
                 continue
             if status >= 500:
                 last_error = f"HTTP {status}"
                 continue
             if status >= 400:
-                raise BackendError(status, data.decode("utf-8", "replace")[:200])
+                raise BackendError(status, raw.decode("utf-8", "replace")[:200])
+            if status >= 300:
+                raise BackendError(status, f"redirect to {location} not followed; give the endpoint's final URL")
             try:
-                body = json.loads(data)
+                body = json.loads(raw)
             except (RecursionError, ValueError) as exc:  # RecursionError: nested too deeply to decode
                 raise BackendError(status, f"unparseable body: {exc}")
             if not isinstance(body, dict):
@@ -199,8 +266,9 @@ class HttpTranslationBackend(TranslationBackend):
     """Batched HTTP client with bounded concurrency and order preservation.
 
     Requests go out in chunks of ``batch_size`` with at most
-    ``max_in_flight`` concurrent requests; responses are reassembled in
-    input order regardless of completion order.
+    ``max_in_flight`` concurrent requests, each slot on its own kept-alive
+    connection; responses are reassembled in input order regardless of
+    completion order. Once a chunk fails, no further chunk is sent.
     """
 
     def __init__(
@@ -222,13 +290,13 @@ class HttpTranslationBackend(TranslationBackend):
         self.max_in_flight = max_in_flight
         self._client = _HttpJsonClient(endpoint, timeout, max_retries, bearer_token, backoff_base)
 
-    def _translate_chunk(self, chunk: Sequence[TaggedText], src_lang: str, tgt_lang: str) -> list[str]:
+    def _translate_chunk(self, connection, chunk: Sequence[TaggedText], src_lang: str, tgt_lang: str) -> list[str]:
         payload = {
             "src_lang": src_lang,
             "tgt_lang": tgt_lang,
             "texts": [t.tagged for t in chunk],
         }
-        status, body = self._client.post("/translate", payload)
+        status, body = self._client.post(connection, "/translate", payload)
         translations = body.get("translations")
         if not isinstance(translations, list) or len(translations) != len(chunk):
             got = len(translations) if isinstance(translations, list) else "no"
@@ -242,10 +310,48 @@ class HttpTranslationBackend(TranslationBackend):
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
     ) -> list[TaggedText]:
         _check_languages(src_lang, tgt_lang)
-        from concurrent.futures import ThreadPoolExecutor
         chunks = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
-        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            results = list(pool.map(lambda c: self._translate_chunk(c, src_lang, tgt_lang), chunks))
+        if not chunks:
+            return []
+        import threading
+        from collections import deque
+
+        # One worker per slot, each owning one kept-alive connection; a failed
+        # chunk stops every worker from taking another.
+        connections = [self._client.connect() for _ in range(min(self.max_in_flight, len(chunks)))]
+        pending = deque(enumerate(chunks))  # popleft is thread-safe
+        results: list = [None] * len(chunks)
+        failures: dict[int, BaseException] = {}
+        stop = threading.Event()
+
+        def work(connection) -> None:
+            while not stop.is_set():
+                try:
+                    i, chunk = pending.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[i] = self._translate_chunk(connection, chunk, src_lang, tgt_lang)
+                except BaseException as exc:  # raised again in the caller's thread
+                    failures[i] = exc
+                    stop.set()
+
+        workers = [threading.Thread(target=work, args=(connection,)) for connection in connections]
+        for worker in workers:
+            worker.start()
+        try:
+            for worker in workers:
+                worker.join()
+        except BaseException:  # interrupted: send no further chunk and wait out those in flight
+            stop.set()
+            for worker in workers:
+                worker.join()
+            raise
+        finally:
+            for connection in connections:
+                connection.close()
+        if failures:
+            raise failures[min(failures)]  # the first failed chunk in input order, as a serial run would report
         out: list[TaggedText] = []
         for chunk, translations in zip(chunks, results):
             for text, translation in zip(chunk, translations):
@@ -288,7 +394,11 @@ class HttpScorerBackend(ScorerBackend):
         if not pairs:
             raise EmptyInputError("score_batch requires at least one pair")
         payload = {"pairs": [{"src": src, "hyp": hyp, "ref": ref} for src, hyp, ref in pairs]}
-        status, body = self._client.post("/score", payload)
+        connection = self._client.connect()
+        try:
+            status, body = self._client.post(connection, "/score", payload)
+        finally:
+            connection.close()
         scores = body.get("scores")
         if not isinstance(scores, list) or len(scores) != len(pairs):
             got = len(scores) if isinstance(scores, list) else "no"

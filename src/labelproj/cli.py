@@ -55,6 +55,14 @@ def _bearer_token() -> str | None:
     return os.environ.get(ENV_BEARER_TOKEN)
 
 
+def _number(value: str, form: str) -> float:
+    """The number after the ':' of a ``kind:number`` flag value; ``form`` says what the flag expects."""
+    try:
+        return float(value.partition(":")[2])
+    except ValueError:
+        raise LabelProjError(f"{form}, got {value!r}") from None
+
+
 def make_backend(
     value: str | None, seed: int, batch_size: int, max_in_flight: int, scheme: MarkerScheme = MarkerScheme.XML
 ) -> TranslationBackend:
@@ -73,7 +81,7 @@ def make_backend(
     if value == "shuffle":
         return TagShufflerBackend(seed, scheme)
     if value.startswith("drop:"):
-        return TagDropperBackend(float(value[len("drop:") :]), seed, scheme)
+        return TagDropperBackend(_number(value, "--backend drop:Q needs a number Q in [0, 1]"), seed, scheme)
     if value.startswith(("http:", "https:")):
         return HttpTranslationBackend(
             value,
@@ -89,7 +97,7 @@ def make_scorer(value: str | None) -> ScorerBackend | None:
     if not value:
         return None
     if value.startswith("constant:"):
-        return ConstantScorer(float(value[len("constant:") :]))
+        return ConstantScorer(_number(value, "--scorer constant:S needs a number S"))
     if value.startswith(("http:", "https:")):
         return HttpScorerBackend(value, bearer_token=_bearer_token())
     raise LabelProjError(f"unrecognized scorer {value!r}")
@@ -235,6 +243,8 @@ def cmd_prep(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_qa(args: argparse.Namespace) -> int:
+    min_score = None if args.no_score_filter else args.min_score
+    scorer = make_scorer(args.scorer) if min_score is not None else None
     src_tree = read_qa_tree(Path(args.src_json))
     tgt_tree = read_qa_tree(Path(args.tgt_json))
     src_docs, src_diags = ingest_qa(src_tree, args.src_lang)
@@ -264,8 +274,6 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
             _diag_record(Diagnostic("warning", "UNALIGNED_CONTEXT", "no source-side context"), doc_id)
         )
 
-    min_score = None if args.no_score_filter else args.min_score
-    scorer = make_scorer(args.scorer) if min_score is not None else None
     kept, dropped, filter_diags = filter_parallel_qa(pairs, scorer, min_score)
     diag_records.extend(_diag_record(d) for d in filter_diags)
 

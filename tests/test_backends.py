@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import base64
+import gc
 import json
+import os
 import socket
 import ssl
+import subprocess
+import sys
 import threading
 import time
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import labelproj
 from labelproj import (
     AlignmentError,
     BackendError,
@@ -112,6 +119,14 @@ def test_constant_scorer():
 # -------------------------------------------------------------- HTTP layer
 
 class _Handler(BaseHTTPRequestHandler):
+    def setup(self):
+        super().setup()
+        self.server.connections.append(("open", self.client_address))
+
+    def finish(self):
+        super().finish()
+        self.server.connections.append(("closed", self.client_address))
+
     def do_POST(self):  # noqa: N802 (stdlib naming)
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
@@ -127,14 +142,22 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveHandler(_Handler):
+    protocol_version = "HTTP/1.1"  # the connection stays open after each response
+
+
 # A self-signed certificate for 127.0.0.1 and localhost, valid 2000-2100.
 LOOPBACK_CERT = Path(__file__).with_name("loopback_cert.pem")
 
 
 @contextmanager
-def http_server(behavior, tls=False):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+def http_server(behavior, tls=False, keep_alive=False, connections=None):
+    """Serve ``behavior`` over HTTP/1.0, or HTTP/1.1 with ``keep_alive``. Each
+    connection appends ("open", client address) to ``connections`` when it is
+    accepted and ("closed", client address) when the server is done with it."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler if keep_alive else _Handler)
     server.behavior = behavior
+    server.connections = [] if connections is None else connections
     if tls:
         context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         context.load_cert_chain(LOOPBACK_CERT, LOOPBACK_CERT.with_name("loopback_key.pem"))
@@ -200,6 +223,91 @@ def test_http_translate_order_preserved_under_concurrency():
         backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=6)
         out = backend.translate_batch(texts, "en", "de")
     assert [t.tagged for t in out] == [f"out:text{i}" for i in range(12)]
+
+
+@contextmanager
+def no_unclosed_sockets():
+    """Fail if a socket is left for the garbage collector to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _wait_until_all_closed(connections: list) -> tuple[list, list]:
+    """Wait up to 5 s for the server to see every connection close; return (opened, closed)."""
+    deadline = time.monotonic() + 5
+    while True:
+        opened, closed = ([address for event, address in connections if event == kind] for kind in ("open", "closed"))
+        if sorted(closed) == sorted(opened) or time.monotonic() > deadline:
+            return opened, closed
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("n_chunks, slots, delay", [(12, 3, 0.01), (120, 6, 0.0)])
+def test_http_translate_keeps_one_connection_alive_per_slot(n_chunks, slots, delay):
+    def behavior(path, body, headers):
+        time.sleep(delay)  # slow enough that every slot is used
+        return 200, {"translations": [f"out:{t}" for t in body["texts"]]}
+
+    connections: list = []
+    texts = [tt(str(i), f"text{i}") for i in range(n_chunks)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches: two threads on one connection would break a request
+    try:
+        with http_server(behavior, keep_alive=True, connections=connections) as url:
+            backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=slots, timeout=10)
+            with no_unclosed_sockets():
+                out = backend.translate_batch(texts, "en", "de")
+            opened, closed = _wait_until_all_closed(connections)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t.tagged for t in out] == [f"out:text{i}" for i in range(n_chunks)]
+    assert 1 <= len(opened) <= slots  # one request per chunk
+    assert sorted(closed) == sorted(opened)  # the batch closes its connections when it returns
+
+
+def test_http_translate_closes_its_connections_when_a_chunk_fails():
+    def behavior(path, body, headers):
+        if body["texts"] == ["text5"]:
+            return 400, {"error": "no"}
+        return 200, {"translations": body["texts"]}
+
+    connections: list = []
+    texts = [tt(str(i), f"text{i}") for i in range(12)]
+    with http_server(behavior, keep_alive=True, connections=connections) as url:
+        with no_unclosed_sockets(), pytest.raises(BackendError):
+            HttpTranslationBackend(url, batch_size=1, max_in_flight=3).translate_batch(texts, "en", "de")
+        opened, closed = _wait_until_all_closed(connections)
+    assert 1 <= len(opened) <= 3
+    assert sorted(closed) == sorted(opened)
+
+
+@pytest.mark.parametrize("slots", [1, 3])
+def test_http_translate_sends_no_chunk_after_one_fails(slots):
+    seen = []
+    failed = threading.Event()
+
+    def behavior(path, body, headers):
+        text = body["texts"][0]
+        seen.append(text)
+        if text == "text3":
+            failed.set()
+            return 400, {"error": text}
+        if int(text[4:]) > 3:  # answer only once the client has had the 400
+            failed.wait(5)
+            time.sleep(0.05)
+        return 200, {"translations": body["texts"]}
+
+    texts = [tt(str(i), f"text{i}") for i in range(40)]
+    with http_server(behavior, keep_alive=True) as url:
+        with pytest.raises(BackendError, match="text3"):
+            HttpTranslationBackend(url, batch_size=1, max_in_flight=slots).translate_batch(texts, "en", "de")
+    # Chunks 0-3 free a slot before the failure is known, so each slot may
+    # hold one more chunk; none is taken after.
+    assert sorted(seen, key=lambda t: int(t[4:])) == [f"text{i}" for i in range(len(seen))]
+    assert 4 <= len(seen) <= 3 + slots
 
 
 def test_http_retries_on_500_then_succeeds():
@@ -427,3 +535,115 @@ def test_http_400_message_carries_the_body():
             backend.translate_batch([tt("1", "x")], "en", "de")
     assert excinfo.value.status == 400
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "status", ["301 Moved Permanently", "302 Found", "307 Temporary Redirect", "308 Permanent Redirect"]
+)
+def test_http_redirect_is_terminal_after_one_request(status):
+    # The body is a well-formed result, so only the status can refuse it.
+    body = b'{"translations": ["x"]}'
+    reply = (
+        f"HTTP/1.1 {status}\r\nLocation: http://127.0.0.1:9/v2\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+    ).encode("ascii") + body
+    with raw_server(reply) as (url, calls):
+        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01, timeout=5)
+        with pytest.raises(BackendError, match="redirect to http://127.0.0.1:9/v2 not followed") as excinfo:
+            backend.translate_batch([tt("1", "x")], "en", "de")
+    assert excinfo.value.status == int(status[:3])
+    assert len(calls) == 1
+
+
+# ------------------------------------------------------------------ proxies
+
+def run_translate(tmp_path: Path, endpoint: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``labelproj translate`` on one text in a fresh interpreter whose only
+    proxy settings are ``env``, so the proxy environment is read from scratch."""
+    (tmp_path / "in.jsonl").write_text('{"id":"1","lang":"en","tagged_text":"<a>x</a>"}\n')
+    clean = {key: value for key, value in os.environ.items() if not key.lower().endswith("_proxy")}
+    clean["PYTHONPATH"] = str(Path(labelproj.__file__).parents[1])
+    argv = [sys.executable, "-m", "labelproj.cli", "translate", "-i", str(tmp_path / "in.jsonl"),
+            "-o", str(tmp_path / "out.jsonl"), "--backend", endpoint, "--src-lang", "en", "--tgt-lang", "de"]
+    return subprocess.run(argv, env={**clean, **env}, capture_output=True, text=True, timeout=60)
+
+
+def echo(seen: list):
+    def behavior(path, body, headers):
+        seen.append((path, headers.get("Host"), headers.get("Proxy-Authorization")))
+        return 200, {"translations": body["texts"]}
+
+    return behavior
+
+
+def test_http_goes_through_the_proxy_with_the_whole_url(tmp_path):
+    seen: list = []
+    with http_server(echo(seen)) as proxy:
+        address = proxy.removeprefix("http://")
+        # The host is never resolved: only the proxy is contacted.
+        proxy_url = f"http://us%65r:p%40ss@{address}"
+        done = run_translate(tmp_path, "http://labelproj.invalid:8000/v1", http_proxy=proxy_url)
+    assert done.returncode == 0, done.stderr
+    credentials = base64.b64encode(b"user:p@ss").decode("ascii")
+    assert seen == [("http://labelproj.invalid:8000/v1/translate", "labelproj.invalid:8000", f"Basic {credentials}")]
+    assert json.loads((tmp_path / "out.jsonl").read_text())["tagged_text"] == "<a>x</a>"
+
+
+def test_no_proxy_sends_straight_to_the_endpoint(tmp_path):
+    through_proxy: list = []
+    direct: list = []
+    with http_server(echo(through_proxy)) as proxy, http_server(echo(direct)) as endpoint:
+        done = run_translate(tmp_path, f"{endpoint}/v1", http_proxy=proxy, no_proxy="localhost,127.0.0.1")
+    assert done.returncode == 0, done.stderr
+    assert through_proxy == []
+    assert direct == [("/v1/translate", endpoint.removeprefix("http://"), None)]
+
+
+@contextmanager
+def connect_proxy():
+    """A proxy that answers one CONNECT with 200 and then relays bytes both
+    ways. Yields (url, requests): each request's head, as text."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    requests: list[str] = []
+
+    def relay(source: socket.socket, sink: socket.socket) -> None:
+        with suppress(OSError):
+            while data := source.recv(65536):
+                sink.sendall(data)
+        with suppress(OSError):
+            sink.shutdown(socket.SHUT_WR)
+
+    def serve() -> None:
+        client, _ = listener.accept()
+        with client, client.makefile("rb") as stream:
+            head = b"".join(iter(lambda: stream.readline(), b"\r\n")).decode("latin-1")
+            requests.append(head)
+            host, port = head.split()[1].rsplit(":", 1)
+            with socket.create_connection((host, int(port))) as upstream:
+                client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                back = threading.Thread(target=relay, args=(upstream, client), daemon=True)
+                back.start()
+                relay(client, upstream)
+                back.join(timeout=10)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", requests
+    finally:
+        listener.close()
+        thread.join(timeout=10)
+
+
+def test_https_goes_through_the_proxy_in_a_tunnel(tmp_path):
+    seen: list = []
+    with http_server(echo(seen), tls=True) as endpoint, connect_proxy() as (proxy, requests):
+        target = endpoint.removeprefix("https://")
+        address = proxy.removeprefix("http://")
+        done = run_translate(tmp_path, f"{endpoint}/v1", https_proxy=f"http://user:pw@{address}",
+                             SSL_CERT_FILE=str(LOOPBACK_CERT))
+    assert done.returncode == 0, done.stderr
+    [head] = requests
+    assert head.startswith(f"CONNECT {target} HTTP/1.")
+    assert f"Proxy-Authorization: Basic {base64.b64encode(b'user:pw').decode('ascii')}" in head
+    assert seen == [("/v1/translate", target, None)]  # the credentials stay with the proxy

@@ -392,6 +392,37 @@ def test_batch_flags_below_one_are_rejected_before_input_is_read(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["translate", "project"])
+@pytest.mark.parametrize("backend", ["drop:abc", "drop:"])
+def test_a_drop_backend_without_a_number_names_the_flag(tmp_path, capsys, command, backend):
+    out = tmp_path / "out.jsonl"
+    argv = [command, "-i", str(tmp_path / "missing.jsonl"), "-o", str(out), "--backend", backend,
+            "--src-lang", "en", "--tgt-lang", "de"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --backend drop:Q needs a number Q in [0, 1], got {backend!r}\n"
+    assert not out.exists()
+
+
+def test_a_constant_scorer_without_a_number_names_the_flag(tmp_path, capsys):
+    qa = tmp_path / "qa.json"
+    qa.write_text(json.dumps({"data": [{"paragraphs": [{"context": "ab", "qas": []}]}]}))
+    assert main([
+        "filter-qa", "--src-json", str(qa), "--tgt-json", str(qa), "--src-lang", "en", "--tgt-lang", "de",
+        "--out-dir", str(tmp_path / "qa"), "--scorer", "constant:x",
+    ]) == 1
+    assert capsys.readouterr().err == "error: --scorer constant:S needs a number S, got 'constant:x'\n"
+    assert not (tmp_path / "qa").exists()
+
+
+def test_filter_qa_checks_its_scorer_before_reading_input(tmp_path, capsys):
+    assert main([
+        "filter-qa", "--src-json", str(tmp_path / "nope"), "--tgt-json", str(tmp_path / "nope"),
+        "--src-lang", "en", "--tgt-lang", "de", "--out-dir", str(tmp_path / "qa"), "--scorer", "bogus:1",
+    ]) == 1
+    assert capsys.readouterr().err == "error: unrecognized scorer 'bogus:1'\n"
+    assert not (tmp_path / "qa").exists()
+
+
 def _float_flags() -> list[tuple[str, str]]:
     """(command, flag) for every float-typed flag of every subcommand."""
     [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
