@@ -11,9 +11,9 @@ pipeline:
 
 Both are UTF-8 JSON over the standard library's ``http.client``. A
 translation batch keeps one HTTP/1.1 connection alive per in-flight slot
-and closes them all when it returns; a score batch uses one connection. No
-redirect is followed. HTTPS verifies against the system CA store
-(``SSL_CERT_FILE``), and proxies come from
+and closes them all when it returns; a score batch sends chunks of 32 pairs
+in order over one connection. No redirect is followed. HTTPS verifies
+against the system CA store (``SSL_CERT_FILE``), and proxies come from
 ``http_proxy``/``https_proxy``/``no_proxy``. The deterministic local
 backends (identity, tag shuffler, tag dropper) are part of the shipped
 toolkit, not test-only code: they make every pipeline runnable with no
@@ -34,6 +34,10 @@ from .codec import MarkerScheme, MarkerToken, _strip, pair_markers, scan_markers
 from .errors import AlignmentError, BackendError, BackendUnreachableError, EmptyInputError
 from .model import TaggedText
 from .synth import derive_seed
+
+
+# Texts per translation request by default, and pairs per score request.
+_BATCH_SIZE = 32
 
 
 def _check_languages(src_lang: str, tgt_lang: str) -> None:
@@ -277,7 +281,7 @@ class HttpTranslationBackend(TranslationBackend):
         *,
         timeout: float = 30.0,
         max_retries: int = 3,
-        batch_size: int = 32,
+        batch_size: int = _BATCH_SIZE,
         max_in_flight: int = 4,
         bearer_token: str | None = None,
         backoff_base: float = 0.5,
@@ -393,16 +397,20 @@ class HttpScorerBackend(ScorerBackend):
     def score_batch(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]:
         if not pairs:
             raise EmptyInputError("score_batch requires at least one pair")
-        payload = {"pairs": [{"src": src, "hyp": hyp, "ref": ref} for src, hyp, ref in pairs]}
         connection = self._client.connect()
         try:
-            status, body = self._client.post(connection, "/score", payload)
+            chunks = (pairs[i : i + _BATCH_SIZE] for i in range(0, len(pairs), _BATCH_SIZE))
+            return [score for chunk in chunks for score in self._score_chunk(connection, chunk)]
         finally:
             connection.close()
+
+    def _score_chunk(self, connection, chunk: Sequence[tuple[str, str, str | None]]) -> list[float]:
+        payload = {"pairs": [{"src": src, "hyp": hyp, "ref": ref} for src, hyp, ref in chunk]}
+        status, body = self._client.post(connection, "/score", payload)
         scores = body.get("scores")
-        if not isinstance(scores, list) or len(scores) != len(pairs):
+        if not isinstance(scores, list) or len(scores) != len(chunk):
             got = len(scores) if isinstance(scores, list) else "no"
-            raise AlignmentError(f"{got} scores returned for {len(pairs)} pairs")
+            raise AlignmentError(f"{got} scores returned for {len(chunk)} pairs")
         for s in scores:
             # type() excludes bool; the bounds also reject NaN, infinities and
             # integers too large for a float.

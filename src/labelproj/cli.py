@@ -14,7 +14,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -104,12 +103,7 @@ def make_scorer(value: str | None) -> ScorerBackend | None:
 
 
 def _diag_record(diag: Diagnostic, doc_id: str | None = None) -> dict:
-    record = {
-        "severity": diag.severity,
-        "code": diag.code,
-        "message": diag.message,
-        "offset": diag.offset,
-    }
+    record = diag._asdict()
     if doc_id is not None:
         record["id"] = doc_id
     return record
@@ -197,7 +191,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for line in lines:
         if not line.tagged.strip():
             continue
-        config = replace(base, seed=derive_seed(args.seed, line.id))
+        config = base._replace(seed=derive_seed(args.seed, line.id))
         docs.append(insert_markers(line.tagged, config, doc_id=line.id, lang=args.src_lang))
     dump(docs, Path(args.output))
     print(f"sampled spans for {len(docs)} sentences -> {Path(args.output)}", file=sys.stderr)
@@ -230,7 +224,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
     dump(corpus.train, out_dir / "train.jsonl")
     dump(corpus.dev, out_dir / "dev.jsonl")
     provenance = {
-        "provenance": corpus.provenance.to_json_dict(),
+        "provenance": corpus.provenance._asdict(),
         "dropped": [{"id": pair.id, "reason": reason} for pair, reason in corpus.dropped],
         "read_diagnostics": [_diag_record(d) for d in read_diags],
     }
@@ -409,7 +403,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for name, cell in cells.items():
         tagged = []
         for line in sentences:
-            config = replace(cell, seed=derive_seed(cell.seed, line.id))
+            config = cell._replace(seed=derive_seed(cell.seed, line.id))
             doc = insert_markers(line.tagged, config, doc_id=line.id, lang=args.src_lang)
             tagged.append(encode(doc, scheme))
         dump(tagged, out_dir / name)

@@ -12,33 +12,37 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .codec import tag_name
 from .errors import BackendError, BackendUnreachableError, ScorerUnavailableError
-from .model import SEVERITY_WARNING, AnnotatedText, Diagnostic
+from .model import SEVERITY_WARNING, AnnotatedText, Diagnostic, record_type
 
 # Markup as found in the wild: optional attributes, optional self-closing
 # slash. Attribute values containing angle brackets are not supported.
 _RAW_TAG_RE = re.compile(r"<(/?)([A-Za-z_][A-Za-z0-9_.:-]*)([^<>]*?)(/?)>")
 
 
-@dataclass(frozen=True)
-class RawMarkupPair:
+class _RawMarkupFields(NamedTuple):
     id: str
     src_lang: str
     tgt_lang: str
     src_markup: str
     tgt_markup: str
 
-    def __post_init__(self) -> None:
-        if not self.src_markup or not self.tgt_markup:
-            raise ValueError(f"pair {self.id!r}: both sides must be non-empty")
+
+@record_type
+class RawMarkupPair(_RawMarkupFields):
+    __slots__ = ()
+
+    def __new__(cls, id: str, src_lang: str, tgt_lang: str, src_markup: str, tgt_markup: str):
+        if not src_markup or not tgt_markup:
+            raise ValueError(f"pair {id!r}: both sides must be non-empty")
+        return tuple.__new__(cls, (id, src_lang, tgt_lang, src_markup, tgt_markup))
 
 
-@dataclass(frozen=True)
-class DirectedExample:
+@record_type
+class DirectedExample(NamedTuple):
     """One translation direction of a training pair; the ``parallel`` dataset item."""
 
     id: str
@@ -49,8 +53,8 @@ class DirectedExample:
     tgt_tagged: str
 
 
-@dataclass(frozen=True)
-class CorpusProvenance:
+@record_type
+class CorpusProvenance(NamedTuple):
     input_pairs: int
     kept_pairs: int
     dropped_untagged: int
@@ -63,12 +67,9 @@ class CorpusProvenance:
     max_tags_per_pair: int
     max_unique_tags_per_pair: int
 
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
 
-
-@dataclass(frozen=True)
-class PreparedCorpus:
+@record_type
+class PreparedCorpus(NamedTuple):
     train: tuple[DirectedExample, ...]
     dev: tuple[DirectedExample, ...]
     dropped: tuple[tuple[RawMarkupPair, str], ...]
@@ -216,20 +217,25 @@ def prepare_training_corpus(
     return PreparedCorpus(tuple(train), tuple(dev), tuple(dropped), provenance)
 
 
-@dataclass(frozen=True)
-class QaParallelPair:
-    """A parallel QA context pair sharing one id, plus its per-side question counts."""
-
+class _QaPairFields(NamedTuple):
     src: AnnotatedText
     tgt: AnnotatedText
     src_questions: int
     tgt_questions: int
 
-    def __post_init__(self) -> None:
-        if self.src.id != self.tgt.id:
-            raise ValueError(f"sides of {self.id!r} carry different ids")
-        if self.src.lang == self.tgt.lang:
-            raise ValueError(f"{self.id!r}: source and target language are equal")
+
+@record_type
+class QaParallelPair(_QaPairFields):
+    """A parallel QA context pair sharing one id, plus its per-side question counts."""
+
+    __slots__ = ()
+
+    def __new__(cls, src: AnnotatedText, tgt: AnnotatedText, src_questions: int, tgt_questions: int):
+        if src.id != tgt.id:
+            raise ValueError(f"sides of {src.id!r} carry different ids")
+        if src.lang == tgt.lang:
+            raise ValueError(f"{src.id!r}: source and target language are equal")
+        return tuple.__new__(cls, (src, tgt, src_questions, tgt_questions))
 
     @property
     def id(self) -> str:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codec import tag_name
 from .corpus import DirectedExample, RawMarkupPair
@@ -29,6 +28,7 @@ from .model import (
     Span,
     TaggedText,
     has_errors,
+    record_type,
     validate,
 )
 
@@ -46,17 +46,12 @@ class DatasetFormat(str, Enum):
 
 
 # The flat records, whose fields are all strings: the item type of each flat
-# format, and its fields in file order, which is also the constructor's
-# argument order.
+# format. A record's keys, in file order, are its type's ``_fields``.
 _FLAT_TYPES = {DatasetFormat.PARALLEL_JSONL: DirectedExample, DatasetFormat.RAW_MARKUP_JSONL: RawMarkupPair}
-_FLAT_FIELDS = {
-    DirectedExample: ("id", "direction", "src_lang", "tgt_lang", "src_tagged", "tgt_tagged"),
-    RawMarkupPair: ("id", "src_lang", "tgt_lang", "src_markup", "tgt_markup"),
-}
 
 
-@dataclass(frozen=True)
-class DatasetHandle:
+@record_type
+class DatasetHandle(NamedTuple):
     format: DatasetFormat
     path: Path
 
@@ -131,7 +126,7 @@ def load(
 
 def _check_first_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> None:
     if fmt in _FLAT_TYPES:
-        required = _FLAT_FIELDS[_FLAT_TYPES[fmt]]
+        required = _FLAT_TYPES[fmt]._fields
     else:
         required = ("id", "text", "spans") if fmt is DatasetFormat.ANNOTATED_JSONL else ("id", "tagged_text")
     missing = [key for key in required if key not in record]
@@ -185,7 +180,7 @@ def _parse_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> tuple[Any, l
         )
         return item, []
     kind = _FLAT_TYPES[fmt]
-    return kind(_record_id(record), *(_string(record, key) for key in _FLAT_FIELDS[kind][1:])), []
+    return kind(_record_id(record), *(_string(record, key) for key in kind._fields[1:])), []
 
 
 def _record_line(item: Any, kind: type) -> str:
@@ -201,8 +196,8 @@ def _record_line(item: Any, kind: type) -> str:
         }
     elif kind is TaggedText:
         record = {"id": item.id, "lang": item.lang, "tagged_text": item.tagged}
-    elif kind in _FLAT_FIELDS:
-        record = {key: getattr(item, key) for key in _FLAT_FIELDS[kind]}
+    elif kind in _FLAT_TYPES.values():
+        record = item._asdict()
     else:
         raise FormatError(f"no dataset format holds {kind.__name__} items")
     return _json_line(record)

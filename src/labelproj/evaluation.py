@@ -18,19 +18,18 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .codec import MarkerScheme, occurrences, signature
 from .errors import AlignmentError, EmptyInputError
-from .model import AnnotatedText, TaggedText
-from .similarity import gestalt_ratio
+from .model import AnnotatedText, TaggedText, record_type
+from .similarity import _reaches
 
 DEFAULT_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class PRF:
+@record_type
+class PRF(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -81,16 +80,15 @@ def _doc_counts(projected: AnnotatedText, reference: AnnotatedText, threshold: f
                 fp += 1
             elif k >= len(proj_spans):
                 fn += 1
+            elif _reaches(
+                projected.span_text(projected.spans[proj_spans[k]]),
+                reference.span_text(reference.spans[ref_spans[k]]),
+                threshold,
+            ):
+                tp += 1
             else:
-                ratio = gestalt_ratio(
-                    projected.span_text(projected.spans[proj_spans[k]]),
-                    reference.span_text(reference.spans[ref_spans[k]]),
-                )
-                if ratio >= threshold:
-                    tp += 1
-                else:
-                    fp += 1
-                    fn += 1
+                fp += 1
+                fn += 1
     return tp, fp, fn
 
 
@@ -143,8 +141,8 @@ def projection_rate(
     return sum(markers_match(source, hyp, scheme) for source, hyp in pairs) / len(pairs)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+@record_type
+class ReportRow(NamedTuple):
     language: str
     dataset: str
     examples: int
@@ -167,8 +165,8 @@ def _cell(value: object) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+@record_type
+class EvalReport(NamedTuple):
     """Per-group rows plus a global micro-aggregated row.
 
     The global row sums raw counts; macro averages over rows are carried
@@ -188,12 +186,7 @@ class EvalReport:
             "dataset": row.dataset,
             "examples": row.examples,
             "spans": row.spans,
-            "tp": row.prf.tp,
-            "fp": row.prf.fp,
-            "fn": row.prf.fn,
-            "precision": row.prf.precision,
-            "recall": row.prf.recall,
-            "f1": row.prf.f1,
+            **row.prf._asdict(),
             "projection_rate": row.projection_rate,
         }
 

@@ -8,7 +8,6 @@ gives), never bytes or UTF-16 units.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 SEVERITY_ERROR = "error"
@@ -22,8 +21,25 @@ MARKER_RE = re.compile(r"<(/?)([a-z]+)>")
 _TAG_NAME_RE = re.compile(r"[a-z]+")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+def record_type(cls):
+    """Make a ``NamedTuple`` class equal only to its own type, hashed as the plain tuple
+    of its fields. A subclass that validates in ``__new__`` declares ``__slots__ = ()``;
+    its ``_make``, and so ``_replace``, goes through that ``__new__``."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, tuple.__hash__
+    if "_fields" not in vars(cls):
+        cls._make = classmethod(lambda cls, fields: cls(*fields))
+    return cls
+
+
+@record_type
+class Diagnostic(NamedTuple):
     """One validation or decoding anomaly: never raised, always reported."""
 
     severity: str
@@ -36,12 +52,13 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == SEVERITY_ERROR for d in diagnostics)
 
 
+@record_type
 class Span(NamedTuple):
     """One labeled region of text, half-open on scalar-value offsets.
 
     Zero-width spans (start == end) are permitted. The optional label
     carries free-text semantic information (e.g. an entity type) and is
-    never serialized into markers. An immutable tuple that equals only a ``Span``.
+    never serialized into markers.
     """
 
     tag: str
@@ -52,34 +69,29 @@ class Span(NamedTuple):
     def length(self) -> int:
         return self.end - self.start
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Span and tuple.__eq__(self, other)
 
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
-@dataclass(frozen=True)
-class AnnotatedText:
-    """Text plus a multiset of spans; nesting and overlap are allowed."""
-
+class _AnnotatedFields(NamedTuple):
     id: str
     lang: str
     text: str
     spans: tuple[Span, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.spans, tuple):
-            object.__setattr__(self, "spans", tuple(self.spans))
+
+@record_type
+class AnnotatedText(_AnnotatedFields):
+    """Text plus a multiset of spans; nesting and overlap are allowed."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, lang: str, text: str, spans: tuple[Span, ...] = ()):
+        return tuple.__new__(cls, (id, lang, text, tuple(spans)))
 
     def span_text(self, span: Span) -> str:
         return self.text[span.start : span.end]
 
 
-@dataclass(frozen=True)
-class TaggedText:
+@record_type
+class TaggedText(NamedTuple):
     """A single string with inline markers, plus a language code."""
 
     id: str

@@ -28,6 +28,19 @@ def gestalt_ratio(a: str, b: str) -> float:
     return 2.0 * _matched_total(a, b) / (len(a) + len(b))
 
 
+def _reaches(a: str, b: str, threshold: float) -> bool:
+    """``gestalt_ratio(a, b) >= threshold``, deciding from the lengths alone when they rule it out.
+
+    The matched count is at most the shorter normalized length, and float
+    division is monotone, so 2*min/(|a|+|b|) < threshold is an exact miss.
+    """
+    a = unicodedata.normalize("NFC", a)
+    b = unicodedata.normalize("NFC", b)
+    if a != b and 2.0 * min(len(a), len(b)) / (len(a) + len(b)) < threshold:
+        return False
+    return gestalt_ratio(a, b) >= threshold  # normalizing again is a fast quick-check
+
+
 def _matched_total(a: str, b: str) -> int:
     b_index: dict[str, list[int]] = {}
     for j, ch in enumerate(b):

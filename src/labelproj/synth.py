@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 try:  # hashlib would also load OpenSSL's libcrypto, which only HTTPS needs
     from _blake2 import blake2b
@@ -19,7 +19,7 @@ except ImportError:  # CPython built without _blake2
 
 from .codec import tag_name
 from .errors import NoTokensError
-from .model import AnnotatedText, Span
+from .model import AnnotatedText, Span, record_type
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -30,8 +30,16 @@ class InsertionMode(str, Enum):
     COMPLEX = "complex"
 
 
-@dataclass(frozen=True)
-class MarkerConfig:
+class _MarkerConfigFields(NamedTuple):
+    mode: InsertionMode
+    p_open: float = 0.2
+    p_close: float = 0.5
+    seed: int = 0
+    sequential_lengths: bool = False
+
+
+@record_type
+class MarkerConfig(_MarkerConfigFields):
     """Sampler parameters.
 
     ``p_open`` is the per-boundary probability of starting a new span and
@@ -43,21 +51,19 @@ class MarkerConfig:
     implies. The two coincide at p_close = 0.5, the default.
     """
 
-    mode: InsertionMode
-    p_open: float = 0.2
-    p_close: float = 0.5
-    seed: int = 0
-    sequential_lengths: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.p_open <= 1.0:
             raise ValueError(f"p_open must be in [0, 1], got {self.p_open}")
         if not 0.0 < self.p_close <= 1.0:
             raise ValueError(f"p_close must be in (0, 1], got {self.p_close}")
+        return self
 
 
-@dataclass(frozen=True)
-class TokenBoundaryMap:
+@record_type
+class TokenBoundaryMap(NamedTuple):
     """Whitespace-delimited tokens; boundary k lies before token k, boundary n after the last."""
 
     tokens: tuple[tuple[int, int], ...]

@@ -11,7 +11,6 @@ byte-equal tagged strings and equal (document, diagnostics) results.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 from labelproj import AnnotatedText, MarkerScheme, Span, TaggedText, decode, encode, signature, tag_name
 from labelproj.codec import MarkerToken, occurrences
@@ -183,7 +182,7 @@ def oracle_with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> Anno
     for tag, positions in occurrences(doc.spans).items():
         for i, j in zip(positions, source_positions.get(tag, ())):
             labels[i] = source.spans[j].label
-    return replace(doc, spans=tuple(Span(s.tag, s.start, s.end, label) for s, label in zip(doc.spans, labels)))
+    return doc._replace(spans=tuple(Span(s.tag, s.start, s.end, label) for s, label in zip(doc.spans, labels)))
 
 
 def oracle_project(docs, backend, src_lang, tgt_lang, scheme=MarkerScheme.XML):
@@ -197,5 +196,5 @@ def oracle_project(docs, backend, src_lang, tgt_lang, scheme=MarkerScheme.XML):
         if scheme is MarkerScheme.XML:
             projected = oracle_with_source_labels(projected, doc)
         matched = signature(encoded, scheme) == signature(hypothesis, scheme)
-        results.append((replace(projected, lang=tgt_lang), diagnostics, matched))
+        results.append((projected._replace(lang=tgt_lang), diagnostics, matched))
     return results

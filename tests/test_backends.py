@@ -386,6 +386,52 @@ def test_http_scorer_wire_format():
     assert scores == [82.5, 82.5]
 
 
+def test_http_scorer_sends_chunks_of_32_in_order_over_one_connection():
+    sizes = []
+
+    def behavior(path, body, headers):
+        sizes.append(len(body["pairs"]))
+        return 200, {"scores": [float(pair["src"]) for pair in body["pairs"]]}
+
+    connections: list = []
+    with http_server(behavior, keep_alive=True, connections=connections) as url:
+        with no_unclosed_sockets():
+            scores = HttpScorerBackend(url).score_batch([(str(i), "h", None) for i in range(300)])
+        opened, closed = _wait_until_all_closed(connections)
+    assert scores == [float(i) for i in range(300)]
+    assert sizes == [32] * 9 + [12]
+    assert len(opened) == 1 and closed == opened
+
+
+def test_http_scorer_retries_only_the_failed_chunk():
+    firsts = []
+
+    def behavior(path, body, headers):
+        firsts.append(body["pairs"][0]["src"])
+        if firsts.count("32") == 1 and firsts[-1] == "32":
+            return 503, {}
+        return 200, {"scores": [1.0] * len(body["pairs"])}
+
+    with http_server(behavior, keep_alive=True) as url:
+        scores = HttpScorerBackend(url, backoff_base=0).score_batch([(str(i), "h", None) for i in range(70)])
+    assert scores == [1.0] * 70
+    assert firsts == ["0", "32", "32", "64"]
+
+
+def test_http_scorer_short_chunk_is_alignment_error():
+    firsts = []
+
+    def behavior(path, body, headers):
+        firsts.append(body["pairs"][0]["src"])
+        short = body["pairs"][0]["src"] == "32"
+        return 200, {"scores": [1.0] * (len(body["pairs"]) - short)}
+
+    with http_server(behavior, keep_alive=True) as url:
+        with pytest.raises(AlignmentError, match="^31 scores returned for 32 pairs$"):
+            HttpScorerBackend(url).score_batch([(str(i), "h", None) for i in range(100)])
+    assert firsts == ["0", "32"]  # no chunk is sent after one fails
+
+
 def test_http_scorer_count_mismatch():
     def behavior(path, body, headers):
         return 200, {"scores": [1.0]}

@@ -60,6 +60,17 @@ def test_cli_import_loads_only_stdlib_modules():
     assert sorted(loaded - set(sys.stdlib_module_names) - {"labelproj"}) == []
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every record is a NamedTuple: dataclasses would also pull in inspect, ast, dis and tokenize.
+    script = (
+        "import sys; before = set(sys.modules); import labelproj.cli; "
+        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(labelproj.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
 def test_cli_import_leaves_the_http_stack_unloaded():
     # Only an HTTP backend or scorer needs these; they load on the first request.
     heavy = ["http.client", "urllib.request", "ssl", "concurrent.futures", "_hashlib"]

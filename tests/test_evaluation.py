@@ -11,6 +11,7 @@ from labelproj import (
     Span,
     TaggedText,
     build_report,
+    gestalt_ratio,
     label_match_f1,
     projection_rate,
 )
@@ -143,6 +144,23 @@ def test_micro_additivity(span_counts):
         part = label_match_f1([proj], [ref])
         tp, fp, fn = tp + part.tp, fp + part.fp, fn + part.fn
     assert whole == PRF.from_counts(tp, fp, fn)
+
+
+SEGMENTS = st.text(alphabet="abe\u0301\u0308é", max_size=10)
+
+
+@given(st.lists(st.tuples(SEGMENTS, SEGMENTS), min_size=1, max_size=4), st.floats(0.0, 1.0), st.integers(0, 8))
+def test_counts_equal_the_thresholded_gestalt_ratio(pairs, threshold, pick):
+    def doc(texts):
+        starts = [sum(len(t) + 1 for t in texts[:k]) for k in range(len(texts))]
+        return make_doc("|".join(texts), [Span("a", s, s + len(t)) for s, t in zip(starts, texts)], doc_id="r1")
+
+    ratios = [gestalt_ratio(p, r) for p, r in pairs]
+    if pick:  # a threshold at some pair's exact ratio is the boundary case
+        threshold = ratios[pick % len(ratios)]
+    prf = label_match_f1([doc([p for p, _ in pairs])], [doc([r for _, r in pairs])], threshold)
+    hits = sum(ratio >= threshold for ratio in ratios)
+    assert (prf.tp, prf.fp, prf.fn) == (hits, len(pairs) - hits, len(pairs) - hits)
 
 
 # ---------------------------------------------------------- projection rate

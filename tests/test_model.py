@@ -1,9 +1,33 @@
 from __future__ import annotations
 
+import re
+from collections import namedtuple
+from pathlib import Path
+
 import pytest
 
-from labelproj import AnnotatedText, Span, TaggedText, encode, validate
-from labelproj.model import has_errors
+from labelproj import (
+    PRF,
+    AnnotatedText,
+    DatasetFormat,
+    DatasetHandle,
+    Diagnostic,
+    DirectedExample,
+    EvalReport,
+    InsertionMode,
+    MarkerConfig,
+    PreparedCorpus,
+    QaParallelPair,
+    RawMarkupPair,
+    Span,
+    TaggedText,
+    encode,
+    validate,
+)
+from labelproj.corpus import CorpusProvenance
+from labelproj.evaluation import ReportRow
+from labelproj.model import has_errors, record_type
+from labelproj.synth import TokenBoundaryMap
 
 from conftest import make_doc
 
@@ -69,7 +93,8 @@ def test_clean_documents_always_encode():
 
 def test_spans_sequence_coerces_to_tuple():
     doc = AnnotatedText("d", "en", "ab", [Span("a", 0, 1)])
-    assert isinstance(doc.spans, tuple)
+    assert type(doc.spans) is tuple and doc.spans == (Span("a", 0, 1),)
+    assert type(AnnotatedText("d", "en", "ab", spans=iter([Span("a", 0, 1)])).spans) is tuple
 
 
 def test_span_contract():
@@ -86,3 +111,134 @@ def test_span_contract():
     assert span.length() == 1 and len(span) == 4 and span[0] == "a"
     tag, start, end, label = span
     assert (tag, start, end, label) == ("a", 0, 1, None)
+
+
+# ------------------------------------------------------------ the records
+
+_PRF = PRF(1, 1, 1, 0.5, 0.5, 0.5)
+_PRF_REPR = "PRF(tp=1, fp=1, fn=1, precision=0.5, recall=0.5, f1=0.5)"
+_ROW = ReportRow("de", "ds", 1, 2, _PRF, None)
+_ROW_REPR = f"ReportRow(language='de', dataset='ds', examples=1, spans=2, prf={_PRF_REPR}, projection_rate=None)"
+_PROVENANCE = CorpusProvenance(1, 1, 0, 0, 2, 0, 0.05, 0, 1.0, 1, 1)
+_PROVENANCE_REPR = (
+    "CorpusProvenance(input_pairs=1, kept_pairs=1, dropped_untagged=0, dropped_unmapped=0, directed_examples=2,"
+    " dev_ids=0, dev_fraction=0.05, seed=0, avg_tags_per_pair=1.0, max_tags_per_pair=1, max_unique_tags_per_pair=1)"
+)
+
+# Every record type with an instance and the repr a frozen dataclass gave it.
+RECORDS = [
+    (Span("a", 0, 4, "PER"), "Span(tag='a', start=0, end=4, label='PER')"),
+    (
+        Diagnostic("error", "OFFSET_OOB", "out of range", 3),
+        "Diagnostic(severity='error', code='OFFSET_OOB', message='out of range', offset=3)",
+    ),
+    (
+        AnnotatedText("d1", "en", "John", (Span("a", 0, 4),)),
+        "AnnotatedText(id='d1', lang='en', text='John', spans=(Span(tag='a', start=0, end=4, label=None),))",
+    ),
+    (TaggedText("d1", "en", "<a>x</a>"), "TaggedText(id='d1', lang='en', tagged='<a>x</a>')"),
+    (
+        RawMarkupPair("p1", "en", "de", "<b>x</b>", "<b>y</b>"),
+        "RawMarkupPair(id='p1', src_lang='en', tgt_lang='de', src_markup='<b>x</b>', tgt_markup='<b>y</b>')",
+    ),
+    (
+        DirectedExample("p1", "forward", "en", "de", "x", "y"),
+        "DirectedExample(id='p1', direction='forward', src_lang='en', tgt_lang='de', src_tagged='x', tgt_tagged='y')",
+    ),
+    (_PROVENANCE, _PROVENANCE_REPR),
+    (
+        PreparedCorpus((), (), (), _PROVENANCE),
+        f"PreparedCorpus(train=(), dev=(), dropped=(), provenance={_PROVENANCE_REPR})",
+    ),
+    (
+        QaParallelPair(AnnotatedText("q", "en", "x"), AnnotatedText("q", "de", "y"), 1, 1),
+        "QaParallelPair(src=AnnotatedText(id='q', lang='en', text='x', spans=()),"
+        " tgt=AnnotatedText(id='q', lang='de', text='y', spans=()), src_questions=1, tgt_questions=1)",
+    ),
+    (
+        DatasetHandle(DatasetFormat.TAGGED_JSONL, Path("in.jsonl")),
+        f"DatasetHandle(format=<DatasetFormat.TAGGED_JSONL: 'tagged'>, path={Path('in.jsonl')!r})",
+    ),
+    (_PRF, _PRF_REPR),
+    (_ROW, _ROW_REPR),
+    (
+        EvalReport((_ROW,), _ROW, 0.5, 0.5, 0.5),
+        f"EvalReport(rows=({_ROW_REPR},), total={_ROW_REPR}, macro_precision=0.5, macro_recall=0.5, macro_f1=0.5)",
+    ),
+    (
+        MarkerConfig(InsertionMode.SIMPLE, 0.3),
+        "MarkerConfig(mode=<InsertionMode.SIMPLE: 'simple'>, p_open=0.3, p_close=0.5, seed=0, sequential_lengths=False)",
+    ),
+    (TokenBoundaryMap(((0, 4),)), "TokenBoundaryMap(tokens=((0, 4),))"),
+]
+
+
+@pytest.mark.parametrize("item, expected_repr", RECORDS, ids=[type(item).__name__ for item, _ in RECORDS])
+def test_record_contract(item, expected_repr):
+    fields = tuple(item)
+    assert item == type(item)(*fields) and not item != type(item)(*fields)
+    # Equal only to its own type: not to the plain tuple, nor to another record type with the same fields.
+    lookalike = record_type(namedtuple(type(item).__name__, item._fields))(*fields)
+    for other in (fields, lookalike):
+        assert item != other and other != item
+        assert not item == other and not other == item
+    assert hash(item) == hash(fields)
+    for name in (*item._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(item, name, None)
+    assert repr(item) == expected_repr
+
+
+def test_record_types_cover_every_record():
+    assert {type(item) for item, _ in RECORDS} == {
+        Span, Diagnostic, AnnotatedText, TaggedText, RawMarkupPair, DirectedExample, CorpusProvenance,
+        PreparedCorpus, QaParallelPair, DatasetHandle, PRF, ReportRow, EvalReport, MarkerConfig, TokenBoundaryMap,
+    }
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RawMarkupPair("p", "en", "de", "", "<b>y</b>"), "pair 'p': both sides must be non-empty"),
+        (lambda: RawMarkupPair("p", "en", "de", "<b>x</b>", ""), "pair 'p': both sides must be non-empty"),
+        (
+            lambda: QaParallelPair(AnnotatedText("p", "en", "x"), AnnotatedText("q", "de", "y"), 1, 1),
+            "sides of 'p' carry different ids",
+        ),
+        (
+            lambda: QaParallelPair(AnnotatedText("p", "en", "x"), AnnotatedText("p", "en", "y"), 1, 1),
+            "'p': source and target language are equal",
+        ),
+        (lambda: MarkerConfig(InsertionMode.SINGLE, 1.5), "p_open must be in [0, 1], got 1.5"),
+        (lambda: MarkerConfig(InsertionMode.SINGLE, p_open=-0.1), "p_open must be in [0, 1], got -0.1"),
+        (lambda: MarkerConfig(InsertionMode.SINGLE, p_close=0.0), "p_close must be in (0, 1], got 0.0"),
+        (lambda: MarkerConfig(mode=InsertionMode.SINGLE, p_close=float("nan")), "p_close must be in (0, 1], got nan"),
+        (lambda: MarkerConfig(InsertionMode.SINGLE)._replace(p_close=0.0), "p_close must be in (0, 1], got 0.0"),
+        (
+            lambda: RawMarkupPair("p", "en", "de", "<b>x</b>", "y")._replace(src_markup=""),
+            "pair 'p': both sides must be non-empty",
+        ),
+        (
+            lambda: QaParallelPair(AnnotatedText("p", "en", "x"), AnnotatedText("p", "de", "y"), 1, 1)._replace(
+                tgt=AnnotatedText("p", "en", "y")
+            ),
+            "'p': source and target language are equal",
+        ),
+    ],
+)
+def test_validating_records_keep_their_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_replace_keeps_spans_a_tuple():
+    doc = AnnotatedText("d", "en", "ab")._replace(spans=[Span("a", 0, 1)])
+    assert type(doc.spans) is tuple and doc == AnnotatedText("d", "en", "ab", (Span("a", 0, 1),))
+    assert hash(doc) == hash(tuple(doc)) and type(AnnotatedText._make(tuple(doc))) is AnnotatedText
+
+
+def test_record_defaults():
+    assert MarkerConfig(InsertionMode.SINGLE) == MarkerConfig(InsertionMode.SINGLE, 0.2, 0.5, 0, False)
+    assert MarkerConfig(InsertionMode.SINGLE)._replace(seed=7).seed == 7
+    assert AnnotatedText("d", "en", "t").spans == () and Diagnostic("info", "X", "m").offset is None
+    assert Span("a", 0, 1).label is None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import unicodedata
 
@@ -8,6 +9,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from labelproj import gestalt_ratio
+from labelproj import similarity
+from labelproj.similarity import _reaches
 
 
 def oracle_longest_block(a: str, b: str) -> tuple[int, int, int]:
@@ -103,3 +106,31 @@ def test_output_in_unit_interval_and_deterministic(a, b):
     r = gestalt_ratio(a, b)
     assert 0.0 <= r <= 1.0
     assert gestalt_ratio(a, b) == r
+
+
+def length_bound(a: str, b: str) -> float:
+    """2*min/(|a|+|b|) over the NFC forms: no ratio of the pair exceeds it."""
+    a, b = unicodedata.normalize("NFC", a), unicodedata.normalize("NFC", b)
+    return 2.0 * min(len(a), len(b)) / (len(a) + len(b)) if a or b else 1.0
+
+
+# Decomposed marks ("e" + U+0301 composes to "é") next to arbitrary Unicode.
+STRINGS = st.text(alphabet="abce\u0301\u0308é ", max_size=16) | st.text(max_size=16)
+
+
+@given(STRINGS, STRINGS, st.floats(0.0, 1.0))
+def test_reaches_is_the_thresholded_ratio(a, b, threshold):
+    ratio = gestalt_ratio(a, b)
+    assert ratio <= length_bound(a, b)
+    # The ratio and the bound themselves, and the floats either side of them, are the boundary cases.
+    edges = [edge for t in (ratio, length_bound(a, b)) for edge in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0))]
+    for t in (threshold, *edges):
+        assert _reaches(a, b, t) == (ratio >= t)
+
+
+def test_reaches_rejects_on_lengths_without_matching(monkeypatch):
+    long = "x" * 4000 + "é"
+    assert _reaches("e\u0301", long, 2 / 4002) and _reaches("", "", 1.0)
+    monkeypatch.setattr(similarity, "_matched_total", None)  # any call would raise
+    assert not _reaches("e\u0301", long, 0.001)  # NFC: one scalar against 4001
+    assert not _reaches("ab", "abcdef", 0.6)
