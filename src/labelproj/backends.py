@@ -230,8 +230,14 @@ class _HttpJsonClient:
         """Send on ``connection``, which one thread uses at a time, and return
         the status and the JSON object of the first non-error response."""
         import http.client
+        import socket
         import ssl
 
+        # Linux only. A server that leaves Nagle's algorithm on and sends a
+        # response's headers and body apart holds the body back until the
+        # headers are ACKed, which a kept-alive connection delays by about
+        # 40 ms. The kernel clears the option again, so it is set per request.
+        quick_ack = getattr(socket, "TCP_QUICKACK", None)
         _, target, headers = self._route
         url = f"{self.endpoint}{path}"
         data = json.dumps(payload).encode("utf-8")
@@ -241,6 +247,11 @@ class _HttpJsonClient:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
                 connection.request("POST", target + path, data, headers)
+                if quick_ack is not None:
+                    try:  # TLS and tunnels included: the option is set on the TCP socket's descriptor
+                        connection.sock.setsockopt(socket.IPPROTO_TCP, quick_ack, 1)
+                    except OSError:
+                        pass  # only the stall comes back
                 response = connection.getresponse()
                 status, location, raw = response.status, response.getheader("Location"), response.read()
             except ssl.SSLCertVerificationError as exc:

@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -23,6 +24,7 @@ from .model import (
     SEVERITY_ERROR,
     SEVERITY_INFO,
     SEVERITY_WARNING,
+    _TAG_NAME_RE,
     AnnotatedText,
     Diagnostic,
     Span,
@@ -157,8 +159,48 @@ def _record_id(record: Mapping[str, Any]) -> str:
     return str(value)
 
 
+def _clean_annotated(record: Mapping[str, Any]) -> AnnotatedText | None:
+    """The document of an annotated record that has no diagnostic, checked in the
+    one loop that builds its spans; None for any other record.
+
+    A record passes when its values have their JSON types, every span lies in
+    the text under a distinct tag of the marker grammar, and the text holds no
+    ``<``: then ``validate`` has nothing to report.
+    """
+    doc_id, lang, text, raw_spans = record.get("id"), record.get("lang", ""), record.get("text"), record.get("spans")
+    if type(doc_id) is int:
+        doc_id = str(doc_id)
+    if type(doc_id) is not str or type(lang) is not str or type(text) is not str or type(raw_spans) is not list:
+        return None
+    if "<" in text:
+        return None
+    n = len(text)
+    tags: set[str] = set()
+    spans = []
+    for raw in raw_spans:
+        if type(raw) is not dict:
+            return None
+        tag, start, end, label = raw.get("tag"), raw.get("start"), raw.get("end"), raw.get("label")
+        if (
+            type(tag) is not str
+            or type(start) is not int
+            or type(end) is not int
+            or not 0 <= start <= end <= n
+            or (label is not None and type(label) is not str)
+            or tag in tags
+            or not _TAG_NAME_RE.fullmatch(tag)
+        ):
+            return None
+        tags.add(tag)
+        spans.append(tuple.__new__(Span, (tag, start, end, label)))
+    return tuple.__new__(AnnotatedText, (doc_id, lang, text, tuple(spans)))
+
+
 def _parse_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> tuple[Any, list[Diagnostic]]:
     if fmt is DatasetFormat.ANNOTATED_JSONL:
+        doc = _clean_annotated(record)
+        if doc is not None:
+            return doc, []
         spans = tuple(
             Span(_string(s, "tag"), _integer(s, "start"), _integer(s, "end"), s.get("label"))
             for s in record["spans"]
@@ -188,6 +230,10 @@ def _record_line(item: Any, kind: type) -> str:
     if type(item) is not kind:
         raise FormatError(f"cannot write a {type(item).__name__} among {kind.__name__} items")
     if kind is AnnotatedText:
+        try:
+            return _annotated_line(item)
+        except KeyError:  # a span that is not a Span, or a field json.dumps writes otherwise
+            pass
         record = {
             "id": item.id,
             "lang": item.lang,
@@ -201,6 +247,30 @@ def _record_line(item: Any, kind: type) -> str:
     else:
         raise FormatError(f"no dataset format holds {kind.__name__} items")
     return _json_line(record)
+
+
+# ``json.dumps``'s text for each plain field type, with ``ensure_ascii=False``.
+_PLAIN_JSON = {str: encode_basestring, int: int.__repr__, type(None): lambda _: "null"}
+
+
+def _annotated_line(doc: AnnotatedText) -> str:
+    """``_json_line`` of the document's record, built from its fields. Each span
+    must be a ``Span`` and each field exactly a str, an int or None; else KeyError."""
+    plain = _PLAIN_JSON
+    spans = []
+    for span in doc.spans:
+        if type(span) is not Span:
+            raise KeyError(type(span))
+        tag, start, end, label = span
+        spans.append(
+            f'{{"tag":{plain[type(tag)](tag)},"start":{plain[type(start)](start)},'
+            f'"end":{plain[type(end)](end)},"label":{plain[type(label)](label)}}}'
+        )
+    doc_id, lang, text, _ = doc
+    return (
+        f'{{"id":{plain[type(doc_id)](doc_id)},"lang":{plain[type(lang)](lang)},'
+        f'"text":{plain[type(text)](text)},"spans":[{",".join(spans)}]}}'
+    )
 
 
 def _json_line(record: Mapping[str, Any]) -> str:

@@ -375,6 +375,35 @@ def test_http_unreachable_backend():
         backend.translate_batch([tt("1", "x")], "en", "de")
 
 
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="quick ACKs are Linux-only")
+@pytest.mark.parametrize("kind", ["translate", "score"])
+def test_http_kept_alive_requests_do_not_wait_for_a_delayed_ack(kind):
+    # The stdlib handler leaves Nagle's algorithm on and sends headers and body
+    # apart: unless the client ACKs at once, each request waits about 40 ms.
+    paths = []
+
+    def behavior(path, body, headers):
+        paths.append(path)
+        if path == "/translate":
+            return 200, {"translations": body["texts"]}
+        return 200, {"scores": [1.0 for _ in body["pairs"]]}
+
+    n = 63 * 32
+    connections: list = []
+    with http_server(behavior, keep_alive=True, connections=connections) as url:
+        start = time.perf_counter()
+        if kind == "translate":
+            texts = [tt(str(i), f"<a>text</a> {i}") for i in range(n)]
+            out = HttpTranslationBackend(url, max_in_flight=1).translate_batch(texts, "en", "de")
+            assert [t.tagged for t in out] == [t.tagged for t in texts]
+        else:
+            assert HttpScorerBackend(url).score_batch([(str(i), "h", None) for i in range(n)]) == [1.0] * n
+        elapsed = time.perf_counter() - start
+    assert paths == [f"/{kind}"] * 63
+    assert len([event for event, _ in connections if event == "open"]) == 1
+    assert elapsed < 1.0
+
+
 def test_http_scorer_wire_format():
     def behavior(path, body, headers):
         assert path == "/score"

@@ -306,9 +306,8 @@ def test_project_invalid_utf8_past_the_first_read_writes_nothing(tmp_path, capsy
     assert not (tmp_path / "out.jsonl.diagnostics.jsonl").exists()
 
 
-def test_project_scans_and_validates_each_document_at_most_twice(tmp_path, monkeypatch):
-    rng = random.Random(0x5CA7)
-    docs = [_random_doc(rng, f"d{i}") for i in range(200)]
+def _count_project_calls(tmp_path, monkeypatch, docs) -> dict[str, int]:
+    """Calls of scan_markers and validate while ``project`` runs over ``docs``, with them as the reference too."""
     annotated = tmp_path / "in.jsonl"
     write_annotated(annotated, docs)
     calls = {"scan_markers": 0, "validate": 0}
@@ -328,9 +327,26 @@ def test_project_scans_and_validates_each_document_at_most_twice(tmp_path, monke
         "--reference", str(annotated), "--backend", "drop:0.3", "--src-lang", "en", "--tgt-lang", "de",
         "--report", "json", "--report-out", str(tmp_path / "report.json"),
     ]) == 0
-    # One scan in the dropper and one in decode; one validation per load.
+    return calls
+
+
+def test_project_scans_and_validates_each_document_at_most_twice(tmp_path, monkeypatch):
+    rng = random.Random(0x5CA7)
+    docs = [_random_doc(rng, f"d{i}") for i in range(200)]
+    calls = _count_project_calls(tmp_path, monkeypatch, docs)
+    # One scan in the dropper and one in decode; at most one validation per
+    # load, since a clean record is checked as it is read.
     assert calls["scan_markers"] <= 2 * len(docs)
-    assert calls["validate"] == 2 * len(docs)
+    assert calls["validate"] <= 2 * len(docs)
+
+
+@pytest.mark.parametrize("doc", [
+    make_doc("John and Paris", [Span("a", 0, 4), Span("a", 9, 14), Span("b", 0, 14)]),
+    make_doc("if x < y then", [Span("a", 3, 8)]),
+], ids=["repeated-tag", "angle-bracket"])
+def test_project_validates_each_record_that_may_have_diagnostics_once_per_load(tmp_path, monkeypatch, doc):
+    docs = [doc._replace(id=f"d{i}") for i in range(200)]
+    assert _count_project_calls(tmp_path, monkeypatch, docs)["validate"] == 2 * len(docs)
 
 
 def test_project_uses_env_backend(tmp_path, monkeypatch):

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import re
 import tracemalloc
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from labelproj import (
     AnnotatedText,
@@ -23,9 +25,11 @@ from labelproj import (
     ingest_qa,
     load,
 )
+from labelproj import dataio
 from labelproj.dataio import qa_question_counts, read_qa_tree
 
 from conftest import make_doc
+from dataio_oracle import oracle_parse_annotated
 
 
 @pytest.fixture
@@ -338,6 +342,168 @@ def test_dump_refuses_items_outside_one_format_and_keeps_the_old_file(tmp_path, 
         dump(items, target)
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+# ------------------------------------------- annotated records vs oracles
+
+# JSON values of the wrong type for any field of an annotated record.
+WRONG_JSON = st.sampled_from([None, True, False, 0, 0.9, 1.0, "1", [], ["a"], {}, {"tag": "a"}])
+RECORD_FAULTS = [
+    "id-wrong-type", "lang-wrong-type", "text-wrong-type", "field-missing", "marker-in-text", "spans-not-a-list",
+    "span-not-an-object", "span-key-missing", "span-extra-key", "tag-wrong-type", "tag-bad-name",
+    "offset-wrong-type", "offset-out-of-bounds", "label-wrong-type", "repeated-tag", "partial-overlap",
+]
+
+
+def _plant(draw, record: dict, fault: str) -> None:
+    text = record.get("text")
+    n = len(text) if isinstance(text, str) else 0
+    if fault in ("id-wrong-type", "lang-wrong-type", "text-wrong-type"):
+        record[fault.split("-")[0]] = draw(WRONG_JSON)
+    elif fault == "field-missing":
+        record.pop(draw(st.sampled_from(["id", "lang", "text", "spans"])), None)
+    elif fault == "marker-in-text" and isinstance(text, str):
+        at = draw(st.integers(0, n))
+        record["text"] = text[:at] + draw(st.sampled_from(["<a>", "</b>", "<", "<A>", "< a>", "<ab>x</ab>"])) + text[at:]
+    elif fault == "spans-not-a-list":
+        record["spans"] = draw(st.sampled_from(["ab", "", {"tag": "a", "start": 0, "end": 0}, {}]))
+    elif isinstance(record.get("spans"), list) and record["spans"]:
+        spans = record["spans"]
+        i = draw(st.integers(0, len(spans) - 1))
+        span = spans[i]
+        if fault == "span-not-an-object":
+            spans[i] = draw(WRONG_JSON.filter(lambda value: not isinstance(value, dict)))
+        elif not isinstance(span, dict):
+            pass
+        elif fault == "span-key-missing":
+            span.pop(draw(st.sampled_from(["tag", "start", "end", "label"])), None)
+        elif fault == "span-extra-key":
+            span["extra"] = 1
+        elif fault == "tag-wrong-type":
+            span["tag"] = draw(WRONG_JSON)
+        elif fault == "tag-bad-name":
+            span["tag"] = draw(st.sampled_from(["", "A", "a1", "a\n", "é", " a"]))
+        elif fault == "offset-wrong-type":
+            span.update(start=0, end=min(n, 1))  # so that a bool or a float reads as an offset in bounds
+            key = draw(st.sampled_from(["start", "end"]))
+            span[key] = draw(st.sampled_from([bool(span[key]), float(span[key]), str(span[key]), None, 0.9]))
+        elif fault == "offset-out-of-bounds":
+            start, end = draw(st.sampled_from([(-1, 0), (0, n + 1), (n + 1, n + 1), (1, 0)]))
+            span.update(start=start, end=end)
+        elif fault == "label-wrong-type":
+            span["label"] = draw(st.integers(-1, 1) | st.booleans() | st.just(["PER"]) | st.just({}))
+        elif fault == "repeated-tag":
+            start, end = sorted((draw(st.integers(0, n)), draw(st.integers(0, n))))
+            spans.append(dict(span, start=start, end=end))
+        elif fault == "partial-overlap" and n >= 3:
+            span.update(start=0, end=2)
+            spans.append(dict(span, start=1, end=3))
+
+
+@st.composite
+def valid_records(draw):
+    pieces = st.sampled_from(["a", "b", " ", "é", "\U0001f600", "\u2028", ">", "/"])
+    text = draw(st.lists(pieces, max_size=8).map("".join) | st.text(st.characters(exclude_characters="<"), max_size=6))
+    bounds = st.integers(0, len(text))
+    spans = []
+    for tag in draw(st.lists(st.sampled_from(["a", "b", "c", "ab"]), unique=True, max_size=4)):
+        start, end = sorted((draw(bounds), draw(bounds)))
+        spans.append({"tag": tag, "start": start, "end": end, "label": draw(st.none() | st.just("PER"))})
+    return {"id": draw(st.text(max_size=3) | st.integers(-5, 5)), "lang": "en", "text": text, "spans": spans}
+
+
+@st.composite
+def annotated_records(draw):
+    """A valid record, with up to two faults planted in it."""
+    record = draw(valid_records())
+    # Mostly one fault: a second one often hides the first behind an earlier error.
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2]))):
+        _plant(draw, record, draw(st.sampled_from(RECORD_FAULTS)))
+    return record
+
+
+def _outcome(parse, *args, **kwargs):
+    """What ``parse`` returns, or the type and message of what it raises."""
+    try:
+        return parse(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(valid_records(), st.data())
+def test_annotated_record_reads_as_its_oracle_does(valid, data):
+    # The valid record as it is, with each fault alone, and with two faults.
+    pairs = data.draw(st.lists(st.sampled_from(RECORD_FAULTS), min_size=2, max_size=2))
+    for faults in [[], *([fault] for fault in RECORD_FAULTS), pairs]:
+        record = copy.deepcopy(valid)
+        for fault in faults:
+            _plant(data.draw, record, fault)
+        got = _outcome(dataio._parse_record, DatasetFormat.ANNOTATED_JSONL, record)
+        assert got == _outcome(oracle_parse_annotated, record), faults
+        if isinstance(got[0], AnnotatedText):
+            assert all(type(span) is Span for span in got[0].spans)
+
+
+def _oracle_parse_record(fmt, record):
+    assert fmt is DatasetFormat.ANNOTATED_JSONL
+    return oracle_parse_annotated(record)
+
+
+@given(
+    st.lists(annotated_records().map(json.dumps) | st.sampled_from(["{oops", "[1]", "", "null"]), min_size=1, max_size=6),
+    st.integers(0, 2),
+)
+def test_annotated_file_loads_as_its_oracle_does(tmp_path_factory, lines, error_budget):
+    handle = DatasetHandle(DatasetFormat.ANNOTATED_JSONL, tmp_path_factory.mktemp("records") / "in.jsonl")
+    handle.path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    got = _outcome(load, handle, error_budget=error_budget)
+    with mock.patch.object(dataio, "_parse_record", _oracle_parse_record):
+        assert got == _outcome(load, handle, error_budget=error_budget)
+
+
+# Field values a library-built document may hold: the JSON scalars a record
+# writes directly, and values json.dumps writes in other forms.
+PLAIN_FIELD = UNICODE | st.text(st.characters(), max_size=6) | st.integers() | st.none()
+ODD_FIELD = st.booleans() | st.floats()
+
+
+def _documents(field, span=Span):
+    spans = st.lists(st.builds(span, field, field, field, field), max_size=3)
+    return st.builds(AnnotatedText, field, field, field, spans)
+
+
+def _json_dumps_line(doc: AnnotatedText) -> str:
+    record = {"id": doc.id, "lang": doc.lang, "text": doc.text, "spans": [span._asdict() for span in doc.spans]}
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
+@given(
+    _documents(PLAIN_FIELD)
+    | _documents(PLAIN_FIELD | ODD_FIELD)
+    | _documents(PLAIN_FIELD, span=lambda *fields: fields).filter(lambda doc: doc.spans)
+)
+def test_annotated_line_equals_json_dumps_of_its_record(doc):
+    assert _outcome(dataio._record_line, doc, AnnotatedText) == _outcome(_json_dumps_line, doc)
+
+
+@st.composite
+def valid_documents(draw):
+    text = draw(UNICODE)
+    bounds = st.integers(0, len(text))
+    tags = draw(st.lists(st.sampled_from(["a", "b", "c", "ab", "z"]), unique=True, max_size=4))
+    spans = []
+    for tag in tags:
+        start, end = sorted((draw(bounds), draw(bounds)))
+        spans.append(Span(tag, start, end, draw(st.none() | UNICODE)))
+    return AnnotatedText(draw(UNICODE), draw(UNICODE), text, spans)
+
+
+@given(st.lists(valid_documents(), max_size=4))
+def test_annotated_documents_round_trip_any_unicode(tmp_path_factory, docs):
+    path = tmp_path_factory.mktemp("annotated") / "out.jsonl"
+    dump(docs, path)
+    assert load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path))[0] == docs
 
 
 # ---------------------------------------------------------------- QA ingest
