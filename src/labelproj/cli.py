@@ -452,10 +452,21 @@ def _add_io(parser: argparse.ArgumentParser, output: bool = True) -> None:
         parser.add_argument("--output", "-o", required=True, help="output dataset path")
 
 
+def _error_budget(value: str) -> int:
+    """An ``--error-budget`` value: a whole number of records, not below 0."""
+    try:
+        budget = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {budget}")
+    return budget
+
+
 _SHARED_FLAGS = {
     "--scheme": dict(choices=["xml", "brackets"], default="xml"),
     "--seed": dict(type=int, default=0),
-    "--error-budget": dict(type=int, default=0, help="malformed records tolerated before aborting"),
+    "--error-budget": dict(type=_error_budget, default=0, help="malformed records tolerated before aborting"),
 }
 
 

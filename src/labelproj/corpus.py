@@ -18,9 +18,9 @@ from .codec import tag_name
 from .errors import BackendError, BackendUnreachableError, ScorerUnavailableError
 from .model import SEVERITY_WARNING, AnnotatedText, Diagnostic, record_type
 
-# Markup as found in the wild: optional attributes, optional self-closing
-# slash. Attribute values containing angle brackets are not supported.
-_RAW_TAG_RE = re.compile(r"<(/?)([A-Za-z_][A-Za-z0-9_.:-]*)([^<>]*?)(/?)>")
+# Markup as found in the wild: optional attributes, self-closing when the tail
+# ends in a slash. Attribute values containing angle brackets are not supported.
+_RAW_TAG_RE = re.compile(r"<(/?)([A-Za-z_][A-Za-z0-9_.:-]*)([^<>]*)>")
 
 
 class _RawMarkupFields(NamedTuple):
@@ -77,35 +77,52 @@ class PreparedCorpus(NamedTuple):
 
 
 def _swap_side(markup: str, mapping: dict[str, str], extend: bool) -> tuple[str, int, set[str]]:
-    """Rewrite tags through the type->letter map.
+    """Rewrite tags through the type->letter map, in one split of ``markup``.
 
     When ``extend`` is set, unseen types are assigned the next letter;
     otherwise they are left untouched and reported back. Returns the
     rewritten text, the number of tag instances (opens plus self-closing),
     and the set of unmapped types.
     """
+    parts = _RAW_TAG_RE.split(markup)
+    out = [parts[0]]
     unmapped: set[str] = set()
     instances = 0
-
-    def replace(match: re.Match[str]) -> str:
-        nonlocal instances
-        closing, name, _attrs, self_closing = match.groups()
+    # After the leading text, each tag is four parts: closing slash, name, tail, following text.
+    for closing, name, tail, text in zip(parts[1::4], parts[2::4], parts[3::4], parts[4::4]):
         letter = mapping.get(name)
+        if letter is None and extend:
+            letter = mapping[name] = tag_name(len(mapping))
         if letter is None:
-            if not extend:
-                unmapped.add(name)
-                return match.group(0)
-            letter = tag_name(len(mapping))
-            mapping[name] = letter
-        if closing:
-            return f"</{letter}>"
-        instances += 1
-        if self_closing:
-            return f"<{letter}/>"
-        return f"<{letter}>"
+            unmapped.add(name)
+            out.append(f"<{closing}{name}{tail}>")
+        elif closing:
+            out.append(f"</{letter}>")
+        else:
+            instances += 1
+            out.append(f"<{letter}/>" if tail.endswith("/") else f"<{letter}>")
+        out.append(text)
+    return "".join(out), instances, unmapped
 
-    rewritten = _RAW_TAG_RE.sub(replace, markup)
-    return rewritten, instances, unmapped
+
+def _tag_swap(pair: RawMarkupPair) -> tuple[RawMarkupPair, list[Diagnostic], int, int]:
+    """``tag_swap``'s result, then the tag instances and the distinct letters on the normalized source."""
+    mapping: dict[str, str] = {}
+    src_norm, src_count, _ = _swap_side(pair.src_markup, mapping, extend=True)
+    src_letters = len(mapping)
+    tgt_norm, tgt_count, unmapped = _swap_side(pair.tgt_markup, mapping, extend=False)
+
+    diagnostics = [
+        Diagnostic(
+            SEVERITY_WARNING, "UNMAPPED_TYPE", f"pair {pair.id!r}: target tag type {name!r} does not occur in the source"
+        )
+        for name in sorted(unmapped)
+    ]
+    if src_count == 0 or tgt_count == 0:
+        side = "either side" if src_count == 0 and tgt_count == 0 else ("source" if src_count == 0 else "target")
+        diagnostics.append(Diagnostic(SEVERITY_WARNING, "DROP_UNTAGGED", f"pair {pair.id!r}: no tags on {side}"))
+    normalized = RawMarkupPair(pair.id, pair.src_lang, pair.tgt_lang, src_norm, tgt_norm)
+    return normalized, diagnostics, src_count, src_letters
 
 
 def tag_swap(pair: RawMarkupPair) -> tuple[RawMarkupPair, list[Diagnostic]]:
@@ -117,38 +134,8 @@ def tag_swap(pair: RawMarkupPair) -> tuple[RawMarkupPair, list[Diagnostic]]:
     the pair flagged UNMAPPED_TYPE; a pair without tags on both sides is
     flagged DROP_UNTAGGED. Flags are diagnostics, never exceptions.
     """
-    mapping: dict[str, str] = {}
-    src_norm, src_count, _ = _swap_side(pair.src_markup, mapping, extend=True)
-    tgt_norm, tgt_count, unmapped = _swap_side(pair.tgt_markup, mapping, extend=False)
-
-    diagnostics: list[Diagnostic] = []
-    for name in sorted(unmapped):
-        diagnostics.append(
-            Diagnostic(
-                SEVERITY_WARNING,
-                "UNMAPPED_TYPE",
-                f"pair {pair.id!r}: target tag type {name!r} does not occur in the source",
-            )
-        )
-    if src_count == 0 or tgt_count == 0:
-        side = "either side" if src_count == 0 and tgt_count == 0 else ("source" if src_count == 0 else "target")
-        diagnostics.append(
-            Diagnostic(SEVERITY_WARNING, "DROP_UNTAGGED", f"pair {pair.id!r}: no tags on {side}")
-        )
-    normalized = RawMarkupPair(pair.id, pair.src_lang, pair.tgt_lang, src_norm, tgt_norm)
+    normalized, diagnostics, _, _ = _tag_swap(pair)
     return normalized, diagnostics
-
-
-def _pair_stats(pair: RawMarkupPair) -> tuple[int, int]:
-    """(tag instances, unique letters) on the normalized source side."""
-    instances = 0
-    letters: set[str] = set()
-    for match in _RAW_TAG_RE.finditer(pair.src_markup):
-        closing, name, _attrs, _self = match.groups()
-        if not closing:
-            instances += 1
-        letters.add(name)
-    return instances, len(letters)
 
 
 def prepare_training_corpus(
@@ -167,8 +154,9 @@ def prepare_training_corpus(
     kept: list[RawMarkupPair] = []
     dropped: list[tuple[RawMarkupPair, str]] = []
     untagged = unmapped = 0
+    total_tags = max_tags = max_unique = 0
     for pair in pairs:
-        normalized, diagnostics = tag_swap(pair)
+        normalized, diagnostics, instances, unique = _tag_swap(pair)
         codes = {d.code for d in diagnostics}
         if "UNMAPPED_TYPE" in codes:
             dropped.append((pair, "UNMAPPED_TYPE"))
@@ -178,6 +166,9 @@ def prepare_training_corpus(
             untagged += 1
         else:
             kept.append(normalized)
+            total_tags += instances
+            max_tags = max(max_tags, instances)
+            max_unique = max(max_unique, unique)
 
     ids = [pair.id for pair in kept]
     shuffled = list(ids)
@@ -187,14 +178,7 @@ def prepare_training_corpus(
 
     train: list[DirectedExample] = []
     dev: list[DirectedExample] = []
-    total_tags = 0
-    max_tags = 0
-    max_unique = 0
     for pair in kept:
-        instances, unique = _pair_stats(pair)
-        total_tags += instances
-        max_tags = max(max_tags, instances)
-        max_unique = max(max_unique, unique)
         forward = DirectedExample(pair.id, "forward", pair.src_lang, pair.tgt_lang, pair.src_markup, pair.tgt_markup)
         reverse = DirectedExample(pair.id, "reverse", pair.tgt_lang, pair.src_lang, pair.tgt_markup, pair.src_markup)
         bucket = dev if pair.id in dev_ids else train

@@ -51,6 +51,14 @@ class DatasetFormat(str, Enum):
 # format. A record's keys, in file order, are its type's ``_fields``.
 _FLAT_TYPES = {DatasetFormat.PARALLEL_JSONL: DirectedExample, DatasetFormat.RAW_MARKUP_JSONL: RawMarkupPair}
 
+# The keys, in file order, of each record type written one key per field.
+_RECORD_KEYS = {kind: kind._fields for kind in _FLAT_TYPES.values()}
+_RECORD_KEYS[TaggedText] = ("id", "lang", "tagged_text")
+# Each such type's line, with a ``{}`` for the JSON text of each field.
+_LINE_TEMPLATES = {
+    kind: "{{" + ",".join(f'"{key}":{{}}' for key in keys) + "}}" for kind, keys in _RECORD_KEYS.items()
+}
+
 
 @record_type
 class DatasetHandle(NamedTuple):
@@ -215,12 +223,7 @@ def _parse_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> tuple[Any, l
         )
         return doc, validate(doc)
     if fmt is DatasetFormat.TAGGED_JSONL:
-        item = TaggedText(
-            id=_record_id(record),
-            lang=_string(record, "lang", ""),
-            tagged=_string(record, "tagged_text"),
-        )
-        return item, []
+        return TaggedText(_record_id(record), _string(record, "lang", ""), _string(record, "tagged_text")), []
     kind = _FLAT_TYPES[fmt]
     return kind(_record_id(record), *(_string(record, key) for key in kind._fields[1:])), []
 
@@ -240,10 +243,12 @@ def _record_line(item: Any, kind: type) -> str:
             "text": item.text,
             "spans": [span._asdict() for span in item.spans],
         }
-    elif kind is TaggedText:
-        record = {"id": item.id, "lang": item.lang, "tagged_text": item.tagged}
-    elif kind in _FLAT_TYPES.values():
-        record = item._asdict()
+    elif kind in _LINE_TEMPLATES:
+        plain = _PLAIN_JSON
+        try:
+            return _LINE_TEMPLATES[kind].format(*[plain[type(field)](field) for field in item])
+        except KeyError:  # a field json.dumps writes otherwise
+            record = dict(zip(_RECORD_KEYS[kind], item))
     else:
         raise FormatError(f"no dataset format holds {kind.__name__} items")
     return _json_line(record)

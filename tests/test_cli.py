@@ -16,7 +16,9 @@ from labelproj import (
     DatasetHandle,
     RawMarkupPair,
     Span,
+    TaggedText,
     codec,
+    corpus,
     dump,
     load,
     model,
@@ -450,12 +452,16 @@ def test_filter_qa_checks_its_scorer_before_reading_input(tmp_path, capsys):
     assert not (tmp_path / "qa").exists()
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
 def _float_flags() -> list[tuple[str, str]]:
     """(command, flag) for every float-typed flag of every subcommand."""
-    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return [
         (command, max(action.option_strings, key=len))
-        for command, parser in commands.choices.items()
+        for command, parser in _subcommands().items()
         for action in parser._actions
         if action.type is float
     ]
@@ -464,13 +470,20 @@ def _float_flags() -> list[tuple[str, str]]:
 def _valid_run(tmp_path: Path, command: str) -> list[str]:
     """Arguments for a tiny run of ``command`` that succeeds and writes only under tmp_path / "out"."""
     annotated, plain, raw, qa = (tmp_path / name for name in ("in.jsonl", "plain.txt", "raw.jsonl", "qa.json"))
+    tagged = tmp_path / "tagged.jsonl"
     write_annotated(annotated, DOCS)
+    dump([TaggedText("1", "en", "<a>John</a> lives in <b>Paris</b>")], tagged)
     plain.write_text("John lives in Paris\n")
     write_raw(raw)
     qa.write_text(json.dumps({"data": [{"paragraphs": [{"context": "ab", "qas": []}]}]}))
     out = tmp_path / "out"
     backend = ["--backend", "identity", "--src-lang", "en", "--tgt-lang", "de"]
     return [command, *map(str, {
+        "encode": ["-i", annotated, "-o", out / "encoded.jsonl"],
+        "decode": ["-i", tagged, "-o", out / "decoded.jsonl"],
+        "translate": ["-i", tagged, "-o", out / "translated.jsonl", *backend],
+        "tagswap": ["-i", raw, "-o", out / "swapped.jsonl"],
+        "stats": ["-i", annotated],
         "synth": ["-i", plain, "-o", out / "synth.jsonl"],
         "prep": ["-i", raw, "--out-dir", out],
         "filter-qa": ["--src-json", qa, "--tgt-json", qa, "--src-lang", "en", "--tgt-lang", "de",
@@ -490,6 +503,23 @@ def test_every_float_flag_rejects_a_non_finite_value(tmp_path, capsys, command, 
     assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
     assert main(argv) == 0  # the same run without the flag succeeds
+
+
+@pytest.mark.parametrize(
+    "command", [c for c, parser in _subcommands().items() if "--error-budget" in parser._option_string_actions]
+)
+def test_a_negative_error_budget_is_rejected_before_anything_is_written(tmp_path, capsys, command):
+    argv = _valid_run(tmp_path, command)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--error-budget", "-1"])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"labelproj {command}: error: argument --error-budget: must be >= 0, got -1"
+    ]
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "--error-budget", "0"]) == 0  # the same run with the least budget succeeds
 
 
 @pytest.mark.parametrize("command, args, code, outputs", [
@@ -684,6 +714,35 @@ def test_tagswap_and_prep_honour_error_budget(tmp_path, capsys):
     swap_diags = [json.loads(line) for line in (tmp_path / "swapped.jsonl.diagnostics.jsonl").read_text().splitlines()]
     assert [(d["code"], d["offset"]) for d in swap_diags] == [("MALFORMED_RECORD", 2)]
     assert len((tmp_path / "swapped.jsonl").read_text().splitlines()) == 1
+
+
+def test_prep_scans_each_markup_side_once(tmp_path, monkeypatch):
+    pairs = [
+        RawMarkupPair(f"{kind}{i}", "en", "de", src, tgt)
+        for i in range(4)
+        for kind, src, tgt in (
+            ("kept", '<ph class="x">Click</ph> <br/>', "<br/> <ph>Klick</ph>"),
+            ("untagged", "plain", "flach"),
+            ("unmapped", "<ph>x</ph>", "<ph>y</ph> <extra>z</extra>"),
+        )
+    ]
+    raw = tmp_path / "raw.jsonl"
+    dump(pairs, raw)
+    pattern, scans = corpus._RAW_TAG_RE, []
+
+    class CountingPattern:
+        """The tag pattern, counting each call of any of its methods as one scan."""
+
+        def __getattr__(self, name):
+            def counted(*args, **kwargs):
+                scans.append(name)
+                return getattr(pattern, name)(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(corpus, "_RAW_TAG_RE", CountingPattern())
+    assert main(["prep", "-i", str(raw), "--out-dir", str(tmp_path / "corpus")]) == 0
+    assert len(scans) == 2 * len(pairs)
 
 
 @pytest.mark.parametrize("tree", [

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from labelproj import (
     AnnotatedText,
@@ -13,6 +15,8 @@ from labelproj import (
     prepare_training_corpus,
     tag_swap,
 )
+
+from corpus_oracle import oracle_prepare_training_corpus, oracle_tag_swap
 
 
 def pair(src: str, tgt: str, pair_id: str = "p1") -> RawMarkupPair:
@@ -176,6 +180,67 @@ def test_prepare_tag_statistics():
 def test_invalid_dev_fraction():
     with pytest.raises(ValueError):
         prepare_training_corpus(corpus_pairs(1, 0), dev_fraction=1.0)
+
+
+# --------------------------------------------------- swap against its oracle
+
+# Markup heavy in what the tag grammar turns on: angle brackets, slashes,
+# quotes, spaces, digits, name punctuation, ASCII and non-ASCII letters.
+MARKUP_CHARS = "<<<>>>///\"\"''  09_.:-abzAZé漢"
+TAG_NAMES = st.sampled_from(["a", "b", "ph", "A", "_u", "x:y.z-w_1", "t9", "é", "1a", ""])
+TAGS = st.builds(
+    "<{}{}{}{}>".format,
+    st.sampled_from(["", "/", " "]),
+    TAG_NAMES,
+    st.text(st.sampled_from(" =\"'/x1é<"), max_size=4),
+    st.sampled_from(["", "/", " /", "//"]),
+)
+FRAGMENTS = st.lists(st.text(MARKUP_CHARS, max_size=5) | TAGS, min_size=1, max_size=10)
+
+
+@st.composite
+def raw_pairs(draw, pair_id="p"):
+    src = draw(FRAGMENTS)
+    # A permutation of the source often keeps every type mapped; a fresh draw often does not.
+    tgt = draw(st.permutations(src) | FRAGMENTS)
+    return RawMarkupPair(pair_id, "en", "de", "".join(src) or "x", "".join(tgt) or "y")
+
+
+SEED_MARKUP = ["<a/>", "</a/>", "<a / >", '<a b="/">', "<a//>", "<<a>>", "<1a>", "< a>", "<a", "<é>"]
+MANY_TYPES = "".join(f"<t{i} k='v'>x</t{i}><v{i}/>" for i in range(20))  # 40 types
+SEED_PAIRS = [
+    RawMarkupPair(f"s{i}", "en", "de", src, tgt)
+    for i, (src, tgt) in enumerate(
+        [(markup, markup) for markup in SEED_MARKUP]
+        + [(f"<b>x</b>{markup}", f"{markup}<b>y</b>") for markup in SEED_MARKUP]
+        + [("<b>x</b>", f"<b>y</b>{markup}") for markup in SEED_MARKUP]
+        + [(MANY_TYPES * 2, "".join(f"<v{i}/><t{i}>y</t{i}>" for i in reversed(range(20))))]
+    )
+]
+
+
+def _seeded(test):
+    for seed_pair in SEED_PAIRS:
+        test = example(seed_pair)(test)
+    return test
+
+
+@given(raw_pairs())
+@_seeded
+def test_tag_swap_equals_its_oracle(raw):
+    assert tag_swap(raw) == oracle_tag_swap(raw)
+
+
+@given(
+    st.lists(st.integers(0, 10**6).flatmap(lambda i: raw_pairs(f"p{i}")), max_size=8),
+    st.sampled_from([0.0, 0.05, 0.5, 0.9]),
+    st.integers(0, 3),
+)
+@example(SEED_PAIRS, 0.3, 1)
+def test_prepare_training_corpus_equals_its_oracle(pairs, dev_fraction, seed):
+    assert prepare_training_corpus(pairs, dev_fraction, seed) == oracle_prepare_training_corpus(
+        pairs, dev_fraction, seed
+    )
 
 
 # -------------------------------------------------------------- QA filter

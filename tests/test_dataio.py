@@ -281,10 +281,11 @@ UNICODE = st.text(st.sampled_from('"\\\n\r\t\x00\x85\u2028\u2029\ufeffa\u00e9\U0
     | st.lists(
         st.builds(RawMarkupPair, UNICODE, UNICODE, UNICODE, UNICODE.filter(bool), UNICODE.filter(bool)), max_size=4
     )
+    | st.lists(st.builds(TaggedText, UNICODE, UNICODE, UNICODE), min_size=1, max_size=4)
 )
 def test_flat_records_round_trip_any_unicode(tmp_path_factory, items):
-    parallel = items and type(items[0]) is DirectedExample
-    fmt = DatasetFormat.PARALLEL_JSONL if parallel else DatasetFormat.RAW_MARKUP_JSONL
+    formats = {DirectedExample: DatasetFormat.PARALLEL_JSONL, TaggedText: DatasetFormat.TAGGED_JSONL}
+    fmt = formats.get(type(items[0]), DatasetFormat.RAW_MARKUP_JSONL) if items else DatasetFormat.RAW_MARKUP_JSONL
     path = tmp_path_factory.mktemp("flat") / "out.jsonl"
     dump(items, path)
     first = path.read_bytes()
@@ -485,6 +486,39 @@ def _json_dumps_line(doc: AnnotatedText) -> str:
 )
 def test_annotated_line_equals_json_dumps_of_its_record(doc):
     assert _outcome(dataio._record_line, doc, AnnotatedText) == _outcome(_json_dumps_line, doc)
+
+
+def _string_records(field):
+    nonempty = field.filter(bool)
+    return (
+        st.builds(DirectedExample, field, field, field, field, field, field)
+        | st.builds(RawMarkupPair, field, field, field, nonempty, nonempty)
+        | st.builds(TaggedText, field, field, field)
+    )
+
+
+def _json_dumps_string_line(item) -> str:
+    if type(item) is TaggedText:
+        record = {"id": item.id, "lang": item.lang, "tagged_text": item.tagged}
+    else:
+        record = item._asdict()
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
+# Lone surrogates, which a line may hold although no UTF-8 file can.
+SURROGATES = st.text(st.sampled_from("\ud800\udbff\udc00\udfffa\U0001f600"), min_size=1)
+
+
+@given(_string_records(UNICODE | SURROGATES) | _string_records(PLAIN_FIELD | ODD_FIELD))
+def test_string_record_line_equals_json_dumps_of_its_record(item):
+    assert dataio._record_line(item, type(item)) == _json_dumps_string_line(item)
+
+
+@given(_string_records(PLAIN_FIELD | ODD_FIELD).filter(lambda item: {bool, float} & set(map(type, item))))
+def test_string_record_with_a_bool_or_float_field_falls_back_to_json_dumps(item):
+    with mock.patch.object(dataio, "_json_line", wraps=dataio._json_line) as json_line:
+        assert dataio._record_line(item, type(item)) == _json_dumps_string_line(item)
+    json_line.assert_called_once()
 
 
 @st.composite
