@@ -144,6 +144,12 @@ def _check_distinct_outputs(args: argparse.Namespace) -> None:
             seen[resolved] = flag
 
 
+def _note_input_diagnostics(diagnostics: list[Diagnostic]) -> None:
+    """Say on stderr how many diagnostics reading the inputs gave, when there were any."""
+    if diagnostics:
+        print(f"{len(diagnostics)} input diagnostics", file=sys.stderr)
+
+
 def _report_options(args: argparse.Namespace) -> dict:
     """The --dataset and --threshold values given; ``build_report`` supplies the defaults."""
     return {key: getattr(args, key) for key in ("dataset", "threshold") if getattr(args, key) is not None}
@@ -156,8 +162,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     tagged = [_place_markers(doc, _scheme(args)) for doc in docs]  # load has validated each one
     dump(tagged, Path(args.output))
     print(f"encoded {len(tagged)} documents -> {Path(args.output)}", file=sys.stderr)
-    if diagnostics:
-        print(f"{len(diagnostics)} input diagnostics", file=sys.stderr)
+    _note_input_diagnostics(diagnostics)
     return 0
 
 
@@ -282,25 +287,28 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
-    texts, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.input)), args.error_budget)
+    texts, diagnostics = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.input)), args.error_budget)
     translated = backend.translate_batch(texts, args.src_lang, args.tgt_lang)
     dump(translated, Path(args.output))
     print(f"translated {len(translated)} texts -> {Path(args.output)}", file=sys.stderr)
+    _note_input_diagnostics(diagnostics)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    projected, _ = load(
-        DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.projected)), args.error_budget
-    )
-    reference, _ = load(
-        DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.reference)), args.error_budget
-    )
+    diagnostics: list[Diagnostic] = []
+
+    def read(fmt: DatasetFormat, path: str) -> list:
+        items, diags = load(DatasetHandle(fmt, path=Path(path)), args.error_budget)
+        diagnostics.extend(diags)
+        return items
+
+    projected = read(DatasetFormat.ANNOTATED_JSONL, args.projected)
+    reference = read(DatasetFormat.ANNOTATED_JSONL, args.reference)
     marker_matches = {}
     if args.source_tagged and args.hypothesis_tagged:
         sources, hypotheses = (
-            load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(path)), args.error_budget)[0]
-            for path in (args.source_tagged, args.hypothesis_tagged)
+            read(DatasetFormat.TAGGED_JSONL, path) for path in (args.source_tagged, args.hypothesis_tagged)
         )
         if len(sources) != len(hypotheses):
             raise AlignmentError("source/hypothesis tagged files differ in length")
@@ -313,6 +321,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     report = build_report(projected, reference, marker_matches, **_report_options(args))
     _emit_report(report, args.report, args.report_out)
+    _note_input_diagnostics(diagnostics)
     return 0
 
 
@@ -420,7 +429,7 @@ STATS_COLUMNS = ("language", "examples", "total_tags", "min_tags", "max_tags", "
 
 def cmd_stats(args: argparse.Namespace) -> int:
     fmt = DatasetFormat(args.format)
-    items, _ = load(DatasetHandle(fmt, path=Path(args.input)), args.error_budget)
+    items, diagnostics = load(DatasetHandle(fmt, path=Path(args.input)), args.error_budget)
     per_lang: dict[str, list[tuple[int, int]]] = {}
     for item in items:
         if fmt is DatasetFormat.ANNOTATED_JSONL:
@@ -443,6 +452,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps([dict(zip(STATS_COLUMNS, row)) for row in rows], indent=2) + "\n")
     else:
         sys.stdout.write(render_table(STATS_COLUMNS, [[str(value) for value in row] for row in rows]))
+    _note_input_diagnostics(diagnostics)
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from enum import Enum
+from functools import cache
 from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence
 
 from .errors import InvalidAnnotationError
@@ -51,10 +52,12 @@ class MarkerScheme(str, Enum):
     BRACKETS = "brackets"
 
 
+@cache
 def tag_name(index: int) -> str:
     """Return the tag for a zero-based span index: a, b, ..., z, aa, ab, ...
 
-    Bijective base-26 numeration in lowercase; stable across runs.
+    Bijective base-26 numeration in lowercase; stable across runs, and
+    computed once per index.
     """
     if index < 0:
         raise ValueError("tag index must be non-negative")

@@ -47,17 +47,15 @@ class DatasetFormat(str, Enum):
     PLAIN_TEXT = "text"
 
 
-# The flat records, whose fields are all strings: the item type of each flat
-# format. A record's keys, in file order, are its type's ``_fields``.
-_FLAT_TYPES = {DatasetFormat.PARALLEL_JSONL: DirectedExample, DatasetFormat.RAW_MARKUP_JSONL: RawMarkupPair}
-
-# The keys, in file order, of each record type written one key per field.
-_RECORD_KEYS = {kind: kind._fields for kind in _FLAT_TYPES.values()}
-_RECORD_KEYS[TaggedText] = ("id", "lang", "tagged_text")
-# Each such type's line, with a ``{}`` for the JSON text of each field.
-_LINE_TEMPLATES = {
-    kind: "{{" + ",".join(f'"{key}":{{}}' for key in keys) + "}}" for kind, keys in _RECORD_KEYS.items()
+# Each JSONL format's item type and its record's keys in file order. A file's
+# first record must hold every key but ``lang``, which defaults to "".
+_LAYOUTS = {
+    DatasetFormat.ANNOTATED_JSONL: (AnnotatedText, ("id", "lang", "text", "spans")),
+    DatasetFormat.TAGGED_JSONL: (TaggedText, ("id", "lang", "tagged_text")),
+    DatasetFormat.PARALLEL_JSONL: (DirectedExample, DirectedExample._fields),
+    DatasetFormat.RAW_MARKUP_JSONL: (RawMarkupPair, RawMarkupPair._fields),
 }
+_ITEM_KEYS = dict(_LAYOUTS.values())  # the keys of each item type, for the writer
 
 
 @record_type
@@ -135,11 +133,7 @@ def load(
 
 
 def _check_first_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> None:
-    if fmt in _FLAT_TYPES:
-        required = _FLAT_TYPES[fmt]._fields
-    else:
-        required = ("id", "text", "spans") if fmt is DatasetFormat.ANNOTATED_JSONL else ("id", "tagged_text")
-    missing = [key for key in required if key not in record]
+    missing = [key for key in _LAYOUTS[fmt][1] if key != "lang" and key not in record]
     if missing:
         raise FormatError(f"first record lacks {missing}; not a {fmt.value} dataset")
 
@@ -167,119 +161,81 @@ def _record_id(record: Mapping[str, Any]) -> str:
     return str(value)
 
 
-def _clean_annotated(record: Mapping[str, Any]) -> AnnotatedText | None:
-    """The document of an annotated record that has no diagnostic, checked in the
-    one loop that builds its spans; None for any other record.
+def _annotated(record: Mapping[str, Any]) -> tuple[AnnotatedText, list[Diagnostic]]:
+    """An annotated record's document and ``validate``'s diagnostics, from one loop over its spans.
 
-    A record passes when its values have their JSON types, every span lies in
-    the text under a distinct tag of the marker grammar, and the text holds no
-    ``<``: then ``validate`` has nothing to report.
+    A value of the wrong JSON type raises :class:`FormatError`, checked in this
+    order: each span's tag, start and end, then any label, then id, lang and
+    text. ``validate`` runs only when it could report something: a span out of
+    bounds, a repeated tag, a tag outside the marker grammar, or a ``<`` in the text.
     """
-    doc_id, lang, text, raw_spans = record.get("id"), record.get("lang", ""), record.get("text"), record.get("spans")
-    if type(doc_id) is int:
-        doc_id = str(doc_id)
-    if type(doc_id) is not str or type(lang) is not str or type(text) is not str or type(raw_spans) is not list:
-        return None
-    if "<" in text:
-        return None
-    n = len(text)
-    tags: set[str] = set()
+    text = record.get("text")
+    n = len(text) if isinstance(text, str) else 0  # a text of another type raises below
     spans = []
-    for raw in raw_spans:
-        if type(raw) is not dict:
-            return None
-        tag, start, end, label = raw.get("tag"), raw.get("start"), raw.get("end"), raw.get("label")
-        if (
-            type(tag) is not str
-            or type(start) is not int
-            or type(end) is not int
-            or not 0 <= start <= end <= n
-            or (label is not None and type(label) is not str)
-            or tag in tags
-            or not _TAG_NAME_RE.fullmatch(tag)
-        ):
-            return None
+    tags: set[str] = set()
+    bad_label = suspect = False
+    for raw in record["spans"]:
+        tag = _string(raw, "tag")
+        start = _integer(raw, "start")
+        end = _integer(raw, "end")
+        label = raw.get("label")
+        if label is not None and not isinstance(label, str):
+            bad_label = True
+        if not 0 <= start <= end <= n or tag in tags or not _TAG_NAME_RE.fullmatch(tag):
+            suspect = True
         tags.add(tag)
         spans.append(tuple.__new__(Span, (tag, start, end, label)))
-    return tuple.__new__(AnnotatedText, (doc_id, lang, text, tuple(spans)))
+    if bad_label:
+        raise FormatError("span 'label' must be a string or null")
+    doc_id, lang, text = _record_id(record), _string(record, "lang", ""), _string(record, "text")
+    doc = tuple.__new__(AnnotatedText, (doc_id, lang, text, tuple(spans)))
+    return doc, validate(doc) if suspect or "<" in text else []
 
 
 def _parse_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> tuple[Any, list[Diagnostic]]:
     if fmt is DatasetFormat.ANNOTATED_JSONL:
-        doc = _clean_annotated(record)
-        if doc is not None:
-            return doc, []
-        spans = tuple(
-            Span(_string(s, "tag"), _integer(s, "start"), _integer(s, "end"), s.get("label"))
-            for s in record["spans"]
-        )
-        if any(span.label is not None and not isinstance(span.label, str) for span in spans):
-            raise FormatError("span 'label' must be a string or null")
-        doc = AnnotatedText(
-            id=_record_id(record),
-            lang=_string(record, "lang", ""),
-            text=_string(record, "text"),
-            spans=spans,
-        )
-        return doc, validate(doc)
-    if fmt is DatasetFormat.TAGGED_JSONL:
-        return TaggedText(_record_id(record), _string(record, "lang", ""), _string(record, "tagged_text")), []
-    kind = _FLAT_TYPES[fmt]
-    return kind(_record_id(record), *(_string(record, key) for key in kind._fields[1:])), []
+        return _annotated(record)
+    kind, keys = _LAYOUTS[fmt]
+    item_id = _record_id(record)
+    return kind(item_id, *[_string(record, key, "" if key == "lang" else None) for key in keys[1:]]), []
 
 
-def _record_line(item: Any, kind: type) -> str:
-    """The record line of an item that must be of type ``kind``."""
-    if type(item) is not kind:
-        raise FormatError(f"cannot write a {type(item).__name__} among {kind.__name__} items")
-    if kind is AnnotatedText:
-        try:
-            return _annotated_line(item)
-        except KeyError:  # a span that is not a Span, or a field json.dumps writes otherwise
-            pass
-        record = {
-            "id": item.id,
-            "lang": item.lang,
-            "text": item.text,
-            "spans": [span._asdict() for span in item.spans],
-        }
-    elif kind in _LINE_TEMPLATES:
-        plain = _PLAIN_JSON
-        try:
-            return _LINE_TEMPLATES[kind].format(*[plain[type(field)](field) for field in item])
-        except KeyError:  # a field json.dumps writes otherwise
-            record = dict(zip(_RECORD_KEYS[kind], item))
-    else:
-        raise FormatError(f"no dataset format holds {kind.__name__} items")
-    return _json_line(record)
-
-
-# ``json.dumps``'s text for each plain field type, with ``ensure_ascii=False``.
+# ``json.dumps``'s text for each plain field type, with ``ensure_ascii=False``;
+# a field of any other type goes through ``_json``.
 _PLAIN_JSON = {str: encode_basestring, int: int.__repr__, type(None): lambda _: "null"}
 
 
-def _annotated_line(doc: AnnotatedText) -> str:
-    """``_json_line`` of the document's record, built from its fields. Each span
-    must be a ``Span`` and each field exactly a str, an int or None; else KeyError."""
-    plain = _PLAIN_JSON
+def _json(value: Any) -> str:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+def _record_line(item: Any, kind: type) -> str:
+    """The record line of an item that must be of type ``kind``: ``_json`` of its
+    record, written one field at a time."""
+    if type(item) is not kind:
+        raise FormatError(f"cannot write a {type(item).__name__} among {kind.__name__} items")
+    keys = _ITEM_KEYS.get(kind)
+    if keys is None:
+        raise FormatError(f"no dataset format holds {kind.__name__} items")
+    plain = _PLAIN_JSON.get
+    if kind is not AnnotatedText:
+        fields = [f'"{key}":{plain(type(field), _json)(field)}' for key, field in zip(keys, item)]
+        return "{" + ",".join(fields) + "}"
     spans = []
-    for span in doc.spans:
+    for span in item.spans:
         if type(span) is not Span:
-            raise KeyError(type(span))
+            spans.append(_json(span._asdict()))
+            continue
         tag, start, end, label = span
         spans.append(
-            f'{{"tag":{plain[type(tag)](tag)},"start":{plain[type(start)](start)},'
-            f'"end":{plain[type(end)](end)},"label":{plain[type(label)](label)}}}'
+            f'{{"tag":{plain(type(tag), _json)(tag)},"start":{plain(type(start), _json)(start)},'
+            f'"end":{plain(type(end), _json)(end)},"label":{plain(type(label), _json)(label)}}}'
         )
-    doc_id, lang, text, _ = doc
+    doc_id, lang, text, _ = item
     return (
-        f'{{"id":{plain[type(doc_id)](doc_id)},"lang":{plain[type(lang)](lang)},'
-        f'"text":{plain[type(text)](text)},"spans":[{",".join(spans)}]}}'
+        f'{{"id":{plain(type(doc_id), _json)(doc_id)},"lang":{plain(type(lang), _json)(lang)},'
+        f'"text":{plain(type(text), _json)(text)},"spans":[{",".join(spans)}]}}'
     )
-
-
-def _json_line(record: Mapping[str, Any]) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
 def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
@@ -313,7 +269,7 @@ def dump(items: Sequence[Any], path: Path) -> None:
 
 def write_records(path: Path, records: Iterable[Mapping[str, Any]]) -> None:
     """Write plain JSON records atomically, one canonical line each, in ``dump``'s encoding."""
-    atomic_write_text(path, (_json_line(record) + "\n" for record in records))
+    atomic_write_text(path, (_json(record) + "\n" for record in records))
 
 
 def _repair_offset(context: str, answer: str, start: int) -> tuple[int, int | None]:

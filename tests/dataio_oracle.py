@@ -1,6 +1,7 @@
-"""Reference reader for one annotated JSONL record: the two steps that
-``labelproj.dataio`` fused for clean records, a type-checking span builder
-and then ``validate``.
+"""Reference reader for one annotated JSONL record in two steps: a
+type-checking span builder, then ``validate`` on every document.
+``labelproj.dataio`` does both in one loop over the spans and calls
+``validate`` only when it could report something.
 
 Kept only as an oracle: tests require the production reader to give an
 equal document and equal diagnostics, or the same exception with the same

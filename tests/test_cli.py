@@ -577,6 +577,38 @@ def test_synth_deterministic_and_modes(tmp_path):
     assert all(len(d.spans) == 1 for d in docs)
 
 
+@pytest.mark.parametrize("bad", [False, True], ids=["clean", "one-bad-line"])
+@pytest.mark.parametrize("command", ["translate", "stats", "evaluate"])
+def test_a_reading_command_reports_its_skipped_records_on_stderr(tmp_path, capsys, command, bad):
+    annotated, reference, tagged, out = (tmp_path / name for name in ("in.jsonl", "ref.jsonl", "t.jsonl", "o.jsonl"))
+    write_annotated(annotated, DOCS)
+    write_annotated(reference, DOCS)
+    assert main(["encode", "-i", str(annotated), "-o", str(tagged)]) == 0
+    argv, corrupted, err = {
+        "translate": (
+            ["translate", "-i", str(tagged), "-o", str(out), "--backend", "identity", "--src-lang", "en",
+             "--tgt-lang", "de"],
+            [tagged],
+            f"translated 3 texts -> {out}\n",
+        ),
+        "stats": (["stats", "-i", str(annotated)], [annotated], ""),
+        "evaluate": (
+            ["evaluate", "--projected", str(annotated), "--reference", str(reference),
+             "--source-tagged", str(tagged), "--hypothesis-tagged", str(tagged)],
+            [annotated, tagged],
+            "",
+        ),
+    }[command]
+    if bad:
+        for path in corrupted:
+            path.write_text(path.read_text() + "not json\n")
+        # evaluate reads the corrupted tagged file twice, as source and as hypothesis.
+        err += f"{len(corrupted) + (command == 'evaluate')} input diagnostics\n"
+    capsys.readouterr()
+    assert main([*argv, "--error-budget", "1"]) == 0
+    assert capsys.readouterr().err == err
+
+
 def test_evaluate_csv_report(tmp_path, capsys):
     annotated = tmp_path / "in.jsonl"
     write_annotated(annotated, DOCS)

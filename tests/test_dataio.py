@@ -161,6 +161,32 @@ def test_load_budget_counts_unreadable_and_invalid_records_alike(handle):
 TAGGED_LINE = '{"id":"t1","lang":"en","tagged_text":"<a>x</a>"}'
 
 
+FIRST_LINES = {
+    DatasetFormat.ANNOTATED_JSONL: ANNOTATED_LINE,
+    DatasetFormat.TAGGED_JSONL: TAGGED_LINE,
+    DatasetFormat.PARALLEL_JSONL: PARALLEL_LINE,
+    DatasetFormat.RAW_MARKUP_JSONL: RAW_LINE,
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, key",
+    [(fmt, key) for fmt, line in FIRST_LINES.items() for key in json.loads(line)],
+    ids=lambda value: getattr(value, "value", value),
+)
+def test_first_record_must_hold_every_key_but_lang(handle, fmt, key):
+    record = json.loads(FIRST_LINES[fmt])
+    del record[key]
+    content = json.dumps(record) + "\n" + FIRST_LINES[fmt] + "\n"
+    if key == "lang":
+        items, diags = load(handle(fmt, content))
+        assert [item.lang for item in items] == ["", "en"] and diags == []
+    else:
+        with pytest.raises(FormatError) as raised:
+            load(handle(fmt, content))
+        assert str(raised.value) == f"first record lacks [{key!r}]; not a {fmt.value} dataset"
+
+
 @pytest.mark.parametrize("fmt, good, old, new", [
     (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"text":"ab"', '"text":null'),
     (DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE, '"id":"d1"', '"id":null'),
@@ -514,11 +540,20 @@ def test_string_record_line_equals_json_dumps_of_its_record(item):
     assert dataio._record_line(item, type(item)) == _json_dumps_string_line(item)
 
 
-@given(_string_records(PLAIN_FIELD | ODD_FIELD).filter(lambda item: {bool, float} & set(map(type, item))))
-def test_string_record_with_a_bool_or_float_field_falls_back_to_json_dumps(item):
-    with mock.patch.object(dataio, "_json_line", wraps=dataio._json_line) as json_line:
-        assert dataio._record_line(item, type(item)) == _json_dumps_string_line(item)
-    json_line.assert_called_once()
+@pytest.mark.parametrize("item, line", [
+    (TaggedText("t1", True, 0.5), '{"id":"t1","lang":true,"tagged_text":0.5}'),
+    (TaggedText(7, None, False), '{"id":7,"lang":null,"tagged_text":false}'),
+    (
+        DirectedExample("p1", 1.0, "en", float("nan"), "<a>é</a>\n", -0.0),
+        '{"id":"p1","direction":1.0,"src_lang":"en","tgt_lang":NaN,"src_tagged":"<a>é</a>\\n","tgt_tagged":-0.0}',
+    ),
+    (
+        RawMarkupPair(True, "en", float("-inf"), "<b>\u2028</b>", 1e300),
+        '{"id":true,"src_lang":"en","tgt_lang":-Infinity,"src_markup":"<b>\u2028</b>","tgt_markup":1e+300}',
+    ),
+], ids=["tagged", "tagged-int-null-bool", "parallel", "raw"])
+def test_string_record_with_a_bool_or_float_field_falls_back_to_json_dumps(item, line):
+    assert dataio._record_line(item, type(item)) == line == _json_dumps_string_line(item)
 
 
 @st.composite
