@@ -13,9 +13,8 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .backends import (
     ConstantScorer,
@@ -28,7 +27,7 @@ from .backends import (
     TranslationBackend,
 )
 from .codec import MarkerScheme, _place_markers, decode, encode, project, signature
-from .corpus import QaParallelPair, filter_parallel_qa, prepare_training_corpus, tag_swap
+from .corpus import filter_parallel_qa, pair_qa_contexts, prepare_training_corpus, tag_swap
 from .dataio import (
     DatasetFormat,
     DatasetHandle,
@@ -38,12 +37,13 @@ from .dataio import (
     load,
     qa_question_counts,
     read_qa_tree,
+    write_diagnostics,
     write_records,
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError
 from .evaluation import build_report, check_threshold, markers_match, render_table
 from .model import Diagnostic
-from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers
+from .synth import InsertionMode, MarkerConfig, derive_seed, sample_corpus
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
 ENV_SCORER_URL = "LP_SCORER_URL"
@@ -100,13 +100,6 @@ def make_scorer(value: str | None) -> ScorerBackend | None:
     if value.startswith(("http:", "https:")):
         return HttpScorerBackend(value, bearer_token=_bearer_token())
     raise LabelProjError(f"unrecognized scorer {value!r}")
-
-
-def _diag_record(diag: Diagnostic, doc_id: str | None = None) -> dict:
-    record = diag._asdict()
-    if doc_id is not None:
-        record["id"] = doc_id
-    return record
 
 
 def _emit_report(report, fmt: str | None, out_path: str | None) -> None:
@@ -166,57 +159,37 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decode(args: argparse.Namespace) -> int:
+def _map_records(args: argparse.Namespace, fmt: DatasetFormat, convert: Callable) -> int:
+    """Load -i and map each item to (output, diagnostics): dump the outputs to -o and write load's
+    diagnostics, then each item's under its id, to the sidecar. Returns the number of items."""
     _check_distinct_outputs(args)
-    texts, load_diags = load(
-        DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.input)), args.error_budget
+    items, load_diags = load(DatasetHandle(fmt, path=Path(args.input)), args.error_budget)
+    results = [convert(item) for item in items]
+    dump([output for output, _ in results], Path(args.output))
+    write_diagnostics(
+        _diagnostics_path(args), [(None, load_diags), *((item.id, diags) for item, (_, diags) in zip(items, results))]
     )
-    docs = []
-    diag_records = [_diag_record(d) for d in load_diags]
-    for text in texts:
-        doc, diags = decode(text, _scheme(args))
-        docs.append(doc)
-        diag_records.extend(_diag_record(d, text.id) for d in diags)
-    dump(docs, Path(args.output))
-    write_records(_diagnostics_path(args), diag_records)
-    print(f"decoded {len(docs)} documents -> {Path(args.output)}", file=sys.stderr)
+    return len(results)
+
+
+def cmd_decode(args: argparse.Namespace) -> int:
+    count = _map_records(args, DatasetFormat.TAGGED_JSONL, lambda text: decode(text, _scheme(args)))
+    print(f"decoded {count} documents -> {Path(args.output)}", file=sys.stderr)
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     lines, _ = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
-    base = MarkerConfig(
-        mode=InsertionMode(args.mode),
-        p_open=args.p_open,
-        p_close=args.p_close,
-        seed=args.seed,
-        sequential_lengths=args.sequential_lengths,
-    )
-    docs = []
-    for line in lines:
-        if not line.tagged.strip():
-            continue
-        config = base._replace(seed=derive_seed(args.seed, line.id))
-        docs.append(insert_markers(line.tagged, config, doc_id=line.id, lang=args.src_lang))
+    config = MarkerConfig(InsertionMode(args.mode), args.p_open, args.p_close, args.seed, args.sequential_lengths)
+    docs = sample_corpus(lines, config, args.src_lang)
     dump(docs, Path(args.output))
     print(f"sampled spans for {len(docs)} sentences -> {Path(args.output)}", file=sys.stderr)
     return 0
 
 
 def cmd_tagswap(args: argparse.Namespace) -> int:
-    _check_distinct_outputs(args)
-    pairs, read_diags = load(
-        DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=Path(args.input)), args.error_budget
-    )
-    normalized = []
-    diag_records = [_diag_record(d) for d in read_diags]
-    for pair in pairs:
-        swapped, diags = tag_swap(pair)
-        normalized.append(swapped)
-        diag_records.extend(_diag_record(d, pair.id) for d in diags)
-    dump(normalized, Path(args.output))
-    write_records(_diagnostics_path(args), diag_records)
-    print(f"normalized {len(normalized)} pairs -> {args.output}", file=sys.stderr)
+    count = _map_records(args, DatasetFormat.RAW_MARKUP_JSONL, tag_swap)
+    print(f"normalized {count} pairs -> {args.output}", file=sys.stderr)
     return 0
 
 
@@ -231,7 +204,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
     provenance = {
         "provenance": corpus.provenance._asdict(),
         "dropped": [{"id": pair.id, "reason": reason} for pair, reason in corpus.dropped],
-        "read_diagnostics": [_diag_record(d) for d in read_diags],
+        "read_diagnostics": [d._asdict() for d in read_diags],
     }
     atomic_write_text(out_dir / "provenance.json", json.dumps(provenance, ensure_ascii=False, indent=2) + "\n")
     print(
@@ -251,36 +224,14 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
     src_questions = qa_question_counts(src_tree)
     tgt_questions = qa_question_counts(tgt_tree)
 
-    for side, docs in (("source", src_docs), ("target", tgt_docs)):
-        repeated = [doc_id for doc_id, n in Counter(doc.id for doc in docs).items() if n > 1]
-        if repeated:
-            raise AlignmentError(f"duplicate context id {repeated[0]!r} on the {side} side")
-    tgt_by_id = {doc.id: doc for doc in tgt_docs}
-    pairs = []
-    diag_records = [_diag_record(d) for d in src_diags + tgt_diags]
-    for src_doc in src_docs:
-        tgt_doc = tgt_by_id.pop(src_doc.id, None)
-        if tgt_doc is None:
-            diag_records.append(
-                _diag_record(
-                    Diagnostic("warning", "UNALIGNED_CONTEXT", "no target-side context"), src_doc.id
-                )
-            )
-            continue
-        pairs.append(QaParallelPair(src_doc, tgt_doc, src_questions[src_doc.id], tgt_questions[tgt_doc.id]))
-    for doc_id in tgt_by_id:
-        diag_records.append(
-            _diag_record(Diagnostic("warning", "UNALIGNED_CONTEXT", "no source-side context"), doc_id)
-        )
-
+    pairs, unaligned = pair_qa_contexts(src_docs, tgt_docs, src_questions, tgt_questions)
     kept, dropped, filter_diags = filter_parallel_qa(pairs, scorer, min_score)
-    diag_records.extend(_diag_record(d) for d in filter_diags)
 
     out_dir = Path(args.out_dir)
     dump([pair.src for pair in kept], out_dir / "kept.src.jsonl")
     dump([pair.tgt for pair in kept], out_dir / "kept.tgt.jsonl")
     write_records(out_dir / "dropped.jsonl", [{"id": pair.id, "reason": reason} for pair, reason in dropped])
-    write_records(out_dir / "diagnostics.jsonl", diag_records)
+    write_diagnostics(out_dir / "diagnostics.jsonl", [(None, src_diags + tgt_diags), *unaligned, (None, filter_diags)])
     print(f"kept {len(kept)} / dropped {len(dropped)} context pairs -> {out_dir}", file=sys.stderr)
     return 0
 
@@ -341,9 +292,9 @@ def cmd_project(args: argparse.Namespace) -> int:
     docs, load_diags = load(
         DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
     )
-    reference = None
+    reference, reference_diags = None, []
     if args.reference:
-        reference, _ = load(
+        reference, reference_diags = load(
             DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.reference)), args.error_budget
         )
     if len({doc.id for doc in docs}) != len(docs):
@@ -356,12 +307,11 @@ def cmd_project(args: argparse.Namespace) -> int:
         report = build_report(projected, reference, flags, **_report_options(args))
 
     dump(projected, Path(args.output))
-    diag_records = [_diag_record(d) for d in load_diags]
-    diag_records.extend(_diag_record(d, doc.id) for doc, diags, _ in results for d in diags)
-    write_records(_diagnostics_path(args), diag_records)
+    write_diagnostics(_diagnostics_path(args), [(None, load_diags), *((doc.id, diags) for doc, diags, _ in results)])
     print(f"projected {len(projected)} documents -> {Path(args.output)}", file=sys.stderr)
     if report is not None:
         _emit_report(report, args.report, args.report_out)
+    _note_input_diagnostics(reference_diags)
     return 0
 
 
@@ -400,7 +350,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if other is not config:
                 raise LabelProjError(f"cells ({other.p_open}, {other.p_close}) and ({p_open}, {p_close}) share {name}")
     lines, _ = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
-    sentences = [line for line in lines if line.tagged.strip()]
     out_dir = Path(args.out_dir)
     scheme = _scheme(args)
     manifest = {
@@ -410,11 +359,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "cells": [],
     }
     for name, cell in cells.items():
-        tagged = []
-        for line in sentences:
-            config = cell._replace(seed=derive_seed(cell.seed, line.id))
-            doc = insert_markers(line.tagged, config, doc_id=line.id, lang=args.src_lang)
-            tagged.append(encode(doc, scheme))
+        tagged = [encode(doc, scheme) for doc in sample_corpus(lines, cell, args.src_lang)]
         dump(tagged, out_dir / name)
         manifest["cells"].append(
             {"p_open": cell.p_open, "p_close": cell.p_close, "path": name, "examples": len(tagged)}

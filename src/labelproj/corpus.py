@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import random
 import re
-from typing import NamedTuple, Sequence
+from collections import Counter
+from typing import Mapping, NamedTuple, Sequence
 
 from .codec import tag_name
-from .errors import BackendError, BackendUnreachableError, ScorerUnavailableError
+from .errors import AlignmentError, BackendError, BackendUnreachableError, ScorerUnavailableError
 from .model import SEVERITY_WARNING, AnnotatedText, Diagnostic, record_type
 
 # Markup as found in the wild: optional attributes, self-closing when the tail
@@ -224,6 +225,37 @@ class QaParallelPair(_QaPairFields):
     @property
     def id(self) -> str:
         return self.src.id
+
+
+def pair_qa_contexts(
+    src_docs: Sequence[AnnotatedText],
+    tgt_docs: Sequence[AnnotatedText],
+    src_questions: Mapping[str, int],
+    tgt_questions: Mapping[str, int],
+) -> tuple[list[QaParallelPair], list[tuple[str, list[Diagnostic]]]]:
+    """Pair source and target contexts by id, in source order, with their question counts.
+
+    A context id repeated on one side is an :class:`AlignmentError`. ``unaligned`` holds a ``(context id,
+    [UNALIGNED_CONTEXT warning])`` group per context with no partner, source-only ones first.
+    """
+    for side, docs in (("source", src_docs), ("target", tgt_docs)):
+        repeated = [doc_id for doc_id, n in Counter(doc.id for doc in docs).items() if n > 1]
+        if repeated:
+            raise AlignmentError(f"duplicate context id {repeated[0]!r} on the {side} side")
+    tgt_by_id = {doc.id: doc for doc in tgt_docs}
+    pairs = [
+        QaParallelPair(doc, tgt_by_id[doc.id], src_questions[doc.id], tgt_questions[doc.id])
+        for doc in src_docs
+        if doc.id in tgt_by_id
+    ]
+    paired = {pair.id for pair in pairs}
+    unaligned = [
+        (doc.id, [Diagnostic(SEVERITY_WARNING, "UNALIGNED_CONTEXT", f"no {other}-side context")])
+        for docs, other in ((src_docs, "target"), (tgt_docs, "source"))
+        for doc in docs
+        if doc.id not in paired
+    ]
+    return pairs, unaligned
 
 
 def filter_parallel_qa(

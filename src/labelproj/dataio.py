@@ -4,7 +4,8 @@ QA-style JSON trees, and plain parallel text.
 All files are UTF-8 without BOM. Writers emit one record per line in a
 canonical field order with a trailing newline, so dumping twice is
 byte-stable and ``load(dump(x)) == x`` on valid datasets. Every JSONL file
-the toolkit writes goes through ``dump`` or ``write_records``.
+the toolkit writes goes through ``dump``, ``write_diagnostics`` or
+``write_records``.
 """
 
 from __future__ import annotations
@@ -270,6 +271,17 @@ def dump(items: Sequence[Any], path: Path) -> None:
 def write_records(path: Path, records: Iterable[Mapping[str, Any]]) -> None:
     """Write plain JSON records atomically, one canonical line each, in ``dump``'s encoding."""
     atomic_write_text(path, (_json(record) + "\n" for record in records))
+
+
+def write_diagnostics(path: Path, groups: Iterable[tuple[str | None, Iterable[Diagnostic]]]) -> None:
+    """Write a diagnostics sidecar from ``(document id or None, diagnostics)`` groups, in order: one
+    line per diagnostic, its ``Diagnostic`` fields and then ``"id"`` when its group has one."""
+    records = (
+        diag._asdict() if doc_id is None else {**diag._asdict(), "id": doc_id}
+        for doc_id, diags in groups
+        for diag in diags
+    )
+    write_records(path, records)
 
 
 def _repair_offset(context: str, answer: str, start: int) -> tuple[int, int | None]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 try:  # hashlib would also load OpenSSL's libcrypto, which only HTTPS needs
     from _blake2 import blake2b
@@ -19,7 +19,7 @@ except ImportError:  # CPython built without _blake2
 
 from .codec import tag_name
 from .errors import NoTokensError
-from .model import AnnotatedText, Span, record_type
+from .model import AnnotatedText, Span, TaggedText, record_type
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -104,6 +104,15 @@ def insert_markers(sentence: str, config: MarkerConfig, *, doc_id: str = "", lan
     else:
         spans = _sample_walk(tmap, n, rng, config)
     return AnnotatedText(id=doc_id, lang=lang, text=sentence, spans=tuple(spans))
+
+
+def sample_corpus(lines: Iterable[TaggedText], config: MarkerConfig, lang: str) -> list[AnnotatedText]:
+    """``insert_markers`` on each non-blank line, in order, seeded by ``derive_seed(config.seed, line.id)``."""
+    return [
+        insert_markers(line.tagged, config._replace(seed=derive_seed(config.seed, line.id)), doc_id=line.id, lang=lang)
+        for line in lines
+        if line.tagged.strip()
+    ]
 
 
 def _sample_single(tmap: TokenBoundaryMap, n: int, rng: random.Random, config: MarkerConfig) -> Span:

@@ -578,7 +578,7 @@ def test_synth_deterministic_and_modes(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [False, True], ids=["clean", "one-bad-line"])
-@pytest.mark.parametrize("command", ["translate", "stats", "evaluate"])
+@pytest.mark.parametrize("command", ["translate", "stats", "evaluate", "project"])
 def test_a_reading_command_reports_its_skipped_records_on_stderr(tmp_path, capsys, command, bad):
     annotated, reference, tagged, out = (tmp_path / name for name in ("in.jsonl", "ref.jsonl", "t.jsonl", "o.jsonl"))
     write_annotated(annotated, DOCS)
@@ -592,6 +592,13 @@ def test_a_reading_command_reports_its_skipped_records_on_stderr(tmp_path, capsy
             f"translated 3 texts -> {out}\n",
         ),
         "stats": (["stats", "-i", str(annotated)], [annotated], ""),
+        # project's -i diagnostics go to its sidecar; only the reference's are counted on stderr.
+        "project": (
+            ["project", "-i", str(annotated), "-o", str(out), "--reference", str(reference), "--backend",
+             "identity", "--src-lang", "en", "--tgt-lang", "de"],
+            [reference],
+            f"projected 3 documents -> {out}\n",
+        ),
         "evaluate": (
             ["evaluate", "--projected", str(annotated), "--reference", str(reference),
              "--source-tagged", str(tagged), "--hypothesis-tagged", str(tagged)],
@@ -607,6 +614,48 @@ def test_a_reading_command_reports_its_skipped_records_on_stderr(tmp_path, capsy
     capsys.readouterr()
     assert main([*argv, "--error-budget", "1"]) == 0
     assert capsys.readouterr().err == err
+
+
+MALFORMED_LINE_2 = (
+    '{"severity":"error","code":"MALFORMED_RECORD","message":"line 2: Expecting value: line 1 column 1 (char 0)",'
+    '"offset":2}\n'
+)
+
+
+@pytest.mark.parametrize("command, items, own_line", [
+    (
+        "decode",
+        [TaggedText("t1", "en", "<a>John lives"), TaggedText("t2", "en", "<a>ok</a>")],
+        '{"severity":"warning","code":"UNCLOSED_OPEN","message":"open marker for \'a\' never closed; span extended'
+        ' to end of text","offset":0,"id":"t1"}\n',
+    ),
+    (
+        "tagswap",
+        [
+            RawMarkupPair("p1", "en", "de", "<b>x</b>", "<b>y</b> <i>z</i>"),
+            RawMarkupPair("p2", "en", "de", "<b>x</b>", "<b>y</b>"),
+        ],
+        '{"severity":"warning","code":"UNMAPPED_TYPE","message":"pair \'p1\': target tag type \'i\' does not occur in'
+        ' the source","offset":null,"id":"p1"}\n',
+    ),
+    (
+        "project",
+        [make_doc("John <B> Paris", [Span("a", 0, 4)], doc_id="d1"), make_doc("plain", [], doc_id="d2")],
+        '{"severity":"info","code":"IGNORED_LITERAL","message":"marker-like substring \'<B>\' left as literal text",'
+        '"offset":12,"id":"d1"}\n',
+    ),
+])
+def test_a_sidecar_holds_load_diagnostics_then_each_documents_own(tmp_path, command, items, own_line):
+    # Line 2 of the input is unreadable; the first record's output carries its own diagnostic.
+    source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    dump(items, source)
+    first, rest = source.read_text().split("\n", 1)
+    source.write_text(f"{first}\nnot json\n{rest}")
+    argv = [command, "-i", str(source), "-o", str(out), "--error-budget", "1"]
+    if command == "project":
+        argv += ["--backend", "identity", "--src-lang", "en", "--tgt-lang", "de"]
+    assert main(argv) == 0
+    assert (tmp_path / "out.jsonl.diagnostics.jsonl").read_text() == MALFORMED_LINE_2 + own_line
 
 
 def test_evaluate_csv_report(tmp_path, capsys):
@@ -862,6 +911,42 @@ def test_filter_qa_command(tmp_path):
         "--out-dir", str(out_dir3), "--no-score-filter",
     ]) == 0
     assert len((out_dir3 / "kept.src.jsonl").read_text().splitlines()) == 1
+
+
+def test_filter_qa_diagnostics_list_ingest_then_unaligned_then_filter(tmp_path):
+    def tree(*paragraphs):
+        return {"data": [{"title": "t", "paragraphs": [
+            {"context": context, "qas": [{"id": qa_id, "answers": [{"text": text, "answer_start": start}
+                                                                   for text, start in answers]}]}
+            for qa_id, context, answers in paragraphs
+        ]}]}
+
+    src, tgt, out_dir = tmp_path / "src.json", tmp_path / "tgt.json", tmp_path / "qa"
+    src.write_text(json.dumps(tree(
+        ("q1", "one alpha", [("alpha", 2)]),  # repaired by +2
+        ("q2", "two beta", [("beta", 4)]),
+        ("qs", "source only", [("only", 7)]),
+    )))
+    tgt.write_text(json.dumps(tree(
+        ("qt", "target only", [("only", 7)]),
+        ("q2", "zwei beta", [("zwei", 0), ("beta", 5)]),  # two answers against one: COUNT_MISMATCH
+        ("q1", "eins alpha", [("alpha", 9)]),  # repaired by -4
+    )))
+    assert main([
+        "filter-qa", "--src-json", str(src), "--tgt-json", str(tgt), "--src-lang", "en", "--tgt-lang", "de",
+        "--out-dir", str(out_dir), "--no-score-filter",
+    ]) == 0
+    assert (out_dir / "diagnostics.jsonl").read_text().splitlines() == [
+        '{"severity":"info","code":"ANSWER_REPAIRED","message":"answer q1: offset shifted by +2","offset":4}',
+        '{"severity":"info","code":"ANSWER_REPAIRED","message":"answer q1: offset shifted by -4","offset":5}',
+        '{"severity":"warning","code":"UNALIGNED_CONTEXT","message":"no target-side context","offset":null,'
+        '"id":"qs"}',
+        '{"severity":"warning","code":"UNALIGNED_CONTEXT","message":"no source-side context","offset":null,'
+        '"id":"qt"}',
+        '{"severity":"warning","code":"COUNT_MISMATCH","message":"pair \'q2\': 1/1 questions/spans vs 1/2",'
+        '"offset":null}',
+    ]
+    assert [json.loads(line)["id"] for line in (out_dir / "kept.src.jsonl").read_text().splitlines()] == ["q1"]
 
 
 @pytest.mark.parametrize("side", ["source", "target"])

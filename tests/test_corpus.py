@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given
 
 from labelproj import (
+    AlignmentError,
     AnnotatedText,
     ConstantScorer,
+    Diagnostic,
     QaParallelPair,
     RawMarkupPair,
     ScorerUnavailableError,
@@ -15,6 +17,7 @@ from labelproj import (
     prepare_training_corpus,
     tag_swap,
 )
+from labelproj.corpus import pair_qa_contexts
 
 from corpus_oracle import oracle_prepare_training_corpus, oracle_tag_swap
 
@@ -258,6 +261,34 @@ def test_qa_parallel_pair_invariants():
         QaParallelPair(src, AnnotatedText("other", "de", "y"), 1, 1)
     with pytest.raises(ValueError, match="^'p': source and target language are equal$"):
         QaParallelPair(src, AnnotatedText("p", "en", "y"), 1, 1)
+
+
+def contexts(lang: str, *ids: str) -> list[AnnotatedText]:
+    return [AnnotatedText(doc_id, lang, f"context {doc_id}") for doc_id in ids]
+
+
+def test_pair_qa_contexts_pairs_by_id_in_source_order():
+    pairs, unaligned = pair_qa_contexts(
+        contexts("en", "b", "s1", "a", "s2"), contexts("de", "t1", "a", "b", "t2"), {"a": 1, "b": 2}, {"a": 3, "b": 4}
+    )
+    assert [(p.id, p.src.lang, p.tgt.lang, p.src_questions, p.tgt_questions) for p in pairs] == [
+        ("b", "en", "de", 2, 4), ("a", "en", "de", 1, 3)
+    ]
+    assert unaligned == [
+        ("s1", [Diagnostic("warning", "UNALIGNED_CONTEXT", "no target-side context")]),
+        ("s2", [Diagnostic("warning", "UNALIGNED_CONTEXT", "no target-side context")]),
+        ("t1", [Diagnostic("warning", "UNALIGNED_CONTEXT", "no source-side context")]),
+        ("t2", [Diagnostic("warning", "UNALIGNED_CONTEXT", "no source-side context")]),
+    ]
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_pair_qa_contexts_names_the_first_repeated_id_and_its_side(side):
+    # B repeats first, but A is the first id of those that repeat.
+    repeated, single = contexts("en", "A", "B", "B", "A"), contexts("en", "A", "B")
+    src, tgt = (repeated, single) if side == "source" else (single, repeated)
+    with pytest.raises(AlignmentError, match=f"^duplicate context id 'A' on the {side} side$"):
+        pair_qa_contexts(src, [AnnotatedText(d.id, "de", d.text) for d in tgt], {}, {})
 
 
 def test_filter_drops_span_count_mismatch():

@@ -15,6 +15,7 @@ from labelproj import (
     AnnotatedText,
     DatasetFormat,
     DatasetHandle,
+    Diagnostic,
     ErrorBudgetExceeded,
     DirectedExample,
     FormatError,
@@ -369,6 +370,22 @@ def test_dump_refuses_items_outside_one_format_and_keeps_the_old_file(tmp_path, 
         dump(items, target)
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_write_diagnostics_keeps_group_order_and_adds_an_id_only_to_a_document_group(tmp_path):
+    out = tmp_path / "diagnostics.jsonl"
+    dataio.write_diagnostics(out, [
+        ("d1", [Diagnostic("info", "B", "b", offset=3), Diagnostic("warning", "A", "a")]),
+        (None, [Diagnostic("error", "C", "c", offset=1)]),
+        ("", [Diagnostic("info", "D", "d")]),  # an empty id is still an id
+        ("d2", []),
+    ])
+    assert out.read_text() == (
+        '{"severity":"info","code":"B","message":"b","offset":3,"id":"d1"}\n'
+        '{"severity":"warning","code":"A","message":"a","offset":null,"id":"d1"}\n'
+        '{"severity":"error","code":"C","message":"c","offset":1}\n'
+        '{"severity":"info","code":"D","message":"d","offset":null,"id":""}\n'
+    )
 
 
 # ------------------------------------------- annotated records vs oracles

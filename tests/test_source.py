@@ -48,6 +48,50 @@ def test_package_modules_have_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _definitions(tree: ast.Module):
+    """(line, name) of each module-level assignment, function and class, and of each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node.lineno, target.id) for target in targets if isinstance(target, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f.lineno, f.name) for f in node.body if isinstance(f, ast.FunctionDef))
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Each private name ``_definitions`` finds that no module of ``sources`` reads, imports or calls."""
+    defined: list[tuple[str, int, str]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, line, name) for line, name in _definitions(tree)
+                    if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{module} line {line}: {name}" for module, line, name in defined if name not in used]
+
+
+def test_dead_private_names_are_detected():
+    sources = {
+        "a.py": "_A = 1\n_B: int = 2\ndef _f(): return _A\nclass _C:\n    def _m(self): pass\n"
+                "    def __eq__(s, o): pass\n",
+        "b.py": "from a import _f\nx = _C()._gone\n",
+    }
+    assert dead_private_names(sources) == ["a.py line 2: _B", "a.py line 5: _m"]
+
+
+def test_package_modules_have_no_unused_private_names():
+    package = sorted(Path(labelproj.__file__).parent.glob("*.py"))
+    assert dead_private_names({path.name: path.read_text(encoding="utf-8") for path in package}) == []
+
+
 def test_package_all_lists_exactly_what_init_imports():
     tree = ast.parse(Path(labelproj.__file__).read_text(encoding="utf-8"))
     imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)

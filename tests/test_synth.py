@@ -8,11 +8,13 @@ from labelproj import (
     InsertionMode,
     MarkerConfig,
     NoTokensError,
+    TaggedText,
     derive_seed,
     insert_markers,
     tokenize_boundaries,
     validate,
 )
+from labelproj.synth import sample_corpus
 
 SENTENCE_20 = " ".join(f"tok{i}" for i in range(20))
 
@@ -199,3 +201,17 @@ def test_derive_seed_is_stable_and_key_sensitive():
     assert 0 <= derive_seed(0, "x") < 2**63
     assert derive_seed(0, "x") == 5395104992458594383
     assert derive_seed(7, "0:d1") == 812124045941337242
+
+
+@pytest.mark.parametrize("mode", list(InsertionMode))
+def test_sample_corpus_seeds_each_non_blank_line_from_its_id(mode):
+    texts = ["John lives in Paris", "", "  \t ", "the Huguenot population", " a b c "]
+    lines = [TaggedText(str(i), "", text) for i, text in enumerate(texts, start=1)]
+    config = MarkerConfig(mode, p_open=0.6, p_close=0.4, seed=11)
+    docs = sample_corpus(lines, config, "eng_Latn")
+    assert [doc.id for doc in docs] == ["1", "4", "5"]
+    assert docs == [
+        insert_markers(line.tagged, config._replace(seed=derive_seed(11, line.id)), doc_id=line.id, lang="eng_Latn")
+        for line in lines
+        if line.id in ("1", "4", "5")
+    ]
