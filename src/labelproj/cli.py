@@ -35,7 +35,6 @@ from .dataio import (
     dump,
     ingest_qa,
     load,
-    qa_question_counts,
     read_qa_tree,
     write_diagnostics,
     write_records,
@@ -179,11 +178,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    lines, _ = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
+    lines, diagnostics = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
     config = MarkerConfig(InsertionMode(args.mode), args.p_open, args.p_close, args.seed, args.sequential_lengths)
     docs = sample_corpus(lines, config, args.src_lang)
     dump(docs, Path(args.output))
     print(f"sampled spans for {len(docs)} sentences -> {Path(args.output)}", file=sys.stderr)
+    _note_input_diagnostics(diagnostics)
     return 0
 
 
@@ -219,19 +219,16 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
     scorer = make_scorer(args.scorer) if min_score is not None else None
     src_tree = read_qa_tree(Path(args.src_json))
     tgt_tree = read_qa_tree(Path(args.tgt_json))
-    src_docs, src_diags = ingest_qa(src_tree, args.src_lang)
-    tgt_docs, tgt_diags = ingest_qa(tgt_tree, args.tgt_lang)
-    src_questions = qa_question_counts(src_tree)
-    tgt_questions = qa_question_counts(tgt_tree)
-
-    pairs, unaligned = pair_qa_contexts(src_docs, tgt_docs, src_questions, tgt_questions)
+    src, tgt = ingest_qa(src_tree, args.src_lang), ingest_qa(tgt_tree, args.tgt_lang)
+    pairs, unaligned = pair_qa_contexts(src, tgt)
     kept, dropped, filter_diags = filter_parallel_qa(pairs, scorer, min_score)
 
     out_dir = Path(args.out_dir)
     dump([pair.src for pair in kept], out_dir / "kept.src.jsonl")
     dump([pair.tgt for pair in kept], out_dir / "kept.tgt.jsonl")
     write_records(out_dir / "dropped.jsonl", [{"id": pair.id, "reason": reason} for pair, reason in dropped])
-    write_diagnostics(out_dir / "diagnostics.jsonl", [(None, src_diags + tgt_diags), *unaligned, (None, filter_diags)])
+    ingest_groups = [(doc.id, diags) for doc, _, diags in src + tgt]
+    write_diagnostics(out_dir / "diagnostics.jsonl", [*ingest_groups, *unaligned, (None, filter_diags)])
     print(f"kept {len(kept)} / dropped {len(dropped)} context pairs -> {out_dir}", file=sys.stderr)
     return 0
 
@@ -349,7 +346,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             other = cells.setdefault(name, config)
             if other is not config:
                 raise LabelProjError(f"cells ({other.p_open}, {other.p_close}) and ({p_open}, {p_close}) share {name}")
-    lines, _ = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
+    lines, diagnostics = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
     out_dir = Path(args.out_dir)
     scheme = _scheme(args)
     manifest = {
@@ -366,6 +363,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(manifest['cells'])} corpora -> {out_dir}", file=sys.stderr)
+    _note_input_diagnostics(diagnostics)
     return 0
 
 

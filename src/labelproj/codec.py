@@ -290,17 +290,21 @@ def occurrences(spans: Sequence[Span]) -> dict[str, list[int]]:
     return by_tag
 
 
+def corresponding(a_spans: Sequence[Span], b_spans: Sequence[Span]) -> list[tuple[int, int]]:
+    """Position pairs ``(i, j)`` of corresponding spans: the k-th span with a tag in ``a_spans`` and the
+    k-th span with that tag in ``b_spans``. A span with no counterpart appears in no pair."""
+    b_by_tag = occurrences(b_spans)
+    return [pair for tag, positions in occurrences(a_spans).items() for pair in zip(positions, b_by_tag.get(tag, ()))]
+
+
 def _with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> AnnotatedText:
-    """Give each span of ``doc``, which has no labels, the label of the source span with the same
-    (tag, occurrence index); ``doc`` itself when the source has no labels either."""
+    """Give each span of ``doc``, which has no labels, the label of its corresponding source span;
+    ``doc`` itself when the source has no labels either."""
     if all(span.label is None for span in source.spans):
         return doc
-    labels: list[str | None] = [None] * len(doc.spans)
-    source_positions = occurrences(source.spans)
-    for tag, positions in occurrences(doc.spans).items():
-        for i, j in zip(positions, source_positions.get(tag, ())):
-            labels[i] = source.spans[j].label
-    return AnnotatedText(doc.id, doc.lang, doc.text, tuple(s._replace(label=x) for s, x in zip(doc.spans, labels)))
+    labels = {i: source.spans[j].label for i, j in corresponding(doc.spans, source.spans)}
+    spans = tuple(span._replace(label=labels.get(i)) for i, span in enumerate(doc.spans))
+    return AnnotatedText(doc.id, doc.lang, doc.text, spans)
 
 
 def project(

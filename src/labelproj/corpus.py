@@ -13,7 +13,7 @@ import math
 import random
 import re
 from collections import Counter
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .codec import tag_name
 from .errors import AlignmentError, BackendError, BackendUnreachableError, ScorerUnavailableError
@@ -228,31 +228,29 @@ class QaParallelPair(_QaPairFields):
 
 
 def pair_qa_contexts(
-    src_docs: Sequence[AnnotatedText],
-    tgt_docs: Sequence[AnnotatedText],
-    src_questions: Mapping[str, int],
-    tgt_questions: Mapping[str, int],
+    src: Sequence[tuple[AnnotatedText, int, list[Diagnostic]]],
+    tgt: Sequence[tuple[AnnotatedText, int, list[Diagnostic]]],
 ) -> tuple[list[QaParallelPair], list[tuple[str, list[Diagnostic]]]]:
-    """Pair source and target contexts by id, in source order, with their question counts.
+    """Pair ``ingest_qa``'s source and target contexts by id, in source order, with their question counts.
 
     A context id repeated on one side is an :class:`AlignmentError`. ``unaligned`` holds a ``(context id,
     [UNALIGNED_CONTEXT warning])`` group per context with no partner, source-only ones first.
     """
-    for side, docs in (("source", src_docs), ("target", tgt_docs)):
-        repeated = [doc_id for doc_id, n in Counter(doc.id for doc in docs).items() if n > 1]
+    for side, contexts in (("source", src), ("target", tgt)):
+        repeated = [doc_id for doc_id, n in Counter(doc.id for doc, _, _ in contexts).items() if n > 1]
         if repeated:
             raise AlignmentError(f"duplicate context id {repeated[0]!r} on the {side} side")
-    tgt_by_id = {doc.id: doc for doc in tgt_docs}
+    tgt_by_id = {doc.id: (doc, questions) for doc, questions, _ in tgt}
     pairs = [
-        QaParallelPair(doc, tgt_by_id[doc.id], src_questions[doc.id], tgt_questions[doc.id])
-        for doc in src_docs
+        QaParallelPair(doc, tgt_by_id[doc.id][0], questions, tgt_by_id[doc.id][1])
+        for doc, questions, _ in src
         if doc.id in tgt_by_id
     ]
     paired = {pair.id for pair in pairs}
     unaligned = [
         (doc.id, [Diagnostic(SEVERITY_WARNING, "UNALIGNED_CONTEXT", f"no {other}-side context")])
-        for docs, other in ((src_docs, "target"), (tgt_docs, "source"))
-        for doc in docs
+        for contexts, other in ((src, "target"), (tgt, "source"))
+        for doc, _, _ in contexts
         if doc.id not in paired
     ]
     return pairs, unaligned

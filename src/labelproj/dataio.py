@@ -95,8 +95,10 @@ def load(
     :class:`FormatError`.
     """
     if handle.format is DatasetFormat.PLAIN_TEXT:
-        lines = enumerate(_lines(handle.path), start=1)
-        return [TaggedText(id=str(i), lang="", tagged=line.rstrip("\n")) for i, line in lines], []
+        texts = [TaggedText(str(i), "", line.rstrip("\n")) for i, line in enumerate(_lines(handle.path), start=1)]
+        # In a line without spans, validate finds only marker-shaped substrings: one MARKER_COLLISION each.
+        diagnostics = [_at_line(d, int(t.id)) for t in texts for d in validate(AnnotatedText(t.id, "", t.tagged))]
+        return texts, diagnostics
 
     items: list[Any] = []
     diagnostics: list[Diagnostic] = []
@@ -120,10 +122,7 @@ def load(
                 raise FormatError(f"line {lineno}: first record unreadable: {exc}") from exc
             item, record_diags = None, [Diagnostic(SEVERITY_ERROR, "MALFORMED_RECORD", str(exc))]
         if record_diags:
-            for diag in record_diags:
-                diagnostics.append(
-                    Diagnostic(diag.severity, diag.code, f"line {lineno}: {diag.message}", offset=lineno)
-                )
+            diagnostics += [_at_line(diag, lineno) for diag in record_diags]
             if has_errors(record_diags):
                 errors += 1
                 if errors > error_budget:
@@ -131,6 +130,11 @@ def load(
                 continue
         items.append(item)
     return items, diagnostics
+
+
+def _at_line(diag: Diagnostic, lineno: int) -> Diagnostic:
+    """``diag`` found on input line ``lineno``, which prefixes its message and becomes its offset."""
+    return Diagnostic(diag.severity, diag.code, f"line {lineno}: {diag.message}", offset=lineno)
 
 
 def _check_first_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> None:
@@ -299,35 +303,11 @@ def _repair_offset(context: str, answer: str, start: int) -> tuple[int, int | No
     return start, None
 
 
-def _iter_qa_paragraphs(tree: Mapping[str, Any]):
-    """Yield (doc id, paragraph) per context, with a stable id derivation:
-    the first question's id, else title#index, else a running index."""
-    if "data" not in tree:
-        raise FormatError("QA tree lacks the top-level 'data' key")
-    running = 0
-    for article in tree["data"]:
-        title = article.get("title", "")
-        for para_i, paragraph in enumerate(article.get("paragraphs", ())):
-            qas = paragraph.get("qas", ())
-            if qas and qas[0].get("id"):
-                doc_id = str(qas[0]["id"])
-            elif title:
-                doc_id = f"{title}#{para_i}"
-            else:
-                doc_id = str(running)
-            yield doc_id, paragraph
-            running += 1
-
-
-def qa_question_counts(tree: Mapping[str, Any]) -> dict[str, int]:
-    """Question count per context, keyed by the same ids ingest_qa assigns."""
-    return {doc_id: len(paragraph.get("qas", ())) for doc_id, paragraph in _iter_qa_paragraphs(tree)}
-
-
-def _answer_spans(context: str, paragraph: Mapping[str, Any], diagnostics: list[Diagnostic]) -> tuple[Span, ...]:
-    """One span per answer in the paragraph, repairing or flagging offsets."""
+def _answer_spans(context: str, qas: Iterable[Mapping[str, Any]]) -> tuple[tuple[Span, ...], list[Diagnostic]]:
+    """One span per answer to the questions ``qas``, repairing or flagging offsets, and the diagnostics."""
     spans: list[Span] = []
-    for qa in paragraph.get("qas", ()):
+    diagnostics: list[Diagnostic] = []
+    for qa in qas:
         qa_id = str(qa.get("id", ""))
         for answer in qa.get("answers", ()):
             answer_text = _string(answer, "text")
@@ -354,25 +334,38 @@ def _answer_spans(context: str, paragraph: Mapping[str, Any], diagnostics: list[
                         )
                     )
             spans.append(Span(tag_name(len(spans)), start, end))
-    return tuple(spans)
+    return tuple(spans), diagnostics
 
 
-def ingest_qa(tree: Mapping[str, Any], lang: str) -> tuple[list[AnnotatedText], list[Diagnostic]]:
-    """Convert a SQuAD-v1.1-shaped tree into one AnnotatedText per context.
+def ingest_qa(tree: Mapping[str, Any], lang: str) -> list[tuple[AnnotatedText, int, list[Diagnostic]]]:
+    """Walk a SQuAD-v1.1-shaped tree once: one ``(AnnotatedText, question count, diagnostics)`` per context.
 
-    Answers become spans tagged a, b, ... in answer order (question order,
-    then answer order within a question); the span end is the answer start
-    plus the answer text length in scalar values. An answer whose text does
-    not appear at its stated offset is shifted to the nearest exact match
-    within ±8 scalar values (ANSWER_REPAIRED), otherwise kept as stated and
-    flagged ANSWER_MISMATCH. A tree of the wrong shape raises FormatError.
+    Contexts come in tree order. A context's id is its first question's id,
+    else title#index, else its index in the tree. Answers become spans tagged
+    a, b, ... in answer order (question order, then answer order within a
+    question); the span end is the answer start plus the answer text length in
+    scalar values. An answer whose text does not appear at its stated offset is
+    shifted to the nearest exact match within ±8 scalar values
+    (ANSWER_REPAIRED), otherwise kept as stated and flagged ANSWER_MISMATCH. A
+    tree of the wrong shape raises FormatError.
     """
-    docs: list[AnnotatedText] = []
-    diagnostics: list[Diagnostic] = []
+    contexts: list[tuple[AnnotatedText, int, list[Diagnostic]]] = []
     try:
-        for doc_id, paragraph in _iter_qa_paragraphs(tree):
-            context = _string(paragraph, "context")
-            docs.append(AnnotatedText(doc_id, lang, context, _answer_spans(context, paragraph, diagnostics)))
+        if "data" not in tree:
+            raise FormatError("QA tree lacks the top-level 'data' key")
+        for article in tree["data"]:
+            title = article.get("title", "")
+            for para_i, paragraph in enumerate(article.get("paragraphs", ())):
+                qas = paragraph.get("qas", ())
+                if qas and qas[0].get("id"):
+                    doc_id = str(qas[0]["id"])
+                elif title:
+                    doc_id = f"{title}#{para_i}"
+                else:
+                    doc_id = str(len(contexts))
+                context = _string(paragraph, "context")
+                spans, diagnostics = _answer_spans(context, qas)
+                contexts.append((AnnotatedText(doc_id, lang, context, spans), len(qas), diagnostics))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed QA tree: {type(exc).__name__}: {exc}") from exc
-    return docs, diagnostics
+    return contexts

@@ -1,12 +1,13 @@
 """Direct span-projection metrics and report aggregation.
 
 The headline metric scores each projected span against the reference span
-it corresponds to. Correspondence is (tag name, occurrence index): the k-th
-span with tag ``a`` in a projected document is compared against the k-th
-span with tag ``a`` in the reference document, occurrences ordered by
-position in the text. A pair counts as a match when the gestalt similarity
-of the two surface strings reaches the threshold (default 0.5); counts are
-micro-aggregated across all documents into a global precision/recall/F1.
+it corresponds to. Correspondence (:func:`labelproj.codec.corresponding`)
+is (tag name, occurrence index): the k-th span with tag ``a`` in a projected
+document is compared against the k-th span with tag ``a`` in the reference
+document, occurrences ordered by position in the text. A pair counts as a
+match when the gestalt similarity of the two surface strings reaches the
+threshold (default 0.5); counts are micro-aggregated across all documents
+into a global precision/recall/F1.
 
 The projection rate is the fraction of translation pairs whose hypothesis
 contains exactly the same multiset of markers as its source: the sum of
@@ -20,7 +21,7 @@ import io
 import json
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .codec import MarkerScheme, occurrences, signature
+from .codec import MarkerScheme, corresponding, signature
 from .errors import AlignmentError, EmptyInputError
 from .model import AnnotatedText, TaggedText, record_type
 from .similarity import _reaches
@@ -68,28 +69,12 @@ def _align(projected: Sequence[AnnotatedText], reference: Sequence[AnnotatedText
 
 
 def _doc_counts(projected: AnnotatedText, reference: AnnotatedText, threshold: float) -> tuple[int, int, int]:
-    proj_by_tag = occurrences(projected.spans)
-    ref_by_tag = occurrences(reference.spans)
-
-    tp = fp = fn = 0
-    for tag in set(proj_by_tag) | set(ref_by_tag):
-        proj_spans = proj_by_tag.get(tag, ())
-        ref_spans = ref_by_tag.get(tag, ())
-        for k in range(max(len(proj_spans), len(ref_spans))):
-            if k >= len(ref_spans):
-                fp += 1
-            elif k >= len(proj_spans):
-                fn += 1
-            elif _reaches(
-                projected.span_text(projected.spans[proj_spans[k]]),
-                reference.span_text(reference.spans[ref_spans[k]]),
-                threshold,
-            ):
-                tp += 1
-            else:
-                fp += 1
-                fn += 1
-    return tp, fp, fn
+    """(tp, fp, fn): a true positive is a corresponding pair whose surface strings reach the threshold."""
+    tp = sum(
+        _reaches(projected.span_text(projected.spans[i]), reference.span_text(reference.spans[j]), threshold)
+        for i, j in corresponding(projected.spans, reference.spans)
+    )
+    return tp, len(projected.spans) - tp, len(reference.spans) - tp
 
 
 def check_threshold(threshold: float) -> None:

@@ -312,8 +312,7 @@ def test_criterion_7_qa_ingestion_repair(tmp_path):
     }
     path = tmp_path / "qa.json"
     path.write_text(json.dumps(tree))
-    docs, diags = ingest_qa(read_qa_tree(path), "en")
-    doc = docs[0]
+    [(doc, _, diags)] = ingest_qa(read_qa_tree(path), "en")
     assert [s.tag for s in doc.spans] == ["a", "b", "c"]
     assert doc.span_text(doc.spans[0]) == "Eiffel Tower"
     assert doc.spans[0].start == 4  # repaired from the stated 5

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import copy
+import io
 import json
 import os
 import random
@@ -8,7 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 import labelproj
 from labelproj import (
@@ -937,8 +942,10 @@ def test_filter_qa_diagnostics_list_ingest_then_unaligned_then_filter(tmp_path):
         "--out-dir", str(out_dir), "--no-score-filter",
     ]) == 0
     assert (out_dir / "diagnostics.jsonl").read_text().splitlines() == [
-        '{"severity":"info","code":"ANSWER_REPAIRED","message":"answer q1: offset shifted by +2","offset":4}',
-        '{"severity":"info","code":"ANSWER_REPAIRED","message":"answer q1: offset shifted by -4","offset":5}',
+        '{"severity":"info","code":"ANSWER_REPAIRED","message":"answer q1: offset shifted by +2","offset":4,'
+        '"id":"q1"}',
+        '{"severity":"info","code":"ANSWER_REPAIRED","message":"answer q1: offset shifted by -4","offset":5,'
+        '"id":"q1"}',
         '{"severity":"warning","code":"UNALIGNED_CONTEXT","message":"no target-side context","offset":null,'
         '"id":"qs"}',
         '{"severity":"warning","code":"UNALIGNED_CONTEXT","message":"no source-side context","offset":null,'
@@ -964,6 +971,79 @@ def test_filter_qa_rejects_a_repeated_context_id(tmp_path, capsys, side):
     ]) == 1
     assert capsys.readouterr().err == f"error: duplicate context id 'X#0' on the {side} side\n"
     assert not (tmp_path / "qa").exists()
+
+
+VALID_QA = {"data": [{"title": "t", "paragraphs": [{"context": "alpha beta", "qas": [
+    {"id": "q1", "question": "?", "answers": [{"text": "beta", "answer_start": 6}]},
+]}]}]}
+# Each position in VALID_QA: its path of keys from the root, and the type its value has there.
+_QUESTION = ("data", 0, "paragraphs", 0, "qas", 0)
+QA_POSITIONS = {
+    "tree": ((), dict),
+    "data": (("data",), list),
+    "article": (("data", 0), dict),
+    "title": (("data", 0, "title"), str),
+    "paragraphs": (("data", 0, "paragraphs"), list),
+    "paragraph": (("data", 0, "paragraphs", 0), dict),
+    "context": (("data", 0, "paragraphs", 0, "context"), str),
+    "qas": (("data", 0, "paragraphs", 0, "qas"), list),
+    "question": (_QUESTION, dict),
+    "id": ((*_QUESTION, "id"), str),
+    "answers": ((*_QUESTION, "answers"), list),
+    "answer": ((*_QUESTION, "answers", 0), dict),
+    "text": ((*_QUESTION, "answers", 0, "text"), str),
+    "answer_start": ((*_QUESTION, "answers", 0, "answer_start"), int),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(QA_POSITIONS)), JSON_VALUES, st.booleans())
+def test_filter_qa_on_a_wrongly_typed_value_exits_0_or_1_without_a_traceback(
+    tmp_path_factory, position, value, on_source
+):
+    path, expected = QA_POSITIONS[position]
+    assume(type(value) is not expected)
+    tree = copy.deepcopy(VALID_QA)
+    if path:
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        tree = value
+    tmp = tmp_path_factory.mktemp("qa")
+    src, tgt, out_dir = tmp / "src.json", tmp / "tgt.json", tmp / "out"
+    src.write_text(json.dumps(tree if on_source else VALID_QA))
+    tgt.write_text(json.dumps(VALID_QA if on_source else tree))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([
+            "filter-qa", "--src-json", str(src), "--tgt-json", str(tgt), "--src-lang", "en", "--tgt-lang", "de",
+            "--out-dir", str(out_dir), "--no-score-filter",
+        ])
+    err = stderr.getvalue()
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_marker_shaped_plain_text_is_reported_as_input_diagnostics(tmp_path, capsys, command):
+    text = tmp_path / "plain.txt"
+    text.write_text("x <a> y\nplain line\n</b> and <c>\n")
+    if command == "synth":
+        outputs = ["-o", str(tmp_path / "spans.jsonl")]
+    else:
+        outputs = ["--out-dir", str(tmp_path / "sweep"), "--p-open-max", "0.2", "--p-close-max", "0.2"]
+    assert main([command, "-i", str(text), *outputs]) == 0
+    assert capsys.readouterr().err.splitlines()[1:] == ["3 input diagnostics"]
 
 
 def test_sweep_grid(tmp_path):

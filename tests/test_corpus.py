@@ -263,13 +263,15 @@ def test_qa_parallel_pair_invariants():
         QaParallelPair(src, AnnotatedText("p", "en", "y"), 1, 1)
 
 
-def contexts(lang: str, *ids: str) -> list[AnnotatedText]:
-    return [AnnotatedText(doc_id, lang, f"context {doc_id}") for doc_id in ids]
+def contexts(lang: str, *ids: str, questions: dict[str, int] | None = None) -> list[tuple[AnnotatedText, int, list]]:
+    """An ``ingest_qa`` result: (document, question count, no diagnostics) for each id."""
+    return [(AnnotatedText(i, lang, f"context {i}"), (questions or {}).get(i, 0), []) for i in ids]
 
 
 def test_pair_qa_contexts_pairs_by_id_in_source_order():
     pairs, unaligned = pair_qa_contexts(
-        contexts("en", "b", "s1", "a", "s2"), contexts("de", "t1", "a", "b", "t2"), {"a": 1, "b": 2}, {"a": 3, "b": 4}
+        contexts("en", "b", "s1", "a", "s2", questions={"a": 1, "b": 2}),
+        contexts("de", "t1", "a", "b", "t2", questions={"a": 3, "b": 4}),
     )
     assert [(p.id, p.src.lang, p.tgt.lang, p.src_questions, p.tgt_questions) for p in pairs] == [
         ("b", "en", "de", 2, 4), ("a", "en", "de", 1, 3)
@@ -288,7 +290,7 @@ def test_pair_qa_contexts_names_the_first_repeated_id_and_its_side(side):
     repeated, single = contexts("en", "A", "B", "B", "A"), contexts("en", "A", "B")
     src, tgt = (repeated, single) if side == "source" else (single, repeated)
     with pytest.raises(AlignmentError, match=f"^duplicate context id 'A' on the {side} side$"):
-        pair_qa_contexts(src, [AnnotatedText(d.id, "de", d.text) for d in tgt], {}, {})
+        pair_qa_contexts(src, [(AnnotatedText(d.id, "de", d.text), n, diags) for d, n, diags in tgt])
 
 
 def test_filter_drops_span_count_mismatch():

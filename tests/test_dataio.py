@@ -27,7 +27,7 @@ from labelproj import (
     load,
 )
 from labelproj import dataio
-from labelproj.dataio import qa_question_counts, read_qa_tree
+from labelproj.dataio import read_qa_tree
 
 from conftest import make_doc
 from dataio_oracle import oracle_parse_annotated
@@ -97,6 +97,16 @@ def test_load_plain_text_lines(handle):
     assert [t.id for t in items] == ["1", "2", "3", "4"]
     assert all(t.lang == "" for t in items)
     assert diags == []
+
+
+def test_load_plain_text_warns_of_each_marker_shaped_substring_with_its_line(handle):
+    items, diags = load(handle(DatasetFormat.PLAIN_TEXT, "x <a> y\nplain <1>\n</b><ab>\n"))
+    assert [t.tagged for t in items] == ["x <a> y", "plain <1>", "</b><ab>"]
+    assert diags == [
+        Diagnostic("warning", "MARKER_COLLISION", "line 1: text contains marker-shaped substring '<a>'", 1),
+        Diagnostic("warning", "MARKER_COLLISION", "line 3: text contains marker-shaped substring '</b>'", 3),
+        Diagnostic("warning", "MARKER_COLLISION", "line 3: text contains marker-shaped substring '<ab>'", 3),
+    ]
 
 
 def test_load_devtest_sized_plain_text_has_empty_signatures(handle):
@@ -602,9 +612,7 @@ def test_ingest_direct_offset():
     tree = qa_tree([{"context": "Paris is big", "qas": [
         {"id": "q1", "question": "?", "answers": [{"text": "Paris", "answer_start": 0}]}
     ]}])
-    docs, diags = ingest_qa(tree, "en")
-    assert docs == [AnnotatedText("q1", "en", "Paris is big", (Span("a", 0, 5),))]
-    assert diags == []
+    assert ingest_qa(tree, "en") == [(AnnotatedText("q1", "en", "Paris is big", (Span("a", 0, 5),)), 1, [])]
 
 
 def test_ingest_orders_tags_by_answer_order():
@@ -615,8 +623,7 @@ def test_ingest_orders_tags_by_answer_order():
             {"text": "gamma", "answer_start": 11},
         ]},
     ]}])
-    docs, _ = ingest_qa(tree, "en")
-    doc = docs[0]
+    [(doc, _, _)] = ingest_qa(tree, "en")
     assert doc.id == "q1"
     assert [s.tag for s in doc.spans] == ["a", "b", "c"]
     assert doc.span_text(doc.spans[0]) == "beta"
@@ -628,9 +635,9 @@ def test_ingest_repairs_off_by_one_offset():
     tree = qa_tree([{"context": "The Eiffel Tower stands.", "qas": [
         {"id": "q1", "question": "?", "answers": [{"text": "Eiffel", "answer_start": 5}]}
     ]}])
-    docs, diags = ingest_qa(tree, "en")
-    span = docs[0].spans[0]
-    assert docs[0].span_text(span) == "Eiffel"
+    [(doc, _, diags)] = ingest_qa(tree, "en")
+    span = doc.spans[0]
+    assert doc.span_text(span) == "Eiffel"
     assert span.start == 4
     assert [d.code for d in diags] == ["ANSWER_REPAIRED"]
 
@@ -639,9 +646,9 @@ def test_ingest_flags_unrepairable_answer():
     tree = qa_tree([{"context": "short text", "qas": [
         {"id": "q1", "question": "?", "answers": [{"text": "absent", "answer_start": 2}]}
     ]}])
-    docs, diags = ingest_qa(tree, "en")
+    [(doc, _, diags)] = ingest_qa(tree, "en")
     assert [d.code for d in diags] == ["ANSWER_MISMATCH"]
-    assert len(docs[0].spans) == 1  # kept, flagged
+    assert len(doc.spans) == 1  # kept, flagged
 
 
 def test_ingest_repair_window_is_eight():
@@ -649,13 +656,13 @@ def test_ingest_repair_window_is_eight():
     tree = qa_tree([{"context": context, "qas": [
         {"id": "q1", "question": "?", "answers": [{"text": "needle", "answer_start": 1}]}
     ]}])
-    docs, diags = ingest_qa(tree, "en")
+    [(doc, _, diags)] = ingest_qa(tree, "en")
     assert [d.code for d in diags] == ["ANSWER_REPAIRED"]
-    assert docs[0].spans[0].start == 9
+    assert doc.spans[0].start == 9
     tree = qa_tree([{"context": context, "qas": [
         {"id": "q1", "question": "?", "answers": [{"text": "needle", "answer_start": 0}]}
     ]}])
-    _, diags = ingest_qa(tree, "en")
+    [(_, _, diags)] = ingest_qa(tree, "en")
     assert [d.code for d in diags] == ["ANSWER_MISMATCH"]
 
 
@@ -665,9 +672,7 @@ def test_ingest_multiple_contexts_and_counts():
                                   {"id": "p2", "question": "?", "answers": []}]},
         {"context": "c2", "qas": [{"id": "p3", "question": "?", "answers": []}]},
     ])
-    docs, _ = ingest_qa(tree, "en")
-    assert [d.id for d in docs] == ["p1", "p3"]
-    assert qa_question_counts(tree) == {"p1": 2, "p3": 1}
+    assert [(doc.id, questions) for doc, questions, _ in ingest_qa(tree, "en")] == [("p1", 2), ("p3", 1)]
 
 
 def test_ingest_requires_data_key():

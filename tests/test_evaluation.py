@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from labelproj import (
@@ -16,7 +16,10 @@ from labelproj import (
     projection_rate,
 )
 
+from labelproj.evaluation import _doc_counts
+
 from conftest import make_doc
+from evaluation_oracle import oracle_doc_counts
 
 
 # -------------------------------------------------------------------- PRF
@@ -100,6 +103,27 @@ def test_surplus_projected_occurrences_are_false_positives():
     reference = make_doc("aa bb", [Span("a", 0, 2)], doc_id="r1")
     prf = label_match_f1([projected], [reference])
     assert (prf.tp, prf.fp, prf.fn) == (1, 1, 0)
+
+
+@st.composite
+def scored_docs(draw, doc_id: str = "d"):
+    """A document over a small alphabet whose spans repeat a few tags, in any order; possibly no spans."""
+    text = draw(st.text(alphabet="ab é", max_size=12))
+    bounds = st.tuples(st.integers(0, len(text)), st.integers(0, len(text))).map(sorted)
+    spans = draw(st.lists(st.tuples(st.sampled_from("abc"), bounds), max_size=7))
+    return make_doc(text, [Span(tag, start, end) for tag, (start, end) in spans], doc_id=doc_id)
+
+
+THRESHOLDS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(scored_docs(), scored_docs(), THRESHOLDS)
+@example(make_doc("ab", []), make_doc("ab", []), 0.5)
+@example(make_doc("ab", [Span("a", 0, 1)] * 3), make_doc("ab", []), 0.0)
+@example(make_doc("ab", []), make_doc("ab", [Span("b", 0, 2), Span("b", 1, 2)]), 1.0)
+@example(make_doc("aab", [Span("a", 0, 1), Span("a", 1, 2)]), make_doc("ab", [Span("a", 0, 1)]), 1.0)
+def test_doc_counts_equal_the_per_occurrence_tally(projected, reference, threshold):
+    assert _doc_counts(projected, reference, threshold) == oracle_doc_counts(projected, reference, threshold)
 
 
 def test_document_reordering_is_invariant():

@@ -48,16 +48,30 @@ def test_package_modules_have_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def _definitions(tree: ast.Module):
-    """(line, name) of each module-level assignment, function and class, and of each method."""
+def _definitions(tree: ast.Module, methods: bool = True):
+    """(line, name) of each module-level assignment, function and class, and of each method unless ``methods``
+    is false."""
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from ((node.lineno, target.id) for target in targets if isinstance(target, ast.Name))
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.lineno, node.name
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and methods:
                 yield from ((f.lineno, f.name) for f in node.body if isinstance(f, ast.FunctionDef))
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a name or an attribute, or imports from another module."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
@@ -68,13 +82,7 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
         tree = ast.parse(source)
         defined += [(module, line, name) for line, name in _definitions(tree)
                     if name.startswith("_") and not name.endswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+        used |= _read_names(tree)
     return [f"{module} line {line}: {name}" for module, line, name in defined if name not in used]
 
 
@@ -90,6 +98,35 @@ def test_dead_private_names_are_detected():
 def test_package_modules_have_no_unused_private_names():
     package = sorted(Path(labelproj.__file__).parent.glob("*.py"))
     assert dead_private_names({path.name: path.read_text(encoding="utf-8") for path in package}) == []
+
+
+def dead_public_names(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Each public module-level function, class and constant of ``sources`` that no module of ``sources``
+    reads or imports and that ``exported`` does not list."""
+    defined: list[tuple[str, int, str]] = []
+    used = set(exported)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, line, name) for line, name in _definitions(tree, methods=False)
+                    if not name.startswith("_")]
+        used |= _read_names(tree)
+    return [f"{module} line {line}: {name}" for module, line, name in defined if name not in used]
+
+
+def test_dead_public_names_are_detected():
+    sources = {
+        "a.py": "A = 1\nB: int = 2\ndef f(): return A\nclass C:\n    def m(self): pass\ndef g(): pass\n"
+                "def kept(): pass\n",
+        "b.py": "from a import f\nx = 3\n",
+    }
+    assert dead_public_names(sources, {"kept"}) == ["a.py line 2: B", "a.py line 4: C", "a.py line 6: g",
+                                                    "b.py line 2: x"]
+
+
+def test_package_modules_have_no_unused_public_names():
+    package = sorted(Path(labelproj.__file__).parent.glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package}
+    assert dead_public_names(sources, set(labelproj.__all__)) == []
 
 
 def test_package_all_lists_exactly_what_init_imports():
