@@ -9,15 +9,15 @@ pipeline:
 * ``POST {endpoint}/score`` with ``{"pairs": [{"src": str, "hyp": str,
   "ref": str|null}]}`` returning ``{"scores": [number]}``.
 
-Both are UTF-8 JSON over the standard library's ``http.client``. A
-translation batch keeps one HTTP/1.1 connection alive per in-flight slot
-and closes them all when it returns; a score batch sends chunks of 32 pairs
-in order over one connection. No redirect is followed. HTTPS verifies
-against the system CA store (``SSL_CERT_FILE``), and proxies come from
-``http_proxy``/``https_proxy``/``no_proxy``. The deterministic local
-backends (identity, tag shuffler, tag dropper) are part of the shipped
-toolkit, not test-only code: they make every pipeline runnable with no
-model at all.
+Both are UTF-8 JSON over a small HTTP/1.1 client on ``socket``, which reads a
+body by ``Content-Length``, in chunks, or up to the close. A translation batch
+keeps one connection alive per in-flight slot and closes them all when it
+returns; a score batch sends chunks of 32 pairs in order over one connection.
+No redirect is followed. Only https loads ``ssl``, to verify against the system
+CA store (``SSL_CERT_FILE``). Proxies come from ``http_proxy``/``https_proxy``/
+``no_proxy``. The deterministic local backends (identity, tag shuffler, tag
+dropper) are part of the shipped toolkit, not test-only code: they make every
+pipeline runnable with no model at all.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import os
 import random
 import sys
 import time
+from contextlib import suppress
 from typing import Sequence
 
 from .codec import MarkerScheme, MarkerToken, _strip, pair_markers, scan_markers
@@ -38,6 +39,8 @@ from .synth import derive_seed
 
 # Texts per translation request by default, and pairs per score request.
 _BATCH_SIZE = 32
+# The most translation requests in flight at once, each with its own connection and thread.
+MAX_IN_FLIGHT = 64
 
 
 def _check_languages(src_lang: str, tgt_lang: str) -> None:
@@ -140,49 +143,107 @@ class TagDropperBackend(_SeededMarkerBackend):
         return TaggedText(text.id, text.lang, _strip(text.tagged, doomed)) if doomed else text
 
 
+def _hostport(netloc: str, default: int) -> tuple[str, int]:
+    """``host[:port]`` split as ``http.client`` splits it, IPv6 brackets off; no port or an empty one is ``default``."""
+    host, colon, port = netloc.rpartition(":")
+    if not colon or "]" in port:  # no port, or the last colon is inside an IPv6 address
+        host, port = netloc, ""
+    if port and not (port.isdecimal() and int(port) < 65536):
+        raise ValueError(f"invalid port in {netloc!r}")
+    return host[1:-1] if host[:1] == "[" and host[-1:] == "]" else host, int(port) if port else default
+
+
+def _read_line(stream) -> str:
+    """The next line of a response, stripped; an unended or overlong line is a transport error."""
+    line = stream.readline(65537)  # one byte over ``http.client``'s longest line
+    if not line.endswith(b"\n"):
+        raise ConnectionError(f"response truncated, or a line too long: {line[:80]!r}")
+    return line.decode("latin-1").strip()
+
+
+def _read_head(stream) -> tuple[str, int, dict[str, str]]:
+    """The version, status and header fields (names in lower case) of the next final response."""
+    status = "100"
+    while status < "200":  # a 1xx (three digits, so compared as text) is interim: the final response follows
+        line = _read_line(stream)
+        version, status, *_ = line.split(None, 2) + [""]
+        if not (version.startswith("HTTP/") and status.isdecimal() and len(status) == 3 and status[0] != "0"):
+            raise ConnectionError(f"malformed status line {line[:80]!r}")
+        headers = {}
+        while line := _read_line(stream):
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    return version, int(status), headers
+
+
+def _read_exactly(stream, size: int) -> bytes:
+    """``size`` bytes, read in steps so that a huge claimed size reserves no memory."""
+    parts = []
+    while size > 0 and (part := stream.read(min(size, 1 << 20))):
+        parts.append(part)
+        size -= len(part)
+    if size > 0:
+        raise ConnectionError(f"response truncated: {size} more bytes expected")
+    return b"".join(parts)
+
+
+def _read_body(stream, headers: dict[str, str]) -> bytes | None:
+    """A body by its ``Content-Length`` or in chunks (a bad length raises ``ValueError``); None if a close ends it."""
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        parts = []
+        while (size := int(_read_line(stream).partition(";")[0], 16)) > 0:
+            parts.append(_read_exactly(stream, size + 2)[:-2])  # each chunk ends with CRLF
+        while _read_line(stream):  # trailer fields
+            pass
+        return b"".join(parts)
+    length = headers.get("content-length")
+    return None if length is None else _read_exactly(stream, int(length))
+
+
+class _Connection:
+    """An HTTP/1.1 connection's socket and buffered reader, None until it opens and after it closes."""
+
+    sock = stream = None
+
+    def close(self) -> None:
+        for part in (self.stream, self.sock):
+            if part is not None:
+                part.close()
+        self.sock = self.stream = None
+
+
 class _HttpJsonClient:
     """POSTs JSON over HTTP/1.1 connections that stay open between requests.
 
-    Transport errors and 5xx back off exponentially; a transport error also
-    closes the connection, so the next attempt opens a fresh one. A 3xx is
-    terminal (a redirect is never followed), 4xx is terminal so a malformed
-    payload is never re-sent, and so is a TLS certificate that fails
-    verification.
+    The route is fixed once: the address, any CONNECT tunnel and TLS context,
+    and each request's target prefix and header lines, through the proxy that
+    ``http_proxy``/``https_proxy`` names for the endpoint unless ``no_proxy``
+    lists it. Transport errors (a malformed or truncated response among them)
+    and 5xx back off exponentially; a transport error also closes the
+    connection, so the next attempt opens a fresh one. A 3xx is terminal (a
+    redirect is never followed), 4xx is terminal so a malformed payload is
+    never re-sent, and so is a TLS certificate that fails verification.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        timeout: float,
-        max_retries: int,
-        bearer_token: str | None,
-        backoff_base: float,
-    ):
+    def __init__(self, endpoint: str, timeout: float, max_retries: int, bearer_token: str | None, backoff_base: float):
+        from urllib.parse import unquote
+
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
         self.max_retries = max_retries
-        self.bearer_token = bearer_token
         self.backoff_base = backoff_base
-        self._route = None
-
-    def _resolve(self):
-        """Return (connection factory, request-target prefix, headers) for the
-        endpoint, through the proxy ``http_proxy``/``https_proxy`` names for it
-        unless ``no_proxy`` lists its host."""
-        # Imported here so that commands which send no request do not load the HTTP stack.
-        import http.client
-        import ssl
-        from urllib.parse import unquote
-
+        if {"\r", "\n"} & set(self.endpoint + (bearer_token or "")):
+            raise ValueError("a line break in the endpoint or the bearer token")
         scheme, _, rest = self.endpoint.partition("://")
         netloc, slash, path = rest.partition("/")
-        host = address = unquote(netloc)
-        target = slash + path
-        tunnel = None
         tls = scheme == "https"
-        headers = {"Content-Type": "application/json"}
-        if self.bearer_token:
-            headers["Authorization"] = f"Bearer {self.bearer_token}"
+        host, port = self._address = _hostport(unquote(netloc), 443 if tls else 80)
+        authority = f"[{host}]" if ":" in host else host
+        host_field = authority if port == (443 if tls else 80) else f"{authority}:{port}"
+        self._target, self._tunnel = slash + path, None
+        header = "Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
+        if bearer_token:
+            header += f"Authorization: Bearer {bearer_token}\r\n"
         proxy = None
         # Outside macOS and Windows, urllib reads proxies from *_proxy variables
         # alone, so with none set it need not be loaded.
@@ -191,72 +252,79 @@ class _HttpJsonClient:
             import urllib.request
 
             proxy = urllib.request.getproxies().get(scheme)
-            if proxy and urllib.request.proxy_bypass(host):
+            if proxy and urllib.request.proxy_bypass(unquote(netloc)):
                 proxy = None
         if proxy:
-            proxy_scheme, _, authority = proxy.rpartition("://")
-            userinfo, _, proxy_host = authority.split("/", 1)[0].rpartition("@")
+            proxy_scheme, _, proxy_authority = proxy.rpartition("://")
+            userinfo, _, proxy_host = proxy_authority.split("/", 1)[0].rpartition("@")
             user, _, password = userinfo.partition(":")
-            proxy_headers = {}
+            auth = ""
             if user and password:
                 from base64 import b64encode
 
                 credentials = b64encode(f"{unquote(user)}:{unquote(password)}".encode()).decode("ascii")
-                proxy_headers["Proxy-Authorization"] = f"Basic {credentials}"
-            address = unquote(proxy_host)
+                auth = f"Proxy-Authorization: Basic {credentials}\r\n"
             if tls:  # CONNECT through the proxy, then TLS with the endpoint itself
-                tunnel = proxy_headers
+                self._tunnel = f"CONNECT {authority}:{port} HTTP/1.0\r\n{auth}\r\n".encode("latin-1")
             else:  # the whole URL goes to the proxy, which may itself speak TLS
-                target, tls = self.endpoint, proxy_scheme == "https"
-                headers.update(proxy_headers)
-        kind = http.client.HTTPSConnection if tls else http.client.HTTPConnection
-        options = {"context": ssl.create_default_context()} if tls else {}
+                self._target, tls, host_field = self.endpoint, proxy_scheme == "https", netloc
+                header += auth
+            self._address = _hostport(unquote(proxy_host), 443 if tls else 80)
+        self._server_hostname = host if self._tunnel else self._address[0]
+        self._header = f"Host: {host_field if host_field.isascii() else host_field.encode('idna').decode()}\r\n{header}"
+        self._tls, self._cert_error = None, ()  # ``except ()`` catches nothing
+        if tls:
+            import ssl
 
-        def connect() -> http.client.HTTPConnection:
-            connection = kind(address, timeout=self.timeout, **options)
-            if tunnel is not None:
-                connection.set_tunnel(host, headers=tunnel)
-            return connection
+            self._tls, self._cert_error = ssl.create_default_context(), ssl.SSLCertVerificationError
 
-        return connect, target, headers
-
-    def connect(self):
-        """A new connection to the endpoint; it opens on its first request."""
-        if self._route is None:
-            self._route = self._resolve()
-        return self._route[0]()
-
-    def post(self, connection, path: str, payload: dict) -> tuple[int, dict]:
-        """Send on ``connection``, which one thread uses at a time, and return
-        the status and the JSON object of the first non-error response."""
-        import http.client
+    def _exchange(self, connection: _Connection, request: bytes) -> tuple[int, str | None, bytes]:
+        """Send ``request`` whole on ``connection``; return its response's status, ``Location`` and body."""
         import socket
-        import ssl
 
+        if connection.sock is None:
+            connection.sock = socket.create_connection(self._address, self.timeout)
+            connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel:
+                connection.sock.sendall(self._tunnel)
+                connection.stream = connection.sock.makefile("rb")  # the proxy sends no more before TLS starts
+                if (status := _read_head(connection.stream)[1]) != 200:
+                    raise ConnectionError(f"Tunnel connection failed: {status}")
+            if self._tls:
+                connection.sock = self._tls.wrap_socket(connection.sock, server_hostname=self._server_hostname)
+            connection.stream = connection.sock.makefile("rb")
+        connection.sock.sendall(request)
         # Linux only. A server that leaves Nagle's algorithm on and sends a
         # response's headers and body apart holds the body back until the
         # headers are ACKed, which a kept-alive connection delays by about
         # 40 ms. The kernel clears the option again, so it is set per request.
         quick_ack = getattr(socket, "TCP_QUICKACK", None)
-        _, target, headers = self._route
+        if quick_ack is not None:
+            with suppress(OSError):  # a failure brings back only the stall; under TLS it is set on the TCP socket
+                connection.sock.setsockopt(socket.IPPROTO_TCP, quick_ack, 1)
+        version, status, headers = _read_head(connection.stream)
+        body = b"" if status in (204, 304) else _read_body(connection.stream, headers)
+        if body is None or version != "HTTP/1.1" or "close" in headers.get("connection", "").lower():
+            body = connection.stream.read() if body is None else body  # the server's close ends it
+            connection.close()
+        return status, headers.get("location"), body
+
+    def post(self, connection: _Connection, path: str, payload: dict) -> tuple[int, dict]:
+        """Send on ``connection``, which one thread uses at a time, and return
+        the status and the JSON object of the first non-error response."""
         url = f"{self.endpoint}{path}"
         data = json.dumps(payload).encode("utf-8")
+        head = f"POST {self._target}{path} HTTP/1.1\r\n{self._header}Content-Length: {len(data)}\r\n\r\n"
+        request = head.encode("latin-1") + data
         last_error: str | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
-                connection.request("POST", target + path, data, headers)
-                if quick_ack is not None:
-                    try:  # TLS and tunnels included: the option is set on the TCP socket's descriptor
-                        connection.sock.setsockopt(socket.IPPROTO_TCP, quick_ack, 1)
-                    except OSError:
-                        pass  # only the stall comes back
-                response = connection.getresponse()
-                status, location, raw = response.status, response.getheader("Location"), response.read()
-            except ssl.SSLCertVerificationError as exc:
+                status, location, raw = self._exchange(connection, request)
+            except self._cert_error as exc:
                 raise BackendUnreachableError(f"{url}: not retried: {exc}") from exc
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a length in the response is not a number
                 connection.close()
                 last_error = str(exc)
                 continue
@@ -269,6 +337,8 @@ class _HttpJsonClient:
                 raise BackendError(status, f"redirect to {location} not followed; give the endpoint's final URL")
             try:
                 body = json.loads(raw)
+                if b"\\ud" in raw or b"\\uD" in raw:  # perhaps a lone surrogate, which UTF-8 cannot encode
+                    json.dumps(body, ensure_ascii=False).encode("utf-8")
             except (RecursionError, ValueError) as exc:  # RecursionError: nested too deeply to decode
                 raise BackendError(status, f"unparseable body: {exc}")
             if not isinstance(body, dict):
@@ -299,8 +369,8 @@ class HttpTranslationBackend(TranslationBackend):
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+        if not 1 <= max_in_flight <= MAX_IN_FLIGHT:
+            raise ValueError(f"max_in_flight must be in [1, {MAX_IN_FLIGHT}]")
         self.batch_size = batch_size
         self.max_in_flight = max_in_flight
         self._client = _HttpJsonClient(endpoint, timeout, max_retries, bearer_token, backoff_base)
@@ -333,7 +403,7 @@ class HttpTranslationBackend(TranslationBackend):
 
         # One worker per slot, each owning one kept-alive connection; a failed
         # chunk stops every worker from taking another.
-        connections = [self._client.connect() for _ in range(min(self.max_in_flight, len(chunks)))]
+        connections = [_Connection() for _ in range(min(self.max_in_flight, len(chunks)))]
         pending = deque(enumerate(chunks))  # popleft is thread-safe
         results: list = [None] * len(chunks)
         failures: dict[int, BaseException] = {}
@@ -408,7 +478,7 @@ class HttpScorerBackend(ScorerBackend):
     def score_batch(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]:
         if not pairs:
             raise EmptyInputError("score_batch requires at least one pair")
-        connection = self._client.connect()
+        connection = _Connection()
         try:
             chunks = (pairs[i : i + _BATCH_SIZE] for i in range(0, len(pairs), _BATCH_SIZE))
             return [score for chunk in chunks for score in self._score_chunk(connection, chunk)]

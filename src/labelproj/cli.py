@@ -3,7 +3,7 @@
 Each subcommand is one re-runnable pipeline stage; intermediate artifacts
 are plain JSONL so any stage can be cached or swapped out. All outputs are
 written atomically. Exit codes: 0 on success, 1 on any terminal error, 2
-when the malformed-record budget is exhausted.
+when the malformed-record budget is exhausted or a flag exceeds its cap.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .backends import (
+    MAX_IN_FLIGHT,
     ConstantScorer,
     HttpScorerBackend,
     HttpTranslationBackend,
@@ -39,7 +40,7 @@ from .dataio import (
     write_diagnostics,
     write_records,
 )
-from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError
+from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError, UsageError
 from .evaluation import build_report, check_threshold, markers_match, render_table
 from .model import Diagnostic
 from .synth import InsertionMode, MarkerConfig, derive_seed, sample_corpus
@@ -66,11 +67,13 @@ def make_backend(
 ) -> TranslationBackend:
     """Parse a --backend value: identity | shuffle | drop:Q | http(s) URL.
 
-    ``shuffle`` and ``drop:Q`` move or drop markers of ``scheme``; any backend refuses sizes below 1.
+    ``shuffle`` and ``drop:Q`` move or drop markers of ``scheme``; any backend refuses sizes below 1 or above the cap.
     """
     for name, number in (("batch_size", batch_size), ("max_in_flight", max_in_flight)):
         if number < 1:
             raise LabelProjError(f"{name} must be >= 1")
+    if max_in_flight > MAX_IN_FLIGHT:  # each slot of an HTTP backend is one thread and one connection
+        raise UsageError(f"max_in_flight must be <= {MAX_IN_FLIGHT}")
     value = value or os.environ.get(ENV_BACKEND_URL)
     if not value:
         raise LabelProjError(f"no backend given and {ENV_BACKEND_URL} is unset")
@@ -551,7 +554,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ErrorBudgetExceeded as exc:
+    except (ErrorBudgetExceeded, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LabelProjError, OSError, ValueError) as exc:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
+from contextlib import suppress
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -38,6 +40,8 @@ from .model import (
 # How far (in scalar values) an answer offset may drift before we give up
 # repairing it against the context.
 QA_REPAIR_WINDOW = 8
+# The JSON escape of a surrogate. A lone one cannot be encoded as UTF-8, so text with this escape is checked for one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD]")
 
 
 class DatasetFormat(str, Enum):
@@ -75,10 +79,14 @@ def _lines(path: Path) -> Iterator[str]:
 
 
 def read_qa_tree(path: Path) -> Any:
-    """The JSON value of a QA file; :class:`FormatError` names the file when it is not UTF-8 or not JSON."""
+    """A QA file's JSON value; :class:`FormatError` names the file if it is not UTF-8 or JSON or has a lone surrogate."""
+    text = "".join(_lines(path))
     try:
-        return json.loads("".join(_lines(path)))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
+        tree = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            _json(tree).encode("utf-8")
+        return tree
+    except (RecursionError, ValueError) as exc:  # RecursionError: nested too deeply to decode
         raise FormatError(f"{path}: QA JSON does not parse: {exc}") from exc
 
 
@@ -114,6 +122,8 @@ def load(
             if not first_checked:
                 _check_first_record(handle.format, record)
                 first_checked = True
+            if _SURROGATE_ESCAPE.search(line):
+                _json(record).encode("utf-8")
             item, record_diags = _parse_record(handle.format, record)
         except (FormatError, json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             if not first_checked:
@@ -247,6 +257,7 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
     """Write one string, or an iterable of strings in order, via a temporary
     file and rename, so readers never see partials."""
     path = Path(path)
+    created = [d for d in (path.parent, *path.parent.parents) if not d.exists()]  # deepest first
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -254,10 +265,9 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp_name, path)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        for leftover, remove in [(tmp_name, os.unlink), *((d, os.rmdir) for d in created)]:
+            with suppress(OSError):
+                remove(leftover)
         raise
 
 

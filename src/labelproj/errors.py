@@ -27,6 +27,10 @@ class ErrorBudgetExceeded(LabelProjError):
     """More malformed records than the configured budget allows."""
 
 
+class UsageError(LabelProjError):
+    """A flag asks for more than the toolkit's cap on it allows."""
+
+
 class NoTokensError(LabelProjError):
     """Single-span sampling requires at least one token."""
 

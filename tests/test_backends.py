@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 import labelproj
+from labelproj.backends import MAX_IN_FLIGHT, _hostport
 from labelproj import (
     AlignmentError,
     BackendError,
@@ -150,12 +151,18 @@ class _KeepAliveHandler(_Handler):
 LOOPBACK_CERT = Path(__file__).with_name("loopback_cert.pem")
 
 
+class _IPv6Server(ThreadingHTTPServer):
+    address_family = socket.AF_INET6
+
+
 @contextmanager
-def http_server(behavior, tls=False, keep_alive=False, connections=None):
-    """Serve ``behavior`` over HTTP/1.0, or HTTP/1.1 with ``keep_alive``. Each
-    connection appends ("open", client address) to ``connections`` when it is
-    accepted and ("closed", client address) when the server is done with it."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler if keep_alive else _Handler)
+def http_server(behavior, tls=False, keep_alive=False, connections=None, ipv6=False):
+    """Serve ``behavior`` over HTTP/1.0, or HTTP/1.1 with ``keep_alive``, on
+    127.0.0.1, or on ::1 with ``ipv6``. Each connection appends ("open", client
+    address) to ``connections`` when it is accepted and ("closed", client
+    address) when the server is done with it."""
+    kind, host = (_IPv6Server, "::1") if ipv6 else (ThreadingHTTPServer, "127.0.0.1")
+    server = kind((host, 0), _KeepAliveHandler if keep_alive else _Handler)
     server.behavior = behavior
     server.connections = [] if connections is None else connections
     if tls:
@@ -166,7 +173,7 @@ def http_server(behavior, tls=False, keep_alive=False, connections=None):
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
-        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
+        yield f"{'https' if tls else 'http'}://{'[::1]' if ipv6 else '127.0.0.1'}:{server.server_port}"
     finally:
         server.shutdown()
         server.server_close()
@@ -516,9 +523,10 @@ def test_https_unverified_certificate_is_terminal(tmp_path, monkeypatch, capsys)
 # ------------------------------------------------- raw socket boundary
 
 @contextmanager
-def raw_server(reply: bytes | None):
+def raw_server(reply: bytes | None, step: int | None = None):
     """Answer every request with the literal bytes ``reply`` and close, or
-    stall without answering when ``reply`` is None. Yields (url, calls)."""
+    stall without answering when ``reply`` is None. With ``step``, ``reply``
+    goes out ``step`` bytes at a time, 1 ms apart. Yields (url, calls)."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.1)
     calls: list[bytes] = []
@@ -535,8 +543,13 @@ def raw_server(reply: bytes | None):
             calls.append(stream.read(length))
             if reply is None:
                 done.wait(10)
-            else:
+            elif step is None:
                 conn.sendall(reply)
+            else:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for i in range(0, len(reply), step):
+                    conn.sendall(reply[i : i + step])
+                    time.sleep(0.001)
 
     def accept_loop() -> None:
         while not done.is_set():
@@ -628,6 +641,146 @@ def test_http_redirect_is_terminal_after_one_request(status):
             backend.translate_batch([tt("1", "x")], "en", "de")
     assert excinfo.value.status == int(status[:3])
     assert len(calls) == 1
+
+
+RESULT = b'{"translations": ["<a>x</a>"]}'
+
+
+def translate_one(url: str, max_retries: int = 0) -> list[str]:
+    backend = HttpTranslationBackend(url, max_retries=max_retries, backoff_base=0.01, timeout=5)
+    return [t.tagged for t in backend.translate_batch([tt("1", "<a>x</a>")], "en", "de")]
+
+
+def chunked(body: bytes, *cuts: int) -> bytes:
+    """``body`` in chunks that end at ``cuts``, each size line with an extension, then a trailer field."""
+    edges = [0, *cuts, len(body)]
+    parts = [body[a:b] for a, b in zip(edges, edges[1:])]
+    return b"".join(b"%x;note=1\r\n%s\r\n" % (len(part), part) for part in parts) + b"0\r\nX-Done: 1\r\n\r\n"
+
+
+@pytest.mark.parametrize("step", [None, 2])
+def test_http_chunked_body_is_reassembled(step):
+    reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n" + chunked(RESULT, 1, 10)
+    with raw_server(reply, step) as (url, calls):
+        assert translate_one(url) == ["<a>x</a>"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("version", ["HTTP/1.1", "HTTP/1.0"])
+def test_http_body_without_a_length_runs_to_the_close(version):
+    with raw_server(f"{version} 200 OK\r\nContent-Type: application/json\r\n\r\n".encode() + RESULT) as (url, calls):
+        assert translate_one(url) == ["<a>x</a>"]
+    assert len(calls) == 1
+
+
+def test_http_response_written_a_few_bytes_at_a_time():
+    with raw_server(http_reply("200 OK", RESULT), step=3) as (url, calls):
+        assert translate_one(url) == ["<a>x</a>"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("head", [
+    b"HTTP/1.1 200 OK\r\ncOnTeNt-LeNgTh: %d\r\nCONNECTION: Close\r\n\r\n" % len(RESULT),
+    b"HTTP/1.1 200 OK\r\nTRANSFER-encoding: Chunked\r\nconnection: CLOSE\r\n\r\n",
+], ids=["content-length", "transfer-encoding"])
+def test_http_header_names_are_case_insensitive(head):
+    reply = head + (chunked(RESULT, 7) if b"Chunked" in head else RESULT)
+    with raw_server(reply) as (url, calls):
+        assert translate_one(url) == ["<a>x</a>"]
+    assert len(calls) == 1
+
+
+def test_http_lower_case_location_is_reported():
+    reply = b"HTTP/1.1 302 Found\r\nlocation: http://127.0.0.1:9/v2\r\ncontent-length: 0\r\n\r\n"
+    with raw_server(reply) as (url, calls):
+        with pytest.raises(BackendError, match="redirect to http://127.0.0.1:9/v2 not followed"):
+            translate_one(url, max_retries=3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("version, closing", [("HTTP/1.0", ""), ("HTTP/1.1", "Connection: close\r\n")])
+def test_http_opens_a_new_connection_after_a_closing_response(version, closing):
+    # The server closes after each reply: a request sent on the old connection
+    # would fail, and with no retry the batch would fail with it.
+    body = b'{"translations": ["y"]}'
+    reply = f"{version} 200 OK\r\n{closing}Content-Length: {len(body)}\r\n\r\n".encode() + body
+    with raw_server(reply) as (url, calls):
+        backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=1, max_retries=0, timeout=5)
+        out = backend.translate_batch([tt("1", "a"), tt("2", "b")], "en", "de")
+    assert [t.tagged for t in out] == ["y", "y"]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("reply, reason", [
+    (b"HTPT/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}", "malformed status line"),
+    (b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}", "malformed status line"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: two\r\n\r\n{}", "two"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n", "zz"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 2", "truncated"),
+], ids=["bad-version", "bad-status", "non-integer-length", "bad-chunk-size", "unended-head"])
+def test_http_malformed_response_is_retried_then_unreachable(reply, reason):
+    with raw_server(reply) as (url, calls):
+        with pytest.raises(BackendUnreachableError, match=f"giving up after 3 attempts .*{reason}"):
+            translate_one(url, max_retries=2)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("translate", b'{"translations": ["al\\ud800pha"]}'),
+    ("translate", b'{"translations": ["al\\uDFFFpha"]}'),
+    ("score", b'{"scores": ["\\udc00"]}'),
+], ids=["high-surrogate", "low-surrogate-in-capitals", "score"])
+def test_http_lone_surrogate_in_a_response_is_terminal(kind, body):
+    with raw_server(http_reply("200 OK", body)) as (url, calls):
+        with pytest.raises(BackendError, match="surrogates not allowed") as excinfo:
+            if kind == "translate":
+                translate_one(url, max_retries=3)
+            else:
+                HttpScorerBackend(url, max_retries=3, timeout=5).score_batch([("a", "b", None)])
+    assert excinfo.value.status == 200
+    assert len(calls) == 1
+
+
+def test_http_surrogate_pair_in_a_response_is_one_character():
+    with raw_server(http_reply("200 OK", b'{"translations": ["<a>\\ud83d\\ude00</a>"]}')) as (url, calls):
+        assert translate_one(url) == ["<a>\U0001f600</a>"]
+
+
+@pytest.mark.parametrize("slots", [0, MAX_IN_FLIGHT + 1, 10**9])
+def test_http_translate_refuses_slots_outside_the_cap(slots):
+    # Refused in the constructor: no connection is made and no thread started.
+    with pytest.raises(ValueError, match=f"max_in_flight must be in \\[1, {MAX_IN_FLIGHT}\\]"):
+        HttpTranslationBackend("http://127.0.0.1:9", max_in_flight=slots)
+
+
+@pytest.mark.parametrize("netloc, default, expected", [
+    ("example.org", 80, ("example.org", 80)),
+    ("example.org:", 443, ("example.org", 443)),
+    ("example.org:8080", 443, ("example.org", 8080)),
+    ("[::1]", 443, ("::1", 443)),
+    ("[::1]:8443", 80, ("::1", 8443)),
+    ("[fe80::1%25eth0]:80", 443, ("fe80::1%25eth0", 80)),
+])
+def test_hostport_splits_as_http_client_does(netloc, default, expected):
+    assert _hostport(netloc, default) == expected
+
+
+@pytest.mark.parametrize("endpoint", ["http://127.0.0.1:abc", "http://127.0.0.1:70000", "https://[::1]:-1"])
+def test_http_endpoint_with_an_invalid_port_is_refused(endpoint):
+    with pytest.raises(ValueError, match="invalid port"):
+        HttpTranslationBackend(endpoint)
+
+
+def test_http_reaches_an_ipv6_endpoint_in_brackets():
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        pytest.skip("no IPv6 loopback")
+    seen: list = []
+    with http_server(echo(seen), ipv6=True) as url:
+        out = HttpTranslationBackend(f"{url}/v1").translate_batch([tt("1", "<a>x</a>")], "en", "de")
+    assert [t.tagged for t in out] == ["<a>x</a>"]
+    assert seen == [("/v1/translate", url.removeprefix("http://"), None)]
 
 
 # ------------------------------------------------------------------ proxies

@@ -9,6 +9,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -30,7 +32,7 @@ from labelproj import (
     prepare_training_corpus,
 )
 from labelproj.cli import build_parser, main, make_backend, make_scorer
-from labelproj.backends import ConstantScorer, IdentityBackend, TagDropperBackend, TagShufflerBackend
+from labelproj.backends import MAX_IN_FLIGHT, ConstantScorer, IdentityBackend, TagDropperBackend, TagShufflerBackend
 
 from conftest import make_doc
 from test_acceptance import _random_doc
@@ -85,6 +87,44 @@ def test_cli_import_leaves_the_http_stack_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(labelproj.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+class _EchoTranslator(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):  # noqa: N802 (stdlib naming)
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+        data = json.dumps({"translations": texts}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_project_run_leaves_the_http_stack_unloaded(tmp_path):
+    # The client speaks HTTP/1.1 over socket: a plain http:// run needs neither
+    # http.client (and email.parser under it) nor ssl.
+    write_annotated(tmp_path / "in.jsonl", DOCS)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoTranslator)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    argv = ["project", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl"),
+            "--backend", f"http://127.0.0.1:{server.server_port}", "--src-lang", "en", "--tgt-lang", "de"]
+    heavy = ["http.client", "email.parser", "ssl"]
+    script = f"import sys; from labelproj.cli import main; assert main({argv!r}) == 0; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = {key: value for key, value in os.environ.items() if not key.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = str(Path(labelproj.__file__).parents[1])
+    try:
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
+    assert [json.loads(line)["text"] for line in (tmp_path / "out.jsonl").read_text().splitlines()] == [d.text for d in DOCS]
 
 
 @pytest.mark.parametrize("command", ["project", "synth"])
@@ -423,6 +463,20 @@ def test_batch_flags_below_one_are_rejected_before_input_is_read(tmp_path, capsy
             "--src-lang", "en", "--tgt-lang", "de", flag, value]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["identity", "shuffle", "drop:0.5", "http://127.0.0.1:9"])
+@pytest.mark.parametrize("command", ["translate", "project"])
+@pytest.mark.parametrize("value", [MAX_IN_FLIGHT + 1, 10**9])
+def test_max_in_flight_above_the_cap_exits_2_before_input_is_read(tmp_path, capsys, backend, command, value):
+    # Only the refusal is run: each slot of an HTTP backend would be one thread and one connection.
+    assert MAX_IN_FLIGHT >= 2  # the benchmark's project-http runs with 2
+    out = tmp_path / "out.jsonl"
+    argv = [command, "-i", str(tmp_path / "missing.jsonl"), "-o", str(out), "--backend", backend,
+            "--src-lang", "en", "--tgt-lang", "de", "--max-in-flight", str(value)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: max_in_flight must be <= {MAX_IN_FLIGHT}\n"
     assert not out.exists()
 
 
@@ -1139,3 +1193,67 @@ def test_stats_tagged_counts_markers_in_both_schemes(tmp_path, capsys):
     }
     # Bracket markers are anonymous: every span opens under the one name "".
     assert rows == {"xml": annotated_row, "brackets": {**annotated_row, "max_unique_tags": 1}}
+
+
+# ------------------------------------------------------------ lone surrogates
+
+LONE = "al\\ud800pha"  # the JSON escape of a lone surrogate, which UTF-8 cannot encode
+LINES = {
+    "annotated": ['{"id":"1","lang":"en","text":"alpha","spans":[]}', '{"id":"2","lang":"en","text":"%s","spans":[]}'],
+    "tagged": ['{"id":"1","lang":"en","tagged_text":"alpha"}', '{"id":"2","lang":"en","tagged_text":"%s"}'],
+    "raw": ['{"id":"p1","src_lang":"en","tgt_lang":"de","src_markup":"<b>x</b>","tgt_markup":"<b>y</b>"}',
+            '{"id":"p2","src_lang":"en","tgt_lang":"de","src_markup":"%s","tgt_markup":"y"}'],
+}
+BACKEND = ["--backend", "identity", "--src-lang", "en", "--tgt-lang", "de"]
+JSONL_COMMANDS = {
+    "encode": ("annotated", ["encode", "-i", "IN", "-o", "OUT/e.jsonl"]),
+    "decode": ("tagged", ["decode", "-i", "IN", "-o", "OUT/d.jsonl"]),
+    "translate": ("tagged", ["translate", "-i", "IN", "-o", "OUT/t.jsonl", *BACKEND]),
+    "project": ("annotated", ["project", "-i", "IN", "-o", "OUT/p.jsonl", *BACKEND]),
+    "evaluate": ("annotated", ["evaluate", "--projected", "IN", "--reference", "REF", "--report-out", "OUT/r.txt"]),
+    "stats": ("annotated", ["stats", "-i", "IN"]),
+    "tagswap": ("raw", ["tagswap", "-i", "IN", "-o", "OUT/s.jsonl"]),
+    "prep": ("raw", ["prep", "-i", "IN", "--out-dir", "OUT/corpus"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSONL_COMMANDS))
+def test_a_lone_surrogate_in_a_jsonl_record_is_a_malformed_record(tmp_path, capsys, command):
+    layout, argv = JSONL_COMMANDS[command]
+    good, bad = LINES[layout]
+    (tmp_path / "in.jsonl").write_text(f"{good}\n{bad % LONE}\n")
+    (tmp_path / "ref.jsonl").write_text(f"{good}\n")
+    paths = {"IN": str(tmp_path / "in.jsonl"), "REF": str(tmp_path / "ref.jsonl")}
+    argv = [paths.get(a, a).replace("OUT", str(tmp_path / "out")) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 1 rejected records exceed budget of 0\n"
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, "--error-budget", "1"]) == 0
+    for path in (tmp_path / "out").rglob("*") if (tmp_path / "out").exists() else []:
+        if path.is_file():
+            path.read_text(encoding="utf-8")  # every output is UTF-8
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_lone_surrogate_in_a_qa_tree_names_its_file(tmp_path, capsys):
+    src, tgt = tmp_path / "src.json", tmp_path / "tgt.json"
+    src.write_text('{"data": [{"paragraphs": [{"context": "%s", "qas": []}]}]}' % LONE)
+    tgt.write_text('{"data": [{"paragraphs": [{"context": "alpha", "qas": []}]}]}')
+    code = main(["filter-qa", "--src-json", str(src), "--tgt-json", str(tgt), "--src-lang", "en", "--tgt-lang", "de",
+                 "--out-dir", str(tmp_path / "out"), "--no-score-filter"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: ") and "surrogates not allowed" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_an_encoded_surrogate_in_plain_text_is_not_utf8(tmp_path, capsys, command):
+    # A text file cannot hold a lone surrogate as a character: its UTF-8 form is refused on reading.
+    (tmp_path / "in.txt").write_bytes(b"alpha\nal\xed\xa0\x80pha\n")
+    out = ["-o", str(tmp_path / "out" / "s.jsonl")] if command == "synth" else ["--out-dir", str(tmp_path / "out")]
+    assert main([command, "-i", str(tmp_path / "in.txt"), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'in.txt'}: not valid UTF-8") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

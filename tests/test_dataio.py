@@ -703,3 +703,63 @@ def test_read_qa_tree_error_names_the_file(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
         read_qa_tree(path)
+
+
+# ------------------------------------------------------------ lone surrogates
+
+@pytest.mark.parametrize("fmt, record", [
+    (DatasetFormat.ANNOTATED_JSONL, '{"id":"2","lang":"en","text":"al\\ud800pha","spans":[]}'),
+    (DatasetFormat.ANNOTATED_JSONL, '{"id":"2","lang":"en","text":"alpha","spans":[{"tag":"a","start":0,"end":1,"label":"\\uDFFF"}]}'),
+    (DatasetFormat.TAGGED_JSONL, '{"id":"\\udc00","lang":"en","tagged_text":"x"}'),
+    (DatasetFormat.RAW_MARKUP_JSONL, '{"id":"2","src_lang":"en","tgt_lang":"de","src_markup":"x","tgt_markup":"\\ud800"}'),
+], ids=["text", "label", "id", "markup"])
+def test_load_rejects_a_lone_surrogate_as_malformed(tmp_path, fmt, record):
+    first = {
+        DatasetFormat.ANNOTATED_JSONL: '{"id":"1","lang":"en","text":"x","spans":[]}',
+        DatasetFormat.TAGGED_JSONL: '{"id":"1","lang":"en","tagged_text":"x"}',
+        DatasetFormat.RAW_MARKUP_JSONL: '{"id":"1","src_lang":"en","tgt_lang":"de","src_markup":"x","tgt_markup":"y"}',
+    }[fmt]
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"{first}\n{record}\n", encoding="utf-8")
+    items, diagnostics = load(DatasetHandle(fmt, path), error_budget=1)
+    assert [item.id for item in items] == ["1"]
+    [diag] = diagnostics
+    assert (diag.code, diag.offset) == ("MALFORMED_RECORD", 2)
+    assert "surrogates not allowed" in diag.message
+    with pytest.raises(ErrorBudgetExceeded):
+        load(DatasetHandle(fmt, path))
+
+
+def test_load_rejects_a_lone_surrogate_in_the_first_record_under_the_budget(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"id":"1","lang":"en","text":"\\ud800","spans":[]}\n{"id":"2","lang":"en","text":"x","spans":[]}\n')
+    items, [diag] = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path), error_budget=1)
+    assert [item.id for item in items] == ["2"] and diag.code == "MALFORMED_RECORD"
+
+
+def test_load_keeps_a_surrogate_pair_and_an_escaped_backslash(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"id":"1","lang":"en","text":"\\ud83d\\ude00 \\\\ud800","spans":[]}\n')
+    [doc], diagnostics = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path))
+    assert doc.text == "\U0001f600 \\ud800" and diagnostics == []
+
+
+def test_read_qa_tree_names_the_file_of_a_lone_surrogate(tmp_path):
+    path = tmp_path / "qa.json"
+    path.write_text('{"data": [{"paragraphs": [{"context": "al\\ud800pha", "qas": []}]}]}')
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*surrogates not allowed"):
+        read_qa_tree(path)
+
+
+def test_atomic_write_removes_the_directories_it_made_when_the_write_fails(tmp_path):
+    def lines():
+        yield "one\n"
+        raise ValueError("no second line")
+
+    (tmp_path / "kept").mkdir()
+    with pytest.raises(ValueError):
+        dataio.atomic_write_text(tmp_path / "kept" / "new" / "deeper" / "out.txt", lines())
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
+    with pytest.raises(ValueError):
+        dataio.atomic_write_text(tmp_path / "kept" / "out.txt", lines())
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
