@@ -31,7 +31,8 @@ import time
 from contextlib import suppress
 from typing import Sequence
 
-from .codec import MarkerScheme, MarkerToken, _strip, pair_markers, scan_markers
+from .codec import MarkerScheme, MarkerToken, _strip, scan_markers
+from .dataio import parse_json
 from .errors import AlignmentError, BackendError, BackendUnreachableError, EmptyInputError
 from .model import TaggedText
 from .synth import derive_seed
@@ -67,7 +68,7 @@ class IdentityBackend(TranslationBackend):
         return list(texts)
 
 
-_Pair = tuple[MarkerToken, MarkerToken]
+_Pair = tuple[int, MarkerToken, MarkerToken]  # (rank, open, close), as ``scan_markers`` pairs them
 
 
 class _SeededMarkerBackend(TranslationBackend):
@@ -88,7 +89,7 @@ class _SeededMarkerBackend(TranslationBackend):
         return [
             self._rewrite(
                 text,
-                pair_markers(scan_markers(text.tagged, self.scheme)[0])[0],
+                scan_markers(text.tagged, self.scheme).pairs,
                 random.Random(derive_seed(self.seed, f"{i}:{text.id}")),
             )
             for i, text in enumerate(texts)
@@ -106,7 +107,7 @@ class TagShufflerBackend(_SeededMarkerBackend):
     def _rewrite(self, text: TaggedText, pairs: list[_Pair], rng: random.Random) -> TaggedText:
         if len(pairs) < 2:
             return text
-        regions = sorted((open_t.start, close_t.end) for open_t, close_t in pairs)
+        regions = [(open_t.start, close_t.end) for _, open_t, close_t in pairs]  # in opening order
         blocks: list[list[int]] = []
         for start, end in regions:
             if blocks and start < blocks[-1][1]:
@@ -139,7 +140,7 @@ class TagDropperBackend(_SeededMarkerBackend):
 
     def _rewrite(self, text: TaggedText, pairs: list[_Pair], rng: random.Random) -> TaggedText:
         # One draw per pair, in opening order: seeded outputs depend on it.
-        doomed = sorted((t for pair in pairs if rng.random() < self.q for t in pair), key=lambda t: t.start)
+        doomed = sorted((t for _, o, c in pairs if rng.random() < self.q for t in (o, c)), key=lambda t: t.start)
         return TaggedText(text.id, text.lang, _strip(text.tagged, doomed)) if doomed else text
 
 
@@ -336,10 +337,8 @@ class _HttpJsonClient:
             if status >= 300:
                 raise BackendError(status, f"redirect to {location} not followed; give the endpoint's final URL")
             try:
-                body = json.loads(raw)
-                if b"\\ud" in raw or b"\\uD" in raw:  # perhaps a lone surrogate, which UTF-8 cannot encode
-                    json.dumps(body, ensure_ascii=False).encode("utf-8")
-            except (RecursionError, ValueError) as exc:  # RecursionError: nested too deeply to decode
+                body = parse_json(raw.decode("utf-8"))
+            except ValueError as exc:
                 raise BackendError(status, f"unparseable body: {exc}")
             if not isinstance(body, dict):
                 raise BackendError(status, f"body is a JSON {type(body).__name__}, not an object")

@@ -3,7 +3,7 @@
 Each subcommand is one re-runnable pipeline stage; intermediate artifacts
 are plain JSONL so any stage can be cached or swapped out. All outputs are
 written atomically. Exit codes: 0 on success, 1 on any terminal error, 2
-when the malformed-record budget is exhausted or a flag exceeds its cap.
+when the malformed-record budget is exhausted or a batch flag is out of range.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def make_backend(
     """
     for name, number in (("batch_size", batch_size), ("max_in_flight", max_in_flight)):
         if number < 1:
-            raise LabelProjError(f"{name} must be >= 1")
+            raise UsageError(f"{name} must be >= 1")
     if max_in_flight > MAX_IN_FLIGHT:  # each slot of an HTTP backend is one thread and one connection
         raise UsageError(f"max_in_flight must be <= {MAX_IN_FLIGHT}")
     value = value or os.environ.get(ENV_BACKEND_URL)

@@ -41,8 +41,10 @@ MarkerKind = Literal["open", "close"]
 # The marker grammar, else any other angle-bracketed substring (e.g. "<1>"
 # or "<PER>"), reported as a literal lookalike. Both alternatives end at the
 # first ">", so a grammar match spans exactly the lookalike it would
-# otherwise be.
+# otherwise be. The bracket scanner has the same groups: 1 is set on a close,
+# and 2 is the name, empty for a bracket and None only for a lookalike.
 _SCANNER = re.compile(MARKER_RE.pattern + r"|</?[^<>]*>")
+_BRACKET_SCANNER = re.compile(r"(?:(\])|\[)()")
 
 _ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
@@ -75,66 +77,60 @@ def _tag_sort_key(tag: str) -> tuple[int, str]:
 
 
 class MarkerToken(NamedTuple):
-    """One recognized marker with its offsets in the raw tagged string."""
+    """One recognized marker: its offsets in the raw tagged string, and ``at``, its offset once every
+    marker is stripped."""
 
     name: str
     kind: MarkerKind
     start: int
     end: int
+    at: int
 
 
-def scan_markers(
-    tagged: str, scheme: MarkerScheme = MarkerScheme.XML
-) -> tuple[list[MarkerToken], list[Diagnostic]]:
-    """Find all recognized markers left to right.
+class MarkerScan(NamedTuple):
+    """Everything one left-to-right pass over a tagged string finds. Opens pair with closes per name,
+    last-opened-first-closed; an open's rank is its position among the opens."""
 
-    Returns the tokens plus IGNORED_LITERAL diagnostics for angle-bracketed
-    substrings that look like markers but do not match the grammar; those
-    substrings stay part of the text.
-    """
-    if scheme is MarkerScheme.BRACKETS:
-        kinds: dict[str, MarkerKind] = {"[": "open", "]": "close"}
-        return [MarkerToken("", kinds[m.group()], m.start(), m.end()) for m in re.finditer(r"[\[\]]", tagged)], []
+    text: str  # the string with every recognized marker stripped
+    tokens: list[MarkerToken]  # every recognized marker, in text order
+    pairs: list[tuple[int, MarkerToken, MarkerToken]]  # (rank, open, close), in opening order
+    orphans: list[MarkerToken]  # closes with no open to pair with, in text order
+    unclosed: list[tuple[int, MarkerToken]]  # (rank, open) never closed, in text order
+    diagnostics: list[Diagnostic]  # IGNORED_LITERAL, for each lookalike left in ``text``
 
+
+def scan_markers(tagged: str, scheme: MarkerScheme = MarkerScheme.XML) -> MarkerScan:
+    """Scan, pair and strip the markers of ``tagged`` in one loop over the scanner's matches."""
+    pieces: list[str] = []
     tokens: list[MarkerToken] = []
-    diagnostics: list[Diagnostic] = []
-    for match in _SCANNER.finditer(tagged):
-        slash, name = match.group(1, 2)
-        if name is None:
-            diagnostics.append(
-                Diagnostic(
-                    SEVERITY_INFO,
-                    "IGNORED_LITERAL",
-                    f"marker-like substring {match.group(0)!r} left as literal text",
-                    offset=match.start(),
-                )
-            )
-        else:
-            tokens.append(MarkerToken(name, "close" if slash else "open", match.start(), match.end()))
-    return tokens, diagnostics
-
-
-def pair_markers(
-    tokens: list[MarkerToken],
-) -> tuple[list[tuple[MarkerToken, MarkerToken]], list[MarkerToken], list[MarkerToken]]:
-    """Pair opens with closes per tag name, last-opened-first-closed.
-
-    Returns (pairs in opening order, orphan closes, unclosed opens in text
-    order).
-    """
-    stacks: dict[str, list[MarkerToken]] = {}
-    pairs: list[tuple[MarkerToken, MarkerToken]] = []
+    stacks: dict[str, list[tuple[int, MarkerToken]]] = {}
+    pairs: list[tuple[int, MarkerToken, MarkerToken]] = []
     orphans: list[MarkerToken] = []
-    for token in tokens:
-        if token.kind == "open":
-            stacks.setdefault(token.name, []).append(token)
-        elif stacks.get(token.name):
-            pairs.append((stacks[token.name].pop(), token))
+    diagnostics: list[Diagnostic] = []
+    cursor = removed = rank = 0
+    for match in (_SCANNER if scheme is MarkerScheme.XML else _BRACKET_SCANNER).finditer(tagged):
+        slash, name = match.group(1, 2)
+        start, end = match.span()
+        if name is None:
+            message = f"marker-like substring {match.group()!r} left as literal text"
+            diagnostics.append(Diagnostic(SEVERITY_INFO, "IGNORED_LITERAL", message, offset=start))
+            continue
+        pieces.append(tagged[cursor:start])
+        cursor = end
+        token = MarkerToken(name, "close" if slash else "open", start, end, start - removed)
+        removed += end - start
+        tokens.append(token)
+        if not slash:
+            stacks.setdefault(name, []).append((rank, token))
+            rank += 1
+        elif stack := stacks.get(name):
+            pairs.append((*stack.pop(), token))
         else:
             orphans.append(token)
-    pairs.sort(key=lambda pair: pair[0].start)
-    unclosed = sorted((t for stack in stacks.values() for t in stack), key=lambda t: t.start)
-    return pairs, orphans, unclosed
+    pieces.append(tagged[cursor:])
+    pairs.sort()  # ranks are unique, so no token is compared
+    unclosed = sorted(entry for stack in stacks.values() for entry in stack)
+    return MarkerScan("".join(pieces), tokens, pairs, orphans, unclosed, diagnostics)
 
 
 def _strip(raw: str, tokens: list[MarkerToken]) -> str:
@@ -209,50 +205,24 @@ def decode(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> tuple
     return _decode(tagged, scheme, tagged.lang)[:2]
 
 
-def _decode(
-    tagged: TaggedText, scheme: MarkerScheme, lang: str
-) -> tuple[AnnotatedText, list[Diagnostic], list[MarkerToken]]:
-    """:func:`decode` into language ``lang``, plus the marker tokens it scanned: what ``signature`` counts."""
-    raw = tagged.tagged
-    tokens, diagnostics = scan_markers(raw, scheme)
-    pairs, orphans, unclosed = pair_markers(tokens)
-    text = _strip(raw, tokens)
-
-    # Offset in the stripped text of each marker, keyed by its raw offset.
-    at: dict[int, int] = {}
-    removed = 0
-    for token in tokens:
-        at[token.start] = token.start - removed
-        removed += token.end - token.start
-
-    # Span name for each open marker; bracket spans are named in opening order.
-    opens = [t for t in tokens if t.kind == "open"]
-    shown = {t.start: t.name if scheme is MarkerScheme.XML else tag_name(k) for k, t in enumerate(opens)}
-
-    spans = [Span(shown[o.start], at[o.start], at[c.start]) for o, c in pairs]
-    for token in orphans:
-        diagnostics.append(
-            Diagnostic(
-                SEVERITY_WARNING,
-                "ORPHAN_CLOSE",
-                f"close marker {raw[token.start:token.end]!r} without a matching open",
-                offset=token.start,
-            )
-        )
-    for token in unclosed:
-        spans.append(Span(shown[token.start], at[token.start], len(text)))
-        diagnostics.append(
-            Diagnostic(
-                SEVERITY_WARNING,
-                "UNCLOSED_OPEN",
-                f"open marker for {shown[token.start]!r} never closed; span extended to end of text",
-                offset=token.start,
-            )
-        )
-
+def _decode(tagged: TaggedText, scheme: MarkerScheme, lang: str) -> tuple[AnnotatedText, list[Diagnostic], MarkerScan]:
+    """:func:`decode` into language ``lang``, plus the scan it made: its tokens are what ``signature`` counts."""
+    scan = scan_markers(tagged.tagged, scheme)
+    end = len(scan.text)
+    xml = scheme is MarkerScheme.XML  # bracket spans are named in opening order
+    spans = [Span(o.name if xml else tag_name(rank), o.at, c.at) for rank, o, c in scan.pairs]
+    diagnostics = list(scan.diagnostics)
+    for token in scan.orphans:
+        message = f"close marker {tagged.tagged[token.start:token.end]!r} without a matching open"
+        diagnostics.append(Diagnostic(SEVERITY_WARNING, "ORPHAN_CLOSE", message, offset=token.start))
+    for rank, token in scan.unclosed:
+        shown = token.name if xml else tag_name(rank)
+        spans.append(Span(shown, token.at, end))
+        message = f"open marker for {shown!r} never closed; span extended to end of text"
+        diagnostics.append(Diagnostic(SEVERITY_WARNING, "UNCLOSED_OPEN", message, offset=token.start))
     spans.sort(key=lambda s: (s.start, -s.end, _tag_sort_key(s.tag)))
-    diagnostics.sort(key=lambda d: (d.offset if d.offset is not None else 1 << 62))
-    return AnnotatedText(id=tagged.id, lang=lang, text=text, spans=tuple(spans)), diagnostics, tokens
+    diagnostics.sort(key=lambda d: d.offset)  # every one has an offset, and no two the same
+    return AnnotatedText(id=tagged.id, lang=lang, text=scan.text, spans=tuple(spans)), diagnostics, scan
 
 
 def signature(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> Counter[tuple[str, MarkerKind]]:
@@ -260,8 +230,7 @@ def signature(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> Co
 
     Square-bracket markers count under the anonymous name ``""``.
     """
-    tokens, _ = scan_markers(tagged.tagged, scheme)
-    return Counter((t.name, t.kind) for t in tokens)
+    return Counter((t.name, t.kind) for t in scan_markers(tagged.tagged, scheme).tokens)
 
 
 def _encoded_signature(
@@ -322,8 +291,8 @@ def project(
     hypotheses = backend.translate_batch(sources, src_lang, tgt_lang)
     results = []
     for doc, encoded, hypothesis in zip(docs, sources, hypotheses):
-        projected, diagnostics, tokens = _decode(hypothesis, scheme, tgt_lang)
-        matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in tokens)
+        projected, diagnostics, scan = _decode(hypothesis, scheme, tgt_lang)
+        matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in scan.tokens)
         if scheme is MarkerScheme.XML:
             projected = _with_source_labels(projected, doc)
         results.append((projected, diagnostics, matched))

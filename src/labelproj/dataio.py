@@ -40,8 +40,8 @@ from .model import (
 # How far (in scalar values) an answer offset may drift before we give up
 # repairing it against the context.
 QA_REPAIR_WINDOW = 8
-# The JSON escape of a surrogate. A lone one cannot be encoded as UTF-8, so text with this escape is checked for one.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD]")
+# The JSON escape of a surrogate, U+D800 to U+DFFF: only text with one can hold a lone surrogate.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 class DatasetFormat(str, Enum):
@@ -78,15 +78,27 @@ def _lines(path: Path) -> Iterator[str]:
         raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
+def parse_json(text: str) -> Any:
+    """The value of JSON text read from outside. ``ValueError`` if it does not parse or is nested too deeply
+    to decode, and ``UnicodeError``, a ``ValueError`` too, if a string holds a lone surrogate, which UTF-8
+    cannot encode."""
+    try:
+        value = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            _json(value).encode("utf-8")
+        return value
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+    except UnicodeEncodeError as exc:
+        surrogate = ord(exc.object[exc.start])
+        raise UnicodeError(f"a string holds the lone surrogate U+{surrogate:04X}: surrogates not allowed") from None
+
+
 def read_qa_tree(path: Path) -> Any:
     """A QA file's JSON value; :class:`FormatError` names the file if it is not UTF-8 or JSON or has a lone surrogate."""
-    text = "".join(_lines(path))
     try:
-        tree = json.loads(text)
-        if _SURROGATE_ESCAPE.search(text):
-            _json(tree).encode("utf-8")
-        return tree
-    except (RecursionError, ValueError) as exc:  # RecursionError: nested too deeply to decode
+        return parse_json("".join(_lines(path)))
+    except ValueError as exc:
         raise FormatError(f"{path}: QA JSON does not parse: {exc}") from exc
 
 
@@ -116,17 +128,16 @@ def load(
         if not line.strip():
             continue
         try:
-            record = json.loads(line.rstrip("\n"))
+            record = parse_json(line.rstrip("\n"))
             if not isinstance(record, dict):
                 raise FormatError("record is not a JSON object")
             if not first_checked:
                 _check_first_record(handle.format, record)
                 first_checked = True
-            if _SURROGATE_ESCAPE.search(line):
-                _json(record).encode("utf-8")
             item, record_diags = _parse_record(handle.format, record)
-        except (FormatError, json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-            if not first_checked:
+        except (FormatError, KeyError, TypeError, ValueError) as exc:
+            # A lone surrogate is a malformed record, never an unreadable first record.
+            if not first_checked and not isinstance(exc, UnicodeError):
                 if isinstance(exc, FormatError):
                     raise
                 raise FormatError(f"line {lineno}: first record unreadable: {exc}") from exc

@@ -11,13 +11,15 @@ byte-equal tagged strings and equal (document, diagnostics) results.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from labelproj import AnnotatedText, MarkerScheme, Span, TaggedText, decode, encode, signature, tag_name
-from labelproj.codec import MarkerToken, occurrences
+from labelproj.codec import occurrences
 from labelproj.errors import InvalidAnnotationError
 from labelproj.model import MARKER_RE, SEVERITY_INFO, SEVERITY_WARNING, Diagnostic, has_errors, validate
 
 _LOOKALIKE_RE = re.compile(r"</?[^<>]*>")
+_Token = namedtuple("_Token", "name kind start end")
 
 
 def _tag_sort_key(tag: str) -> tuple[int, str]:
@@ -29,9 +31,9 @@ def oracle_scan_markers(tagged, scheme=MarkerScheme.XML):
     if scheme is MarkerScheme.BRACKETS:
         for i, ch in enumerate(tagged):
             if ch == "[":
-                tokens.append(MarkerToken("", "open", i, i + 1))
+                tokens.append(_Token("", "open", i, i + 1))
             elif ch == "]":
-                tokens.append(MarkerToken("", "close", i, i + 1))
+                tokens.append(_Token("", "close", i, i + 1))
         return tokens, diagnostics
 
     for match in _LOOKALIKE_RE.finditer(tagged):
@@ -48,7 +50,7 @@ def oracle_scan_markers(tagged, scheme=MarkerScheme.XML):
             )
             continue
         kind = "close" if exact.group(1) else "open"
-        tokens.append(MarkerToken(exact.group(2), kind, match.start(), match.end()))
+        tokens.append(_Token(exact.group(2), kind, match.start(), match.end()))
     return tokens, diagnostics
 
 

@@ -4,6 +4,7 @@ import base64
 import gc
 import json
 import os
+import re
 import socket
 import ssl
 import subprocess
@@ -738,6 +739,19 @@ def test_http_lone_surrogate_in_a_response_is_terminal(kind, body):
             else:
                 HttpScorerBackend(url, max_retries=3, timeout=5).score_batch([("a", "b", None)])
     assert excinfo.value.status == 200
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("body, reason", [
+    (b'{"translations": ["al\\ud800pha"]}', "a string holds the lone surrogate U+D800: surrogates not allowed"),
+    (b'{"translations": ["\xed\xa0\x80"]}', "'utf-8' codec can't decode byte 0xed in position 19"),
+    (b'{"translations": ["\xff"]}', "'utf-8' codec can't decode byte 0xff in position 19"),
+], ids=["escaped-surrogate", "encoded-surrogate", "not-utf8"])
+def test_http_body_must_be_utf8_json_without_a_lone_surrogate(body, reason):
+    # The same rule as for a JSONL line; an encoded surrogate is refused as invalid UTF-8.
+    with raw_server(http_reply("200 OK", body)) as (url, calls):
+        with pytest.raises(BackendError, match=f"unparseable body: {re.escape(reason)}"):
+            translate_one(url, max_retries=3)
     assert len(calls) == 1
 
 

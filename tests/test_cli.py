@@ -461,7 +461,7 @@ def test_batch_flags_below_one_are_rejected_before_input_is_read(tmp_path, capsy
     out = tmp_path / "out.jsonl"
     argv = [command, "-i", str(tmp_path / "missing.jsonl"), "-o", str(out), "--backend", backend,
             "--src-lang", "en", "--tgt-lang", "de", flag, value]
-    assert main(argv) == 1
+    assert main(argv) == 2  # as above the cap, and as argparse's own errors
     assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} must be >= 1\n"
     assert not out.exists()
 

@@ -744,6 +744,35 @@ def test_load_keeps_a_surrogate_pair_and_an_escaped_backslash(tmp_path):
     assert doc.text == "\U0001f600 \\ud800" and diagnostics == []
 
 
+def test_a_lone_surrogate_is_named_with_no_position_in_text_never_read(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"id":"1","lang":"en","text":"x","spans":[]}\n{"id":"2","lang":"en","text":"al\\ud800pha","spans":[]}\n')
+    _, [diag] = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path), error_budget=1)
+    assert diag.message == "line 2: a string holds the lone surrogate U+D800: surrogates not allowed"
+
+
+@pytest.mark.parametrize("text, value", [
+    ('"\\ud7ff\\ue000"', "\ud7ff\ue000"),  # the code points either side of the surrogates
+    ('["\\ud83d\\ude00"]', ["\U0001f600"]),
+    ('{"k": "\\\\ud800"}', {"k": "\\ud800"}),
+])
+def test_parse_json_keeps_every_scalar_value(text, value):
+    assert dataio.parse_json(text) == value
+
+
+@pytest.mark.parametrize("text, code_point", [
+    ('["\\ud800"]', "U+D800"), ('{"k": "a\\uDBFFb"}', "U+DBFF"), ('"\\udc00\\ud800"', "U+DC00"),
+])
+def test_parse_json_names_a_lone_surrogate(text, code_point):
+    with pytest.raises(UnicodeError, match=f"^a string holds the lone surrogate {re.escape(code_point)}: "):
+        dataio.parse_json(text)
+
+
+def test_parse_json_reports_nesting_too_deep_to_decode_as_a_value_error():
+    with pytest.raises(ValueError, match="recursion"):
+        dataio.parse_json("[" * 100_000 + "]" * 100_000)
+
+
 def test_read_qa_tree_names_the_file_of_a_lone_surrogate(tmp_path):
     path = tmp_path / "qa.json"
     path.write_text('{"data": [{"paragraphs": [{"context": "al\\ud800pha", "qas": []}]}]}')

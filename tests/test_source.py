@@ -135,3 +135,44 @@ def test_package_all_lists_exactly_what_init_imports():
                 and node.module != "__future__" for alias in node.names}
     assert len(labelproj.__all__) == len(set(labelproj.__all__))
     assert set(labelproj.__all__) == imported
+
+
+def readers_of(sources: dict[str, str], names: set[str]) -> list[str]:
+    """``module: function`` for each outermost function or method of ``sources`` that reads one of ``names``
+    (``a.b`` reads ``a``), and ``module: <module>`` where module-level code reads one."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            for member in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if not isinstance(member, ast.FunctionDef):
+                    site = "<module>"
+                else:
+                    site = member.name if member is node else f"{node.name}.{member.name}"
+                read = {dotted for sub in ast.walk(member) if isinstance(getattr(sub, "ctx", None), ast.Load)
+                        and (dotted := _dotted(sub))}
+                if any(name == target or name.startswith(target + ".") for name in read for target in names):
+                    found.append(f"{module}: {site}")
+    return sorted(set(found))
+
+
+def test_readers_are_detected():
+    sources = {
+        "a.py": "S = re.compile('x')\ndef f(): return S.finditer('')\ndef g(): return 1\n"
+                "class C:\n    T = S\n    def m(self): return json.loads('1')\n",
+        "b.py": "S = 2\nfrom a import S as R\nprint(R)\n",
+    }
+    assert readers_of(sources, {"S", "json.loads"}) == ["a.py: <module>", "a.py: C.m", "a.py: f"]
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(Path(labelproj.__file__).parent.glob("*.py"))}
+
+
+def test_one_function_scans_for_markers():
+    # Decode, signature and the seeded backends all take their markers from this one pass.
+    assert readers_of(_package_sources(), {"_SCANNER", "_BRACKET_SCANNER"}) == ["codec.py: scan_markers"]
+
+
+def test_one_function_parses_json_read_from_outside():
+    # One rule for files and HTTP bodies alike: JSON, not nested too deeply, with no lone surrogate.
+    assert readers_of(_package_sources(), {"json.loads"}) == ["dataio.py: parse_json"]
