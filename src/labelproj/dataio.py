@@ -27,7 +27,6 @@ from .model import (
     SEVERITY_ERROR,
     SEVERITY_INFO,
     SEVERITY_WARNING,
-    _TAG_NAME_RE,
     AnnotatedText,
     Diagnostic,
     Span,
@@ -188,18 +187,14 @@ def _record_id(record: Mapping[str, Any]) -> str:
 
 
 def _annotated(record: Mapping[str, Any]) -> tuple[AnnotatedText, list[Diagnostic]]:
-    """An annotated record's document and ``validate``'s diagnostics, from one loop over its spans.
+    """An annotated record's document and ``validate``'s diagnostics on it.
 
     A value of the wrong JSON type raises :class:`FormatError`, checked in this
     order: each span's tag, start and end, then any label, then id, lang and
-    text. ``validate`` runs only when it could report something: a span out of
-    bounds, a repeated tag, a tag outside the marker grammar, or a ``<`` in the text.
+    text. Every document that is built is validated.
     """
-    text = record.get("text")
-    n = len(text) if isinstance(text, str) else 0  # a text of another type raises below
     spans = []
-    tags: set[str] = set()
-    bad_label = suspect = False
+    bad_label = False
     for raw in record["spans"]:
         tag = _string(raw, "tag")
         start = _integer(raw, "start")
@@ -207,15 +202,12 @@ def _annotated(record: Mapping[str, Any]) -> tuple[AnnotatedText, list[Diagnosti
         label = raw.get("label")
         if label is not None and not isinstance(label, str):
             bad_label = True
-        if not 0 <= start <= end <= n or tag in tags or not _TAG_NAME_RE.fullmatch(tag):
-            suspect = True
-        tags.add(tag)
         spans.append(tuple.__new__(Span, (tag, start, end, label)))
     if bad_label:
         raise FormatError("span 'label' must be a string or null")
     doc_id, lang, text = _record_id(record), _string(record, "lang", ""), _string(record, "text")
     doc = tuple.__new__(AnnotatedText, (doc_id, lang, text, tuple(spans)))
-    return doc, validate(doc) if suspect or "<" in text else []
+    return doc, validate(doc)
 
 
 def _parse_record(fmt: DatasetFormat, record: Mapping[str, Any]) -> tuple[Any, list[Diagnostic]]:

@@ -99,13 +99,20 @@ class TaggedText(NamedTuple):
     tagged: str
 
 
-def _partially_overlap(a: Span, b: Span) -> bool:
-    # Half-open intervals: they intersect but neither contains the other.
-    if not (a.start < b.end and b.start < a.end):
-        return False
-    a_contains_b = a.start <= b.start and b.end <= a.end
-    b_contains_a = b.start <= a.start and a.end <= b.end
-    return not (a_contains_b or b_contains_a)
+def _partial_overlaps(group: list[Span]) -> list[tuple[int, int]]:
+    """The pairs ``(i, j)``, ``i < j``, of ``group``'s spans that partially overlap, in ascending order. Taken
+    by ``(start, -end)``, a span partially overlaps exactly the still-open spans that end strictly inside it."""
+    pairs = []
+    still_open: list[int] = []  # the spans that end after the current start, by descending end
+    for j, (_, start, end, _) in sorted(enumerate(group), key=lambda item: (item[1].start, -item[1].end)):
+        while still_open and group[still_open[-1]].end <= start:
+            still_open.pop()
+        k = len(still_open)
+        while k and group[still_open[k - 1]].end < end:
+            k -= 1
+        pairs += [(i, j) if i < j else (j, i) for i in still_open[k:]]
+        still_open.insert(k, j)  # a nested or disjoint span lands at the tail
+    return sorted(pairs)
 
 
 def validate(doc: AnnotatedText) -> list[Diagnostic]:
@@ -124,10 +131,14 @@ def validate(doc: AnnotatedText) -> list[Diagnostic]:
     Additionally emits a ``MARKER_COLLISION`` warning when the text itself
     contains a substring matching the marker grammar; such documents still
     encode, but are excluded from round-trip guarantees.
+
+    One loop over the spans groups the in-bounds ones by tag; each repeated
+    tag gets one sort and sweep, O(k log k) plus one step per reported pair.
+    Only a text that holds a ``<`` is searched for markers.
     """
     diagnostics: list[Diagnostic] = []
     n = len(doc.text)
-    in_bounds: list[Span] = []
+    by_tag: dict[str, list[Span]] = {}
     for span in doc.spans:
         if not span.tag:
             diagnostics.append(
@@ -150,32 +161,29 @@ def validate(doc: AnnotatedText) -> list[Diagnostic]:
                 )
             )
         else:
-            in_bounds.append(span)
+            by_tag.setdefault(span.tag, []).append(span)
 
-    by_tag: dict[str, list[Span]] = {}
-    for span in in_bounds:
-        by_tag.setdefault(span.tag, []).append(span)
     for tag, group in by_tag.items():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if _partially_overlap(group[i], group[j]):
-                    a, b = group[i], group[j]
-                    diagnostics.append(
-                        Diagnostic(
-                            SEVERITY_ERROR,
-                            "SAME_NAME_OVERLAP",
-                            f"spans {tag!r} [{a.start}, {a.end}) and [{b.start}, {b.end}) partially overlap",
-                            offset=max(a.start, b.start),
-                        )
+        if len(group) > 1:
+            for i, j in _partial_overlaps(group):
+                a, b = group[i], group[j]
+                diagnostics.append(
+                    Diagnostic(
+                        SEVERITY_ERROR,
+                        "SAME_NAME_OVERLAP",
+                        f"spans {tag!r} [{a.start}, {a.end}) and [{b.start}, {b.end}) partially overlap",
+                        offset=max(a.start, b.start),
                     )
+                )
 
-    for match in MARKER_RE.finditer(doc.text):
-        diagnostics.append(
-            Diagnostic(
-                SEVERITY_WARNING,
-                "MARKER_COLLISION",
-                f"text contains marker-shaped substring {match.group(0)!r}",
-                offset=match.start(),
+    if "<" in doc.text:
+        for match in MARKER_RE.finditer(doc.text):
+            diagnostics.append(
+                Diagnostic(
+                    SEVERITY_WARNING,
+                    "MARKER_COLLISION",
+                    f"text contains marker-shaped substring {match.group(0)!r}",
+                    offset=match.start(),
+                )
             )
-        )
     return diagnostics

@@ -1,7 +1,7 @@
 """Reference reader for one annotated JSONL record in two steps: a
-type-checking span builder, then ``validate`` on every document.
-``labelproj.dataio`` does both in one loop over the spans and calls
-``validate`` only when it could report something.
+type-checking span builder, then the pairwise ``oracle_validate`` on every
+document. ``labelproj.dataio`` builds the spans in one loop and runs
+``validate`` on the document.
 
 Kept only as an oracle: tests require the production reader to give an
 equal document and equal diagnostics, or the same exception with the same
@@ -14,7 +14,9 @@ from typing import Any, Mapping
 
 from labelproj import AnnotatedText, Span
 from labelproj.errors import FormatError
-from labelproj.model import Diagnostic, validate
+from labelproj.model import Diagnostic
+
+from model_oracle import oracle_validate
 
 
 def _string(record: Mapping[str, Any], key: str, default: str | None = None) -> str:
@@ -51,4 +53,4 @@ def oracle_parse_annotated(record: Mapping[str, Any]) -> tuple[AnnotatedText, li
         text=_string(record, "text"),
         spans=spans,
     )
-    return doc, validate(doc)
+    return doc, oracle_validate(doc)

@@ -381,16 +381,17 @@ def test_project_scans_and_validates_each_document_at_most_twice(tmp_path, monke
     rng = random.Random(0x5CA7)
     docs = [_random_doc(rng, f"d{i}") for i in range(200)]
     calls = _count_project_calls(tmp_path, monkeypatch, docs)
-    # One scan in the dropper and one in decode; at most one validation per
-    # load, since a clean record is checked as it is read.
+    # One scan in the dropper and one in decode; one validation per record in
+    # each load, of the input and of the reference.
     assert calls["scan_markers"] <= 2 * len(docs)
-    assert calls["validate"] <= 2 * len(docs)
+    assert calls["validate"] == 2 * len(docs)
 
 
 @pytest.mark.parametrize("doc", [
     make_doc("John and Paris", [Span("a", 0, 4), Span("a", 9, 14), Span("b", 0, 14)]),
     make_doc("if x < y then", [Span("a", 3, 8)]),
-], ids=["repeated-tag", "angle-bracket"])
+    make_doc("John and Paris", [Span("a", 0, 4), Span("b", 9, 14)]),
+], ids=["repeated-tag", "angle-bracket", "clean"])
 def test_project_validates_each_record_that_may_have_diagnostics_once_per_load(tmp_path, monkeypatch, doc):
     docs = [doc._replace(id=f"d{i}") for i in range(200)]
     assert _count_project_calls(tmp_path, monkeypatch, docs)["validate"] == 2 * len(docs)

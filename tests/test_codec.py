@@ -25,10 +25,11 @@ from labelproj import (
     validate,
 )
 from labelproj.codec import _decode, _encoded_signature, scan_markers
-from labelproj.model import _partially_overlap, has_errors
+from labelproj.model import has_errors
 
 from codec_oracle import oracle_decode, oracle_encode, oracle_project, oracle_scan_markers, strip_markers
 from conftest import canon, make_doc
+from model_oracle import partially_overlap
 from test_acceptance import _random_doc
 
 XML = MarkerScheme.XML
@@ -494,7 +495,7 @@ def project_batches(draw):
             end = draw(st.integers(start, len(text)))
             label = draw(st.sampled_from([None, "PER", "LOC"])) if labelled else None
             span = Span(tag_name(draw(st.integers(0, 3))), start, end, label)
-            if not any(s.tag == span.tag and _partially_overlap(s, span) for s in spans):
+            if not any(s.tag == span.tag and partially_overlap(s, span) for s in spans):
                 spans.append(span)
         docs.append(make_doc(text, spans, doc_id=f"d{i}"))
     return docs

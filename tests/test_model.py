@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
 import re
+import time
 from collections import namedtuple
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from labelproj import (
     PRF,
@@ -22,6 +26,7 @@ from labelproj import (
     Span,
     TaggedText,
     encode,
+    load,
     validate,
 )
 from labelproj.corpus import CorpusProvenance
@@ -30,6 +35,7 @@ from labelproj.model import has_errors, record_type
 from labelproj.synth import TokenBoundaryMap
 
 from conftest import make_doc
+from model_oracle import oracle_validate
 
 
 def codes(diags):
@@ -83,6 +89,75 @@ def test_marker_collision_is_a_warning_not_an_error():
 def test_validate_is_pure_and_deterministic():
     doc = make_doc("abcd", [Span("a", 0, 3), Span("a", 1, 4), Span("", 9, 9)])
     assert validate(doc) == validate(doc)
+
+
+# Letters, marker punctuation and whole marker-shaped pieces, so texts hold a
+# ``<`` that starts no marker as often as one that does.
+_TEXT_PIECES = ["a", "b", "x", " ", "<", ">", "/", "<a>", "</a>", "<b>", "<A>", "</>", "<<a>"]
+
+
+@st.composite
+def span_layouts(draw):
+    """A short text and up to twelve spans over few tags, so that repeated tags, equal starts and ends,
+    zero-width, nested and partly overlapping spans are common; one span in four may fall out of bounds."""
+    text = "".join(draw(st.lists(st.sampled_from(_TEXT_PIECES), max_size=10)))
+    inside = st.lists(st.integers(0, len(text)), min_size=2, max_size=2).map(sorted)
+    anywhere = st.lists(st.integers(-1, len(text) + 1), min_size=2, max_size=2)
+    bounds = st.one_of(inside, inside, inside, anywhere)
+    tags = st.sampled_from(["a", "a", "a", "b", "b", "ab", "", "A1", "a b"])
+    spans = draw(st.lists(st.builds(lambda tag, ends: Span(tag, *ends), tags, bounds), max_size=12))
+    return make_doc(text, spans)
+
+
+@settings(max_examples=500)
+@given(span_layouts())
+@example(make_doc("abcdef", [Span("a", 0, 4), Span("a", 2, 6), Span("a", 1, 3), Span("a", 3, 5)]))
+@example(make_doc("abcdef", [Span("a", 3, 6), Span("a", 0, 4), Span("a", 2, 2), Span("a", 2, 5), Span("a", 1, 5)]))
+@example(make_doc("abcdef", [Span("a", 1, 4), Span("a", 1, 4), Span("a", 0, 2), Span("a", 3, 6), Span("a", 4, 4)]))
+@example(make_doc("abcdef", [Span("a", 0, 6), Span("a", 1, 5), Span("a", 2, 4), Span("a", 3, 6), Span("a", 0, 3)]))
+def test_validate_equals_its_pairwise_oracle(doc):
+    assert validate(doc) == oracle_validate(doc)
+
+
+# ------------------------------------------------- no quadratic work on one document
+
+_SPANS = 40_000
+
+
+def _seconds(call, *args):
+    started = time.perf_counter()
+    result = call(*args)
+    return result, time.perf_counter() - started
+
+
+def _load_one_line(tmp_path, doc):
+    path = tmp_path / "in.jsonl"
+    record = {"id": doc.id, "lang": doc.lang, "text": doc.text, "spans": [span._asdict() for span in doc.spans]}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return _seconds(load, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path))
+
+
+def test_disjoint_same_tag_spans_load_and_encode_in_linear_time(tmp_path):
+    doc = make_doc("ab" * _SPANS, [Span("a", 2 * i, 2 * i + 1) for i in range(_SPANS)])
+    (items, diagnostics), seconds = _load_one_line(tmp_path, doc)
+    assert items == [doc] and diagnostics == [] and seconds < 1
+    tagged, seconds = _seconds(encode, doc)
+    assert tagged.tagged == "<a>a</a>b" * _SPANS and seconds < 1
+
+
+def test_nested_same_tag_spans_load_in_linear_time(tmp_path):
+    doc = make_doc("ab" * _SPANS, [Span("a", i, 2 * _SPANS - i) for i in range(_SPANS)])
+    (items, diagnostics), seconds = _load_one_line(tmp_path, doc)
+    assert items == [doc] and diagnostics == [] and seconds < 1
+
+
+def test_a_chain_of_overlaps_costs_one_step_per_pair():
+    doc = make_doc("a" * (_SPANS + 1), [Span("a", i, i + 2) for i in range(_SPANS)])
+    diagnostics, seconds = _seconds(validate, doc)
+    assert seconds < 1
+    assert [d.code for d in diagnostics] == ["SAME_NAME_OVERLAP"] * (_SPANS - 1)
+    assert [d.offset for d in diagnostics] == list(range(1, _SPANS))
+    assert diagnostics[0].message == "spans 'a' [0, 2) and [1, 3) partially overlap"
 
 
 def test_clean_documents_always_encode():

@@ -176,3 +176,8 @@ def test_one_function_scans_for_markers():
 def test_one_function_parses_json_read_from_outside():
     # One rule for files and HTTP bodies alike: JSON, not nested too deeply, with no lone surrogate.
     assert readers_of(_package_sources(), {"json.loads"}) == ["dataio.py: parse_json"]
+
+
+def test_one_function_checks_tag_names():
+    # Reading a record, encoding and the plain-text reader all take the span rule from ``validate``.
+    assert readers_of(_package_sources(), {"_TAG_NAME_RE"}) == ["model.py: validate"]
