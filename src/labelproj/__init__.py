@@ -32,7 +32,7 @@ from .corpus import (
     prepare_training_corpus,
     tag_swap,
 )
-from .dataio import DatasetFormat, DatasetHandle, dump, ingest_qa, load
+from .dataio import DatasetFormat, DatasetHandle, dump, ingest_qa, load, read_diagnostics
 from .errors import (
     AlignmentError,
     BackendError,
@@ -100,6 +100,7 @@ __all__ = [
     "prepare_training_corpus",
     "project",
     "projection_rate",
+    "read_diagnostics",
     "signature",
     "tag_name",
     "tag_swap",

@@ -11,8 +11,8 @@ pipeline:
 
 Both are UTF-8 JSON over a small HTTP/1.1 client on ``socket``, which reads a
 body by ``Content-Length``, in chunks, or up to the close. A translation batch
-keeps one connection alive per in-flight slot and closes them all when it
-returns; a score batch sends chunks of 32 pairs in order over one connection.
+keeps one connection alive per in-flight slot until it returns, or its backend's
+``with`` block ends; a score batch sends chunks of 32 pairs over one connection.
 No redirect is followed. Only https loads ``ssl``, to verify against the system
 CA store (``SSL_CERT_FILE``). Proxies come from ``http_proxy``/``https_proxy``/
 ``no_proxy``. The deterministic local backends (identity, tag shuffler, tag
@@ -50,19 +50,26 @@ def _check_languages(src_lang: str, tgt_lang: str) -> None:
 
 
 class TranslationBackend(abc.ABC):
-    """Order-preserving batch translator: output[i] corresponds to input[i], and no input gives no output."""
+    """Order-preserving batch translator: output[i] corresponds to input[i], and no input gives no output. ``start``
+    is ``texts[0]``'s position in the run. In a ``with`` block, a backend may keep what its batches open."""
 
     @abc.abstractmethod
     def translate_batch(
-        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
+        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
     ) -> list[TaggedText]: ...
+
+    def __enter__(self) -> TranslationBackend:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
 
 
 class IdentityBackend(TranslationBackend):
     """Returns its inputs verbatim; the no-model reference backend."""
 
     def translate_batch(
-        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
+        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
     ) -> list[TaggedText]:
         _check_languages(src_lang, tgt_lang)
         return list(texts)
@@ -73,7 +80,7 @@ _Pair = tuple[int, MarkerToken, MarkerToken]  # (rank, open, close), as ``scan_m
 
 class _SeededMarkerBackend(TranslationBackend):
     """Rewrites the marker pairs of ``scheme`` in each text, drawing from a
-    generator seeded by ``seed``, the text's batch position and its id."""
+    generator seeded by ``seed``, the text's position in the run and its id."""
 
     def __init__(self, seed: int = 0, scheme: MarkerScheme = MarkerScheme.XML):
         self.seed = seed
@@ -83,7 +90,7 @@ class _SeededMarkerBackend(TranslationBackend):
     def _rewrite(self, text: TaggedText, pairs: list[_Pair], rng: random.Random) -> TaggedText: ...
 
     def translate_batch(
-        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
+        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
     ) -> list[TaggedText]:
         _check_languages(src_lang, tgt_lang)
         return [
@@ -92,7 +99,7 @@ class _SeededMarkerBackend(TranslationBackend):
                 scan_markers(text.tagged, self.scheme).pairs,
                 random.Random(derive_seed(self.seed, f"{i}:{text.id}")),
             )
-            for i, text in enumerate(texts)
+            for i, text in enumerate(texts, start)
         ]
 
 
@@ -350,9 +357,10 @@ class HttpTranslationBackend(TranslationBackend):
     """Batched HTTP client with bounded concurrency and order preservation.
 
     Requests go out in chunks of ``batch_size`` with at most
-    ``max_in_flight`` concurrent requests, each slot on its own kept-alive
-    connection; responses are reassembled in input order regardless of
-    completion order. Once a chunk fails, no further chunk is sent.
+    ``max_in_flight`` concurrent requests, each slot a worker thread with its
+    own kept-alive connection, which serve every batch of a ``with`` block;
+    responses are reassembled in input order regardless of completion order.
+    Once a chunk fails, no further chunk of its batch is sent.
     """
 
     def __init__(
@@ -373,6 +381,32 @@ class HttpTranslationBackend(TranslationBackend):
         self.batch_size = batch_size
         self.max_in_flight = max_in_flight
         self._client = _HttpJsonClient(endpoint, timeout, max_retries, bearer_token, backoff_base)
+        self._tasks = None  # the workers' queue, inside a with block
+
+    def __enter__(self) -> HttpTranslationBackend:
+        import queue
+
+        self._tasks, self._workers = queue.SimpleQueue(), []
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for _ in self._workers:
+            self._tasks.put(None)
+        for worker in self._workers:
+            worker.join()
+        self._tasks = None
+
+    def _work(self) -> None:
+        """One slot: translate chunks from the queue on one kept-alive connection, skipping those of a failed batch."""
+        connection = _Connection()
+        while (task := self._tasks.get()) is not None:
+            i, chunk, languages, stop, done = task
+            try:
+                done.put((i, None if stop.is_set() else self._translate_chunk(connection, chunk, *languages)))
+            except BaseException as exc:  # handed back, to be raised in the caller's thread
+                stop.set()
+                done.put((i, exc))
+        connection.close()
 
     def _translate_chunk(self, connection, chunk: Sequence[TaggedText], src_lang: str, tgt_lang: str) -> list[str]:
         payload = {
@@ -391,51 +425,32 @@ class HttpTranslationBackend(TranslationBackend):
         return translations
 
     def translate_batch(
-        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str
+        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
     ) -> list[TaggedText]:
+        if self._tasks is None:
+            with self:
+                return self.translate_batch(texts, src_lang, tgt_lang, start)
         _check_languages(src_lang, tgt_lang)
         chunks = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
-        if not chunks:
-            return []
+        import queue
         import threading
-        from collections import deque
 
-        # One worker per slot, each owning one kept-alive connection; a failed
-        # chunk stops every worker from taking another.
-        connections = [_Connection() for _ in range(min(self.max_in_flight, len(chunks)))]
-        pending = deque(enumerate(chunks))  # popleft is thread-safe
+        while len(self._workers) < min(self.max_in_flight, len(chunks)):
+            self._workers.append(threading.Thread(target=self._work))
+            self._workers[-1].start()
+        stop, done = threading.Event(), queue.SimpleQueue()
+        for i, chunk in enumerate(chunks):
+            self._tasks.put((i, chunk, (src_lang, tgt_lang), stop, done))
         results: list = [None] * len(chunks)
-        failures: dict[int, BaseException] = {}
-        stop = threading.Event()
-
-        def work(connection) -> None:
-            while not stop.is_set():
-                try:
-                    i, chunk = pending.popleft()
-                except IndexError:
-                    return
-                try:
-                    results[i] = self._translate_chunk(connection, chunk, src_lang, tgt_lang)
-                except BaseException as exc:  # raised again in the caller's thread
-                    failures[i] = exc
-                    stop.set()
-
-        workers = [threading.Thread(target=work, args=(connection,)) for connection in connections]
-        for worker in workers:
-            worker.start()
         try:
-            for worker in workers:
-                worker.join()
-        except BaseException:  # interrupted: send no further chunk and wait out those in flight
+            for _ in chunks:
+                i, results[i] = done.get()
+        except BaseException:  # interrupted: send no further chunk; the with block waits out those in flight
             stop.set()
-            for worker in workers:
-                worker.join()
             raise
-        finally:
-            for connection in connections:
-                connection.close()
-        if failures:
-            raise failures[min(failures)]  # the first failed chunk in input order, as a serial run would report
+        for failure in results:
+            if isinstance(failure, BaseException):
+                raise failure  # the first failed chunk in input order, as a serial run would report
         out: list[TaggedText] = []
         for chunk, translations in zip(chunks, results):
             for text, translation in zip(chunk, translations):

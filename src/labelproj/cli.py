@@ -13,8 +13,9 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .backends import (
     MAX_IN_FLIGHT,
@@ -36,13 +37,14 @@ from .dataio import (
     dump,
     ingest_qa,
     load,
+    read_items,
     read_qa_tree,
     write_diagnostics,
     write_records,
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError, UsageError
-from .evaluation import build_report, check_threshold, markers_match, render_table
-from .model import Diagnostic
+from .evaluation import ReportAccumulator, build_report, check_threshold, markers_match, render_table
+from .model import AnnotatedText, Diagnostic
 from .synth import InsertionMode, MarkerConfig, derive_seed, sample_corpus
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
@@ -276,9 +278,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+# project takes this many times --batch-size × --max-in-flight documents at a time: whole chunks, so requests
+# are those of one batch, with every slot busy. Slots idle while a window is decoded, so a larger one loses less
+# speed but holds more. At 3, on a 2-core host, project-drop peaked 17% lower and project-http ran 5% slower.
+WINDOW_ROUNDS = 3
+
+
 def cmd_project(args: argparse.Namespace) -> int:
-    # The flags are checked before any input is read, and both inputs are
-    # loaded and the report is built before the first file is written.
+    # The flags are checked before any input is read; then the input and the reference are read in step, one
+    # window at a time. After an error no window is translated, but both files are read to their ends, and the
+    # error raised is the one a run reading them whole would meet first: reading the input (raised at once), the
+    # reference, a repeated input id, the backend, the report's alignment. The output is renamed into place last.
     if not args.reference:
         for flag in ("report_out", "report", "threshold", "dataset"):
             if getattr(args, flag) is not None:
@@ -289,28 +299,59 @@ def cmd_project(args: argparse.Namespace) -> int:
         check_threshold(args.threshold)
     _check_distinct_outputs(args)
     backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
-    docs, load_diags = load(
-        DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
-    )
-    reference, reference_diags = None, []
-    if args.reference:
-        reference, reference_diags = load(
-            DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.reference)), args.error_budget
-        )
-    if len({doc.id for doc in docs}) != len(docs):
-        raise AlignmentError("duplicate ids among projected documents")
-    results = project(docs, backend, args.src_lang, args.tgt_lang, _scheme(args))
-    projected = [doc for doc, _, _ in results]
-    report = None
-    if reference is not None:
-        flags = {doc.id: flag for doc, _, flag in results}
-        report = build_report(projected, reference, flags, **_report_options(args))
+    load_diags, reference_diags, decode_groups = [], [], []
 
-    dump(projected, Path(args.output))
-    write_diagnostics(_diagnostics_path(args), [(None, load_diags), *((doc.id, diags) for doc, diags, _ in results)])
-    print(f"projected {len(projected)} documents -> {Path(args.output)}", file=sys.stderr)
-    if report is not None:
-        _emit_report(report, args.report, args.report_out)
+    def read(path: str, diagnostics: list[Diagnostic]) -> Iterator[AnnotatedText]:
+        return read_items(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(path)), args.error_budget, diagnostics)
+
+    docs = read(args.input, load_diags)
+    counts = ReportAccumulator(read(args.reference, reference_diags) if args.reference else (), **_report_options(args))
+    size = args.batch_size * args.max_in_flight * WINDOW_ROUNDS
+    failures: dict[int, Exception] = {}  # the first error of each rank above, counted from 1
+    done = 0  # documents read
+
+    def ranked(alignment_rank: int, call: Callable, *call_args):
+        """``call(*call_args)``, or None once its AlignmentError is ranked at ``alignment_rank``, any other at 2."""
+        try:
+            return call(*call_args)
+        except AlignmentError as exc:
+            failures.setdefault(alignment_rank, exc)
+        except (LabelProjError, OSError) as exc:
+            failures.setdefault(2, exc)
+
+    def projected() -> Iterator[AnnotatedText]:
+        nonlocal done
+        while True:
+            window = list(islice(docs, size))
+            references = [ranked(3, counts.reference_for, doc.id) for doc in window]
+            if not failures:
+                try:
+                    results = project(window, backend, args.src_lang, args.tgt_lang, _scheme(args), done)
+                except (LabelProjError, OSError, ValueError) as exc:
+                    failures.setdefault(4, exc)
+                else:
+                    for ref, (doc, diagnostics, matched, by_tag) in zip(references, results):
+                        if diagnostics:
+                            decode_groups.append((doc.id, diagnostics))
+                        if ref is not None:
+                            counts.add(doc, by_tag, ref, matched)
+                        yield doc
+            done += len(window)
+            if len(window) < size:
+                break
+        if args.reference:
+            ranked(5, counts.check)
+        if failures:
+            raise failures[min(failures)]
+        if args.reference:
+            counts.report()  # a report with no pair is an error too
+
+    with backend:
+        dump(projected(), Path(args.output))
+    write_diagnostics(_diagnostics_path(args), [(None, load_diags), *decode_groups])
+    print(f"projected {done} documents -> {Path(args.output)}", file=sys.stderr)
+    if args.reference:
+        _emit_report(counts.report(), args.report, args.report_out)
     _note_input_diagnostics(reference_diags)
     return 0
 

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from enum import Enum
 from functools import cache
-from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import InvalidAnnotationError
 from .model import (
@@ -259,19 +259,20 @@ def occurrences(spans: Sequence[Span]) -> dict[str, list[int]]:
     return by_tag
 
 
-def corresponding(a_spans: Sequence[Span], b_spans: Sequence[Span]) -> list[tuple[int, int]]:
-    """Position pairs ``(i, j)`` of corresponding spans: the k-th span with a tag in ``a_spans`` and the
-    k-th span with that tag in ``b_spans``. A span with no counterpart appears in no pair."""
+def corresponding(a_by_tag: dict[str, list[int]], b_spans: Sequence[Span]) -> list[tuple[int, int]]:
+    """Position pairs ``(i, j)`` of corresponding spans, for ``a_by_tag = occurrences(a_spans)``: the k-th span
+    with a tag in ``a_spans`` and the k-th span with that tag in ``b_spans``. A span with no counterpart appears
+    in no pair."""
     b_by_tag = occurrences(b_spans)
-    return [pair for tag, positions in occurrences(a_spans).items() for pair in zip(positions, b_by_tag.get(tag, ()))]
+    return [pair for tag, positions in a_by_tag.items() for pair in zip(positions, b_by_tag.get(tag, ()))]
 
 
-def _with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> AnnotatedText:
-    """Give each span of ``doc``, which has no labels, the label of its corresponding source span;
-    ``doc`` itself when the source has no labels either."""
+def _with_source_labels(doc: AnnotatedText, by_tag: dict[str, list[int]], source: AnnotatedText) -> AnnotatedText:
+    """Give each span of ``doc``, which has no labels and whose spans ``by_tag`` groups, the label of its
+    corresponding source span; ``doc`` itself when the source has no labels either."""
     if all(span.label is None for span in source.spans):
         return doc
-    labels = {i: source.spans[j].label for i, j in corresponding(doc.spans, source.spans)}
+    labels = {i: source.spans[j].label for i, j in corresponding(by_tag, source.spans)}
     spans = tuple(span._replace(label=labels.get(i)) for i, span in enumerate(doc.spans))
     return AnnotatedText(doc.id, doc.lang, doc.text, spans)
 
@@ -282,18 +283,21 @@ def project(
     src_lang: str,
     tgt_lang: str,
     scheme: MarkerScheme = MarkerScheme.XML,
-) -> list[tuple[AnnotatedText, list[Diagnostic], bool]]:
-    """Encode, translate in one batch, and decode. Per input, in order: the projected document in
-    ``tgt_lang`` (XML spans keep their source labels), its decode diagnostics, and whether the
-    translation kept exactly the source's markers. Inputs must have passed ``validate``, as ``load``'s have.
-    """
+    start: int = 0,
+) -> Iterator[tuple[AnnotatedText, list[Diagnostic], bool, dict[str, list[int]]]]:
+    """Encode and translate validated ``docs`` in one batch; return an iterator that decodes them, giving per input
+    in order the projected document in ``tgt_lang`` (XML spans keep source labels), its decode diagnostics, whether
+    the translation kept the source's markers, and its spans' :func:`occurrences`. ``start``: ``docs[0]``'s position."""
     sources = [_place_markers(doc, scheme) for doc in docs]
-    hypotheses = backend.translate_batch(sources, src_lang, tgt_lang)
-    results = []
-    for doc, encoded, hypothesis in zip(docs, sources, hypotheses):
-        projected, diagnostics, scan = _decode(hypothesis, scheme, tgt_lang)
-        matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in scan.tokens)
-        if scheme is MarkerScheme.XML:
-            projected = _with_source_labels(projected, doc)
-        results.append((projected, diagnostics, matched))
-    return results
+    hypotheses = backend.translate_batch(sources, src_lang, tgt_lang, start)
+
+    def results():
+        for doc, encoded, hypothesis in zip(docs, sources, hypotheses):
+            projected, diagnostics, scan = _decode(hypothesis, scheme, tgt_lang)
+            matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in scan.tokens)
+            by_tag = occurrences(projected.spans)
+            if scheme is MarkerScheme.XML:
+                projected = _with_source_labels(projected, by_tag, doc)
+            yield projected, diagnostics, matched, by_tag
+
+    return results()

@@ -16,9 +16,10 @@ import re
 import tempfile
 from contextlib import suppress
 from enum import Enum
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .codec import tag_name
 from .corpus import DirectedExample, RawMarkupPair
@@ -101,29 +102,25 @@ def read_qa_tree(path: Path) -> Any:
         raise FormatError(f"{path}: QA JSON does not parse: {exc}") from exc
 
 
-def load(
-    handle: DatasetHandle, error_budget: int = 0
-) -> tuple[list[Any], list[Diagnostic]]:
-    """Read a dataset, preserving record order.
+def read_items(handle: DatasetHandle, error_budget: int, diagnostics: list[Diagnostic]) -> Iterator[Any]:
+    """Yield a dataset's items in record order, appending each diagnostic to ``diagnostics`` when it is found.
 
     A rejected record is skipped and its diagnostics carry its line number:
     an unreadable line gives one MALFORMED_RECORD, a record that fails
     validation gives its own. Once more than ``error_budget`` records have
-    been rejected (default 0), :class:`ErrorBudgetExceeded` aborts the load.
-    A file whose first record does not match the declared format raises
-    :class:`FormatError`.
+    been rejected, :class:`ErrorBudgetExceeded` aborts the read. A file
+    whose first record does not match the declared format raises
+    :class:`FormatError`. Every plain-text line is an item.
     """
-    if handle.format is DatasetFormat.PLAIN_TEXT:
-        texts = [TaggedText(str(i), "", line.rstrip("\n")) for i, line in enumerate(_lines(handle.path), start=1)]
-        # In a line without spans, validate finds only marker-shaped substrings: one MARKER_COLLISION each.
-        diagnostics = [_at_line(d, int(t.id)) for t in texts for d in validate(AnnotatedText(t.id, "", t.tagged))]
-        return texts, diagnostics
-
-    items: list[Any] = []
-    diagnostics: list[Diagnostic] = []
     errors = 0
     first_checked = False
     for lineno, line in enumerate(_lines(handle.path), start=1):
+        if handle.format is DatasetFormat.PLAIN_TEXT:
+            text = TaggedText(str(lineno), "", line.rstrip("\n"))
+            # In a line without spans, validate finds only marker-shaped substrings: one MARKER_COLLISION each.
+            diagnostics += [_at_line(d, lineno) for d in validate(AnnotatedText(text.id, "", text.tagged))]
+            yield text
+            continue
         if not line.strip():
             continue
         try:
@@ -148,8 +145,13 @@ def load(
                 if errors > error_budget:
                     raise ErrorBudgetExceeded(f"{errors} rejected records exceed budget of {error_budget}")
                 continue
-        items.append(item)
-    return items, diagnostics
+        yield item
+
+
+def load(handle: DatasetHandle, error_budget: int = 0) -> tuple[list[Any], list[Diagnostic]]:
+    """Every item of a dataset and the diagnostics of reading it, as :func:`read_items` gives them."""
+    diagnostics: list[Diagnostic] = []
+    return list(read_items(handle, error_budget, diagnostics)), diagnostics
 
 
 def _at_line(diag: Diagnostic, lineno: int) -> Diagnostic:
@@ -274,15 +276,17 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def dump(items: Sequence[Any], path: Path) -> None:
+def dump(items: Iterable[Any], path: Path) -> None:
     """Write items to ``path`` one line at a time, atomically, in the format their type fixes.
 
     The first item's type picks the format. An item of another type, or a
     type no format holds, raises :class:`FormatError` and leaves any old
-    file in place.
+    file in place, as does an error raised while ``items`` is iterated.
     """
-    kind = type(items[0]) if items else None
-    atomic_write_text(path, (_record_line(item, kind) + "\n" for item in items))
+    items = iter(items)
+    head = list(islice(items, 1))
+    kind = type(head[0]) if head else None
+    atomic_write_text(path, (_record_line(item, kind) + "\n" for item in chain(head, items)))
 
 
 def write_records(path: Path, records: Iterable[Mapping[str, Any]]) -> None:
@@ -299,6 +303,13 @@ def write_diagnostics(path: Path, groups: Iterable[tuple[str | None, Iterable[Di
         for diag in diags
     )
     write_records(path, records)
+
+
+def read_diagnostics(path: Path) -> list[tuple[str | None, list[Diagnostic]]]:
+    """The ``(document id or None, diagnostics)`` groups of a sidecar that :func:`write_diagnostics` wrote:
+    consecutive lines with one ``"id"``, or with none, make one group."""
+    groups = groupby(map(parse_json, _lines(path)), key=lambda record: record.get("id"))
+    return [(doc_id, [Diagnostic(*map(r.get, Diagnostic._fields)) for r in records]) for doc_id, records in groups]
 
 
 def _repair_offset(context: str, answer: str, start: int) -> tuple[int, int | None]:

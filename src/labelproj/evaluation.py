@@ -21,7 +21,7 @@ import io
 import json
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .codec import MarkerScheme, corresponding, signature
+from .codec import MarkerScheme, corresponding, occurrences, signature
 from .errors import AlignmentError, EmptyInputError
 from .model import AnnotatedText, TaggedText, record_type
 from .similarity import _reaches
@@ -47,32 +47,11 @@ class PRF(NamedTuple):
         return cls(tp, fp, fn, precision, recall, f1)
 
 
-def _align(projected: Sequence[AnnotatedText], reference: Sequence[AnnotatedText]) -> list[AnnotatedText]:
-    """The projected document for each reference document, in reference order.
-
-    Raises :class:`AlignmentError` on a duplicate id on either side and on
-    an id present on one side only.
-    """
-    by_id = {doc.id: doc for doc in projected}
-    if len(by_id) != len(projected):
-        raise AlignmentError("duplicate ids among projected documents")
-    aligned: dict[str, AnnotatedText] = {}
-    for ref in reference:
-        if ref.id in aligned:
-            raise AlignmentError(f"duplicate id {ref.id!r} on the reference side")
-        if ref.id not in by_id:
-            raise AlignmentError(f"reference id {ref.id!r} has no projected document")
-        aligned[ref.id] = by_id[ref.id]
-    if len(aligned) != len(by_id):
-        raise AlignmentError(f"projected ids with no reference: {sorted(by_id.keys() - aligned.keys())[:5]}")
-    return list(aligned.values())
-
-
-def _doc_counts(projected: AnnotatedText, reference: AnnotatedText, threshold: float) -> tuple[int, int, int]:
-    """(tp, fp, fn): a true positive is a corresponding pair whose surface strings reach the threshold."""
+def _doc_counts(projected: AnnotatedText, by_tag: dict, reference: AnnotatedText, threshold: float) -> tuple:
+    """(tp, fp, fn), ``by_tag`` grouping the projected spans: a true positive is a pair reaching the threshold."""
     tp = sum(
         _reaches(projected.span_text(projected.spans[i]), reference.span_text(reference.spans[j]), threshold)
-        for i, j in corresponding(projected.spans, reference.spans)
+        for i, j in corresponding(by_tag, reference.spans)
     )
     return tp, len(projected.spans) - tp, len(reference.spans) - tp
 
@@ -83,16 +62,15 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
 
-def _prf(pairs: Iterable[tuple[AnnotatedText, AnnotatedText]], threshold: float) -> PRF:
-    """Micro-aggregated counts over aligned (projected, reference) pairs."""
-    check_threshold(threshold)
-    tp = fp = fn = 0
-    for projected, reference in pairs:
-        dt, dp, dn = _doc_counts(projected, reference, threshold)
-        tp += dt
-        fp += dp
-        fn += dn
-    return PRF.from_counts(tp, fp, fn)
+def _tally(projected: Iterable, reference: Iterable, marker_matches: Mapping, **options) -> ReportAccumulator:
+    """A :class:`ReportAccumulator` fed every projected document that has a reference, then checked."""
+    counts = ReportAccumulator(reference, **options)
+    for doc in projected:
+        ref = counts.reference_for(doc.id)
+        if ref is not None:
+            counts.add(doc, occurrences(doc.spans), ref, marker_matches.get(doc.id))
+    counts.check()
+    return counts
 
 
 def label_match_f1(
@@ -107,7 +85,7 @@ def label_match_f1(
     corresponding reference span, or whose similarity falls below the
     threshold, is a false positive; the mirror cases are false negatives.
     """
-    return _prf(zip(_align(projected, reference), reference), threshold)
+    return _tally(projected, reference, {}, threshold=threshold).prf()
 
 
 def markers_match(source: TaggedText, hypothesis: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> bool:
@@ -204,6 +182,80 @@ class EvalReport(NamedTuple):
         return render_table(header, body)
 
 
+class ReportAccumulator:
+    """A report fed one projected document at a time, paired with the reference document of its id, read in step:
+    one read before it is asked for waits in an index by id, empty while both sides come in one order."""
+
+    def __init__(self, reference: Iterable, dataset: str = "dataset", threshold: float = DEFAULT_THRESHOLD):
+        self.dataset = dataset
+        self.threshold = threshold
+        self._reference = enumerate(reference)
+        self._ahead: dict[str, tuple[int, AnnotatedText]] = {}  # id -> (position, document), not yet asked for
+        self._asked: dict[str, bool] = {}  # each projected id -> whether the reference has it
+        self._repeat: tuple[int, str] | None = None  # the first repeated reference id's position and message
+        self._rows: dict[str, list[int]] = {}  # language -> [examples, spans, tp, fp, fn, flags, true flags]
+
+    def _read_until(self, doc_id: str | None) -> AnnotatedText | None:
+        """Read the reference up to the document with id ``doc_id``, indexing every other document read."""
+        for position, ref in self._reference:
+            if ref.id in self._ahead or ref.id in self._asked:
+                self._repeat = self._repeat or (position, f"duplicate id {ref.id!r} on the reference side")
+            elif ref.id == doc_id:
+                return ref
+            else:
+                self._ahead[ref.id] = (position, ref)
+        return None
+
+    def reference_for(self, doc_id: str) -> AnnotatedText | None:
+        """The reference document with id ``doc_id``, or None; an id asked for twice is an AlignmentError."""
+        if doc_id in self._asked:
+            raise AlignmentError("duplicate ids among projected documents")
+        found = self._ahead.pop(doc_id, None)
+        ref = found[1] if found else self._read_until(doc_id)
+        self._asked[doc_id] = ref is not None
+        return ref
+
+    def add(self, projected: AnnotatedText, by_tag: dict, reference: AnnotatedText, matched: bool | None) -> None:
+        """Count one pair: ``by_tag`` is ``occurrences(projected.spans)``, ``matched`` its match flag or None."""
+        tp, fp, fn = _doc_counts(projected, by_tag, reference, self.threshold)
+        row = self._rows.setdefault(reference.lang, [0] * 7)
+        for k, count in enumerate((1, len(reference.spans), tp, fp, fn, matched is not None, bool(matched))):
+            row[k] += count
+
+    def check(self) -> None:
+        """Read the rest of the reference, then raise :class:`AlignmentError` on the first reference document,
+        in reference order, whose id repeats or was never asked for, else on projected ids with no reference."""
+        self._read_until(None)
+        problems = [self._repeat] if self._repeat else []
+        problems += [(at, f"reference id {i!r} has no projected document") for i, (at, _) in self._ahead.items()]
+        if problems:
+            raise AlignmentError(min(problems)[1])
+        missing = sorted(doc_id for doc_id, found in self._asked.items() if not found)
+        if missing:
+            raise AlignmentError(f"projected ids with no reference: {missing[:5]}")
+
+    def prf(self) -> PRF:
+        """The micro-aggregated counts of every pair."""
+        check_threshold(self.threshold)
+        _, _, tp, fp, fn, _, _ = map(sum, zip(*self._rows.values(), [0] * 7))
+        return PRF.from_counts(tp, fp, fn)
+
+    def report(self) -> EvalReport:
+        """One row per language, sorted; :class:`EmptyInputError` with no pairs."""
+        if not self._rows:
+            raise EmptyInputError("no groups to report on")
+        rows = [
+            ReportRow(lang, self.dataset, examples, spans, PRF.from_counts(tp, fp, fn), true / flags if flags else None)
+            for lang, (examples, spans, tp, fp, fn, flags, true) in sorted(self._rows.items())
+        ]
+        examples, spans, _, _, _, flags, true = map(sum, zip(*self._rows.values()))
+        total = ReportRow("(all)", "(all)", examples, spans, self.prf(), true / flags if flags else None)
+        macro_p = sum(r.prf.precision for r in rows) / len(rows)
+        macro_r = sum(r.prf.recall for r in rows) / len(rows)
+        macro_f = sum(r.prf.f1 for r in rows) / len(rows)
+        return EvalReport(tuple(rows), total, macro_p, macro_r, macro_f)
+
+
 def build_report(
     projected: Sequence[AnnotatedText],
     reference: Sequence[AnnotatedText],
@@ -219,28 +271,4 @@ def build_report(
     flags of its reference ids, and is ``None`` when it has none. Rows sort
     by language. Raises :class:`EmptyInputError` with no reference documents.
     """
-    by_lang: dict[str, list[tuple[AnnotatedText, AnnotatedText]]] = {}
-    for proj, ref in zip(_align(projected, reference), reference):
-        by_lang.setdefault(ref.lang, []).append((proj, ref))
-    if not by_lang:
-        raise EmptyInputError("no groups to report on")
-
-    flags_by_id = marker_matches or {}
-    rows: list[ReportRow] = []
-    matches = n_pairs = 0
-    for lang in sorted(by_lang):
-        pairs = by_lang[lang]
-        flags = [flags_by_id[ref.id] for _, ref in pairs if ref.id in flags_by_id]
-        rate = sum(flags) / len(flags) if flags else None
-        matches += sum(flags)
-        n_pairs += len(flags)
-        n_spans = sum(len(ref.spans) for _, ref in pairs)
-        rows.append(ReportRow(lang, dataset, len(pairs), n_spans, _prf(pairs, threshold), rate))
-
-    prf = PRF.from_counts(sum(r.prf.tp for r in rows), sum(r.prf.fp for r in rows), sum(r.prf.fn for r in rows))
-    global_rate = matches / n_pairs if n_pairs else None
-    total = ReportRow("(all)", "(all)", sum(r.examples for r in rows), sum(r.spans for r in rows), prf, global_rate)
-    macro_p = sum(r.prf.precision for r in rows) / len(rows)
-    macro_r = sum(r.prf.recall for r in rows) / len(rows)
-    macro_f = sum(r.prf.f1 for r in rows) / len(rows)
-    return EvalReport(tuple(rows), total, macro_p, macro_r, macro_f)
+    return _tally(projected, reference, marker_matches or {}, dataset=dataset, threshold=threshold).report()

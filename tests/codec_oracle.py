@@ -188,8 +188,9 @@ def oracle_with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> Anno
 
 
 def oracle_project(docs, backend, src_lang, tgt_lang, scheme=MarkerScheme.XML):
-    """``project`` one step at a time: encode, translate, decode in the hypothesis's language, relabel
-    every span (XML only), then move the document to ``tgt_lang``; the match flag compares signatures."""
+    """``list(project(...))`` one step at a time, over every document in one batch: encode, translate, decode
+    in the hypothesis's language, relabel every span (XML only), then move the document to ``tgt_lang``; the
+    match flag compares signatures, and the last item groups the span positions by tag."""
     sources = [encode(doc, scheme) for doc in docs]
     hypotheses = backend.translate_batch(sources, src_lang, tgt_lang)
     results = []
@@ -198,5 +199,5 @@ def oracle_project(docs, backend, src_lang, tgt_lang, scheme=MarkerScheme.XML):
         if scheme is MarkerScheme.XML:
             projected = oracle_with_source_labels(projected, doc)
         matched = signature(encoded, scheme) == signature(hypothesis, scheme)
-        results.append((projected._replace(lang=tgt_lang), diagnostics, matched))
+        results.append((projected._replace(lang=tgt_lang), diagnostics, matched, occurrences(projected.spans)))
     return results

@@ -292,6 +292,29 @@ def test_http_translate_closes_its_connections_when_a_chunk_fails():
     assert sorted(closed) == sorted(opened)
 
 
+@pytest.mark.parametrize("fail", [False, True], ids=["clean", "failing-batch"])
+def test_http_translate_keeps_its_slots_for_a_with_block_and_then_closes_them(fail):
+    def behavior(path, body, headers):
+        if body["texts"] == ["text9"] and fail:
+            return 400, {"error": "no"}
+        return 200, {"translations": [f"out:{t}" for t in body["texts"]]}
+
+    connections: list = []
+    texts = [tt(str(i), f"text{i}") for i in range(12)]
+    outs = []
+    with http_server(behavior, keep_alive=True, connections=connections) as url:
+        backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=3, timeout=10)
+        with no_unclosed_sockets(), suppress(BackendError):
+            with backend:
+                for start in range(0, 12, 4):
+                    outs += backend.translate_batch(texts[start : start + 4], "en", "de", start)
+                    opened_before_exit = len([event for event, _ in connections if event == "open"])
+        opened, closed = _wait_until_all_closed(connections)
+    assert [t.tagged for t in outs] == [f"out:text{i}" for i in range(8 if fail else 12)]
+    assert 1 <= opened_before_exit == len(opened) <= 3  # three batches, and no slot opened a second connection
+    assert sorted(closed) == sorted(opened)  # leaving the block closes them, whether or not a batch failed
+
+
 @pytest.mark.parametrize("slots", [1, 3])
 def test_http_translate_sends_no_chunk_after_one_fails(slots):
     seen = []

@@ -30,10 +30,12 @@ from labelproj import (
     load,
     model,
     prepare_training_corpus,
+    read_diagnostics,
 )
-from labelproj.cli import build_parser, main, make_backend, make_scorer
+from labelproj.cli import WINDOW_ROUNDS, build_parser, main, make_backend, make_scorer
 from labelproj.backends import MAX_IN_FLIGHT, ConstantScorer, IdentityBackend, TagDropperBackend, TagShufflerBackend
 
+from codec_oracle import oracle_project
 from conftest import make_doc
 from test_acceptance import _random_doc
 
@@ -395,6 +397,171 @@ def test_project_scans_and_validates_each_document_at_most_twice(tmp_path, monke
 def test_project_validates_each_record_that_may_have_diagnostics_once_per_load(tmp_path, monkeypatch, doc):
     docs = [doc._replace(id=f"d{i}") for i in range(200)]
     assert _count_project_calls(tmp_path, monkeypatch, docs)["validate"] == 2 * len(docs)
+
+
+# ---------------------------------------------------------- project in windows
+
+# --batch-size 2 --max-in-flight 3: one window, the documents project holds at a time.
+WINDOW = 2 * 3 * WINDOW_ROUNDS
+WINDOW_FLAGS = ["--batch-size", "2", "--max-in-flight", "3"]
+
+
+@pytest.mark.parametrize("scheme", ["xml", "brackets"])
+@pytest.mark.parametrize("backend", ["drop:0.3", "shuffle"])
+def test_project_in_windows_gives_what_one_batch_gives(tmp_path, backend, scheme):
+    # The seeded backends draw by each document's position in the whole run, not in its window.
+    rng = random.Random(0x3D0C)
+    docs = [_random_doc(rng, f"d{i}") for i in range(3 * WINDOW + 5)]
+    annotated, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    for n in (WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 5):
+        dump(docs[:n], annotated)
+        assert main([
+            "project", "-i", str(annotated), "-o", str(out), "--backend", backend, "--seed", "5", "--scheme", scheme,
+            "--src-lang", "en", "--tgt-lang", "de", *WINDOW_FLAGS,
+        ]) == 0
+        translator = make_backend(backend, 5, 2, 3, codec.MarkerScheme(scheme))
+        expected = oracle_project(docs[:n], translator, "en", "de", codec.MarkerScheme(scheme))
+        assert load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out))[0] == [doc for doc, *_ in expected]
+        _, load_diags = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=annotated))
+        groups = [(None, load_diags)] * bool(load_diags) + [(doc.id, diags) for doc, diags, *_ in expected if diags]
+        assert read_diagnostics(tmp_path / "out.jsonl.diagnostics.jsonl") == groups
+
+
+# A small process that spawns its arguments and prints their exit code and peak RSS in KiB. On Linux a
+# child's ru_maxrss counts what its parent held when it was spawned, so pytest must not be that parent.
+_SPAWN_AND_MEASURE = (
+    "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ); "
+    "_, status, usage = os.wait4(pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_project_peak_memory_does_not_grow_with_its_input(tmp_path):
+    rng = random.Random(0x3E3)
+    docs = [_random_doc(rng, f"d{i}") for i in range(10_000)]
+    env = dict(os.environ, PYTHONPATH=str(Path(labelproj.__file__).parents[1]))
+    peak_mib = {}
+    for n in (1_000, 10_000):
+        annotated = tmp_path / f"in{n}.jsonl"
+        dump(docs[:n], annotated)
+        argv = [sys.executable, "-m", "labelproj.cli", "project", "-i", str(annotated), "-o", str(tmp_path / "out.jsonl"),
+                "--reference", str(annotated), "--backend", "drop:0.3", "--src-lang", "en", "--tgt-lang", "de",
+                "--report-out", str(tmp_path / "report.txt"), "--error-budget", "0"]
+        run = subprocess.run([sys.executable, "-S", "-c", _SPAWN_AND_MEASURE, *argv], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        code, peak_kib = run.stdout.split()
+        assert code == "0", run.stderr
+        peak_mib[n] = int(peak_kib) / 1024
+    # On a 2-core Linux host, holding every document grew the peak by 32.5 MiB; a window at a time grew it
+    # by 0.8 MiB, mostly the ids it keeps.
+    assert peak_mib[10_000] - peak_mib[1_000] < 4.0, peak_mib
+
+
+class _FailingTranslator(BaseHTTPRequestHandler):
+    """Echoes each chunk, but answers 400 to a chunk with "FAIL" in a text; counts requests on the server."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):  # noqa: N802 (stdlib naming)
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+        self.server.requests.append(texts)
+        failed = any("FAIL" in text for text in texts)
+        data = json.dumps({"error": "no"} if failed else {"translations": texts}).encode("utf-8")
+        self.send_response(400 if failed else 200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def failing_translator():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FailingTranslator)
+    server.requests = []
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# Each class of error project can meet, in the order a run that read both files whole would meet them:
+# (exit code, message) when it sits late, at document 13 of 16, in the last of four windows of four.
+STREAM_ERRORS = {
+    "input": (2, "1 rejected records exceed budget of 0"),
+    "reference": (2, "1 rejected records exceed budget of 0"),
+    "duplicate-id": (1, "duplicate ids among projected documents"),
+    "backend": (1, 'backend returned HTTP 400: {"error": "no"}'),
+}
+# The same classes, and the report's alignment last, as they are planted early: at document 1, or at the
+# reference's first line, where the reference's error is another one.
+EARLY_ERRORS = ("reference", "duplicate-id", "backend", "alignment")
+
+
+def _plant(kind: str, at: int, docs: list, reference: list) -> None:
+    """Put an error of class ``kind`` at document ``at`` of ``docs`` and ``reference``, lists of JSONL lines."""
+    if kind == "input":
+        docs[at] = "not json\n"
+    elif kind == "reference":
+        reference[at] = '{"id": "x"}\n' if at == 0 else "not json\n"
+    elif kind == "duplicate-id":
+        docs[at] = docs[at].replace(f'"d{at}"', f'"d{at - 1}"')
+    elif kind == "backend":
+        docs[at] = docs[at].replace(f'"doc {at}"', f'"doc {at} FAIL"')
+    else:
+        reference[at] = ""
+
+
+@pytest.mark.parametrize("late, early", [
+    (late, early) for i, late in enumerate(STREAM_ERRORS) for early in EARLY_ERRORS[i:]
+])
+def test_a_streamed_project_run_reports_the_error_a_whole_read_would(tmp_path, capsys, failing_translator, late, early):
+    # The lower-ranked error sits in the first window: the run translates no further window, reads both files to
+    # their ends, and fails as a run that read them whole before translating would, leaving every output as it was.
+    lines = [json.dumps({"id": f"d{i}", "lang": "en", "text": f"doc {i}", "spans": [{"tag": "a", "start": 0,
+                                                                                     "end": 3}]}) + "\n"
+             for i in range(16)]
+    docs, reference = lines[:], lines[:]
+    _plant(late, 13, docs, reference)
+    _plant(early, 0 if early == "reference" else 1, docs, reference)
+    (tmp_path / "in.jsonl").write_text("".join(docs))
+    (tmp_path / "ref.jsonl").write_text("".join(reference))
+    outputs = {name: f"old {name}\n".encode() for name in ("out.jsonl", "out.jsonl.diagnostics.jsonl", "report.json")}
+    for name, data in outputs.items():
+        (tmp_path / name).write_bytes(data)
+    code, message = STREAM_ERRORS[late]
+    assert main([
+        "project", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl"),
+        "--reference", str(tmp_path / "ref.jsonl"), "--report-out", str(tmp_path / "report.json"),
+        "--backend", f"http://127.0.0.1:{failing_translator.server_port}", "--src-lang", "en", "--tgt-lang", "de",
+        "--batch-size", "1", "--max-in-flight", "1",
+    ]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {name: (tmp_path / name).read_bytes() for name in outputs} == outputs
+    assert list(tmp_path.glob("*.tmp")) == []
+    # After an error no window is translated; only the report's alignment is found after the backend has run.
+    if early == "alignment":  # every window before the late error's; its own too if that is the backend's
+        sent = {"input": 12, "reference": 0, "duplicate-id": 12, "backend": 14}[late]
+    else:  # none, or the first window's up to the failing chunk
+        sent = {"reference": 0, "duplicate-id": 0, "backend": 2}[early]
+    assert sum(map(len, failing_translator.requests)) == sent
+
+
+def test_project_sends_the_chunks_one_batch_would(tmp_path, failing_translator):
+    rng = random.Random(0xC4)
+    docs = [_random_doc(rng, f"d{i}") for i in range(2 * WINDOW + 1)]
+    dump(docs, tmp_path / "in.jsonl")
+    assert main([
+        "project", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl"), *WINDOW_FLAGS,
+        "--backend", f"http://127.0.0.1:{failing_translator.server_port}", "--src-lang", "en", "--tgt-lang", "de",
+    ]) == 0
+    texts = [codec.encode(doc).tagged for doc in docs]
+    chunks = [texts[i : i + 2] for i in range(0, len(texts), 2)]
+    assert sorted(failing_translator.requests) == sorted(chunks)
 
 
 def test_project_uses_env_backend(tmp_path, monkeypatch):
@@ -852,8 +1019,8 @@ def test_tagswap_and_prep_honour_error_budget(tmp_path, capsys):
 
     read_diags = json.loads((out_dir / "provenance.json").read_text())["read_diagnostics"]
     assert [(d["code"], d["offset"]) for d in read_diags] == [("MALFORMED_RECORD", 2)]
-    swap_diags = [json.loads(line) for line in (tmp_path / "swapped.jsonl.diagnostics.jsonl").read_text().splitlines()]
-    assert [(d["code"], d["offset"]) for d in swap_diags] == [("MALFORMED_RECORD", 2)]
+    [(doc_id, swap_diags)] = read_diagnostics(tmp_path / "swapped.jsonl.diagnostics.jsonl")
+    assert doc_id is None and [(d.code, d.offset) for d in swap_diags] == [("MALFORMED_RECORD", 2)]
     assert len((tmp_path / "swapped.jsonl").read_text().splitlines()) == 1
 
 

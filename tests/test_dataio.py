@@ -25,6 +25,7 @@ from labelproj import (
     dump,
     ingest_qa,
     load,
+    read_diagnostics,
 )
 from labelproj import dataio
 from labelproj.dataio import read_qa_tree
@@ -380,6 +381,30 @@ def test_dump_refuses_items_outside_one_format_and_keeps_the_old_file(tmp_path, 
         dump(items, target)
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+DIAGNOSTICS = st.builds(
+    Diagnostic,
+    st.sampled_from(["error", "warning", "info"]),
+    st.sampled_from(["MALFORMED_RECORD", "ORPHAN_CLOSE", "X"]),
+    st.text(max_size=8),
+    st.one_of(st.none(), st.integers(0, 10**9)),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.one_of(st.none(), st.text(max_size=3)), st.lists(DIAGNOSTICS, max_size=3)), max_size=6))
+def test_read_diagnostics_inverts_write_diagnostics(tmp_path_factory, groups):
+    path = tmp_path_factory.mktemp("sidecar") / "diagnostics.jsonl"
+    dataio.write_diagnostics(path, groups)
+    # A sidecar keeps no empty group, and one group's lines cannot be told from the next's when both have one id.
+    merged: list = []
+    for doc_id, diags in groups:
+        if diags and merged and merged[-1][0] == doc_id:
+            merged[-1][1].extend(diags)
+        elif diags:
+            merged.append((doc_id, list(diags)))
+    assert read_diagnostics(path) == merged
 
 
 def test_write_diagnostics_keeps_group_order_and_adds_an_id_only_to_a_document_group(tmp_path):

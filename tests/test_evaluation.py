@@ -16,6 +16,7 @@ from labelproj import (
     projection_rate,
 )
 
+from labelproj.codec import occurrences
 from labelproj.evaluation import _doc_counts
 
 from conftest import make_doc
@@ -123,7 +124,8 @@ THRESHOLDS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 @example(make_doc("ab", []), make_doc("ab", [Span("b", 0, 2), Span("b", 1, 2)]), 1.0)
 @example(make_doc("aab", [Span("a", 0, 1), Span("a", 1, 2)]), make_doc("ab", [Span("a", 0, 1)]), 1.0)
 def test_doc_counts_equal_the_per_occurrence_tally(projected, reference, threshold):
-    assert _doc_counts(projected, reference, threshold) == oracle_doc_counts(projected, reference, threshold)
+    by_tag = occurrences(projected.spans)
+    assert _doc_counts(projected, by_tag, reference, threshold) == oracle_doc_counts(projected, reference, threshold)
 
 
 def test_document_reordering_is_invariant():
