@@ -32,7 +32,7 @@ from .corpus import (
     prepare_training_corpus,
     tag_swap,
 )
-from .dataio import DatasetFormat, DatasetHandle, dump, ingest_qa, load, read_diagnostics
+from .dataio import DatasetFormat, dump, ingest_qa, load, read_diagnostics
 from .errors import (
     AlignmentError,
     BackendError,
@@ -59,7 +59,6 @@ __all__ = [
     "BackendUnreachableError",
     "ConstantScorer",
     "DatasetFormat",
-    "DatasetHandle",
     "Diagnostic",
     "DirectedExample",
     "EmptyInputError",

@@ -50,8 +50,9 @@ def _check_languages(src_lang: str, tgt_lang: str) -> None:
 
 
 class TranslationBackend(abc.ABC):
-    """Order-preserving batch translator: output[i] corresponds to input[i], and no input gives no output. ``start``
-    is ``texts[0]``'s position in the run. In a ``with`` block, a backend may keep what its batches open."""
+    """Order-preserving batch translator: output[i] is input[i] translated, with its id, in ``tgt_lang``; no input
+    gives no output. ``start`` is ``texts[0]``'s position in the run. In a ``with`` block, a backend may keep what its
+    batches open."""
 
     @abc.abstractmethod
     def translate_batch(
@@ -66,41 +67,39 @@ class TranslationBackend(abc.ABC):
 
 
 class IdentityBackend(TranslationBackend):
-    """Returns its inputs verbatim; the no-model reference backend."""
+    """Returns its inputs' texts verbatim; the no-model reference backend."""
 
     def translate_batch(
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
     ) -> list[TaggedText]:
         _check_languages(src_lang, tgt_lang)
-        return list(texts)
+        return [TaggedText(text.id, tgt_lang, text.tagged) for text in texts]
 
 
 _Pair = tuple[int, MarkerToken, MarkerToken]  # (rank, open, close), as ``scan_markers`` pairs them
 
 
 class _SeededMarkerBackend(TranslationBackend):
-    """Rewrites the marker pairs of ``scheme`` in each text, drawing from a
-    generator seeded by ``seed``, the text's position in the run and its id."""
+    """Rewrites the marker pairs of ``scheme`` in each tagged string, drawing from
+    a generator seeded by ``seed``, the text's position in the run and its id."""
 
     def __init__(self, seed: int = 0, scheme: MarkerScheme = MarkerScheme.XML):
         self.seed = seed
         self.scheme = scheme
 
     @abc.abstractmethod
-    def _rewrite(self, text: TaggedText, pairs: list[_Pair], rng: random.Random) -> TaggedText: ...
+    def _rewrite(self, tagged: str, pairs: list[_Pair], rng: random.Random) -> str: ...
 
     def translate_batch(
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
     ) -> list[TaggedText]:
         _check_languages(src_lang, tgt_lang)
-        return [
-            self._rewrite(
-                text,
-                scan_markers(text.tagged, self.scheme).pairs,
-                random.Random(derive_seed(self.seed, f"{i}:{text.id}")),
-            )
-            for i, text in enumerate(texts, start)
-        ]
+        out = []
+        for i, text in enumerate(texts, start):
+            rng = random.Random(derive_seed(self.seed, f"{i}:{text.id}"))
+            tagged = self._rewrite(text.tagged, scan_markers(text.tagged, self.scheme).pairs, rng)
+            out.append(TaggedText(text.id, tgt_lang, tagged))
+        return out
 
 
 class TagShufflerBackend(_SeededMarkerBackend):
@@ -111,9 +110,9 @@ class TagShufflerBackend(_SeededMarkerBackend):
     and the marker signature never changes.
     """
 
-    def _rewrite(self, text: TaggedText, pairs: list[_Pair], rng: random.Random) -> TaggedText:
+    def _rewrite(self, tagged: str, pairs: list[_Pair], rng: random.Random) -> str:
         if len(pairs) < 2:
-            return text
+            return tagged
         regions = [(open_t.start, close_t.end) for _, open_t, close_t in pairs]  # in opening order
         blocks: list[list[int]] = []
         for start, end in regions:
@@ -122,18 +121,17 @@ class TagShufflerBackend(_SeededMarkerBackend):
             else:
                 blocks.append([start, end])
         if len(blocks) < 2:
-            return text
-        raw = text.tagged
-        segments = [raw[s:e] for s, e in blocks]
+            return tagged
+        segments = [tagged[s:e] for s, e in blocks]
         rng.shuffle(segments)
         pieces: list[str] = []
         cursor = 0
         for (start, end), segment in zip(blocks, segments):
-            pieces.append(raw[cursor:start])
+            pieces.append(tagged[cursor:start])
             pieces.append(segment)
             cursor = end
-        pieces.append(raw[cursor:])
-        return TaggedText(text.id, text.lang, "".join(pieces))
+        pieces.append(tagged[cursor:])
+        return "".join(pieces)
 
 
 class TagDropperBackend(_SeededMarkerBackend):
@@ -145,10 +143,10 @@ class TagDropperBackend(_SeededMarkerBackend):
         super().__init__(seed, scheme)
         self.q = q
 
-    def _rewrite(self, text: TaggedText, pairs: list[_Pair], rng: random.Random) -> TaggedText:
+    def _rewrite(self, tagged: str, pairs: list[_Pair], rng: random.Random) -> str:
         # One draw per pair, in opening order: seeded outputs depend on it.
         doomed = sorted((t for _, o, c in pairs if rng.random() < self.q for t in (o, c)), key=lambda t: t.start)
-        return TaggedText(text.id, text.lang, _strip(text.tagged, doomed)) if doomed else text
+        return _strip(tagged, doomed)
 
 
 def _hostport(netloc: str, default: int) -> tuple[str, int]:

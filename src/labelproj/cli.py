@@ -32,7 +32,6 @@ from .codec import MarkerScheme, _place_markers, decode, encode, project, signat
 from .corpus import filter_parallel_qa, pair_qa_contexts, prepare_training_corpus, tag_swap
 from .dataio import (
     DatasetFormat,
-    DatasetHandle,
     atomic_write_text,
     dump,
     ingest_qa,
@@ -43,7 +42,9 @@ from .dataio import (
     write_records,
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError, UsageError
-from .evaluation import ReportAccumulator, build_report, check_threshold, markers_match, render_table
+from .evaluation import (
+    DEFAULT_DATASET, DEFAULT_THRESHOLD, ReportAccumulator, build_report, check_threshold, markers_match, render_table
+)
 from .model import AnnotatedText, Diagnostic
 from .synth import InsertionMode, MarkerConfig, derive_seed, sample_corpus
 
@@ -153,9 +154,7 @@ def _report_options(args: argparse.Namespace) -> dict:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    docs, diagnostics = load(
-        DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(args.input)), args.error_budget
-    )
+    docs, diagnostics = load(Path(args.input), DatasetFormat.ANNOTATED_JSONL, args.error_budget)
     tagged = [_place_markers(doc, _scheme(args)) for doc in docs]  # load has validated each one
     dump(tagged, Path(args.output))
     print(f"encoded {len(tagged)} documents -> {Path(args.output)}", file=sys.stderr)
@@ -167,7 +166,7 @@ def _map_records(args: argparse.Namespace, fmt: DatasetFormat, convert: Callable
     """Load -i and map each item to (output, diagnostics): dump the outputs to -o and write load's
     diagnostics, then each item's under its id, to the sidecar. Returns the number of items."""
     _check_distinct_outputs(args)
-    items, load_diags = load(DatasetHandle(fmt, path=Path(args.input)), args.error_budget)
+    items, load_diags = load(Path(args.input), fmt, args.error_budget)
     results = [convert(item) for item in items]
     dump([output for output, _ in results], Path(args.output))
     write_diagnostics(
@@ -183,7 +182,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    lines, diagnostics = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
+    lines, diagnostics = load(Path(args.input), DatasetFormat.PLAIN_TEXT)
     config = MarkerConfig(InsertionMode(args.mode), args.p_open, args.p_close, args.seed, args.sequential_lengths)
     docs = sample_corpus(lines, config, args.src_lang)
     dump(docs, Path(args.output))
@@ -199,9 +198,7 @@ def cmd_tagswap(args: argparse.Namespace) -> int:
 
 
 def cmd_prep(args: argparse.Namespace) -> int:
-    pairs, read_diags = load(
-        DatasetHandle(DatasetFormat.RAW_MARKUP_JSONL, path=Path(args.input)), args.error_budget
-    )
+    pairs, read_diags = load(Path(args.input), DatasetFormat.RAW_MARKUP_JSONL, args.error_budget)
     corpus = prepare_training_corpus(pairs, dev_fraction=args.dev_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
     dump(corpus.train, out_dir / "train.jsonl")
@@ -240,7 +237,7 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
-    texts, diagnostics = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=Path(args.input)), args.error_budget)
+    texts, diagnostics = load(Path(args.input), DatasetFormat.TAGGED_JSONL, args.error_budget)
     translated = backend.translate_batch(texts, args.src_lang, args.tgt_lang)
     dump(translated, Path(args.output))
     print(f"translated {len(translated)} texts -> {Path(args.output)}", file=sys.stderr)
@@ -252,7 +249,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     diagnostics: list[Diagnostic] = []
 
     def read(fmt: DatasetFormat, path: str) -> list:
-        items, diags = load(DatasetHandle(fmt, path=Path(path)), args.error_budget)
+        items, diags = load(Path(path), fmt, args.error_budget)
         diagnostics.extend(diags)
         return items
 
@@ -300,12 +297,10 @@ def cmd_project(args: argparse.Namespace) -> int:
     _check_distinct_outputs(args)
     backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
     load_diags, reference_diags, decode_groups = [], [], []
-
-    def read(path: str, diagnostics: list[Diagnostic]) -> Iterator[AnnotatedText]:
-        return read_items(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=Path(path)), args.error_budget, diagnostics)
-
-    docs = read(args.input, load_diags)
-    counts = ReportAccumulator(read(args.reference, reference_diags) if args.reference else (), **_report_options(args))
+    annotated = DatasetFormat.ANNOTATED_JSONL
+    docs = read_items(Path(args.input), annotated, args.error_budget, load_diags)
+    gold = read_items(Path(args.reference), annotated, args.error_budget, reference_diags) if args.reference else ()
+    counts = ReportAccumulator(gold, **_report_options(args))
     size = args.batch_size * args.max_in_flight * WINDOW_ROUNDS
     failures: dict[int, Exception] = {}  # the first error of each rank above, counted from 1
     done = 0  # documents read
@@ -390,7 +385,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             other = cells.setdefault(name, config)
             if other is not config:
                 raise LabelProjError(f"cells ({other.p_open}, {other.p_close}) and ({p_open}, {p_close}) share {name}")
-    lines, diagnostics = load(DatasetHandle(DatasetFormat.PLAIN_TEXT, path=Path(args.input)))
+    lines, diagnostics = load(Path(args.input), DatasetFormat.PLAIN_TEXT)
     out_dir = Path(args.out_dir)
     scheme = _scheme(args)
     manifest = {
@@ -416,7 +411,7 @@ STATS_COLUMNS = ("language", "examples", "total_tags", "min_tags", "max_tags", "
 
 def cmd_stats(args: argparse.Namespace) -> int:
     fmt = DatasetFormat(args.format)
-    items, diagnostics = load(DatasetHandle(fmt, path=Path(args.input)), args.error_budget)
+    items, diagnostics = load(Path(args.input), fmt, args.error_budget)
     per_lang: dict[str, list[tuple[int, int]]] = {}
     for item in items:
         if fmt is DatasetFormat.ANNOTATED_JSONL:
@@ -489,8 +484,8 @@ def _add_report(parser: argparse.ArgumentParser) -> None:
     # Defaults are resolved where the report is built, so project can tell a given flag from a default.
     parser.add_argument("--report", choices=["csv", "json", "table"], default=None, help="default table")
     parser.add_argument("--report-out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--threshold", type=float, default=None, help="default 0.5")
-    parser.add_argument("--dataset", default=None, help="dataset name for report rows (default dataset)")
+    parser.add_argument("--threshold", type=float, default=None, help=f"default {DEFAULT_THRESHOLD}")
+    parser.add_argument("--dataset", default=None, help=f"dataset name for report rows (default {DEFAULT_DATASET})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tagswap)
 
     p = sub.add_parser("prep", help="raw markup pairs -> bidirectional train/dev corpus")
-    p.add_argument("--input", "-i", required=True)
+    _add_io(p, output=False)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--dev-fraction", type=float, default=0.05)
     _add_shared(p, "--seed", "--error-budget")
@@ -567,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("sweep", help="generate tagged corpora over a (p_open, p_close) grid")
-    p.add_argument("--input", "-i", required=True)
+    _add_io(p, output=False)
     p.add_argument("--out-dir", required=True)
     _add_shared(p, "--scheme", "--seed")
     p.add_argument("--mode", choices=[m.value for m in InsertionMode], default="complex")
@@ -581,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("stats", help="per-language tag statistics for a dataset")
-    p.add_argument("--input", "-i", required=True)
+    _add_io(p, output=False)
     p.add_argument("--format", choices=["annotated", "tagged"], default="annotated")
     p.add_argument("--report", choices=["table", "json"], default="table")
     _add_shared(p, "--scheme", "--error-budget")

@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cache
 from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
 
-from .errors import InvalidAnnotationError
+from .errors import AlignmentError, InvalidAnnotationError
 from .model import (
     MARKER_RE,
     SEVERITY_INFO,
@@ -202,11 +202,11 @@ def decode(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> tuple
 
     Output spans are sorted by (start, longest first, tag sequence order).
     """
-    return _decode(tagged, scheme, tagged.lang)[:2]
+    return _decode(tagged, scheme)[:2]
 
 
-def _decode(tagged: TaggedText, scheme: MarkerScheme, lang: str) -> tuple[AnnotatedText, list[Diagnostic], MarkerScan]:
-    """:func:`decode` into language ``lang``, plus the scan it made: its tokens are what ``signature`` counts."""
+def _decode(tagged: TaggedText, scheme: MarkerScheme) -> tuple[AnnotatedText, list[Diagnostic], MarkerScan]:
+    """:func:`decode`, plus the scan it made: its tokens are what ``signature`` counts."""
     scan = scan_markers(tagged.tagged, scheme)
     end = len(scan.text)
     xml = scheme is MarkerScheme.XML  # bracket spans are named in opening order
@@ -222,7 +222,7 @@ def _decode(tagged: TaggedText, scheme: MarkerScheme, lang: str) -> tuple[Annota
         diagnostics.append(Diagnostic(SEVERITY_WARNING, "UNCLOSED_OPEN", message, offset=token.start))
     spans.sort(key=lambda s: (s.start, -s.end, _tag_sort_key(s.tag)))
     diagnostics.sort(key=lambda d: d.offset)  # every one has an offset, and no two the same
-    return AnnotatedText(id=tagged.id, lang=lang, text=scan.text, spans=tuple(spans)), diagnostics, scan
+    return AnnotatedText(id=tagged.id, lang=tagged.lang, text=scan.text, spans=tuple(spans)), diagnostics, scan
 
 
 def signature(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> Counter[tuple[str, MarkerKind]]:
@@ -287,13 +287,20 @@ def project(
 ) -> Iterator[tuple[AnnotatedText, list[Diagnostic], bool, dict[str, list[int]]]]:
     """Encode and translate validated ``docs`` in one batch; return an iterator that decodes them, giving per input
     in order the projected document in ``tgt_lang`` (XML spans keep source labels), its decode diagnostics, whether
-    the translation kept the source's markers, and its spans' :func:`occurrences`. ``start``: ``docs[0]``'s position."""
+    the translation kept the source's markers, and its spans' :func:`occurrences`. ``start``: ``docs[0]``'s position.
+    :class:`AlignmentError` before any decoding unless the backend answers each input with its id in ``tgt_lang``."""
     sources = [_place_markers(doc, scheme) for doc in docs]
     hypotheses = backend.translate_batch(sources, src_lang, tgt_lang, start)
+    if len(hypotheses) != len(sources):
+        raise AlignmentError(f"{len(hypotheses)} translations returned for {len(sources)} texts")
+    for i, (source, hypothesis) in enumerate(zip(sources, hypotheses), start):
+        if (hypothesis.id, hypothesis.lang) != (source.id, tgt_lang):
+            message = f"translation {i} is {hypothesis.id!r} in {hypothesis.lang!r}, not {source.id!r} in {tgt_lang!r}"
+            raise AlignmentError(message)
 
     def results():
         for doc, encoded, hypothesis in zip(docs, sources, hypotheses):
-            projected, diagnostics, scan = _decode(hypothesis, scheme, tgt_lang)
+            projected, diagnostics, scan = _decode(hypothesis, scheme)
             matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in scan.tokens)
             by_tag = occurrences(projected.spans)
             if scheme is MarkerScheme.XML:

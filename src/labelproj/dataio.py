@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import chain, groupby, islice
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping
 
 from .codec import tag_name
 from .corpus import DirectedExample, RawMarkupPair
@@ -33,7 +33,6 @@ from .model import (
     Span,
     TaggedText,
     has_errors,
-    record_type,
     validate,
 )
 
@@ -61,12 +60,6 @@ _LAYOUTS = {
     DatasetFormat.RAW_MARKUP_JSONL: (RawMarkupPair, RawMarkupPair._fields),
 }
 _ITEM_KEYS = dict(_LAYOUTS.values())  # the keys of each item type, for the writer
-
-
-@record_type
-class DatasetHandle(NamedTuple):
-    format: DatasetFormat
-    path: Path
 
 
 def _lines(path: Path) -> Iterator[str]:
@@ -102,7 +95,7 @@ def read_qa_tree(path: Path) -> Any:
         raise FormatError(f"{path}: QA JSON does not parse: {exc}") from exc
 
 
-def read_items(handle: DatasetHandle, error_budget: int, diagnostics: list[Diagnostic]) -> Iterator[Any]:
+def read_items(path: Path, fmt: DatasetFormat, error_budget: int, diagnostics: list[Diagnostic]) -> Iterator[Any]:
     """Yield a dataset's items in record order, appending each diagnostic to ``diagnostics`` when it is found.
 
     A rejected record is skipped and its diagnostics carry its line number:
@@ -114,8 +107,8 @@ def read_items(handle: DatasetHandle, error_budget: int, diagnostics: list[Diagn
     """
     errors = 0
     first_checked = False
-    for lineno, line in enumerate(_lines(handle.path), start=1):
-        if handle.format is DatasetFormat.PLAIN_TEXT:
+    for lineno, line in enumerate(_lines(path), start=1):
+        if fmt is DatasetFormat.PLAIN_TEXT:
             text = TaggedText(str(lineno), "", line.rstrip("\n"))
             # In a line without spans, validate finds only marker-shaped substrings: one MARKER_COLLISION each.
             diagnostics += [_at_line(d, lineno) for d in validate(AnnotatedText(text.id, "", text.tagged))]
@@ -128,9 +121,9 @@ def read_items(handle: DatasetHandle, error_budget: int, diagnostics: list[Diagn
             if not isinstance(record, dict):
                 raise FormatError("record is not a JSON object")
             if not first_checked:
-                _check_first_record(handle.format, record)
+                _check_first_record(fmt, record)
                 first_checked = True
-            item, record_diags = _parse_record(handle.format, record)
+            item, record_diags = _parse_record(fmt, record)
         except (FormatError, KeyError, TypeError, ValueError) as exc:
             # A lone surrogate is a malformed record, never an unreadable first record.
             if not first_checked and not isinstance(exc, UnicodeError):
@@ -148,10 +141,10 @@ def read_items(handle: DatasetHandle, error_budget: int, diagnostics: list[Diagn
         yield item
 
 
-def load(handle: DatasetHandle, error_budget: int = 0) -> tuple[list[Any], list[Diagnostic]]:
+def load(path: Path, fmt: DatasetFormat, error_budget: int = 0) -> tuple[list[Any], list[Diagnostic]]:
     """Every item of a dataset and the diagnostics of reading it, as :func:`read_items` gives them."""
     diagnostics: list[Diagnostic] = []
-    return list(read_items(handle, error_budget, diagnostics)), diagnostics
+    return list(read_items(path, fmt, error_budget, diagnostics)), diagnostics
 
 
 def _at_line(diag: Diagnostic, lineno: int) -> Diagnostic:

@@ -27,6 +27,7 @@ from .model import AnnotatedText, TaggedText, record_type
 from .similarity import _reaches
 
 DEFAULT_THRESHOLD = 0.5
+DEFAULT_DATASET = "dataset"
 
 
 @record_type
@@ -186,7 +187,7 @@ class ReportAccumulator:
     """A report fed one projected document at a time, paired with the reference document of its id, read in step:
     one read before it is asked for waits in an index by id, empty while both sides come in one order."""
 
-    def __init__(self, reference: Iterable, dataset: str = "dataset", threshold: float = DEFAULT_THRESHOLD):
+    def __init__(self, reference: Iterable, dataset: str = DEFAULT_DATASET, threshold: float = DEFAULT_THRESHOLD):
         self.dataset = dataset
         self.threshold = threshold
         self._reference = enumerate(reference)
@@ -261,7 +262,7 @@ def build_report(
     reference: Sequence[AnnotatedText],
     marker_matches: Mapping[str, bool] | None = None,
     *,
-    dataset: str = "dataset",
+    dataset: str = DEFAULT_DATASET,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> EvalReport:
     """Score projected documents against their references in one row per reference language.

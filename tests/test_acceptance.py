@@ -11,7 +11,6 @@ import time
 
 from labelproj import (
     DatasetFormat,
-    DatasetHandle,
     InsertionMode,
     MarkerConfig,
     MarkerScheme,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import _thread
 import base64
 import gc
 import json
@@ -48,7 +49,7 @@ TEXTS = [tt("1", "<a>John</a> here"), tt("2", "plain"), tt("3", "<a>x</a> <b>y</
 # ------------------------------------------------------------------- mocks
 
 def test_identity_returns_inputs_verbatim():
-    assert IdentityBackend().translate_batch(TEXTS, "en", "de") == TEXTS
+    assert IdentityBackend().translate_batch(TEXTS, "en", "de") == [t._replace(lang="de") for t in TEXTS]
 
 
 @pytest.mark.parametrize("make", [IdentityBackend, TagShufflerBackend, lambda: TagDropperBackend(0.5)])
@@ -339,6 +340,59 @@ def test_http_translate_sends_no_chunk_after_one_fails(slots):
     # hold one more chunk; none is taken after.
     assert sorted(seen, key=lambda t: int(t[4:])) == [f"text{i}" for i in range(len(seen))]
     assert 4 <= len(seen) <= 3 + slots
+
+
+@pytest.mark.parametrize("slots", [1, 3])
+def test_http_translate_interrupted_sends_no_further_chunk_and_waits_for_those_in_flight(slots):
+    seen, answered = [], []
+    interrupted = threading.Event()
+
+    def behavior(path, body, headers):
+        text = body["texts"][0]
+        seen.append(text)
+        if text == "text0":
+            time.sleep(0.05)  # the caller is waiting for results by now
+            _thread.interrupt_main()
+            interrupted.set()
+        else:
+            interrupted.wait(5)
+            time.sleep(0.2)  # still in flight when the caller handles the interrupt
+        answered.append(text)
+        return 200, {"translations": body["texts"]}
+
+    texts = [tt(str(i), f"text{i}") for i in range(40)]
+    with http_server(behavior, keep_alive=True) as url:
+        backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=slots, timeout=10)
+        with pytest.raises(KeyboardInterrupt), backend:
+            backend.translate_batch(texts, "en", "de")
+        # The with block has waited for every chunk in flight, and each slot's thread has ended.
+        assert sorted(answered) == sorted(seen)
+        assert not any(worker.is_alive() for worker in backend._workers)
+    # Each slot held one chunk when the interrupt came, and the slot that answered first may have taken one more
+    # before the caller saw it; none is taken after.
+    assert sorted(seen, key=lambda t: int(t[4:])) == [f"text{i}" for i in range(len(seen))]
+    assert slots <= len(seen) <= slots + 1
+
+
+LINE_BREAK = "a line break in the endpoint or the bearer token"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda url: HttpTranslationBackend(url, batch_size=0), "batch_size must be >= 1"),
+    (lambda url: HttpTranslationBackend(url, bearer_token="a\nb"), LINE_BREAK),
+    (lambda url: HttpTranslationBackend(url + "/x\r\nX-Injected: 1"), LINE_BREAK),
+    (lambda url: HttpScorerBackend(url, bearer_token="a\r"), LINE_BREAK),
+    (lambda url: HttpScorerBackend(url + "\n"), LINE_BREAK),
+], ids=["batch-size-0", "token-newline", "endpoint-crlf", "scorer-token-cr", "scorer-endpoint-newline"])
+def test_http_backends_refuse_a_bad_setting_before_any_request(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make("http://127.0.0.1:9")
+    assert str(excinfo.value) == message
+
+
+def test_http_scorer_refuses_no_pairs_before_any_request():
+    with pytest.raises(EmptyInputError, match="^score_batch requires at least one pair$"):
+        HttpScorerBackend("http://127.0.0.1:9").score_batch([])
 
 
 def test_http_retries_on_500_then_succeeds():

@@ -20,7 +20,6 @@ from hypothesis import assume, given, settings
 import labelproj
 from labelproj import (
     DatasetFormat,
-    DatasetHandle,
     RawMarkupPair,
     Span,
     TaggedText,
@@ -32,12 +31,15 @@ from labelproj import (
     prepare_training_corpus,
     read_diagnostics,
 )
-from labelproj.cli import WINDOW_ROUNDS, build_parser, main, make_backend, make_scorer
-from labelproj.backends import MAX_IN_FLIGHT, ConstantScorer, IdentityBackend, TagDropperBackend, TagShufflerBackend
+from labelproj.cli import MAX_SWEEP_CELLS, WINDOW_ROUNDS, build_parser, main, make_backend, make_scorer
+from labelproj.backends import (
+    MAX_IN_FLIGHT, ConstantScorer, HttpScorerBackend, IdentityBackend, TagDropperBackend, TagShufflerBackend
+)
 
 from codec_oracle import oracle_project
 from conftest import make_doc
 from test_acceptance import _random_doc
+from test_codec import _Answering
 
 
 def write_annotated(path, docs):
@@ -176,6 +178,11 @@ def test_make_scorer_parses_kinds(monkeypatch):
     assert make_scorer(None).value == 15
 
 
+def test_make_scorer_builds_an_http_scorer_for_a_url():
+    assert isinstance(make_scorer("http://127.0.0.1:9/v1"), HttpScorerBackend)
+    assert isinstance(make_scorer("https://scorer.example"), HttpScorerBackend)
+
+
 # ------------------------------------------------------------- subcommands
 
 def test_encode_decode_round_trip(tmp_path):
@@ -187,7 +194,7 @@ def test_encode_decode_round_trip(tmp_path):
     assert main(["encode", "-i", str(annotated), "-o", str(tagged)]) == 0
     assert main(["decode", "-i", str(tagged), "-o", str(back)]) == 0
 
-    docs, _ = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=back))
+    docs, _ = load(back, DatasetFormat.ANNOTATED_JSONL)
     assert docs == DOCS
     diag_file = tmp_path / "back.jsonl.diagnostics.jsonl"
     assert diag_file.exists()
@@ -215,7 +222,7 @@ def test_project_identity_reports_perfect_scores(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["global"]["f1"] == 1.0
     assert report["global"]["projection_rate"] == 1.0
-    docs, _ = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out))
+    docs, _ = load(out, DatasetFormat.ANNOTATED_JSONL)
     assert [d.lang for d in docs] == ["de", "de", "de"]
     assert [d.spans for d in docs] == [d.spans for d in DOCS]
 
@@ -229,7 +236,7 @@ def test_project_keeps_source_span_labels(tmp_path):
         "project", "-i", str(annotated), "-o", str(out),
         "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de",
     ]) == 0
-    docs, _ = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out))
+    docs, _ = load(out, DatasetFormat.ANNOTATED_JSONL)
     assert docs[0].spans == doc.spans
 
 
@@ -264,10 +271,25 @@ def test_translate_drop_backend_strips_every_bracket(tmp_path):
         "translate", "-i", str(tagged), "-o", str(translated), "--scheme", "brackets",
         "--backend", "drop:1.0", "--src-lang", "en", "--tgt-lang", "de",
     ]) == 0
-    before, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=tagged))
-    after, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path=translated))
+    before, _ = load(tagged, DatasetFormat.TAGGED_JSONL)
+    after, _ = load(translated, DatasetFormat.TAGGED_JSONL)
     assert any("[" in t.tagged for t in before)
     assert not any("[" in t.tagged or "]" in t.tagged for t in after)
+
+
+@pytest.mark.parametrize("backend", ["identity", "shuffle", "drop:0.5", "http"])
+def test_translate_writes_the_target_language(tmp_path, failing_translator, backend):
+    annotated, tagged, translated = tmp_path / "in.jsonl", tmp_path / "tagged.jsonl", tmp_path / "out.jsonl"
+    write_annotated(annotated, DOCS)
+    assert main(["encode", "-i", str(annotated), "-o", str(tagged)]) == 0
+    if backend == "http":
+        backend = f"http://127.0.0.1:{failing_translator.server_port}"
+    assert main([
+        "translate", "-i", str(tagged), "-o", str(translated), "--backend", backend, "--src-lang", "en",
+        "--tgt-lang", "de",
+    ]) == 0
+    texts, _ = load(translated, DatasetFormat.TAGGED_JSONL)
+    assert [(t.id, t.lang) for t in texts] == [(d.id, "de") for d in DOCS]
 
 
 @pytest.mark.parametrize(
@@ -421,8 +443,8 @@ def test_project_in_windows_gives_what_one_batch_gives(tmp_path, backend, scheme
         ]) == 0
         translator = make_backend(backend, 5, 2, 3, codec.MarkerScheme(scheme))
         expected = oracle_project(docs[:n], translator, "en", "de", codec.MarkerScheme(scheme))
-        assert load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out))[0] == [doc for doc, *_ in expected]
-        _, load_diags = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=annotated))
+        assert load(out, DatasetFormat.ANNOTATED_JSONL)[0] == [doc for doc, *_ in expected]
+        _, load_diags = load(annotated, DatasetFormat.ANNOTATED_JSONL)
         groups = [(None, load_diags)] * bool(load_diags) + [(doc.id, diags) for doc, diags, *_ in expected if diags]
         assert read_diagnostics(tmp_path / "out.jsonl.diagnostics.jsonl") == groups
 
@@ -679,6 +701,64 @@ def test_filter_qa_checks_its_scorer_before_reading_input(tmp_path, capsys):
     assert not (tmp_path / "qa").exists()
 
 
+def _exit_code(argv: list[str]) -> int:
+    """``main(argv)``'s exit code, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("unrecognized-backend", 1, "error: unrecognized backend 'bogus'"),
+    ("source-tagged-alone", 1, "error: --source-tagged and --hypothesis-tagged must be given together"),
+    ("tagged-lengths-differ", 1, "error: source/hypothesis tagged files differ in length"),
+    ("grid-step-zero", 1, "error: grid step must be positive"),
+    ("grid-product-over-cap", 1, f"error: a 101 x 100 grid has more than {MAX_SWEEP_CELLS} cells"),
+    ("error-budget-not-a-number", 2, "labelproj encode: error: argument --error-budget: invalid int value: 'x'"),
+])
+def test_a_refused_run_exits_with_one_error_line_and_writes_nothing(tmp_path, capsys, case, code, message):
+    annotated, tagged, plain, out = (tmp_path / name for name in ("in.jsonl", "tagged.jsonl", "plain.txt", "out"))
+    write_annotated(annotated, DOCS)
+    assert main(["encode", "-i", str(annotated), "-o", str(tagged)]) == 0
+    (tmp_path / "short.jsonl").write_text("".join(tagged.read_text().splitlines(keepends=True)[:2]))
+    plain.write_text("one two three\n")
+    capsys.readouterr()
+    evaluate = ["evaluate", "--projected", str(annotated), "--reference", str(annotated), "--report-out", str(out)]
+    sweep = ["sweep", "-i", str(plain), "--out-dir", str(out)]
+    argv = {
+        "unrecognized-backend": ["translate", "-i", str(tagged), "-o", str(out), "--backend", "bogus",
+                                 "--src-lang", "en", "--tgt-lang", "de"],
+        "source-tagged-alone": [*evaluate, "--source-tagged", str(tagged)],
+        "tagged-lengths-differ": [*evaluate, "--source-tagged", str(tagged),
+                                  "--hypothesis-tagged", str(tmp_path / "short.jsonl")],
+        "grid-step-zero": [*sweep, "--p-open-step", "0"],
+        # Each axis is under the cap, 101 and 100 values, but their product is not.
+        "grid-product-over-cap": [*sweep, "--p-open-min", "0", "--p-open-max", "1", "--p-open-step", "0.01",
+                                  "--p-close-min", "0.01", "--p-close-max", "1", "--p-close-step", "0.01"],
+        "error-budget-not-a-number": ["encode", "-i", str(annotated), "-o", str(out), "--error-budget", "x"],
+    }[case]
+    assert _exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [message]
+    assert not out.exists()
+
+
+def test_project_ranks_a_short_answer_as_a_backend_error(tmp_path, capsys, monkeypatch):
+    # The reference lacks a document too, which would be the report's alignment error, ranked after the backend's.
+    annotated, reference, out = tmp_path / "in.jsonl", tmp_path / "ref.jsonl", tmp_path / "out.jsonl"
+    write_annotated(annotated, DOCS)
+    write_annotated(reference, DOCS[:2])
+    monkeypatch.setattr("labelproj.cli.make_backend", lambda *args: _Answering(lambda out: out[:-1]))
+    assert main([
+        "project", "-i", str(annotated), "-o", str(out), "--reference", str(reference),
+        "--backend", "identity", "--src-lang", "en", "--tgt-lang", "de",
+    ]) == 1
+    assert capsys.readouterr().err == "error: 2 translations returned for 3 texts\n"
+    assert not out.exists()
+
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return commands.choices
@@ -793,14 +873,14 @@ def test_synth_deterministic_and_modes(tmp_path):
             "--mode", "simple", "--seed", "5", "--p-open", "0.8",
         ]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    docs, _ = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=out1))
+    docs, _ = load(out1, DatasetFormat.ANNOTATED_JSONL)
     assert len(docs) == 3  # blank line skipped
     assert docs[0].text == "one two three four"
 
     assert main([
         "synth", "-i", str(text), "-o", str(tmp_path / "single.jsonl"), "--mode", "single",
     ]) == 0
-    docs, _ = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path=tmp_path / "single.jsonl"))
+    docs, _ = load(tmp_path / "single.jsonl", DatasetFormat.ANNOTATED_JSONL)
     assert all(len(d.spans) == 1 for d in docs)
 
 
@@ -1001,7 +1081,7 @@ def test_prep_output_loads_back_as_its_corpus(tmp_path):
     assert main(["prep", "-i", str(raw), "--out-dir", str(out_dir), "--dev-fraction", "0.25", "--seed", "3"]) == 0
     corpus = prepare_training_corpus(pairs, dev_fraction=0.25, seed=3)
     for name, examples in (("train", corpus.train), ("dev", corpus.dev)):
-        back, _ = load(DatasetHandle(DatasetFormat.PARALLEL_JSONL, path=out_dir / f"{name}.jsonl"))
+        back, _ = load(out_dir / f"{name}.jsonl", DatasetFormat.PARALLEL_JSONL)
         assert tuple(back) == examples
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, assume, settings
 import hypothesis.strategies as st
 
 from labelproj import (
+    AlignmentError,
     IdentityBackend,
     InvalidAnnotationError,
     MarkerScheme,
@@ -409,7 +410,7 @@ def test_decode_over_marker_soup_equals_the_oracle(raw, scheme):
 
 def test_decode_tokens_are_the_signature_on_mutated_strings():
     for _, scheme, raw in _mutated_strings():
-        _, _, scan = _decode(bare(raw), scheme, "")
+        _, _, scan = _decode(bare(raw), scheme)
         assert Counter((t.name, t.kind) for t in scan.tokens) == signature(bare(raw), scheme)
 
 
@@ -507,3 +508,26 @@ def test_project_equals_its_step_by_step_oracle(docs, backend, scheme, seed):
     assert not any(has_errors(validate(doc)) for doc in docs)
     translator = BACKENDS[backend](seed, scheme)
     assert list(project(docs, translator, "en", "de", scheme)) == oracle_project(docs, translator, "en", "de", scheme)
+
+
+class _Answering(IdentityBackend):
+    """The identity backend's answer to each batch, rewritten by ``answer``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def translate_batch(self, texts, src_lang, tgt_lang, start=0):
+        return self.answer(super().translate_batch(texts, src_lang, tgt_lang, start))
+
+
+@pytest.mark.parametrize("answer, message", [
+    (lambda out: out[:1], "1 translations returned for 2 texts"),
+    (lambda out: out + out[:1], "3 translations returned for 2 texts"),
+    (lambda out: out[::-1], "translation 5 is 'd2' in 'de', not 'd1' in 'de'"),
+    (lambda out: [out[0], out[1]._replace(lang="en")], "translation 6 is 'd2' in 'en', not 'd2' in 'de'"),
+], ids=["short", "long", "reordered", "wrong-language"])
+def test_project_refuses_an_answer_that_is_not_one_text_per_input_in_the_target_language(answer, message):
+    docs = [make_doc("John here", [Span("a", 0, 4)], doc_id="d1"), make_doc("plain", [], doc_id="d2")]
+    with pytest.raises(AlignmentError) as excinfo:
+        project(docs, _Answering(answer), "en", "de", start=5)  # raised before any document is decoded
+    assert str(excinfo.value) == message

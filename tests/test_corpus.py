@@ -7,10 +7,13 @@ from hypothesis import example, given
 from labelproj import (
     AlignmentError,
     AnnotatedText,
+    BackendError,
+    BackendUnreachableError,
     ConstantScorer,
     Diagnostic,
     QaParallelPair,
     RawMarkupPair,
+    ScorerBackend,
     ScorerUnavailableError,
     Span,
     filter_parallel_qa,
@@ -326,3 +329,18 @@ def test_filter_rejects_a_non_finite_min_score(min_score):
 def test_filter_requires_scorer_when_enabled():
     with pytest.raises(ScorerUnavailableError):
         filter_parallel_qa([qa_pair("p", 1, 1)], scorer=None, min_score=80)
+
+
+class _FailingScorer(ScorerBackend):
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def score_batch(self, pairs):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [BackendError(503, "busy"), BackendUnreachableError("http://x: giving up")])
+def test_filter_reports_a_failing_scorer_as_unavailable(error):
+    with pytest.raises(ScorerUnavailableError) as excinfo:
+        filter_parallel_qa([qa_pair("p", 1, 1)], _FailingScorer(error), min_score=80)
+    assert str(excinfo.value) == f"scorer failed: {error}" and excinfo.value.__cause__ is error

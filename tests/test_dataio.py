@@ -5,6 +5,7 @@ import itertools
 import json
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from labelproj import (
     AnnotatedText,
     DatasetFormat,
-    DatasetHandle,
     Diagnostic,
     ErrorBudgetExceeded,
     DirectedExample,
@@ -35,14 +35,14 @@ from dataio_oracle import oracle_parse_annotated
 
 
 @pytest.fixture
-def handle(tmp_path):
-    """Write ``content`` to a new file and return a handle on it."""
+def dataset_file(tmp_path):
+    """Write ``content`` to a new file and return its path."""
     names = (tmp_path / f"in{i}.jsonl" for i in itertools.count())
 
-    def make(fmt: DatasetFormat, content: str) -> DatasetHandle:
+    def make(content: str) -> Path:
         path = next(names)
         path.write_bytes(content.encode("utf-8"))
-        return DatasetHandle(fmt, path)
+        return path
 
     return make
 
@@ -52,56 +52,56 @@ ANNOTATED_LINE = '{"id":"d1","lang":"en","text":"ab","spans":[{"tag":"a","start"
 
 # --------------------------------------------------------------------- load
 
-def test_load_annotated_single_record(handle):
-    docs, diags = load(handle(DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE + "\n"))
+def test_load_annotated_single_record(dataset_file):
+    docs, diags = load(dataset_file(ANNOTATED_LINE + "\n"), DatasetFormat.ANNOTATED_JSONL)
     assert docs == [make_doc("ab", [Span("a", 0, 2)], doc_id="d1")]
     assert diags == []
 
 
-def test_load_skips_invalid_span_record_within_budget(handle):
+def test_load_skips_invalid_span_record_within_budget(dataset_file):
     bad = '{"id":"d2","lang":"en","text":"ab","spans":[{"tag":"a","start":0,"end":9,"label":null}]}'
-    docs, diags = load(handle(DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE + "\n" + bad + "\n"), error_budget=1)
+    docs, diags = load(dataset_file(ANNOTATED_LINE + "\n" + bad + "\n"), DatasetFormat.ANNOTATED_JSONL, error_budget=1)
     assert [d.id for d in docs] == ["d1"]
     assert [d.code for d in diags] == ["OFFSET_OOB"]
     assert diags[0].offset == 2  # line number of the failing record
 
 
-def test_load_budget_zero_aborts_on_first_bad_record(handle):
+def test_load_budget_zero_aborts_on_first_bad_record(dataset_file):
     bad = '{"id":"d2","lang":"en","text":"ab","spans":[{"tag":"a","start":0,"end":9}]}'
     with pytest.raises(ErrorBudgetExceeded):
-        load(handle(DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE + "\n" + bad + "\n"))
+        load(dataset_file(ANNOTATED_LINE + "\n" + bad + "\n"), DatasetFormat.ANNOTATED_JSONL)
 
 
 DEEP_LINE = ANNOTATED_LINE.replace('"spans":[', '"spans":' + "[" * 5000 + "[").replace("]}", "]" * 5000 + "]}")
 
 
 @pytest.mark.parametrize("bad", ["{oops", DEEP_LINE], ids=["truncated", "nested-too-deeply"])
-def test_load_unparseable_line_counts_against_budget(handle, bad):
+def test_load_unparseable_line_counts_against_budget(dataset_file, bad):
     content = ANNOTATED_LINE + "\n" + bad + "\n" + ANNOTATED_LINE.replace("d1", "d3") + "\n"
     with pytest.raises(ErrorBudgetExceeded):
-        load(handle(DatasetFormat.ANNOTATED_JSONL, content))
-    docs, diags = load(handle(DatasetFormat.ANNOTATED_JSONL, content), error_budget=1)
+        load(dataset_file(content), DatasetFormat.ANNOTATED_JSONL)
+    docs, diags = load(dataset_file(content), DatasetFormat.ANNOTATED_JSONL, error_budget=1)
     assert [d.id for d in docs] == ["d1", "d3"]
     assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
 
 
-def test_load_rejects_wrong_format_on_first_record(handle):
+def test_load_rejects_wrong_format_on_first_record(dataset_file):
     with pytest.raises(FormatError):
-        load(handle(DatasetFormat.ANNOTATED_JSONL, '{"id":"x","tagged_text":"y"}\n'))
+        load(dataset_file('{"id":"x","tagged_text":"y"}\n'), DatasetFormat.ANNOTATED_JSONL)
     with pytest.raises(FormatError):
-        load(handle(DatasetFormat.TAGGED_JSONL, ANNOTATED_LINE + "\n"))
+        load(dataset_file(ANNOTATED_LINE + "\n"), DatasetFormat.TAGGED_JSONL)
 
 
-def test_load_plain_text_lines(handle):
-    items, diags = load(handle(DatasetFormat.PLAIN_TEXT, "one\ntwo\n\nfour\n"))
+def test_load_plain_text_lines(dataset_file):
+    items, diags = load(dataset_file("one\ntwo\n\nfour\n"), DatasetFormat.PLAIN_TEXT)
     assert [t.tagged for t in items] == ["one", "two", "", "four"]
     assert [t.id for t in items] == ["1", "2", "3", "4"]
     assert all(t.lang == "" for t in items)
     assert diags == []
 
 
-def test_load_plain_text_warns_of_each_marker_shaped_substring_with_its_line(handle):
-    items, diags = load(handle(DatasetFormat.PLAIN_TEXT, "x <a> y\nplain <1>\n</b><ab>\n"))
+def test_load_plain_text_warns_of_each_marker_shaped_substring_with_its_line(dataset_file):
+    items, diags = load(dataset_file("x <a> y\nplain <1>\n</b><ab>\n"), DatasetFormat.PLAIN_TEXT)
     assert [t.tagged for t in items] == ["x <a> y", "plain <1>", "</b><ab>"]
     assert diags == [
         Diagnostic("warning", "MARKER_COLLISION", "line 1: text contains marker-shaped substring '<a>'", 1),
@@ -110,11 +110,11 @@ def test_load_plain_text_warns_of_each_marker_shaped_substring_with_its_line(han
     ]
 
 
-def test_load_devtest_sized_plain_text_has_empty_signatures(handle):
+def test_load_devtest_sized_plain_text_has_empty_signatures(dataset_file):
     from labelproj import signature
 
     content = "".join(f"sentence number {i}\n" for i in range(1012))
-    items, _ = load(handle(DatasetFormat.PLAIN_TEXT, content))
+    items, _ = load(dataset_file(content), DatasetFormat.PLAIN_TEXT)
     assert len(items) == 1012
     assert all(signature(t).total() == 0 for t in items[:20])
 
@@ -124,13 +124,13 @@ PARALLEL_LINE = (
 )
 
 
-def test_load_parallel_records(handle):
-    items, _ = load(handle(DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE + "\n"))
+def test_load_parallel_records(dataset_file):
+    items, _ = load(dataset_file(PARALLEL_LINE + "\n"), DatasetFormat.PARALLEL_JSONL)
     assert items == [DirectedExample("p1", "forward", "en", "de", "<a>x</a>", "<a>y</a>")]
 
 
-def test_dump_parallel_writes_prep_field_order(tmp_path, handle):
-    items, _ = load(handle(DatasetFormat.PARALLEL_JSONL, PARALLEL_LINE + "\n"))
+def test_dump_parallel_writes_prep_field_order(tmp_path, dataset_file):
+    items, _ = load(dataset_file(PARALLEL_LINE + "\n"), DatasetFormat.PARALLEL_JSONL)
     out = tmp_path / "out.jsonl"
     dump(items, out)
     assert out.read_text() == PARALLEL_LINE + "\n"
@@ -139,35 +139,35 @@ def test_dump_parallel_writes_prep_field_order(tmp_path, handle):
 RAW_LINE = '{"id":"r1","src_lang":"en","tgt_lang":"de","src_markup":"<b>x</b>","tgt_markup":"<b>y</b>"}'
 
 
-def test_load_raw_pairs_roundtrip_and_bad_line(handle):
+def test_load_raw_pairs_roundtrip_and_bad_line(dataset_file):
     content = RAW_LINE + "\n{broken json\n" + RAW_LINE.replace("r1", "r2") + "\n"
-    pairs, diags = load(handle(DatasetFormat.RAW_MARKUP_JSONL, content), error_budget=1)
+    pairs, diags = load(dataset_file(content), DatasetFormat.RAW_MARKUP_JSONL, error_budget=1)
     assert pairs == [RawMarkupPair(i, "en", "de", "<b>x</b>", "<b>y</b>") for i in ("r1", "r2")]
     assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
 
 
-def test_load_raw_first_record_needs_every_field(handle):
+def test_load_raw_first_record_needs_every_field(dataset_file):
     with pytest.raises(FormatError):
-        load(handle(DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE.replace('"src_markup"', '"markup"') + "\n"))
+        load(dataset_file(RAW_LINE.replace('"src_markup"', '"markup"') + "\n"), DatasetFormat.RAW_MARKUP_JSONL)
 
 
-def test_load_raw_empty_side_counts_against_budget(handle):
+def test_load_raw_empty_side_counts_against_budget(dataset_file):
     content = RAW_LINE + "\n" + RAW_LINE.replace('"<b>y</b>"', '""') + "\n"
     with pytest.raises(ErrorBudgetExceeded):
-        load(handle(DatasetFormat.RAW_MARKUP_JSONL, content))
-    pairs, diags = load(handle(DatasetFormat.RAW_MARKUP_JSONL, content), error_budget=1)
+        load(dataset_file(content), DatasetFormat.RAW_MARKUP_JSONL)
+    pairs, diags = load(dataset_file(content), DatasetFormat.RAW_MARKUP_JSONL, error_budget=1)
     assert [p.id for p in pairs] == ["r1"]
     assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
 
 
-def test_load_budget_counts_unreadable_and_invalid_records_alike(handle):
+def test_load_budget_counts_unreadable_and_invalid_records_alike(dataset_file):
     invalid = ANNOTATED_LINE.replace('"end":2', '"end":9')
     content = ANNOTATED_LINE + "\n[1]\n" + invalid + "\n"
-    _, diags = load(handle(DatasetFormat.ANNOTATED_JSONL, content), error_budget=2)
+    _, diags = load(dataset_file(content), DatasetFormat.ANNOTATED_JSONL, error_budget=2)
     assert [d.code for d in diags] == ["MALFORMED_RECORD", "OFFSET_OOB"]
     assert diags[0].message == "line 2: record is not a JSON object"
     with pytest.raises(ErrorBudgetExceeded, match="2 rejected records exceed budget of 1"):
-        load(handle(DatasetFormat.ANNOTATED_JSONL, content), error_budget=1)
+        load(dataset_file(content), DatasetFormat.ANNOTATED_JSONL, error_budget=1)
 
 
 TAGGED_LINE = '{"id":"t1","lang":"en","tagged_text":"<a>x</a>"}'
@@ -186,16 +186,16 @@ FIRST_LINES = {
     [(fmt, key) for fmt, line in FIRST_LINES.items() for key in json.loads(line)],
     ids=lambda value: getattr(value, "value", value),
 )
-def test_first_record_must_hold_every_key_but_lang(handle, fmt, key):
+def test_first_record_must_hold_every_key_but_lang(dataset_file, fmt, key):
     record = json.loads(FIRST_LINES[fmt])
     del record[key]
     content = json.dumps(record) + "\n" + FIRST_LINES[fmt] + "\n"
     if key == "lang":
-        items, diags = load(handle(fmt, content))
+        items, diags = load(dataset_file(content), fmt)
         assert [item.lang for item in items] == ["", "en"] and diags == []
     else:
         with pytest.raises(FormatError) as raised:
-            load(handle(fmt, content))
+            load(dataset_file(content), fmt)
         assert str(raised.value) == f"first record lacks [{key!r}]; not a {fmt.value} dataset"
 
 
@@ -220,29 +220,29 @@ def test_first_record_must_hold_every_key_but_lang(handle, fmt, key):
     (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"src_lang":"en"', '"src_lang":{}'),
     (DatasetFormat.RAW_MARKUP_JSONL, RAW_LINE, '"id":"r1"', '"id":1.5'),
 ])
-def test_load_rejects_non_json_typed_values(fmt, good, old, new, handle):
+def test_load_rejects_non_json_typed_values(fmt, good, old, new, dataset_file):
     bad = good.replace(old, new)
     assert bad != good
     content = good + "\n" + bad + "\n"
     with pytest.raises(ErrorBudgetExceeded):
-        load(handle(fmt, content))
-    items, diags = load(handle(fmt, content), error_budget=1)
+        load(dataset_file(content), fmt)
+    items, diags = load(dataset_file(content), fmt, error_budget=1)
     assert len(items) == 1
     assert [(d.code, d.offset) for d in diags] == [("MALFORMED_RECORD", 2)]
 
 
-def test_load_integer_id_is_read_as_text(handle):
-    docs, _ = load(handle(DatasetFormat.ANNOTATED_JSONL, ANNOTATED_LINE.replace('"d1"', "7") + "\n"))
+def test_load_integer_id_is_read_as_text(dataset_file):
+    docs, _ = load(dataset_file(ANNOTATED_LINE.replace('"d1"', "7") + "\n"), DatasetFormat.ANNOTATED_JSONL)
     assert docs[0].id == "7"
 
 
-def test_load_blank_lines_are_not_records(handle):
-    docs, _ = load(handle(DatasetFormat.ANNOTATED_JSONL, "\n" + ANNOTATED_LINE + "\n\n"))
+def test_load_blank_lines_are_not_records(dataset_file):
+    docs, _ = load(dataset_file("\n" + ANNOTATED_LINE + "\n\n"), DatasetFormat.ANNOTATED_JSONL)
     assert len(docs) == 1
 
 
-def test_load_truncated_record_message_counts_columns_without_the_terminator(handle):
-    _, diags = load(handle(DatasetFormat.TAGGED_JSONL, '{"id":"1","tagged_text":"x"}\n{"id": "2"\n'), error_budget=1)
+def test_load_truncated_record_message_counts_columns_without_the_terminator(dataset_file):
+    _, diags = load(dataset_file('{"id":"1","tagged_text":"x"}\n{"id": "2"\n'), DatasetFormat.TAGGED_JSONL, error_budget=1)
     assert [d.message for d in diags] == ["line 2: Expecting ',' delimiter: line 1 column 11 (char 10)"]
 
 
@@ -252,8 +252,8 @@ def test_load_line_endings_do_not_change_records_or_line_numbers(tmp_path, varia
     lf, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
     lf.write_bytes(content.encode())
     other.write_bytes(content.replace("\n", "\r\n").encode() if variant == "crlf" else content[:-1].encode())
-    expected = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, lf), error_budget=1)
-    assert load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, other), error_budget=1) == expected
+    expected = load(lf, DatasetFormat.ANNOTATED_JSONL, error_budget=1)
+    assert load(other, DatasetFormat.ANNOTATED_JSONL, error_budget=1) == expected
     assert [d.id for d in expected[0]] == ["d1", "d4"] and expected[1][0].offset == 3
 
 
@@ -266,7 +266,7 @@ def test_load_holds_one_line_at_a_time(tmp_path):
     dump(tagged_texts(20_000), path)
     tracemalloc.start()
     try:
-        items, _ = load(DatasetHandle(DatasetFormat.TAGGED_JSONL, path))
+        items, _ = load(path, DatasetFormat.TAGGED_JSONL)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -278,7 +278,7 @@ def test_load_holds_one_line_at_a_time(tmp_path):
 
 def roundtrip(items, fmt, path):
     dump(items, path)
-    return load(DatasetHandle(fmt, path))
+    return load(path, fmt)
 
 
 def test_dump_load_identity_annotated(tmp_path):
@@ -327,7 +327,7 @@ def test_flat_records_round_trip_any_unicode(tmp_path_factory, items):
     path = tmp_path_factory.mktemp("flat") / "out.jsonl"
     dump(items, path)
     first = path.read_bytes()
-    assert load(DatasetHandle(fmt, path)) == (items, [])
+    assert load(path, fmt) == (items, [])
     dump(items, path)
     assert path.read_bytes() == first
 
@@ -354,6 +354,19 @@ def test_dump_tagged_record_schema(tmp_path):
     dump([TaggedText("t1", "de", "<a>x</a>")], out)
     record = json.loads(out.read_text())
     assert record == {"id": "t1", "lang": "de", "tagged_text": "<a>x</a>"}
+
+
+class _SpanSubclass(Span):
+    __slots__ = ()
+
+
+def test_dump_writes_a_span_subclass_by_its_fields(tmp_path):
+    doc = AnnotatedText("d1", "en", "ab", (_SpanSubclass("a", 0, 2, "PER"), Span("b", 1, 2)))
+    dump([doc], tmp_path / "out.jsonl")
+    line = '{"id":"d1","lang":"en","text":"ab","spans":[{"tag":"a","start":0,"end":2,"label":"PER"},'
+    assert (tmp_path / "out.jsonl").read_text() == line + '{"tag":"b","start":1,"end":2,"label":null}]}\n'
+    [back], _ = load(tmp_path / "out.jsonl", DatasetFormat.ANNOTATED_JSONL)
+    assert back.spans == (Span("a", 0, 2, "PER"), Span("b", 1, 2)) and type(back.spans[0]) is Span
 
 
 def test_dump_holds_one_line_at_a_time(tmp_path):
@@ -534,11 +547,11 @@ def _oracle_parse_record(fmt, record):
     st.integers(0, 2),
 )
 def test_annotated_file_loads_as_its_oracle_does(tmp_path_factory, lines, error_budget):
-    handle = DatasetHandle(DatasetFormat.ANNOTATED_JSONL, tmp_path_factory.mktemp("records") / "in.jsonl")
-    handle.path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    got = _outcome(load, handle, error_budget=error_budget)
+    path = tmp_path_factory.mktemp("records") / "in.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    got = _outcome(load, path, DatasetFormat.ANNOTATED_JSONL, error_budget=error_budget)
     with mock.patch.object(dataio, "_parse_record", _oracle_parse_record):
-        assert got == _outcome(load, handle, error_budget=error_budget)
+        assert got == _outcome(load, path, DatasetFormat.ANNOTATED_JSONL, error_budget=error_budget)
 
 
 # Field values a library-built document may hold: the JSON scalars a record
@@ -624,7 +637,7 @@ def valid_documents(draw):
 def test_annotated_documents_round_trip_any_unicode(tmp_path_factory, docs):
     path = tmp_path_factory.mktemp("annotated") / "out.jsonl"
     dump(docs, path)
-    assert load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path))[0] == docs
+    assert load(path, DatasetFormat.ANNOTATED_JSONL)[0] == docs
 
 
 # ---------------------------------------------------------------- QA ingest
@@ -746,33 +759,33 @@ def test_load_rejects_a_lone_surrogate_as_malformed(tmp_path, fmt, record):
     }[fmt]
     path = tmp_path / "in.jsonl"
     path.write_text(f"{first}\n{record}\n", encoding="utf-8")
-    items, diagnostics = load(DatasetHandle(fmt, path), error_budget=1)
+    items, diagnostics = load(path, fmt, error_budget=1)
     assert [item.id for item in items] == ["1"]
     [diag] = diagnostics
     assert (diag.code, diag.offset) == ("MALFORMED_RECORD", 2)
     assert "surrogates not allowed" in diag.message
     with pytest.raises(ErrorBudgetExceeded):
-        load(DatasetHandle(fmt, path))
+        load(path, fmt)
 
 
 def test_load_rejects_a_lone_surrogate_in_the_first_record_under_the_budget(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text('{"id":"1","lang":"en","text":"\\ud800","spans":[]}\n{"id":"2","lang":"en","text":"x","spans":[]}\n')
-    items, [diag] = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path), error_budget=1)
+    items, [diag] = load(path, DatasetFormat.ANNOTATED_JSONL, error_budget=1)
     assert [item.id for item in items] == ["2"] and diag.code == "MALFORMED_RECORD"
 
 
 def test_load_keeps_a_surrogate_pair_and_an_escaped_backslash(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text('{"id":"1","lang":"en","text":"\\ud83d\\ude00 \\\\ud800","spans":[]}\n')
-    [doc], diagnostics = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path))
+    [doc], diagnostics = load(path, DatasetFormat.ANNOTATED_JSONL)
     assert doc.text == "\U0001f600 \\ud800" and diagnostics == []
 
 
 def test_a_lone_surrogate_is_named_with_no_position_in_text_never_read(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text('{"id":"1","lang":"en","text":"x","spans":[]}\n{"id":"2","lang":"en","text":"al\\ud800pha","spans":[]}\n')
-    _, [diag] = load(DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path), error_budget=1)
+    _, [diag] = load(path, DatasetFormat.ANNOTATED_JSONL, error_budget=1)
     assert diag.message == "line 2: a string holds the lone surrogate U+D800: surrogates not allowed"
 
 

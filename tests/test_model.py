@@ -4,7 +4,6 @@ import json
 import re
 import time
 from collections import namedtuple
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -14,7 +13,6 @@ from labelproj import (
     PRF,
     AnnotatedText,
     DatasetFormat,
-    DatasetHandle,
     Diagnostic,
     DirectedExample,
     EvalReport,
@@ -134,7 +132,7 @@ def _load_one_line(tmp_path, doc):
     path = tmp_path / "in.jsonl"
     record = {"id": doc.id, "lang": doc.lang, "text": doc.text, "spans": [span._asdict() for span in doc.spans]}
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    return _seconds(load, DatasetHandle(DatasetFormat.ANNOTATED_JSONL, path))
+    return _seconds(load, path, DatasetFormat.ANNOTATED_JSONL)
 
 
 def test_disjoint_same_tag_spans_load_and_encode_in_linear_time(tmp_path):
@@ -230,10 +228,6 @@ RECORDS = [
         "QaParallelPair(src=AnnotatedText(id='q', lang='en', text='x', spans=()),"
         " tgt=AnnotatedText(id='q', lang='de', text='y', spans=()), src_questions=1, tgt_questions=1)",
     ),
-    (
-        DatasetHandle(DatasetFormat.TAGGED_JSONL, Path("in.jsonl")),
-        f"DatasetHandle(format=<DatasetFormat.TAGGED_JSONL: 'tagged'>, path={Path('in.jsonl')!r})",
-    ),
     (_PRF, _PRF_REPR),
     (_ROW, _ROW_REPR),
     (
@@ -267,7 +261,7 @@ def test_record_contract(item, expected_repr):
 def test_record_types_cover_every_record():
     assert {type(item) for item, _ in RECORDS} == {
         Span, Diagnostic, AnnotatedText, TaggedText, RawMarkupPair, DirectedExample, CorpusProvenance,
-        PreparedCorpus, QaParallelPair, DatasetHandle, PRF, ReportRow, EvalReport, MarkerConfig, TokenBoundaryMap,
+        PreparedCorpus, QaParallelPair, PRF, ReportRow, EvalReport, MarkerConfig, TokenBoundaryMap,
     }
 
 
