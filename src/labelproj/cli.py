@@ -13,9 +13,8 @@ import json
 import math
 import os
 import sys
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .backends import (
     MAX_IN_FLIGHT,
@@ -45,7 +44,7 @@ from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError, UsageEr
 from .evaluation import (
     DEFAULT_DATASET, DEFAULT_THRESHOLD, ReportAccumulator, build_report, check_threshold, markers_match, render_table
 )
-from .model import AnnotatedText, Diagnostic
+from .model import Diagnostic
 from .synth import InsertionMode, MarkerConfig, derive_seed, sample_corpus
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
@@ -246,6 +245,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    # The flags are checked before any input is read.
+    if args.threshold is not None:
+        check_threshold(args.threshold)
+    if bool(args.source_tagged) != bool(args.hypothesis_tagged):
+        raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
     diagnostics: list[Diagnostic] = []
 
     def read(fmt: DatasetFormat, path: str) -> list:
@@ -256,7 +260,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     projected = read(DatasetFormat.ANNOTATED_JSONL, args.projected)
     reference = read(DatasetFormat.ANNOTATED_JSONL, args.reference)
     marker_matches = {}
-    if args.source_tagged and args.hypothesis_tagged:
+    if args.source_tagged:
         sources, hypotheses = (
             read(DatasetFormat.TAGGED_JSONL, path) for path in (args.source_tagged, args.hypothesis_tagged)
         )
@@ -266,8 +270,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if len(pairs) != len(sources):
             raise AlignmentError("duplicate ids among source/hypothesis pairs")
         marker_matches = {r.id: markers_match(*pairs[r.id], _scheme(args)) for r in reference if r.id in pairs}
-    elif args.source_tagged or args.hypothesis_tagged:
-        raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
 
     report = build_report(projected, reference, marker_matches, **_report_options(args))
     _emit_report(report, args.report, args.report_out)
@@ -282,16 +284,11 @@ WINDOW_ROUNDS = 3
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    # The flags are checked before any input is read; then the input and the reference are read in step, one
-    # window at a time. After an error no window is translated, but both files are read to their ends, and the
-    # error raised is the one a run reading them whole would meet first: reading the input (raised at once), the
-    # reference, a repeated input id, the backend, the report's alignment. The output is renamed into place last.
-    if not args.reference:
-        for flag in ("report_out", "report", "threshold", "dataset"):
-            if getattr(args, flag) is not None:
-                raise LabelProjError(
-                    f"--{flag.replace('_', '-')} needs --reference: project reports only against a reference"
-                )
+    # The flags are checked before any input is read; the output is renamed into place once every check has passed.
+    given = [flag for flag in ("report_out", "report", "threshold", "dataset") if getattr(args, flag) is not None]
+    if given and not args.reference:
+        flag = given[0].replace("_", "-")
+        raise LabelProjError(f"--{flag} needs --reference: project reports only against a reference")
     if args.threshold is not None:
         check_threshold(args.threshold)
     _check_distinct_outputs(args)
@@ -299,52 +296,14 @@ def cmd_project(args: argparse.Namespace) -> int:
     load_diags, reference_diags, decode_groups = [], [], []
     annotated = DatasetFormat.ANNOTATED_JSONL
     docs = read_items(Path(args.input), annotated, args.error_budget, load_diags)
-    gold = read_items(Path(args.reference), annotated, args.error_budget, reference_diags) if args.reference else ()
+    gold = read_items(Path(args.reference), annotated, args.error_budget, reference_diags) if args.reference else None
     counts = ReportAccumulator(gold, **_report_options(args))
-    size = args.batch_size * args.max_in_flight * WINDOW_ROUNDS
-    failures: dict[int, Exception] = {}  # the first error of each rank above, counted from 1
-    done = 0  # documents read
-
-    def ranked(alignment_rank: int, call: Callable, *call_args):
-        """``call(*call_args)``, or None once its AlignmentError is ranked at ``alignment_rank``, any other at 2."""
-        try:
-            return call(*call_args)
-        except AlignmentError as exc:
-            failures.setdefault(alignment_rank, exc)
-        except (LabelProjError, OSError) as exc:
-            failures.setdefault(2, exc)
-
-    def projected() -> Iterator[AnnotatedText]:
-        nonlocal done
-        while True:
-            window = list(islice(docs, size))
-            references = [ranked(3, counts.reference_for, doc.id) for doc in window]
-            if not failures:
-                try:
-                    results = project(window, backend, args.src_lang, args.tgt_lang, _scheme(args), done)
-                except (LabelProjError, OSError, ValueError) as exc:
-                    failures.setdefault(4, exc)
-                else:
-                    for ref, (doc, diagnostics, matched, by_tag) in zip(references, results):
-                        if diagnostics:
-                            decode_groups.append((doc.id, diagnostics))
-                        if ref is not None:
-                            counts.add(doc, by_tag, ref, matched)
-                        yield doc
-            done += len(window)
-            if len(window) < size:
-                break
-        if args.reference:
-            ranked(5, counts.check)
-        if failures:
-            raise failures[min(failures)]
-        if args.reference:
-            counts.report()  # a report with no pair is an error too
-
+    window = args.batch_size * args.max_in_flight * WINDOW_ROUNDS
     with backend:
-        dump(projected(), Path(args.output))
+        projected = project(docs, backend, args.src_lang, args.tgt_lang, counts, decode_groups, window, _scheme(args))
+        dump(projected, Path(args.output))
     write_diagnostics(_diagnostics_path(args), [(None, load_diags), *decode_groups])
-    print(f"projected {done} documents -> {Path(args.output)}", file=sys.stderr)
+    print(f"projected {len(counts.asked)} documents -> {Path(args.output)}", file=sys.stderr)
     if args.reference:
         _emit_report(counts.report(), args.report, args.report_out)
     _note_input_diagnostics(reference_diags)

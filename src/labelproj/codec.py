@@ -18,9 +18,10 @@ import re
 from collections import Counter
 from enum import Enum
 from functools import cache
-from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, NamedTuple, Sequence
 
-from .errors import AlignmentError, InvalidAnnotationError
+from .errors import AlignmentError, InvalidAnnotationError, LabelProjError
 from .model import (
     MARKER_RE,
     SEVERITY_INFO,
@@ -33,8 +34,9 @@ from .model import (
     validate,
 )
 
-if TYPE_CHECKING:  # backends imports this module
+if TYPE_CHECKING:  # backends and evaluation import this module
     from .backends import TranslationBackend
+    from .evaluation import ReportAccumulator
 
 MarkerKind = Literal["open", "close"]
 
@@ -277,34 +279,70 @@ def _with_source_labels(doc: AnnotatedText, by_tag: dict[str, list[int]], source
     return AnnotatedText(doc.id, doc.lang, doc.text, spans)
 
 
+def _ranked(failures: dict[int, Exception], alignment_rank: int, call, *args):
+    """``call(*args)``, or None once its error is in ``failures``: AlignmentError at ``alignment_rank``, else at 2."""
+    try:
+        return call(*args)
+    except AlignmentError as exc:
+        failures.setdefault(alignment_rank, exc)
+    except (LabelProjError, OSError) as exc:
+        failures.setdefault(2, exc)
+
+
 def project(
-    docs: Sequence[AnnotatedText],
+    docs: Iterable[AnnotatedText],
     backend: TranslationBackend,
     src_lang: str,
     tgt_lang: str,
+    counts: ReportAccumulator,
+    diagnostics: list[tuple[str, list[Diagnostic]]],
+    window: int,
     scheme: MarkerScheme = MarkerScheme.XML,
-    start: int = 0,
-) -> Iterator[tuple[AnnotatedText, list[Diagnostic], bool, dict[str, list[int]]]]:
-    """Encode and translate validated ``docs`` in one batch; return an iterator that decodes them, giving per input
-    in order the projected document in ``tgt_lang`` (XML spans keep source labels), its decode diagnostics, whether
-    the translation kept the source's markers, and its spans' :func:`occurrences`. ``start``: ``docs[0]``'s position.
-    :class:`AlignmentError` before any decoding unless the backend answers each input with its id in ``tgt_lang``."""
-    sources = [_place_markers(doc, scheme) for doc in docs]
-    hypotheses = backend.translate_batch(sources, src_lang, tgt_lang, start)
-    if len(hypotheses) != len(sources):
-        raise AlignmentError(f"{len(hypotheses)} translations returned for {len(sources)} texts")
-    for i, (source, hypothesis) in enumerate(zip(sources, hypotheses), start):
-        if (hypothesis.id, hypothesis.lang) != (source.id, tgt_lang):
-            message = f"translation {i} is {hypothesis.id!r} in {hypothesis.lang!r}, not {source.id!r} in {tgt_lang!r}"
-            raise AlignmentError(message)
-
-    def results():
-        for doc, encoded, hypothesis in zip(docs, sources, hypotheses):
-            projected, diagnostics, scan = _decode(hypothesis, scheme)
-            matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in scan.tokens)
-            by_tag = occurrences(projected.spans)
-            if scheme is MarkerScheme.XML:
-                projected = _with_source_labels(projected, by_tag, doc)
-            yield projected, diagnostics, matched, by_tag
-
-    return results()
+) -> Iterator[AnnotatedText]:
+    """Project validated ``docs`` in windows of ``window``. Per window: ask ``counts`` for each reference (a repeated
+    id is refused), encode, translate at the window's position in the run, and refuse an answer that is not one text
+    per input with its id in ``tgt_lang`` (:class:`AlignmentError`). Per document: decode, append any diagnostics to
+    ``diagnostics`` as ``(id, diagnostics)``, count it against its reference, yield it (XML spans keep source labels).
+    After an error no window is translated, but both inputs are read to their ends, and the error raised is the one
+    a whole read meets first: reading ``docs`` (raised at once), the reference, a repeated id, the backend, then the
+    report's alignment or an empty report."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    failures: dict[int, Exception] = {}  # the first error of each rank above, counted from 1
+    position = 0
+    while True:  # the last window is translated even when empty, so an empty run refuses what a full one does
+        batch = list(islice(docs, window))
+        references = [_ranked(failures, 3, counts.reference_for, doc.id) for doc in batch]
+        if not failures:
+            try:
+                sources = [_place_markers(doc, scheme) for doc in batch]
+                hypotheses = backend.translate_batch(sources, src_lang, tgt_lang, position)
+                if len(hypotheses) != len(sources):
+                    raise AlignmentError(f"{len(hypotheses)} translations returned for {len(sources)} texts")
+                for i, (source, hypothesis) in enumerate(zip(sources, hypotheses), position):
+                    if (hypothesis.id, hypothesis.lang) != (source.id, tgt_lang):
+                        raise AlignmentError(f"translation {i} is {hypothesis.id!r} in {hypothesis.lang!r}, "
+                                             f"not {source.id!r} in {tgt_lang!r}")
+            except (LabelProjError, OSError, ValueError) as exc:
+                failures.setdefault(4, exc)
+        if not failures:  # the window is translated
+            for doc, encoded, hypothesis, reference in zip(batch, sources, hypotheses, references):
+                projected, found, scan = _decode(hypothesis, scheme)
+                by_tag = occurrences(projected.spans)
+                if scheme is MarkerScheme.XML:
+                    projected = _with_source_labels(projected, by_tag, doc)
+                if found:
+                    diagnostics.append((doc.id, found))
+                if reference is not None:
+                    matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in scan.tokens)
+                    counts.add(projected, by_tag, reference, matched)
+                yield projected
+        position += len(batch)
+        if len(batch) < window:
+            break
+    if counts.has_reference:
+        _ranked(failures, 5, counts.check)
+    if failures:
+        raise failures[min(failures)]
+    if counts.has_reference:
+        counts.report()  # a report with no pair is an error too

@@ -188,9 +188,10 @@ def oracle_with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> Anno
 
 
 def oracle_project(docs, backend, src_lang, tgt_lang, scheme=MarkerScheme.XML):
-    """``list(project(...))`` one step at a time, over every document in one batch: encode, translate, decode
-    in the hypothesis's language, relabel every span (XML only), then move the document to ``tgt_lang``; the
-    match flag compares signatures, and the last item groups the span positions by tag."""
+    """What ``project`` gives per document, one step at a time over every document in one batch: encode,
+    translate, decode in the hypothesis's language, relabel every span (XML only), then move the document to
+    ``tgt_lang``. Each item is (the document it yields, its decode diagnostics, the match flag and the span
+    positions grouped by tag that it feeds the report); the match flag compares signatures."""
     sources = [encode(doc, scheme) for doc in docs]
     hypotheses = backend.translate_batch(sources, src_lang, tgt_lang)
     results = []

@@ -978,6 +978,23 @@ def test_evaluate_csv_report(tmp_path, capsys):
     assert lines[1].startswith("en,demo,3,4,")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--threshold", "2"], "threshold must be in [0, 1], got 2.0"),
+    (["--source-tagged", "tagged.jsonl"], "--source-tagged and --hypothesis-tagged must be given together"),
+    (["--hypothesis-tagged", "tagged.jsonl"], "--source-tagged and --hypothesis-tagged must be given together"),
+], ids=["bad-threshold", "source-tagged-alone", "hypothesis-tagged-alone"])
+def test_evaluate_checks_its_flags_before_it_reads_any_input(tmp_path, capsys, monkeypatch, flags, message):
+    # --projected names no file, so a run that read its inputs first would report that instead.
+    loaded = []
+    monkeypatch.setattr("labelproj.cli.load", lambda path, *args: loaded.append(path))
+    write_annotated(tmp_path / "ref.jsonl", DOCS)
+    assert main([
+        "evaluate", "--projected", str(tmp_path / "missing.jsonl"), "--reference", str(tmp_path / "ref.jsonl"), *flags,
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert loaded == []
+
+
 @pytest.mark.parametrize("second_lang", ["fr", "de"])
 def test_evaluate_rejects_a_duplicate_reference_id(tmp_path, capsys, second_lang):
     projected, reference = tmp_path / "projected.jsonl", tmp_path / "reference.jsonl"

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, assume, settings
@@ -26,6 +27,7 @@ from labelproj import (
     validate,
 )
 from labelproj.codec import _decode, _encoded_signature, scan_markers
+from labelproj.evaluation import ReportAccumulator
 from labelproj.model import has_errors
 
 from codec_oracle import oracle_decode, oracle_encode, oracle_project, oracle_scan_markers, strip_markers
@@ -484,11 +486,11 @@ BACKENDS = {
 
 
 @st.composite
-def project_batches(draw):
-    """One to three valid documents; spans carry labels only when the batch is labelled."""
+def project_batches(draw, max_docs: int = 3):
+    """One to ``max_docs`` valid documents; spans carry labels only when the batch is labelled."""
     labelled = draw(st.booleans())
     docs = []
-    for i in range(draw(st.integers(1, 3))):
+    for i in range(draw(st.integers(1, max_docs))):
         text = draw(st.text(alphabet=st.sampled_from(PROJECT_ALPHABET), max_size=24))
         spans: list[Span] = []
         for _ in range(draw(st.integers(0, 6))):
@@ -502,12 +504,49 @@ def project_batches(draw):
     return docs
 
 
+class _Recorder(ReportAccumulator):
+    """A report that also records what it is fed: (projected document, match flag, occurrences) per pair."""
+
+    def __init__(self, reference):
+        super().__init__(reference)
+        self.fed = []
+
+    def add(self, projected, by_tag, reference, matched):
+        self.fed.append((projected, matched, by_tag))
+        super().add(projected, by_tag, reference, matched)
+
+
+def _project_all(docs, translator, scheme, window, reference):
+    """``project`` over ``docs`` in windows of ``window``, against ``reference``: the documents it yields, the
+    diagnostic groups it appends, what it feeds the report, and the report."""
+    counts, groups = _Recorder(reference), []
+    projected = list(project(iter(docs), translator, "en", "de", counts, groups, window, scheme))
+    return projected, groups, counts.fed, counts.report()
+
+
 @settings(max_examples=300)
 @given(project_batches(), st.sampled_from(sorted(BACKENDS)), st.sampled_from([XML, BRACKETS]), st.integers(0, 3))
 def test_project_equals_its_step_by_step_oracle(docs, backend, scheme, seed):
     assert not any(has_errors(validate(doc)) for doc in docs)
     translator = BACKENDS[backend](seed, scheme)
-    assert list(project(docs, translator, "en", "de", scheme)) == oracle_project(docs, translator, "en", "de", scheme)
+    expected = oracle_project(docs, translator, "en", "de", scheme)
+    reference = [doc for doc, *_ in expected]
+    projected, groups, fed, _ = _project_all(docs, translator, scheme, len(docs), reference)
+    assert projected == reference
+    assert groups == [(doc.id, diagnostics) for doc, diagnostics, *_ in expected if diagnostics]
+    assert fed == [(doc, matched, by_tag) for doc, _, matched, by_tag in expected]
+
+
+@settings(max_examples=150)
+@given(project_batches(max_docs=12), st.sampled_from(["shuffle", "drop:0.3"]), st.sampled_from([XML, BRACKETS]),
+       st.integers(0, 3), st.sampled_from([1, 2, 5, None]))
+def test_project_in_any_window_gives_what_one_batch_gives(docs, backend, scheme, seed, window):
+    # The seeded backends draw by each document's position in the run, not in its window. A window of 1 divides
+    # every input exactly, and None stands for one window of every document.
+    translator = BACKENDS[backend](seed, scheme)
+    reference = [doc._replace(lang="de") for doc in docs]
+    one_batch = _project_all(docs, translator, scheme, len(docs), reference)
+    assert _project_all(docs, translator, scheme, window or len(docs), reference) == one_batch
 
 
 class _Answering(IdentityBackend):
@@ -527,7 +566,17 @@ class _Answering(IdentityBackend):
     (lambda out: [out[0], out[1]._replace(lang="en")], "translation 6 is 'd2' in 'en', not 'd2' in 'de'"),
 ], ids=["short", "long", "reordered", "wrong-language"])
 def test_project_refuses_an_answer_that_is_not_one_text_per_input_in_the_target_language(answer, message):
-    docs = [make_doc("John here", [Span("a", 0, 4)], doc_id="d1"), make_doc("plain", [], doc_id="d2")]
+    # Five documents fill the first window, which is answered in full; the second window's answer is rewritten.
+    docs = [make_doc("plain", [], doc_id=f"p{i}") for i in range(5)]
+    docs += [make_doc("John here", [Span("a", 0, 4)], doc_id="d1"), make_doc("plain", [], doc_id="d2")]
+    backend = _Answering(lambda out: answer(out) if out[0].id == "d1" else out)
+    run = project(iter(docs), backend, "en", "de", ReportAccumulator(None), [], 5)
+    assert [doc.id for doc in islice(run, 5)] == [doc.id for doc in docs[:5]]
     with pytest.raises(AlignmentError) as excinfo:
-        project(docs, _Answering(answer), "en", "de", start=5)  # raised before any document is decoded
+        next(run)  # raised before any document of the second window is decoded
     assert str(excinfo.value) == message
+
+
+def test_project_refuses_a_window_below_one():
+    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+        next(project(iter([]), IdentityBackend(), "en", "de", ReportAccumulator(None), [], 0))

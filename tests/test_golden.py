@@ -133,8 +133,8 @@ RUNS = {
 
 PINS = {
     "evaluate-json": "4174de81392d2500a5b4accfb578ae7c24c4bf28b23c8d1c4c5a7a2b8234b15d",
-    "evaluate-missing-projected-bad-threshold": "544059d18ca0deb650cc0f4d5f89b9fe8e8b26a301f81648445a8cb1f858c286",
-    "evaluate-missing-projected-source-tagged-alone": "544059d18ca0deb650cc0f4d5f89b9fe8e8b26a301f81648445a8cb1f858c286",
+    "evaluate-missing-projected-bad-threshold": "b24a4359ad6d1a40f8e980a57c5c92473c5718bda577277acef7e36e08d35453",
+    "evaluate-missing-projected-source-tagged-alone": "4f2d85ad4db56878ac96f411abe65a1cd5a76ccfb167083666c3741b56c83784",
     "evaluate-table": "4baba4753b7496d3800d5a2abdd679deb816c9400608399e98594e6525b6535b",
     "evaluate-tagged-json": "e4bd3bb9bacfbd83fda317d861d9c3e4bcc85859df5ca1aae348cbe88078caff",
     "evaluate-tagged-table": "30fd63529b749f4876ce8fdbffc295fcf3a026ff3fbc4a17a5024e4891836240",

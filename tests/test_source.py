@@ -181,3 +181,8 @@ def test_one_function_parses_json_read_from_outside():
 def test_one_function_checks_tag_names():
     # Reading a record, encoding and the plain-text reader all take the span rule from ``validate``.
     assert readers_of(_package_sources(), {"_TAG_NAME_RE"}) == ["model.py: validate"]
+
+
+def test_one_function_windows_the_documents_of_a_run():
+    # ``project`` is the one per-document path from input to output; ``dump`` only peeks at its first item.
+    assert readers_of(_package_sources(), {"islice"}) == ["codec.py: project", "dataio.py: dump"]
