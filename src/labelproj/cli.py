@@ -52,10 +52,6 @@ ENV_SCORER_URL = "LP_SCORER_URL"
 ENV_BEARER_TOKEN = "LP_BEARER_TOKEN"
 
 
-def _bearer_token() -> str | None:
-    return os.environ.get(ENV_BEARER_TOKEN)
-
-
 def _number(value: str, form: str) -> float:
     """The number after the ':' of a ``kind:number`` flag value; ``form`` says what the flag expects."""
     try:
@@ -90,7 +86,7 @@ def make_backend(
             value,
             batch_size=batch_size,
             max_in_flight=max_in_flight,
-            bearer_token=_bearer_token(),
+            bearer_token=os.environ.get(ENV_BEARER_TOKEN),
         )
     raise LabelProjError(f"unrecognized backend {value!r}")
 
@@ -102,7 +98,7 @@ def make_scorer(value: str | None) -> ScorerBackend | None:
     if value.startswith("constant:"):
         return ConstantScorer(_number(value, "--scorer constant:S needs a number S"))
     if value.startswith(("http:", "https:")):
-        return HttpScorerBackend(value, bearer_token=_bearer_token())
+        return HttpScorerBackend(value, bearer_token=os.environ.get(ENV_BEARER_TOKEN))
     raise LabelProjError(f"unrecognized scorer {value!r}")
 
 
@@ -245,7 +241,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    # The flags are checked before any input is read.
     if args.threshold is not None:
         check_threshold(args.threshold)
     if bool(args.source_tagged) != bool(args.hypothesis_tagged):
@@ -253,9 +248,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     diagnostics: list[Diagnostic] = []
 
     def read(fmt: DatasetFormat, path: str) -> list:
-        items, diags = load(Path(path), fmt, args.error_budget)
-        diagnostics.extend(diags)
-        return items
+        return list(read_items(Path(path), fmt, args.error_budget, diagnostics))
 
     projected = read(DatasetFormat.ANNOTATED_JSONL, args.projected)
     reference = read(DatasetFormat.ANNOTATED_JSONL, args.reference)
@@ -284,11 +277,12 @@ WINDOW_ROUNDS = 3
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    # The flags are checked before any input is read; the output is renamed into place once every check has passed.
-    given = [flag for flag in ("report_out", "report", "threshold", "dataset") if getattr(args, flag) is not None]
-    if given and not args.reference:
-        flag = given[0].replace("_", "-")
-        raise LabelProjError(f"--{flag} needs --reference: project reports only against a reference")
+    if not args.reference:
+        for flag in ("report_out", "report", "threshold", "dataset"):
+            if getattr(args, flag) is not None:
+                raise LabelProjError(
+                    f"--{flag.replace('_', '-')} needs --reference: project reports only against a reference"
+                )
     if args.threshold is not None:
         check_threshold(args.threshold)
     _check_distinct_outputs(args)
@@ -303,7 +297,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         projected = project(docs, backend, args.src_lang, args.tgt_lang, counts, decode_groups, window, _scheme(args))
         dump(projected, Path(args.output))
     write_diagnostics(_diagnostics_path(args), [(None, load_diags), *decode_groups])
-    print(f"projected {len(counts.asked)} documents -> {Path(args.output)}", file=sys.stderr)
+    print(f"projected {len(counts)} documents -> {Path(args.output)}", file=sys.stderr)
     if args.reference:
         _emit_report(counts.report(), args.report, args.report_out)
     _note_input_diagnostics(reference_diags)

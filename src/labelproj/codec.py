@@ -308,6 +308,7 @@ def project(
     report's alignment or an empty report."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    docs = iter(docs)  # each window reads on from the last, a list as well as a reader
     failures: dict[int, Exception] = {}  # the first error of each rank above, counted from 1
     position = 0
     while True:  # the last window is translated even when empty, so an empty run refuses what a full one does

@@ -194,14 +194,18 @@ class ReportAccumulator:
         self.has_reference = reference is not None
         self._reference = enumerate(reference or ())
         self._ahead: dict[str, tuple[int, AnnotatedText]] = {}  # id -> (position, document), not yet asked for
-        self.asked: dict[str, bool] = {}  # each projected id -> whether the reference has it
+        self._asked: dict[str, bool] = {}  # each projected id -> whether the reference has it
         self._repeat: tuple[int, str] | None = None  # the first repeated reference id's position and message
         self._rows: dict[str, list[int]] = {}  # language -> [examples, spans, tp, fp, fn, flags, true flags]
+
+    def __len__(self) -> int:
+        """The number of projected ids asked for so far."""
+        return len(self._asked)
 
     def _read_until(self, doc_id: str | None) -> AnnotatedText | None:
         """Read the reference up to the document with id ``doc_id``, indexing every other document read."""
         for position, ref in self._reference:
-            if ref.id in self._ahead or ref.id in self.asked:
+            if ref.id in self._ahead or ref.id in self._asked:
                 self._repeat = self._repeat or (position, f"duplicate id {ref.id!r} on the reference side")
             elif ref.id == doc_id:
                 return ref
@@ -211,11 +215,11 @@ class ReportAccumulator:
 
     def reference_for(self, doc_id: str) -> AnnotatedText | None:
         """The reference document with id ``doc_id``, or None; an id asked for twice is an AlignmentError."""
-        if doc_id in self.asked:
+        if doc_id in self._asked:
             raise AlignmentError("duplicate ids among projected documents")
         found = self._ahead.pop(doc_id, None)
         ref = found[1] if found else self._read_until(doc_id)
-        self.asked[doc_id] = ref is not None
+        self._asked[doc_id] = ref is not None
         return ref
 
     def add(self, projected: AnnotatedText, by_tag: dict, reference: AnnotatedText, matched: bool | None) -> None:
@@ -233,7 +237,7 @@ class ReportAccumulator:
         problems += [(at, f"reference id {i!r} has no projected document") for i, (at, _) in self._ahead.items()]
         if problems:
             raise AlignmentError(min(problems)[1])
-        missing = sorted(doc_id for doc_id, found in self.asked.items() if not found)
+        missing = sorted(doc_id for doc_id, found in self._asked.items() if not found)
         if missing:
             raise AlignmentError(f"projected ids with no reference: {missing[:5]}")
 

@@ -520,7 +520,7 @@ def _project_all(docs, translator, scheme, window, reference):
     """``project`` over ``docs`` in windows of ``window``, against ``reference``: the documents it yields, the
     diagnostic groups it appends, what it feeds the report, and the report."""
     counts, groups = _Recorder(reference), []
-    projected = list(project(iter(docs), translator, "en", "de", counts, groups, window, scheme))
+    projected = list(project(docs, translator, "en", "de", counts, groups, window, scheme))
     return projected, groups, counts.fed, counts.report()
 
 
@@ -542,10 +542,11 @@ def test_project_equals_its_step_by_step_oracle(docs, backend, scheme, seed):
        st.integers(0, 3), st.sampled_from([1, 2, 5, None]))
 def test_project_in_any_window_gives_what_one_batch_gives(docs, backend, scheme, seed, window):
     # The seeded backends draw by each document's position in the run, not in its window. A window of 1 divides
-    # every input exactly, and None stands for one window of every document.
+    # every input exactly, and None stands for one window of every document. The windowed run reads a list, the
+    # one-batch run an iterator: a list is read once, not from its start again in each window.
     translator = BACKENDS[backend](seed, scheme)
     reference = [doc._replace(lang="de") for doc in docs]
-    one_batch = _project_all(docs, translator, scheme, len(docs), reference)
+    one_batch = _project_all(iter(docs), translator, scheme, len(docs), reference)
     assert _project_all(docs, translator, scheme, window or len(docs), reference) == one_batch
 
 
