@@ -8,6 +8,7 @@ runs it names.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -73,10 +74,36 @@ def _evaluate_inputs(run_dir) -> None:
     dump(TagDropperBackend(0.3, 0, MarkerScheme.XML).translate_batch(sources, "en", "de"), run_dir / "hyp.tagged.jsonl")
 
 
+def _tagged_inputs(run_dir, scheme: str = "xml", n: int = 30) -> None:
+    """``in.tagged.jsonl``: ``n`` documents encoded in ``scheme``."""
+    dump([encode(doc, MarkerScheme(scheme)) for doc in _docs(n)], run_dir / "in.tagged.jsonl")
+
+
+def _qa_inputs(run_dir, count_mismatch: bool = False) -> None:
+    """``src.json`` and ``tgt.json``: five contexts a side, four of them paired; with ``count_mismatch``, one pair's
+    target holds a question more than its source."""
+    def tree(lang: str, ids: list[str]) -> dict:
+        paragraphs = []
+        for i, context_id in enumerate(ids):
+            context = f"{lang} alpha {i} beta gamma"
+            extra = count_mismatch and lang == "de" and i == 2
+            qas = [{"id": f"{context_id}-{k}", "question": "?", "answers": [{"text": "beta", "answer_start": 3}]}
+                   for k in range(1 + (i % 2) + extra)]
+            paragraphs.append({"context": context, "qas": qas})
+        return {"data": [{"title": context_id, "paragraphs": [paragraph]}
+                         for context_id, paragraph in zip(ids, paragraphs)]}
+
+    (run_dir / "src.json").write_text(json.dumps(tree("en", ["a", "b", "c", "d", "s"])), encoding="utf-8")
+    (run_dir / "tgt.json").write_text(json.dumps(tree("de", ["a", "b", "c", "d", "t"])), encoding="utf-8")
+
+
 PROJECT = ["project", "-i", "in.jsonl", "-o", "out.jsonl", "--src-lang", "en", "--tgt-lang", "de", "--seed", "3"]
 WITH_REFERENCE = ["--reference", "ref.jsonl"]
 EVALUATE = ["evaluate", "--projected", "projected.jsonl", "--reference", "ref.jsonl"]
 TAGGED = ["--source-tagged", "src.tagged.jsonl", "--hypothesis-tagged", "hyp.tagged.jsonl"]
+TRANSLATE = ["translate", "-i", "in.tagged.jsonl", "-o", "out.tagged.jsonl", "--src-lang", "en", "--seed", "3"]
+FILTER_QA = ["filter-qa", "--src-json", "src.json", "--tgt-json", "tgt.json", "--src-lang", "en", "--tgt-lang", "de",
+             "--out-dir", "qa"]
 
 # name -> (argv, inputs): ``inputs(run_dir)`` writes the run's input files.
 RUNS = {
@@ -116,6 +143,22 @@ RUNS = {
         [*PROJECT, *WITH_REFERENCE, "--backend", "drop:0.3", *SMALL_WINDOWS, "--report-out", "report.json"],
         lambda d: _inputs(d, plant={W + 3: "not json\n"}, old_outputs=True),
     ),
+    **{
+        f"translate-{backend}-{scheme}": (
+            [*TRANSLATE, "--tgt-lang", "de", "--backend", backend, "--scheme", scheme],
+            lambda d, scheme=scheme: _tagged_inputs(d, scheme),
+        )
+        for backend, scheme in [("identity", "xml"), ("shuffle", "xml"), ("drop:0.3", "xml"), ("drop:0.3", "brackets")]
+    },
+    "translate-empty": ([*TRANSLATE, "--tgt-lang", "de", "--backend", "drop:0.3"], lambda d: _tagged_inputs(d, n=0)),
+    "translate-equal-languages": ([*TRANSLATE, "--tgt-lang", "en", "--backend", "identity"], _tagged_inputs),
+    # Both keep every pair, the first because each scores above the default bound, so both give the same bytes.
+    "filter-qa-constant-90": ([*FILTER_QA, "--scorer", "constant:90"], _qa_inputs),
+    "filter-qa-no-score-filter": ([*FILTER_QA, "--no-score-filter"], _qa_inputs),
+    # Every pair that passes the count check scores below the bound.
+    "filter-qa-count-mismatch": (
+        [*FILTER_QA, "--scorer", "constant:90", "--min-score", "95"], lambda d: _qa_inputs(d, count_mismatch=True)
+    ),
     "evaluate-json": ([*EVALUATE, "--report", "json"], _evaluate_inputs),
     "evaluate-table": ([*EVALUATE, "--report", "table"], _evaluate_inputs),
     "evaluate-tagged-json": ([*EVALUATE, *TAGGED, "--report", "json"], _evaluate_inputs),
@@ -138,6 +181,9 @@ PINS = {
     "evaluate-table": "4baba4753b7496d3800d5a2abdd679deb816c9400608399e98594e6525b6535b",
     "evaluate-tagged-json": "e4bd3bb9bacfbd83fda317d861d9c3e4bcc85859df5ca1aae348cbe88078caff",
     "evaluate-tagged-table": "30fd63529b749f4876ce8fdbffc295fcf3a026ff3fbc4a17a5024e4891836240",
+    "filter-qa-constant-90": "aeb9642f7b089ea1f8597b44756a2464a7ddba4c540cef1d72db4b57af9372dd",
+    "filter-qa-count-mismatch": "c58f9e005f01862b0e9c94da64eb79d031ee2e71f8035fedd43b4a34d6d0258d",
+    "filter-qa-no-score-filter": "aeb9642f7b089ea1f8597b44756a2464a7ddba4c540cef1d72db4b57af9372dd",
     "project-drop:0.3-brackets": "5e2dea28aa26bf78ae9825bafb3ea8f254baf3af297db8878e43b8c7363e9d17",
     "project-drop:0.3-xml": "63e834b9051aec3f6d3ade5c9e5cf7b2ca6b3bcf3d4281dda1d7256551fee3b4",
     "project-duplicate-id": "4b3a779cee090cd98ca2ece0a57ac09c7e921cc4ac72fa20465957d179d86768",
@@ -156,6 +202,12 @@ PINS = {
     "project-size-17": "90b217e833b767f8e34dfdfae0a0c7b233ed0608271bba15ddab9f2d70974751",
     "project-size-18": "8cfa536fb9339ac1c64b1abc4ff110160b306704755c6aaea3b4872430c22ab7",
     "project-size-19": "ea34afc9a90065c1c89ce46ad75688edbc763125a72fb7a1e49dd6abebb4ee66",
+    "translate-drop:0.3-brackets": "ca0a6c812cc34e878fd3b0aa930bf1d8b565a27d0f72931ca76f227458c6c071",
+    "translate-drop:0.3-xml": "9f519fdd42375c5380a66b25cd80b01096cadd24d1c658fd84417b0b9b6e623c",
+    "translate-empty": "cb4b9e358bca7ac0c4285eecfc7bff493fe324ddffea79ac371619c6c825fe8e",
+    "translate-equal-languages": "3abad1cd05011e92e78d107f9022eb6e4c6042ff85f060443a68c24171807ca1",
+    "translate-identity-xml": "a30b785958523e62951f5b17e15841a710ea311a419864cf0af65849ed45b4b1",
+    "translate-shuffle-xml": "13505410a89dd160d258ae88e23e8eb8caaceaee8f96df43c57c455fcda16d49",
 }
 
 
