@@ -44,20 +44,24 @@ _BATCH_SIZE = 32
 MAX_IN_FLIGHT = 64
 
 
-def _check_languages(src_lang: str, tgt_lang: str) -> None:
-    if src_lang == tgt_lang:
-        raise ValueError(f"source and target language are both {src_lang!r}")
-
-
 class TranslationBackend(abc.ABC):
-    """Order-preserving batch translator: output[i] is input[i] translated, with its id, in ``tgt_lang``; no input
-    gives no output. ``start`` is ``texts[0]``'s position in the run. In a ``with`` block, a backend may keep what its
-    batches open."""
+    """Order-preserving batch translator: ``translate_batch``'s output[i] is input[i] translated, with its id, in
+    ``tgt_lang``; no input gives no output. A backend implements only ``_translate``, one tagged string per input in
+    order. ``start`` is ``texts[0]``'s position in the run. In a ``with`` block, a backend may keep what its batches
+    open."""
 
-    @abc.abstractmethod
     def translate_batch(
         self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
-    ) -> list[TaggedText]: ...
+    ) -> list[TaggedText]:
+        if src_lang == tgt_lang:
+            raise ValueError(f"source and target language are both {src_lang!r}")
+        answer = self._translate(texts, src_lang, tgt_lang, start)
+        if len(answer) != len(texts):
+            raise AlignmentError(f"{len(answer)} translations returned for {len(texts)} texts")
+        return [TaggedText(text.id, tgt_lang, tagged) for text, tagged in zip(texts, answer)]
+
+    @abc.abstractmethod
+    def _translate(self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int) -> list[str]: ...
 
     def __enter__(self) -> TranslationBackend:
         return self
@@ -69,11 +73,8 @@ class TranslationBackend(abc.ABC):
 class IdentityBackend(TranslationBackend):
     """Returns its inputs' texts verbatim; the no-model reference backend."""
 
-    def translate_batch(
-        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
-    ) -> list[TaggedText]:
-        _check_languages(src_lang, tgt_lang)
-        return [TaggedText(text.id, tgt_lang, text.tagged) for text in texts]
+    def _translate(self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int) -> list[str]:
+        return [text.tagged for text in texts]
 
 
 _Pair = tuple[int, MarkerToken, MarkerToken]  # (rank, open, close), as ``scan_markers`` pairs them
@@ -90,15 +91,11 @@ class _SeededMarkerBackend(TranslationBackend):
     @abc.abstractmethod
     def _rewrite(self, tagged: str, pairs: list[_Pair], rng: random.Random) -> str: ...
 
-    def translate_batch(
-        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
-    ) -> list[TaggedText]:
-        _check_languages(src_lang, tgt_lang)
+    def _translate(self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int) -> list[str]:
         out = []
         for i, text in enumerate(texts, start):
             rng = random.Random(derive_seed(self.seed, f"{i}:{text.id}"))
-            tagged = self._rewrite(text.tagged, scan_markers(text.tagged, self.scheme).pairs, rng)
-            out.append(TaggedText(text.id, tgt_lang, tagged))
+            out.append(self._rewrite(text.tagged, scan_markers(text.tagged, self.scheme).pairs, rng))
         return out
 
 
@@ -422,13 +419,10 @@ class HttpTranslationBackend(TranslationBackend):
                 raise BackendError(status, f"translation {t!r} is not a string")
         return translations
 
-    def translate_batch(
-        self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int = 0
-    ) -> list[TaggedText]:
+    def _translate(self, texts: Sequence[TaggedText], src_lang: str, tgt_lang: str, start: int) -> list[str]:
         if self._tasks is None:
             with self:
-                return self.translate_batch(texts, src_lang, tgt_lang, start)
-        _check_languages(src_lang, tgt_lang)
+                return self._translate(texts, src_lang, tgt_lang, start)
         chunks = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
         import queue
         import threading
@@ -449,18 +443,28 @@ class HttpTranslationBackend(TranslationBackend):
         for failure in results:
             if isinstance(failure, BaseException):
                 raise failure  # the first failed chunk in input order, as a serial run would report
-        out: list[TaggedText] = []
-        for chunk, translations in zip(chunks, results):
-            for text, translation in zip(chunk, translations):
-                out.append(TaggedText(text.id, tgt_lang, translation))
-        return out
+        return [translation for translations in results for translation in translations]
 
 
 class ScorerBackend(abc.ABC):
-    """Order-preserving batch scorer for (source, hypothesis, reference)."""
+    """Order-preserving batch scorer for (source, hypothesis, reference): ``score_batch``'s output[i] is pair i's
+    finite score. A scorer implements only ``_score``, one number per pair in order."""
+
+    def score_batch(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]:
+        if not pairs:
+            raise EmptyInputError("score_batch requires at least one pair")
+        scores = self._score(pairs)
+        if len(scores) != len(pairs):
+            raise AlignmentError(f"{len(scores)} scores returned for {len(pairs)} pairs")
+        for score in scores:
+            # A bool is an int but no score. The bounds also reject NaN, infinities and integers too large for a float.
+            real = isinstance(score, (int, float)) and not isinstance(score, bool)
+            if not (real and -sys.float_info.max <= score <= sys.float_info.max):
+                raise ValueError(f"score {score!r} is not a finite number")
+        return scores
 
     @abc.abstractmethod
-    def score_batch(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]: ...
+    def _score(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]: ...
 
 
 class ConstantScorer(ScorerBackend):
@@ -469,9 +473,7 @@ class ConstantScorer(ScorerBackend):
             raise ValueError("constant score must be finite")
         self.value = float(value)
 
-    def score_batch(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]:
-        if not pairs:
-            raise EmptyInputError("score_batch requires at least one pair")
+    def _score(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]:
         return [self.value] * len(pairs)
 
 
@@ -487,9 +489,7 @@ class HttpScorerBackend(ScorerBackend):
     ):
         self._client = _HttpJsonClient(endpoint, timeout, max_retries, bearer_token, backoff_base)
 
-    def score_batch(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]:
-        if not pairs:
-            raise EmptyInputError("score_batch requires at least one pair")
+    def _score(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]:
         connection = _Connection()
         try:
             chunks = (pairs[i : i + _BATCH_SIZE] for i in range(0, len(pairs), _BATCH_SIZE))

@@ -300,8 +300,8 @@ def project(
     scheme: MarkerScheme = MarkerScheme.XML,
 ) -> Iterator[AnnotatedText]:
     """Project validated ``docs`` in windows of ``window``. Per window: ask ``counts`` for each reference (a repeated
-    id is refused), encode, translate at the window's position in the run, and refuse an answer that is not one text
-    per input with its id in ``tgt_lang`` (:class:`AlignmentError`). Per document: decode, append any diagnostics to
+    id is refused), encode, and translate at the window's position in the run, which refuses an answer that is not
+    one text per input (:class:`AlignmentError`). Per document: decode, append any diagnostics to
     ``diagnostics`` as ``(id, diagnostics)``, count it against its reference, yield it (XML spans keep source labels).
     After an error no window is translated, but both inputs are read to their ends, and the error raised is the one
     a whole read meets first: reading ``docs`` (raised at once), the reference, a repeated id, the backend, then the
@@ -318,12 +318,6 @@ def project(
             try:
                 sources = [_place_markers(doc, scheme) for doc in batch]
                 hypotheses = backend.translate_batch(sources, src_lang, tgt_lang, position)
-                if len(hypotheses) != len(sources):
-                    raise AlignmentError(f"{len(hypotheses)} translations returned for {len(sources)} texts")
-                for i, (source, hypothesis) in enumerate(zip(sources, hypotheses), position):
-                    if (hypothesis.id, hypothesis.lang) != (source.id, tgt_lang):
-                        raise AlignmentError(f"translation {i} is {hypothesis.id!r} in {hypothesis.lang!r}, "
-                                             f"not {source.id!r} in {tgt_lang!r}")
             except (LabelProjError, OSError, ValueError) as exc:
                 failures.setdefault(4, exc)
         if not failures:  # the window is translated

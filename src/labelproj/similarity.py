@@ -29,16 +29,17 @@ def gestalt_ratio(a: str, b: str) -> float:
 
 
 def _reaches(a: str, b: str, threshold: float) -> bool:
-    """``gestalt_ratio(a, b) >= threshold``, deciding from the lengths alone when they rule it out.
+    """``gestalt_ratio(a, b) >= threshold``, normalizing each string once; the lengths alone decide when they can.
 
     The matched count is at most the shorter normalized length, and float
     division is monotone, so 2*min/(|a|+|b|) < threshold is an exact miss.
     """
     a = unicodedata.normalize("NFC", a)
     b = unicodedata.normalize("NFC", b)
-    if a != b and 2.0 * min(len(a), len(b)) / (len(a) + len(b)) < threshold:
-        return False
-    return gestalt_ratio(a, b) >= threshold  # normalizing again is a fast quick-check
+    if a == b:  # every character matches, as in gestalt_ratio
+        return 1.0 >= threshold
+    n = len(a) + len(b)
+    return 2.0 * min(len(a), len(b)) / n >= threshold and 2.0 * _matched_total(a, b) / n >= threshold
 
 
 def _matched_total(a: str, b: str) -> int:

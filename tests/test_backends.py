@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 import labelproj
+from labelproj import backends
 from labelproj.backends import MAX_IN_FLIGHT, _hostport
 from labelproj import (
     AlignmentError,
@@ -38,6 +39,8 @@ from labelproj import (
     signature,
 )
 
+from test_codec import _Answering
+
 
 def tt(doc_id: str, tagged: str) -> TaggedText:
     return TaggedText(doc_id, "en", tagged)
@@ -52,11 +55,47 @@ def test_identity_returns_inputs_verbatim():
     assert IdentityBackend().translate_batch(TEXTS, "en", "de") == [t._replace(lang="de") for t in TEXTS]
 
 
-@pytest.mark.parametrize("make", [IdentityBackend, TagShufflerBackend, lambda: TagDropperBackend(0.5)])
+# Every built-in translation backend, given the URL of a translation server.
+BUILT_IN = [
+    lambda url: IdentityBackend(),
+    lambda url: TagShufflerBackend(),
+    lambda url: TagDropperBackend(0.5),
+    lambda url: HttpTranslationBackend(url, batch_size=2),
+]
+
+
+def _echo(requests: list):
+    """A translation server's behavior: record each request's body and answer with its texts."""
+    def behavior(path, body, headers):
+        requests.append(body)
+        return 200, {"translations": body["texts"]}
+
+    return behavior
+
+
+@pytest.mark.parametrize("make", BUILT_IN)
 def test_backends_return_empty_for_empty_and_reject_same_language(make):
-    assert make().translate_batch([], "en", "de") == []
-    with pytest.raises(ValueError):
-        make().translate_batch(TEXTS, "en", "en")
+    requests = []
+    with http_server(_echo(requests)) as url:
+        assert make(url).translate_batch([], "en", "de") == []
+        with pytest.raises(ValueError, match="^source and target language are both 'en'$"):
+            make(url).translate_batch(TEXTS, "en", "en")
+    assert requests == []
+
+
+@pytest.mark.parametrize("make", [*BUILT_IN, lambda url: _Answering(lambda out: out[::-1])])
+def test_backends_answer_with_each_input_id_in_order_in_the_target_language(make):
+    texts = [tt(f"t{i}", f"<a>{i}</a> <b>x</b>") for i in range(5)]
+    with http_server(_echo([])) as url:
+        out = make(url).translate_batch(texts, "en", "de", 7)
+    assert [(t.id, t.lang) for t in out] == [(t.id, "de") for t in texts]
+
+
+def test_only_the_two_bases_define_the_batch_methods():
+    # A backend implements _translate or _score; the base's batch method checks its answer and builds the output.
+    definers = [name for name, cls in vars(backends).items()
+                if isinstance(cls, type) and {"translate_batch", "score_batch"} & set(vars(cls))]
+    assert sorted(definers) == ["ScorerBackend", "TranslationBackend"]
 
 
 def test_dropper_q1_removes_every_pair():

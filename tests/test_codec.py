@@ -551,26 +551,25 @@ def test_project_in_any_window_gives_what_one_batch_gives(docs, backend, scheme,
 
 
 class _Answering(IdentityBackend):
-    """The identity backend's answer to each batch, rewritten by ``answer``."""
+    """The identity backend's strings for each batch, rewritten by ``answer``."""
 
     def __init__(self, answer):
         self.answer = answer
 
-    def translate_batch(self, texts, src_lang, tgt_lang, start=0):
-        return self.answer(super().translate_batch(texts, src_lang, tgt_lang, start))
+    def _translate(self, texts, src_lang, tgt_lang, start):
+        return self.answer(super()._translate(texts, src_lang, tgt_lang, start))
 
 
 @pytest.mark.parametrize("answer, message", [
     (lambda out: out[:1], "1 translations returned for 2 texts"),
     (lambda out: out + out[:1], "3 translations returned for 2 texts"),
-    (lambda out: out[::-1], "translation 5 is 'd2' in 'de', not 'd1' in 'de'"),
-    (lambda out: [out[0], out[1]._replace(lang="en")], "translation 6 is 'd2' in 'en', not 'd2' in 'de'"),
-], ids=["short", "long", "reordered", "wrong-language"])
+], ids=["short", "long"])
 def test_project_refuses_an_answer_that_is_not_one_text_per_input_in_the_target_language(answer, message):
-    # Five documents fill the first window, which is answered in full; the second window's answer is rewritten.
+    # Five documents fill the first window, which is answered in full; the second window's two strings are
+    # rewritten. A backend answers with strings alone, so the id and the language cannot be wrong.
     docs = [make_doc("plain", [], doc_id=f"p{i}") for i in range(5)]
     docs += [make_doc("John here", [Span("a", 0, 4)], doc_id="d1"), make_doc("plain", [], doc_id="d2")]
-    backend = _Answering(lambda out: answer(out) if out[0].id == "d1" else out)
+    backend = _Answering(lambda out: answer(out) if len(out) == 2 else out)
     run = project(iter(docs), backend, "en", "de", ReportAccumulator(None), [], 5)
     assert [doc.id for doc in islice(run, 5)] == [doc.id for doc in docs[:5]]
     with pytest.raises(AlignmentError) as excinfo:

@@ -335,7 +335,7 @@ class _FailingScorer(ScorerBackend):
     def __init__(self, error: Exception):
         self.error = error
 
-    def score_batch(self, pairs):
+    def _score(self, pairs):
         raise self.error
 
 
@@ -344,3 +344,27 @@ def test_filter_reports_a_failing_scorer_as_unavailable(error):
     with pytest.raises(ScorerUnavailableError) as excinfo:
         filter_parallel_qa([qa_pair("p", 1, 1)], _FailingScorer(error), min_score=80)
     assert str(excinfo.value) == f"scorer failed: {error}" and excinfo.value.__cause__ is error
+
+
+class _Scoring(ScorerBackend):
+    """Answers every batch with ``scores``."""
+
+    def __init__(self, scores: list):
+        self.scores = scores
+
+    def _score(self, pairs):
+        return self.scores
+
+
+@pytest.mark.parametrize("scores, error, message", [
+    ([90.0, 90.0], AlignmentError, "2 scores returned for 3 pairs"),
+    ([90.0] * 4, AlignmentError, "4 scores returned for 3 pairs"),
+    ([90.0, float("nan"), 90.0], ValueError, "score nan is not a finite number"),
+    ([90.0, True, 90.0], ValueError, "score True is not a finite number"),
+], ids=["short", "long", "nan", "bool"])
+def test_filter_refuses_a_scorer_answer_that_is_not_one_finite_score_per_pair(scores, error, message):
+    # Zipped with the pairs, a short answer would lose a pair, a long one hide the fault, NaN keep every pair and
+    # True score as 1.
+    with pytest.raises(error) as excinfo:
+        filter_parallel_qa([qa_pair(f"p{i}", 1, 1) for i in range(3)], _Scoring(scores), min_score=80)
+    assert str(excinfo.value) == message

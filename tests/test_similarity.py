@@ -128,6 +128,15 @@ def test_reaches_is_the_thresholded_ratio(a, b, threshold):
         assert _reaches(a, b, t) == (ratio >= t)
 
 
+@pytest.mark.parametrize("a, b, threshold", [("abc", "abd", 0.5), ("e\u0301a", "\u00e9a", 1.0), ("", "", 1.0)])
+def test_reaches_normalises_each_string_once(monkeypatch, a, b, threshold):
+    calls = []
+    normalize = unicodedata.normalize
+    monkeypatch.setattr(unicodedata, "normalize", lambda form, text: calls.append(text) or normalize(form, text))
+    assert _reaches(a, b, threshold)
+    assert calls == [a, b]
+
+
 def test_reaches_rejects_on_lengths_without_matching(monkeypatch):
     long = "x" * 4000 + "é"
     assert _reaches("e\u0301", long, 2 / 4002) and _reaches("", "", 1.0)
