@@ -10,6 +10,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import threading
+import zlib
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -97,11 +101,94 @@ def _qa_inputs(run_dir, count_mismatch: bool = False) -> None:
     (run_dir / "tgt.json").write_text(json.dumps(tree("de", ["a", "b", "c", "d", "t"])), encoding="utf-8")
 
 
+def _text_inputs(run_dir) -> None:
+    """``in.txt``: twelve seeded lines of words, the fifth of them with a marker-shaped substring."""
+    rng = random.Random(0x7E47)
+    words = ["alpha", "beta", "gamma", "delta", "über", "straße", "东京", "x1", "loop", "<1>"]
+    lines = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 9))) for _ in range(12)]
+    lines[4] = "see <a>here</a> and there"
+    (run_dir / "in.txt").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+
+def _raw_inputs(run_dir) -> None:
+    """``raw.jsonl``: ten raw markup pairs with attributes and self-closing tags, then one pair whose target has a
+    tag type its source lacks and one with no tags."""
+    pairs = [
+        (f"p{i}", f'<b class="k{i}">alpha {i}</b> and <i>beta</i>' + "<br/>" * (i % 3),
+         f"<i>beta</i> und <b>alpha {i}</b>" + "<br />" * (i % 3))
+        for i in range(10)
+    ]
+    pairs += [("unmapped", "<b>x</b> y", "<u>x</u> y"), ("untagged", "plain", "schlicht")]
+    records = [{"id": i, "src_lang": "en", "tgt_lang": "de", "src_markup": s, "tgt_markup": t} for i, s, t in pairs]
+    (run_dir / "raw.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def _hypothesis_inputs(run_dir, scheme: str = "xml") -> None:
+    """``hyp.tagged.jsonl``: 30 documents encoded in ``scheme``, with markers dropped by ``drop:0.3``."""
+    sources = [encode(doc, MarkerScheme(scheme)) for doc in _docs(30)]
+    hypotheses = TagDropperBackend(0.3, 0, MarkerScheme(scheme)).translate_batch(sources, "en", "de")
+    dump(hypotheses, run_dir / "hyp.tagged.jsonl")
+
+
+def _answer(path: str, body: dict) -> dict:
+    """The loopback stub's answer, a function of each text alone so that concurrent requests cannot reorder it:
+    ``/translate`` drops the first close marker of every text whose CRC-32 is a multiple of 3, and ``/score``
+    scores a pair 10 + 20 × the sum of its source's digits."""
+    if path == "/translate":
+        return {"translations": [
+            text.replace("</", "<", 1) if zlib.crc32(text.encode("utf-8")) % 3 == 0 else text for text in body["texts"]
+        ]}
+    return {"scores": [10.0 + 20.0 * sum(int(c) for c in pair["src"] if c.isdigit()) for pair in body["pairs"]]}
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self) -> None:
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        data = json.dumps(_answer(self.path, body)).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args) -> None:  # a line on stderr would enter the digest
+        pass
+
+
+# An argv item naming the backend or scorer: the URL of a loopback stub started for the run.
+STUB = "{stub}"
+
+
+@contextmanager
+def _served(argv: list[str]):
+    """``argv`` with ``STUB`` replaced by the URL of a stub that serves for the run; ``argv`` as it is without it."""
+    if STUB not in argv:
+        yield argv
+        return
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield [f"http://127.0.0.1:{server.server_port}" if arg == STUB else arg for arg in argv]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 PROJECT = ["project", "-i", "in.jsonl", "-o", "out.jsonl", "--src-lang", "en", "--tgt-lang", "de", "--seed", "3"]
 WITH_REFERENCE = ["--reference", "ref.jsonl"]
 EVALUATE = ["evaluate", "--projected", "projected.jsonl", "--reference", "ref.jsonl"]
 TAGGED = ["--source-tagged", "src.tagged.jsonl", "--hypothesis-tagged", "hyp.tagged.jsonl"]
 TRANSLATE = ["translate", "-i", "in.tagged.jsonl", "-o", "out.tagged.jsonl", "--src-lang", "en", "--seed", "3"]
+ENCODE = ["encode", "-i", "in.jsonl", "-o", "out.jsonl"]
+DECODE = ["decode", "-i", "hyp.tagged.jsonl", "-o", "out.jsonl"]
+SYNTH = ["synth", "-i", "in.txt", "-o", "out.jsonl", "--seed", "3"]
+STATS = ["stats", "-i", "in.tagged.jsonl", "--format", "tagged"]
+SWEEP = ["sweep", "-i", "in.txt", "--out-dir", "sweep", "--scheme", "brackets", "--seed", "2",
+         "--p-open-min", "0.1", "--p-open-max", "0.2", "--p-open-step", "0.1",
+         "--p-close-min", "0.3", "--p-close-max", "0.5", "--p-close-step", "0.2"]
 FILTER_QA = ["filter-qa", "--src-json", "src.json", "--tgt-json", "tgt.json", "--src-lang", "en", "--tgt-lang", "de",
              "--out-dir", "qa"]
 
@@ -159,6 +246,34 @@ RUNS = {
     "filter-qa-count-mismatch": (
         [*FILTER_QA, "--scorer", "constant:90", "--min-score", "95"], lambda d: _qa_inputs(d, count_mismatch=True)
     ),
+    **{
+        f"encode-{scheme}": ([*ENCODE, "--scheme", scheme], lambda d: _inputs(d, reference=False))
+        for scheme in ("xml", "brackets")
+    },
+    **{
+        f"encode-error-budget-{budget}": (
+            [*ENCODE, "--error-budget", str(budget)],
+            lambda d: _inputs(d, reference=False, plant={5: "not json\n"}, old_outputs=True),
+        )
+        for budget in (0, 1)
+    },
+    "decode-drop:0.3-xml": (DECODE, _hypothesis_inputs),
+    "decode-drop:0.3-brackets-diagnostics": (
+        [*DECODE, "--scheme", "brackets", "--diagnostics", "diags.jsonl"], lambda d: _hypothesis_inputs(d, "brackets")
+    ),
+    "synth-single-sequential-lengths": ([*SYNTH, "--mode", "single", "--sequential-lengths"], _text_inputs),
+    "synth-simple": ([*SYNTH, "--mode", "simple"], _text_inputs),
+    "synth-complex": ([*SYNTH, "--mode", "complex"], _text_inputs),
+    "tagswap": (["tagswap", "-i", "raw.jsonl", "-o", "out.jsonl"], _raw_inputs),
+    "prep": (["prep", "-i", "raw.jsonl", "--out-dir", "prep", "--dev-fraction", "0.2", "--seed", "1"], _raw_inputs),
+    "sweep-brackets": (SWEEP, _text_inputs),
+    "stats-annotated-table": (["stats", "-i", "in.jsonl"], lambda d: _inputs(d, reference=False)),
+    "stats-tagged-xml-json": ([*STATS, "--report", "json"], _tagged_inputs),
+    "stats-tagged-brackets-table": ([*STATS, "--scheme", "brackets"], lambda d: _tagged_inputs(d, "brackets")),
+    "project-http": (
+        [*PROJECT, *WITH_REFERENCE, "--backend", STUB, *SMALL_WINDOWS, "--report", "json"], _inputs
+    ),
+    "filter-qa-http": ([*FILTER_QA, "--scorer", STUB, "--min-score", "40"], _qa_inputs),
     "evaluate-json": ([*EVALUATE, "--report", "json"], _evaluate_inputs),
     "evaluate-table": ([*EVALUATE, "--report", "table"], _evaluate_inputs),
     "evaluate-tagged-json": ([*EVALUATE, *TAGGED, "--report", "json"], _evaluate_inputs),
@@ -175,6 +290,12 @@ RUNS = {
 
 
 PINS = {
+    "decode-drop:0.3-brackets-diagnostics": "e7f2b34bcaaa63a3e5f2d13844a133430a3ad398e6a6fc7870fb0fa7e7427bab",
+    "decode-drop:0.3-xml": "d13e0d3faa204fc0a811165525f77e8e05f4fa8da6a7e533b4780b9f771be361",
+    "encode-brackets": "7b97232bf56917e77164abc11a4f6dff1290dfab88a06193d17ce03aa74fd493",
+    "encode-error-budget-0": "e569dc82215280486643ffba630f7b5606edea17d6d705abecda92df605afcdc",
+    "encode-error-budget-1": "64e2cead8d9ea52dbdad279ca8aa6120d48776d5288e47318ccb406e622ba835",
+    "encode-xml": "ad4743ab34c56e69e77cf1069afed5a12f5822cb63f1eb36a754cda97cb82289",
     "evaluate-json": "4174de81392d2500a5b4accfb578ae7c24c4bf28b23c8d1c4c5a7a2b8234b15d",
     "evaluate-missing-projected-bad-threshold": "b24a4359ad6d1a40f8e980a57c5c92473c5718bda577277acef7e36e08d35453",
     "evaluate-missing-projected-source-tagged-alone": "4f2d85ad4db56878ac96f411abe65a1cd5a76ccfb167083666c3741b56c83784",
@@ -183,12 +304,15 @@ PINS = {
     "evaluate-tagged-table": "30fd63529b749f4876ce8fdbffc295fcf3a026ff3fbc4a17a5024e4891836240",
     "filter-qa-constant-90": "aeb9642f7b089ea1f8597b44756a2464a7ddba4c540cef1d72db4b57af9372dd",
     "filter-qa-count-mismatch": "c58f9e005f01862b0e9c94da64eb79d031ee2e71f8035fedd43b4a34d6d0258d",
+    "filter-qa-http": "057fe68a5bd41a05c9e768d7f4c8dd24c35c6d350f08d4c317b67adaf2084376",
     "filter-qa-no-score-filter": "aeb9642f7b089ea1f8597b44756a2464a7ddba4c540cef1d72db4b57af9372dd",
+    "prep": "018ffbfe88aa73afce54e7f74f43286be72d1c2ee8fc7f17be8a78776bb467fb",
     "project-drop:0.3-brackets": "5e2dea28aa26bf78ae9825bafb3ea8f254baf3af297db8878e43b8c7363e9d17",
     "project-drop:0.3-xml": "63e834b9051aec3f6d3ade5c9e5cf7b2ca6b3bcf3d4281dda1d7256551fee3b4",
     "project-duplicate-id": "4b3a779cee090cd98ca2ece0a57ac09c7e921cc4ac72fa20465957d179d86768",
     "project-empty-equal-languages": "ed359bc099ad7272c0570ebf03f3bf83f0ff718cbdfca1393f2a7412e192f520",
     "project-error-budget-1": "643525226f91df0e395bd77907d148e05736bcb02be95ec4152fb3f52fa15011",
+    "project-http": "297e95be48dd0407bbc0835c58580438fd22f0b270a10ed46674bbe18b27894b",
     "project-identity-brackets": "c128765acd8ddcab1111ff4bf1b3f59ec542b14dab8b9c2cd94660fdf2ab1d9e",
     "project-identity-xml": "24b81cd403d1503a6ea6ec33ffac452f35d114d03d080f868b995c30109828bd",
     "project-late-input-error": "909b9a859de6d4eb7ab7b73e3e5d61736b11db4768e2283850dba992c4c37cdc",
@@ -202,6 +326,14 @@ PINS = {
     "project-size-17": "90b217e833b767f8e34dfdfae0a0c7b233ed0608271bba15ddab9f2d70974751",
     "project-size-18": "8cfa536fb9339ac1c64b1abc4ff110160b306704755c6aaea3b4872430c22ab7",
     "project-size-19": "ea34afc9a90065c1c89ce46ad75688edbc763125a72fb7a1e49dd6abebb4ee66",
+    "stats-annotated-table": "eb919a7cc6f5cdf6dcda6060af850ab3907f728e746d21dd439ada4d79ebf305",
+    "stats-tagged-brackets-table": "1a6f6b9e7f0a686a17ca5bb2394a91be4ca40c260b64e07eeed3dc73c4a03046",
+    "stats-tagged-xml-json": "be387f3becc91cd66959f9d69f537542c44c96dc500febce46a0caad7d0ea471",
+    "sweep-brackets": "7e6d6f1a99e61910afb170b240855b45ce15d5414eb8669ada54ef7f1364b8ac",
+    "synth-complex": "c5ec10838230fba30c95dec4df97224e9531926574c5b16c72239769d56866ca",
+    "synth-simple": "53fbaa707e7e04fe407a2467f7a7c2066e78c566dc89599a3e996d87485b8a07",
+    "synth-single-sequential-lengths": "6e5e15a2fbc1e563667a3947b6814ba76dc958ceadc2ef0719d6213ee028f460",
+    "tagswap": "0562fade878064b1635684d7ec5f94da13d313c7110397005536a81f3fc74269",
     "translate-drop:0.3-brackets": "ca0a6c812cc34e878fd3b0aa930bf1d8b565a27d0f72931ca76f227458c6c071",
     "translate-drop:0.3-xml": "9f519fdd42375c5380a66b25cd80b01096cadd24d1c658fd84417b0b9b6e623c",
     "translate-empty": "cb4b9e358bca7ac0c4285eecfc7bff493fe324ddffea79ac371619c6c825fe8e",
@@ -231,7 +363,8 @@ def test_golden_run_is_pinned(tmp_path, monkeypatch, capsys, name):
     inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    assert run_digest(tmp_path, argv, capsys) == PINS.get(name), name
+    with _served(argv) as argv:
+        assert run_digest(tmp_path, argv, capsys) == PINS.get(name), name
 
 
 def test_every_run_is_pinned():
