@@ -42,6 +42,11 @@ from .synth import derive_seed
 _BATCH_SIZE = 32
 # The most translation requests in flight at once, each with its own connection and thread.
 MAX_IN_FLIGHT = 64
+# The seconds an HTTP connection may take to connect, and to send or read each piece of data.
+_TIMEOUT = 30.0
+# Retries after a request's first attempt: the first waits _BACKOFF_BASE seconds, and each later one twice as long.
+_MAX_RETRIES = 3
+_BACKOFF_BASE = 0.5
 
 
 class TranslationBackend(abc.ABC):
@@ -228,13 +233,10 @@ class _HttpJsonClient:
     never re-sent, and so is a TLS certificate that fails verification.
     """
 
-    def __init__(self, endpoint: str, timeout: float, max_retries: int, bearer_token: str | None, backoff_base: float):
+    def __init__(self, endpoint: str, bearer_token: str | None):
         from urllib.parse import unquote
 
         self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
         if {"\r", "\n"} & set(self.endpoint + (bearer_token or "")):
             raise ValueError("a line break in the endpoint or the bearer token")
         scheme, _, rest = self.endpoint.partition("://")
@@ -286,7 +288,7 @@ class _HttpJsonClient:
         import socket
 
         if connection.sock is None:
-            connection.sock = socket.create_connection(self._address, self.timeout)
+            connection.sock = socket.create_connection(self._address, _TIMEOUT)
             connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._tunnel:
                 connection.sock.sendall(self._tunnel)
@@ -320,9 +322,9 @@ class _HttpJsonClient:
         head = f"POST {self._target}{path} HTTP/1.1\r\n{self._header}Content-Length: {len(data)}\r\n\r\n"
         request = head.encode("latin-1") + data
         last_error: str | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(_MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+                time.sleep(_BACKOFF_BASE * (2 ** (attempt - 1)))
             try:
                 status, location, raw = self._exchange(connection, request)
             except self._cert_error as exc:
@@ -345,7 +347,7 @@ class _HttpJsonClient:
             if not isinstance(body, dict):
                 raise BackendError(status, f"body is a JSON {type(body).__name__}, not an object")
             return status, body
-        raise BackendUnreachableError(f"{url}: giving up after {self.max_retries + 1} attempts ({last_error})")
+        raise BackendUnreachableError(f"{url}: giving up after {_MAX_RETRIES + 1} attempts ({last_error})")
 
 
 class HttpTranslationBackend(TranslationBackend):
@@ -359,15 +361,7 @@ class HttpTranslationBackend(TranslationBackend):
     """
 
     def __init__(
-        self,
-        endpoint: str,
-        *,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        batch_size: int = _BATCH_SIZE,
-        max_in_flight: int = 4,
-        bearer_token: str | None = None,
-        backoff_base: float = 0.5,
+        self, endpoint: str, *, batch_size: int = _BATCH_SIZE, max_in_flight: int = 4, bearer_token: str | None = None
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -375,7 +369,7 @@ class HttpTranslationBackend(TranslationBackend):
             raise ValueError(f"max_in_flight must be in [1, {MAX_IN_FLIGHT}]")
         self.batch_size = batch_size
         self.max_in_flight = max_in_flight
-        self._client = _HttpJsonClient(endpoint, timeout, max_retries, bearer_token, backoff_base)
+        self._client = _HttpJsonClient(endpoint, bearer_token)
         self._tasks = None  # the workers' queue, inside a with block
 
     def __enter__(self) -> HttpTranslationBackend:
@@ -478,16 +472,8 @@ class ConstantScorer(ScorerBackend):
 
 
 class HttpScorerBackend(ScorerBackend):
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        bearer_token: str | None = None,
-        backoff_base: float = 0.5,
-    ):
-        self._client = _HttpJsonClient(endpoint, timeout, max_retries, bearer_token, backoff_base)
+    def __init__(self, endpoint: str, *, bearer_token: str | None = None):
+        self._client = _HttpJsonClient(endpoint, bearer_token)
 
     def _score(self, pairs: Sequence[tuple[str, str, str | None]]) -> list[float]:
         connection = _Connection()

@@ -177,8 +177,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    lines, diagnostics = load(Path(args.input), DatasetFormat.PLAIN_TEXT)
     config = MarkerConfig(InsertionMode(args.mode), args.p_open, args.p_close, args.seed, args.sequential_lengths)
+    lines, diagnostics = load(Path(args.input), DatasetFormat.PLAIN_TEXT)
     docs = sample_corpus(lines, config, args.src_lang)
     dump(docs, Path(args.output))
     print(f"sampled spans for {len(docs)} sentences -> {Path(args.output)}", file=sys.stderr)
@@ -193,7 +193,8 @@ def cmd_tagswap(args: argparse.Namespace) -> int:
 
 
 def cmd_prep(args: argparse.Namespace) -> int:
-    pairs, read_diags = load(Path(args.input), DatasetFormat.RAW_MARKUP_JSONL, args.error_budget)
+    read_diags: list[Diagnostic] = []
+    pairs = read_items(Path(args.input), DatasetFormat.RAW_MARKUP_JSONL, args.error_budget, read_diags)
     corpus = prepare_training_corpus(pairs, dev_fraction=args.dev_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
     dump(corpus.train, out_dir / "train.jsonl")
@@ -283,15 +284,13 @@ def cmd_project(args: argparse.Namespace) -> int:
                 raise LabelProjError(
                     f"--{flag.replace('_', '-')} needs --reference: project reports only against a reference"
                 )
-    if args.threshold is not None:
-        check_threshold(args.threshold)
-    _check_distinct_outputs(args)
-    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
     load_diags, reference_diags, decode_groups = [], [], []
     annotated = DatasetFormat.ANNOTATED_JSONL
     docs = read_items(Path(args.input), annotated, args.error_budget, load_diags)
     gold = read_items(Path(args.reference), annotated, args.error_budget, reference_diags) if args.reference else None
     counts = ReportAccumulator(gold, **_report_options(args))
+    _check_distinct_outputs(args)
+    backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
     window = args.batch_size * args.max_in_flight * WINDOW_ROUNDS
     with backend:
         projected = project(docs, backend, args.src_lang, args.tgt_lang, counts, decode_groups, window, _scheme(args))

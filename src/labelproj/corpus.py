@@ -13,7 +13,7 @@ import math
 import random
 import re
 from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .codec import tag_name
 from .errors import AlignmentError, BackendError, BackendUnreachableError, ScorerUnavailableError
@@ -140,23 +140,24 @@ def tag_swap(pair: RawMarkupPair) -> tuple[RawMarkupPair, list[Diagnostic]]:
 
 
 def prepare_training_corpus(
-    pairs: Sequence[RawMarkupPair], dev_fraction: float = 0.05, seed: int = 0
+    pairs: Iterable[RawMarkupPair], dev_fraction: float = 0.05, seed: int = 0
 ) -> PreparedCorpus:
     """Tag-swap, filter, duplicate into both directions, and split.
 
-    Untagged and unmappable pairs are dropped; every kept pair yields a
-    forward and a reverse directed example, and both land in the same split.
-    The dev split takes ceil(dev_fraction * kept) ids chosen by a seeded
-    shuffle, so reruns with the same seed reproduce the split exactly.
+    ``pairs`` is read once, after ``dev_fraction`` is checked. Untagged and
+    unmappable pairs are dropped; every kept pair yields a forward and a
+    reverse directed example, and both land in the same split. The dev split
+    takes ceil(dev_fraction * kept) ids chosen by a seeded shuffle, so reruns
+    with the same seed reproduce the split exactly.
     """
     if not 0.0 <= dev_fraction < 1.0:
         raise ValueError(f"dev_fraction must be in [0, 1), got {dev_fraction}")
 
     kept: list[RawMarkupPair] = []
     dropped: list[tuple[RawMarkupPair, str]] = []
-    untagged = unmapped = 0
+    read = untagged = unmapped = 0
     total_tags = max_tags = max_unique = 0
-    for pair in pairs:
+    for read, pair in enumerate(pairs, 1):
         normalized, diagnostics, instances, unique = _tag_swap(pair)
         codes = {d.code for d in diagnostics}
         if "UNMAPPED_TYPE" in codes:
@@ -187,7 +188,7 @@ def prepare_training_corpus(
         bucket.append(reverse)
 
     provenance = CorpusProvenance(
-        input_pairs=len(pairs),
+        input_pairs=read,
         kept_pairs=len(kept),
         dropped_untagged=untagged,
         dropped_unmapped=unmapped,

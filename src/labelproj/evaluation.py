@@ -186,9 +186,10 @@ class EvalReport(NamedTuple):
 class ReportAccumulator:
     """A report fed one projected document at a time, paired with the reference document of its id, read in step:
     one read before it is asked for waits in an index by id, empty while both sides come in one order. With no
-    reference (None) it only refuses a repeated projected id."""
+    reference (None) it only refuses a repeated projected id. A threshold outside [0, 1] is refused at once."""
 
     def __init__(self, reference: Iterable | None, dataset: str = DEFAULT_DATASET, threshold: float = DEFAULT_THRESHOLD):
+        check_threshold(threshold)
         self.dataset = dataset
         self.threshold = threshold
         self.has_reference = reference is not None
@@ -243,7 +244,6 @@ class ReportAccumulator:
 
     def prf(self) -> PRF:
         """The micro-aggregated counts of every pair."""
-        check_threshold(self.threshold)
         _, _, tp, fp, fn, _, _ = map(sum, zip(*self._rows.values(), [0] * 7))
         return PRF.from_counts(tp, fp, fn)
 

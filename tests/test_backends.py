@@ -3,6 +3,7 @@ from __future__ import annotations
 import _thread
 import base64
 import gc
+import inspect
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 import pytest
 
 import labelproj
-from labelproj import backends
+from labelproj import backends, cli
 from labelproj.backends import MAX_IN_FLIGHT, _hostport
 from labelproj import (
     AlignmentError,
@@ -220,6 +221,33 @@ def http_server(behavior, tls=False, keep_alive=False, connections=None, ipv6=Fa
         server.server_close()
 
 
+@pytest.fixture
+def client_policy(monkeypatch):
+    """Set the HTTP client's timeout, retry count and back-off base for one test; what is not given is unchanged."""
+    def set_policy(timeout=None, max_retries=None, backoff_base=None) -> None:
+        for name, value in (("_TIMEOUT", timeout), ("_MAX_RETRIES", max_retries), ("_BACKOFF_BASE", backoff_base)):
+            if value is not None:
+                monkeypatch.setattr(backends, name, value)
+
+    return set_policy
+
+
+def test_http_backends_take_only_what_a_command_passes(monkeypatch):
+    # A keyword that no command passes would be a setting that nothing sets.
+    passed = {}
+    for cls in (HttpTranslationBackend, HttpScorerBackend):
+        monkeypatch.setattr(cli, cls.__name__, lambda endpoint, cls=cls, **kwargs: passed.update({cls: list(kwargs)}))
+    cli.make_backend("http://127.0.0.1:9", 0, 2, 3)
+    cli.make_scorer("http://127.0.0.1:9")
+    assert passed == {
+        HttpTranslationBackend: ["batch_size", "max_in_flight", "bearer_token"], HttpScorerBackend: ["bearer_token"]
+    }
+    P, defaults = inspect.Parameter, {"batch_size": 32, "max_in_flight": 4, "bearer_token": None}
+    for cls, keywords in passed.items():
+        expected = [("endpoint", P.POSITIONAL_OR_KEYWORD, P.empty), *((k, P.KEYWORD_ONLY, defaults[k]) for k in keywords)]
+        assert [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()] == expected
+
+
 def test_http_translate_of_no_texts_sends_no_request():
     seen = []
 
@@ -294,7 +322,7 @@ def _wait_until_all_closed(connections: list) -> tuple[list, list]:
 
 
 @pytest.mark.parametrize("n_chunks, slots, delay", [(12, 3, 0.01), (120, 6, 0.0)])
-def test_http_translate_keeps_one_connection_alive_per_slot(n_chunks, slots, delay):
+def test_http_translate_keeps_one_connection_alive_per_slot(n_chunks, slots, delay, client_policy):
     def behavior(path, body, headers):
         time.sleep(delay)  # slow enough that every slot is used
         return 200, {"translations": [f"out:{t}" for t in body["texts"]]}
@@ -305,7 +333,8 @@ def test_http_translate_keeps_one_connection_alive_per_slot(n_chunks, slots, del
     sys.setswitchinterval(1e-6)  # more thread switches: two threads on one connection would break a request
     try:
         with http_server(behavior, keep_alive=True, connections=connections) as url:
-            backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=slots, timeout=10)
+            client_policy(timeout=10)
+            backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=slots)
             with no_unclosed_sockets():
                 out = backend.translate_batch(texts, "en", "de")
             opened, closed = _wait_until_all_closed(connections)
@@ -333,7 +362,7 @@ def test_http_translate_closes_its_connections_when_a_chunk_fails():
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["clean", "failing-batch"])
-def test_http_translate_keeps_its_slots_for_a_with_block_and_then_closes_them(fail):
+def test_http_translate_keeps_its_slots_for_a_with_block_and_then_closes_them(fail, client_policy):
     def behavior(path, body, headers):
         if body["texts"] == ["text9"] and fail:
             return 400, {"error": "no"}
@@ -343,7 +372,8 @@ def test_http_translate_keeps_its_slots_for_a_with_block_and_then_closes_them(fa
     texts = [tt(str(i), f"text{i}") for i in range(12)]
     outs = []
     with http_server(behavior, keep_alive=True, connections=connections) as url:
-        backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=3, timeout=10)
+        client_policy(timeout=10)
+        backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=3)
         with no_unclosed_sockets(), suppress(BackendError):
             with backend:
                 for start in range(0, 12, 4):
@@ -382,7 +412,7 @@ def test_http_translate_sends_no_chunk_after_one_fails(slots):
 
 
 @pytest.mark.parametrize("slots", [1, 3])
-def test_http_translate_interrupted_sends_no_further_chunk_and_waits_for_those_in_flight(slots):
+def test_http_translate_interrupted_sends_no_further_chunk_and_waits_for_those_in_flight(slots, client_policy):
     seen, answered = [], []
     interrupted = threading.Event()
 
@@ -401,7 +431,8 @@ def test_http_translate_interrupted_sends_no_further_chunk_and_waits_for_those_i
 
     texts = [tt(str(i), f"text{i}") for i in range(40)]
     with http_server(behavior, keep_alive=True) as url:
-        backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=slots, timeout=10)
+        client_policy(timeout=10)
+        backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=slots)
         with pytest.raises(KeyboardInterrupt), backend:
             backend.translate_batch(texts, "en", "de")
         # The with block has waited for every chunk in flight, and each slot's thread has ended.
@@ -434,7 +465,7 @@ def test_http_scorer_refuses_no_pairs_before_any_request():
         HttpScorerBackend("http://127.0.0.1:9").score_batch([])
 
 
-def test_http_retries_on_500_then_succeeds():
+def test_http_retries_on_500_then_succeeds(client_policy):
     calls = []
 
     def behavior(path, body, headers):
@@ -444,13 +475,14 @@ def test_http_retries_on_500_then_succeeds():
         return 200, {"translations": body["texts"]}
 
     with http_server(behavior) as url:
-        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01)
+        client_policy(max_retries=3, backoff_base=0.01)
+        backend = HttpTranslationBackend(url)
         out = backend.translate_batch([tt("1", "x")], "en", "de")
     assert len(calls) == 3
     assert out[0].tagged == "x"
 
 
-def test_http_4xx_is_terminal_without_retry():
+def test_http_4xx_is_terminal_without_retry(client_policy):
     calls = []
 
     def behavior(path, body, headers):
@@ -458,7 +490,8 @@ def test_http_4xx_is_terminal_without_retry():
         return 400, {"error": "bad request"}
 
     with http_server(behavior) as url:
-        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01)
+        client_policy(max_retries=3, backoff_base=0.01)
+        backend = HttpTranslationBackend(url)
         with pytest.raises(BackendError) as excinfo:
             backend.translate_batch([tt("1", "x")], "en", "de")
     assert len(calls) == 1
@@ -493,8 +526,9 @@ def test_http_non_string_translation_is_backend_error():
             HttpTranslationBackend(url).translate_batch([tt("1", "x")], "en", "de")
 
 
-def test_http_unreachable_backend():
-    backend = HttpTranslationBackend("http://127.0.0.1:1", max_retries=1, backoff_base=0.01, timeout=0.3)
+def test_http_unreachable_backend(client_policy):
+    client_policy(max_retries=1, backoff_base=0.01, timeout=0.3)
+    backend = HttpTranslationBackend("http://127.0.0.1:1")
     with pytest.raises(BackendUnreachableError):
         backend.translate_batch([tt("1", "x")], "en", "de")
 
@@ -556,7 +590,7 @@ def test_http_scorer_sends_chunks_of_32_in_order_over_one_connection():
     assert len(opened) == 1 and closed == opened
 
 
-def test_http_scorer_retries_only_the_failed_chunk():
+def test_http_scorer_retries_only_the_failed_chunk(client_policy):
     firsts = []
 
     def behavior(path, body, headers):
@@ -566,7 +600,8 @@ def test_http_scorer_retries_only_the_failed_chunk():
         return 200, {"scores": [1.0] * len(body["pairs"])}
 
     with http_server(behavior, keep_alive=True) as url:
-        scores = HttpScorerBackend(url, backoff_base=0).score_batch([(str(i), "h", None) for i in range(70)])
+        client_policy(backoff_base=0)
+        scores = HttpScorerBackend(url).score_batch([(str(i), "h", None) for i in range(70)])
     assert scores == [1.0] * 70
     assert firsts == ["0", "32", "32", "64"]
 
@@ -619,7 +654,7 @@ def test_https_verifies_against_ssl_cert_file(monkeypatch):
 
 
 def test_https_unverified_certificate_is_terminal(tmp_path, monkeypatch, capsys):
-    from labelproj import backends
+    from labelproj import backends, cli
     from labelproj.cli import main
 
     monkeypatch.delenv("SSL_CERT_FILE", raising=False)
@@ -695,27 +730,30 @@ def http_reply(status: str, body: bytes, length: int | None = None) -> bytes:
     ).encode("ascii") + body
 
 
-def test_http_stalled_server_is_unreachable():
+def test_http_stalled_server_is_unreachable(client_policy):
     with raw_server(None) as (url, calls):
-        backend = HttpTranslationBackend(url, max_retries=1, backoff_base=0.01, timeout=0.3)
+        client_policy(max_retries=1, backoff_base=0.01, timeout=0.3)
+        backend = HttpTranslationBackend(url)
         with pytest.raises(BackendUnreachableError):
             backend.translate_batch([tt("1", "x")], "en", "de")
     assert len(calls) == 2
 
 
-def test_http_truncated_body_is_retried_then_unreachable():
+def test_http_truncated_body_is_retried_then_unreachable(client_policy):
     # The partial body is itself valid JSON: only the length check can catch it.
     body = b'{"translations": ["x"]}'
     with raw_server(http_reply("200 OK", body, length=len(body) + 50)) as (url, calls):
-        backend = HttpTranslationBackend(url, max_retries=2, backoff_base=0.01, timeout=5)
+        client_policy(max_retries=2, backoff_base=0.01, timeout=5)
+        backend = HttpTranslationBackend(url)
         with pytest.raises(BackendUnreachableError):
             backend.translate_batch([tt("1", "x")], "en", "de")
     assert len(calls) == 3
 
 
-def test_http_non_json_200_is_sent_once():
+def test_http_non_json_200_is_sent_once(client_policy):
     with raw_server(http_reply("200 OK", b"<html>not json</html>")) as (url, calls):
-        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01, timeout=5)
+        client_policy(max_retries=3, backoff_base=0.01, timeout=5)
+        backend = HttpTranslationBackend(url)
         with pytest.raises(BackendError) as excinfo:
             backend.translate_batch([tt("1", "x")], "en", "de")
     assert excinfo.value.status == 200
@@ -723,19 +761,21 @@ def test_http_non_json_200_is_sent_once():
     assert json.loads(calls[0]) == {"src_lang": "en", "tgt_lang": "de", "texts": ["x"]}
 
 
-def test_http_too_deeply_nested_200_is_backend_error():
+def test_http_too_deeply_nested_200_is_backend_error(client_policy):
     body = b'{"translations": ' + b"[" * 5000 + b"]" * 5000 + b"}"
     with raw_server(http_reply("200 OK", body)) as (url, calls):
-        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01, timeout=5)
+        client_policy(max_retries=3, backoff_base=0.01, timeout=5)
+        backend = HttpTranslationBackend(url)
         with pytest.raises(BackendError, match="unparseable body") as excinfo:
             backend.translate_batch([tt("1", "x")], "en", "de")
     assert excinfo.value.status == 200
     assert len(calls) == 1
 
 
-def test_http_400_message_carries_the_body():
+def test_http_400_message_carries_the_body(client_policy):
     with raw_server(http_reply("400 Bad Request", b'{"error": "texts must be a list"}')) as (url, calls):
-        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01, timeout=5)
+        client_policy(max_retries=3, backoff_base=0.01, timeout=5)
+        backend = HttpTranslationBackend(url)
         with pytest.raises(BackendError, match="texts must be a list") as excinfo:
             backend.translate_batch([tt("1", "x")], "en", "de")
     assert excinfo.value.status == 400
@@ -745,7 +785,7 @@ def test_http_400_message_carries_the_body():
 @pytest.mark.parametrize(
     "status", ["301 Moved Permanently", "302 Found", "307 Temporary Redirect", "308 Permanent Redirect"]
 )
-def test_http_redirect_is_terminal_after_one_request(status):
+def test_http_redirect_is_terminal_after_one_request(status, client_policy):
     # The body is a well-formed result, so only the status can refuse it.
     body = b'{"translations": ["x"]}'
     reply = (
@@ -753,7 +793,8 @@ def test_http_redirect_is_terminal_after_one_request(status):
         f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
     ).encode("ascii") + body
     with raw_server(reply) as (url, calls):
-        backend = HttpTranslationBackend(url, max_retries=3, backoff_base=0.01, timeout=5)
+        client_policy(max_retries=3, backoff_base=0.01, timeout=5)
+        backend = HttpTranslationBackend(url)
         with pytest.raises(BackendError, match="redirect to http://127.0.0.1:9/v2 not followed") as excinfo:
             backend.translate_batch([tt("1", "x")], "en", "de")
     assert excinfo.value.status == int(status[:3])
@@ -763,9 +804,14 @@ def test_http_redirect_is_terminal_after_one_request(status):
 RESULT = b'{"translations": ["<a>x</a>"]}'
 
 
-def translate_one(url: str, max_retries: int = 0) -> list[str]:
-    backend = HttpTranslationBackend(url, max_retries=max_retries, backoff_base=0.01, timeout=5)
-    return [t.tagged for t in backend.translate_batch([tt("1", "<a>x</a>")], "en", "de")]
+@pytest.fixture
+def translate_one(client_policy):
+    def translate(url: str, max_retries: int = 0) -> list[str]:
+        client_policy(max_retries=max_retries, backoff_base=0.01, timeout=5)
+        backend = HttpTranslationBackend(url)
+        return [t.tagged for t in backend.translate_batch([tt("1", "<a>x</a>")], "en", "de")]
+
+    return translate
 
 
 def chunked(body: bytes, *cuts: int) -> bytes:
@@ -776,7 +822,7 @@ def chunked(body: bytes, *cuts: int) -> bytes:
 
 
 @pytest.mark.parametrize("step", [None, 2])
-def test_http_chunked_body_is_reassembled(step):
+def test_http_chunked_body_is_reassembled(step, translate_one):
     reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n" + chunked(RESULT, 1, 10)
     with raw_server(reply, step) as (url, calls):
         assert translate_one(url) == ["<a>x</a>"]
@@ -784,13 +830,13 @@ def test_http_chunked_body_is_reassembled(step):
 
 
 @pytest.mark.parametrize("version", ["HTTP/1.1", "HTTP/1.0"])
-def test_http_body_without_a_length_runs_to_the_close(version):
+def test_http_body_without_a_length_runs_to_the_close(version, translate_one):
     with raw_server(f"{version} 200 OK\r\nContent-Type: application/json\r\n\r\n".encode() + RESULT) as (url, calls):
         assert translate_one(url) == ["<a>x</a>"]
     assert len(calls) == 1
 
 
-def test_http_response_written_a_few_bytes_at_a_time():
+def test_http_response_written_a_few_bytes_at_a_time(translate_one):
     with raw_server(http_reply("200 OK", RESULT), step=3) as (url, calls):
         assert translate_one(url) == ["<a>x</a>"]
     assert len(calls) == 1
@@ -800,14 +846,14 @@ def test_http_response_written_a_few_bytes_at_a_time():
     b"HTTP/1.1 200 OK\r\ncOnTeNt-LeNgTh: %d\r\nCONNECTION: Close\r\n\r\n" % len(RESULT),
     b"HTTP/1.1 200 OK\r\nTRANSFER-encoding: Chunked\r\nconnection: CLOSE\r\n\r\n",
 ], ids=["content-length", "transfer-encoding"])
-def test_http_header_names_are_case_insensitive(head):
+def test_http_header_names_are_case_insensitive(head, translate_one):
     reply = head + (chunked(RESULT, 7) if b"Chunked" in head else RESULT)
     with raw_server(reply) as (url, calls):
         assert translate_one(url) == ["<a>x</a>"]
     assert len(calls) == 1
 
 
-def test_http_lower_case_location_is_reported():
+def test_http_lower_case_location_is_reported(translate_one):
     reply = b"HTTP/1.1 302 Found\r\nlocation: http://127.0.0.1:9/v2\r\ncontent-length: 0\r\n\r\n"
     with raw_server(reply) as (url, calls):
         with pytest.raises(BackendError, match="redirect to http://127.0.0.1:9/v2 not followed"):
@@ -816,13 +862,14 @@ def test_http_lower_case_location_is_reported():
 
 
 @pytest.mark.parametrize("version, closing", [("HTTP/1.0", ""), ("HTTP/1.1", "Connection: close\r\n")])
-def test_http_opens_a_new_connection_after_a_closing_response(version, closing):
+def test_http_opens_a_new_connection_after_a_closing_response(version, closing, client_policy):
     # The server closes after each reply: a request sent on the old connection
     # would fail, and with no retry the batch would fail with it.
     body = b'{"translations": ["y"]}'
     reply = f"{version} 200 OK\r\n{closing}Content-Length: {len(body)}\r\n\r\n".encode() + body
     with raw_server(reply) as (url, calls):
-        backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=1, max_retries=0, timeout=5)
+        client_policy(max_retries=0, timeout=5)
+        backend = HttpTranslationBackend(url, batch_size=1, max_in_flight=1)
         out = backend.translate_batch([tt("1", "a"), tt("2", "b")], "en", "de")
     assert [t.tagged for t in out] == ["y", "y"]
     assert len(calls) == 2
@@ -835,7 +882,7 @@ def test_http_opens_a_new_connection_after_a_closing_response(version, closing):
     (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n", "zz"),
     (b"HTTP/1.1 200 OK\r\nContent-Length: 2", "truncated"),
 ], ids=["bad-version", "bad-status", "non-integer-length", "bad-chunk-size", "unended-head"])
-def test_http_malformed_response_is_retried_then_unreachable(reply, reason):
+def test_http_malformed_response_is_retried_then_unreachable(reply, reason, translate_one):
     with raw_server(reply) as (url, calls):
         with pytest.raises(BackendUnreachableError, match=f"giving up after 3 attempts .*{reason}"):
             translate_one(url, max_retries=2)
@@ -847,13 +894,14 @@ def test_http_malformed_response_is_retried_then_unreachable(reply, reason):
     ("translate", b'{"translations": ["al\\uDFFFpha"]}'),
     ("score", b'{"scores": ["\\udc00"]}'),
 ], ids=["high-surrogate", "low-surrogate-in-capitals", "score"])
-def test_http_lone_surrogate_in_a_response_is_terminal(kind, body):
+def test_http_lone_surrogate_in_a_response_is_terminal(kind, body, client_policy, translate_one):
     with raw_server(http_reply("200 OK", body)) as (url, calls):
         with pytest.raises(BackendError, match="surrogates not allowed") as excinfo:
             if kind == "translate":
                 translate_one(url, max_retries=3)
             else:
-                HttpScorerBackend(url, max_retries=3, timeout=5).score_batch([("a", "b", None)])
+                client_policy(max_retries=3, timeout=5)
+                HttpScorerBackend(url).score_batch([("a", "b", None)])
     assert excinfo.value.status == 200
     assert len(calls) == 1
 
@@ -863,7 +911,7 @@ def test_http_lone_surrogate_in_a_response_is_terminal(kind, body):
     (b'{"translations": ["\xed\xa0\x80"]}', "'utf-8' codec can't decode byte 0xed in position 19"),
     (b'{"translations": ["\xff"]}', "'utf-8' codec can't decode byte 0xff in position 19"),
 ], ids=["escaped-surrogate", "encoded-surrogate", "not-utf8"])
-def test_http_body_must_be_utf8_json_without_a_lone_surrogate(body, reason):
+def test_http_body_must_be_utf8_json_without_a_lone_surrogate(body, reason, translate_one):
     # The same rule as for a JSONL line; an encoded surrogate is refused as invalid UTF-8.
     with raw_server(http_reply("200 OK", body)) as (url, calls):
         with pytest.raises(BackendError, match=f"unparseable body: {re.escape(reason)}"):
@@ -871,7 +919,7 @@ def test_http_body_must_be_utf8_json_without_a_lone_surrogate(body, reason):
     assert len(calls) == 1
 
 
-def test_http_surrogate_pair_in_a_response_is_one_character():
+def test_http_surrogate_pair_in_a_response_is_one_character(translate_one):
     with raw_server(http_reply("200 OK", b'{"translations": ["<a>\\ud83d\\ude00</a>"]}')) as (url, calls):
         assert translate_one(url) == ["<a>\U0001f600</a>"]
 

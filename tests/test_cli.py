@@ -995,6 +995,22 @@ def test_evaluate_checks_its_flags_before_it_reads_any_input(tmp_path, capsys, m
     assert loaded == []
 
 
+def test_synth_checks_its_flags_before_it_reads_its_input(tmp_path, capsys, monkeypatch):
+    # -i names no file, so a run that read its input first would report that instead.
+    loaded = []
+    monkeypatch.setattr("labelproj.cli.load", lambda path, *args: loaded.append(path))
+    assert main(["synth", "-i", str(tmp_path / "missing.txt"), "-o", str(tmp_path / "out.jsonl"), "--p-open", "2"]) == 1
+    assert capsys.readouterr().err == "error: p_open must be in [0, 1], got 2.0\n"
+    assert loaded == []
+
+
+def test_prep_checks_its_flags_before_it_reads_its_input(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    assert main(["prep", "-i", str(tmp_path / "missing.jsonl"), "--out-dir", str(out_dir), "--dev-fraction", "1"]) == 1
+    assert capsys.readouterr().err == "error: dev_fraction must be in [0, 1), got 1.0\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("second_lang", ["fr", "de"])
 def test_evaluate_rejects_a_duplicate_reference_id(tmp_path, capsys, second_lang):
     projected, reference = tmp_path / "projected.jsonl", tmp_path / "reference.jsonl"

@@ -577,6 +577,17 @@ def test_project_refuses_an_answer_that_is_not_one_text_per_input_in_the_target_
     assert str(excinfo.value) == message
 
 
+def test_project_translates_nothing_for_a_report_with_a_bad_threshold():
+    windows = []
+    backend = _Answering(lambda out: windows.append(out) or out)
+    docs = [make_doc("John here", [Span("a", 0, 4)], doc_id=f"d{i}") for i in range(10)]
+    with pytest.raises(ValueError, match=r"^threshold must be in \[0, 1\], got 2.0$"):
+        counts = ReportAccumulator(iter([doc._replace(lang="de") for doc in docs]), threshold=2.0)
+        list(project(iter(docs), backend, "en", "de", counts, [], 3))
+        counts.report()
+    assert windows == []
+
+
 def test_project_refuses_a_window_below_one():
     with pytest.raises(ValueError, match="window must be >= 1, got 0"):
         next(project(iter([]), IdentityBackend(), "en", "de", ReportAccumulator(None), [], 0))
