@@ -73,11 +73,6 @@ def tag_name(index: int) -> str:
     return "".join(reversed(out))
 
 
-def _tag_sort_key(tag: str) -> tuple[int, str]:
-    # Orders names by their position in the a, b, ..., z, aa, ... sequence.
-    return (len(tag), tag)
-
-
 class MarkerToken(NamedTuple):
     """One recognized marker: its offsets in the raw tagged string, and ``at``, its offset once every
     marker is stripped."""
@@ -111,7 +106,7 @@ def scan_markers(tagged: str, scheme: MarkerScheme = MarkerScheme.XML) -> Marker
     diagnostics: list[Diagnostic] = []
     cursor = removed = rank = 0
     for match in (_SCANNER if scheme is MarkerScheme.XML else _BRACKET_SCANNER).finditer(tagged):
-        slash, name = match.group(1, 2)
+        slash, name = match.groups()
         start, end = match.span()
         if name is None:
             message = f"marker-like substring {match.group()!r} left as literal text"
@@ -119,19 +114,20 @@ def scan_markers(tagged: str, scheme: MarkerScheme = MarkerScheme.XML) -> Marker
             continue
         pieces.append(tagged[cursor:start])
         cursor = end
-        token = MarkerToken(name, "close" if slash else "open", start, end, start - removed)
+        token = tuple.__new__(MarkerToken, (name, "close" if slash else "open", start, end, start - removed))
         removed += end - start
         tokens.append(token)
         if not slash:
             stacks.setdefault(name, []).append((rank, token))
             rank += 1
         elif stack := stacks.get(name):
-            pairs.append((*stack.pop(), token))
+            opened_rank, opened = stack.pop()
+            pairs.append((opened_rank, opened, token))
         else:
             orphans.append(token)
     pieces.append(tagged[cursor:])
     pairs.sort()  # ranks are unique, so no token is compared
-    unclosed = sorted(entry for stack in stacks.values() for entry in stack)
+    unclosed = sorted([entry for stack in stacks.values() for entry in stack])
     return MarkerScan("".join(pieces), tokens, pairs, orphans, unclosed, diagnostics)
 
 
@@ -165,19 +161,17 @@ def encode(doc: AnnotatedText, scheme: MarkerScheme = MarkerScheme.XML) -> Tagge
 def _place_markers(doc: AnnotatedText, scheme: MarkerScheme) -> TaggedText:
     """:func:`encode` without its check, for a document that passed ``validate``."""
     # Opening order: by start, then longest span first, then tag sequence
-    # order; the stable sort keeps input order for full ties.
-    opening = sorted(doc.spans, key=lambda s: (s.start, -s.length(), _tag_sort_key(s.tag)))
+    # order; spans that tie on all of these write the same markers.
+    opening = sorted([(start, start - end, len(tag), tag, end) for tag, start, end, _ in doc.spans])
     # (offset, phase, rank, marker): at one offset, closes (phase 0) precede
     # opens (1), which precede zero-width closes (2); closes go in reverse
     # opening order. Ranks are unique, so the marker is never compared.
     events: list[tuple[int, int, int, str]] = []
-    for rank, span in enumerate(opening):
-        if scheme is MarkerScheme.XML:
-            open_marker, close_marker = f"<{span.tag}>", f"</{span.tag}>"
-        else:
-            open_marker, close_marker = "[", "]"
-        events.append((span.start, 1, rank, open_marker))
-        events.append((span.end, 2 if span.start == span.end else 0, -rank, close_marker))
+    xml = scheme is MarkerScheme.XML
+    for rank, (start, _, _, tag, end) in enumerate(opening):
+        open_marker, close_marker = (f"<{tag}>", f"</{tag}>") if xml else ("[", "]")
+        events.append((start, 1, rank, open_marker))
+        events.append((end, 2 if start == end else 0, -rank, close_marker))
     events.sort()
 
     pieces: list[str] = []
@@ -212,27 +206,33 @@ def _decode(tagged: TaggedText, scheme: MarkerScheme) -> tuple[AnnotatedText, li
     scan = scan_markers(tagged.tagged, scheme)
     end = len(scan.text)
     xml = scheme is MarkerScheme.XML  # bracket spans are named in opening order
-    spans = [Span(o.name if xml else tag_name(rank), o.at, c.at) for rank, o, c in scan.pairs]
+    # (start, -end, len(tag), tag): the output order, which also fixes the span, as every label is None.
+    tags = [o.name if xml else tag_name(rank) for rank, o, _ in scan.pairs]
+    keys = [(o.at, -c.at, len(tag), tag) for (_, o, c), tag in zip(scan.pairs, tags)]
     diagnostics = list(scan.diagnostics)
     for token in scan.orphans:
         message = f"close marker {tagged.tagged[token.start:token.end]!r} without a matching open"
         diagnostics.append(Diagnostic(SEVERITY_WARNING, "ORPHAN_CLOSE", message, offset=token.start))
     for rank, token in scan.unclosed:
         shown = token.name if xml else tag_name(rank)
-        spans.append(Span(shown, token.at, end))
+        keys.append((token.at, -end, len(shown), shown))
         message = f"open marker for {shown!r} never closed; span extended to end of text"
         diagnostics.append(Diagnostic(SEVERITY_WARNING, "UNCLOSED_OPEN", message, offset=token.start))
-    spans.sort(key=lambda s: (s.start, -s.end, _tag_sort_key(s.tag)))
+    keys.sort()
+    spans = tuple([tuple.__new__(Span, (tag, start, -neg_end, None)) for start, neg_end, _, tag in keys])
     diagnostics.sort(key=lambda d: d.offset)  # every one has an offset, and no two the same
-    return AnnotatedText(id=tagged.id, lang=tagged.lang, text=scan.text, spans=tuple(spans)), diagnostics, scan
+    return tuple.__new__(AnnotatedText, (tagged.id, tagged.lang, scan.text, spans)), diagnostics, scan
 
 
 def signature(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> Counter[tuple[str, MarkerKind]]:
     """Count every recognized marker, orphans included, keyed by ``(name, "open"|"close")``.
 
-    Square-bracket markers count under the anonymous name ``""``.
+    Square-bracket markers count under the anonymous name ``""``. The scanner's matches are counted as
+    ``(close slash, name)`` group pairs, with no stripping or pairing; in the XML scheme a lookalike's name is ``""``.
     """
-    return Counter((t.name, t.kind) for t in scan_markers(tagged.tagged, scheme).tokens)
+    xml = scheme is MarkerScheme.XML
+    found = Counter((_SCANNER if xml else _BRACKET_SCANNER).findall(tagged.tagged))
+    return Counter({(name, "close" if slash else "open"): n for (slash, name), n in found.items() if name or not xml})
 
 
 def _encoded_signature(
@@ -249,6 +249,20 @@ def _encoded_signature(
     return Counter((span.tag, kind) for span in doc.spans for kind in ("open", "close"))
 
 
+def _match_flag(doc: AnnotatedText, encoded: TaggedText, scan: MarkerScan, scheme: MarkerScheme) -> bool:
+    """``signature(encoded, scheme) == signature(hypothesis, scheme)`` for ``encoded = encode(doc, scheme)`` and
+    ``scan`` the hypothesis's scan. An XML source text without ``<`` holds no marker, so its encoding has one open
+    and one close per span: the hypothesis must have those names among its opens and among its closes."""
+    if scheme is MarkerScheme.BRACKETS or "<" in doc.text:
+        return _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in scan.tokens)
+    tokens = scan.tokens
+    if len(tokens) != 2 * len(doc.spans):
+        return False
+    opens = sorted([t.name for t in tokens if t.kind == "open"])
+    closes = sorted([t.name for t in tokens if t.kind == "close"])
+    return opens == closes == sorted([span.tag for span in doc.spans])
+
+
 def occurrences(spans: Sequence[Span]) -> dict[str, list[int]]:
     """Positions in ``spans`` grouped by tag, each group in text order.
 
@@ -256,8 +270,8 @@ def occurrences(spans: Sequence[Span]) -> dict[str, list[int]]:
     correspondence key between a projected and a reference document.
     """
     by_tag: dict[str, list[int]] = {}
-    for i in sorted(range(len(spans)), key=lambda i: (spans[i].start, spans[i].end)):
-        by_tag.setdefault(spans[i].tag, []).append(i)
+    for _, _, i, tag in sorted([(span.start, span.end, i, span.tag) for i, span in enumerate(spans)]):
+        by_tag.setdefault(tag, []).append(i)
     return by_tag
 
 
@@ -329,8 +343,7 @@ def project(
                 if found:
                     diagnostics.append((doc.id, found))
                 if reference is not None:
-                    matched = _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in scan.tokens)
-                    counts.add(projected, by_tag, reference, matched)
+                    counts.add(projected, by_tag, reference, _match_flag(doc, encoded, scan, scheme))
                 yield projected
         position += len(batch)
         if len(batch) < window:

@@ -226,9 +226,15 @@ class ReportAccumulator:
     def add(self, projected: AnnotatedText, by_tag: dict, reference: AnnotatedText, matched: bool | None) -> None:
         """Count one pair: ``by_tag`` is ``occurrences(projected.spans)``, ``matched`` its match flag or None."""
         tp, fp, fn = _doc_counts(projected, by_tag, reference, self.threshold)
-        row = self._rows.setdefault(reference.lang, [0] * 7)
-        for k, count in enumerate((1, len(reference.spans), tp, fp, fn, matched is not None, bool(matched))):
-            row[k] += count
+        row = self._rows.get(reference.lang) or self._rows.setdefault(reference.lang, [0] * 7)
+        row[0] += 1
+        row[1] += len(reference.spans)
+        row[2] += tp
+        row[3] += fp
+        row[4] += fn
+        if matched is not None:
+            row[5] += 1
+            row[6] += bool(matched)
 
     def check(self) -> None:
         """Read the rest of the reference, then raise :class:`AlignmentError` on the first reference document,

@@ -5,16 +5,19 @@ scanner with its own pairing loop that ``labelproj.codec`` replaced, and
 Kept only as an oracle: tests require the production codec to give
 byte-equal tagged strings and equal (document, diagnostics) results.
 ``strip_markers``, once public in the codec, is the oracle for the text
-``decode`` recovers.
+``decode`` recovers. ``oracle_signature`` is ``signature`` as it was before
+it counted the scanner's matches itself: a Counter over ``scan_markers``'s
+tokens. ``oracle_match_flag`` compares two of them, as ``project``'s match
+flag once did.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 
-from labelproj import AnnotatedText, MarkerScheme, Span, TaggedText, decode, encode, signature, tag_name
-from labelproj.codec import occurrences
+from labelproj import AnnotatedText, MarkerScheme, Span, TaggedText, decode, encode, tag_name
+from labelproj.codec import occurrences, scan_markers
 from labelproj.errors import InvalidAnnotationError
 from labelproj.model import MARKER_RE, SEVERITY_INFO, SEVERITY_WARNING, Diagnostic, has_errors, validate
 
@@ -52,6 +55,15 @@ def oracle_scan_markers(tagged, scheme=MarkerScheme.XML):
         kind = "close" if exact.group(1) else "open"
         tokens.append(_Token(exact.group(2), kind, match.start(), match.end()))
     return tokens, diagnostics
+
+
+def oracle_signature(tagged: TaggedText, scheme=MarkerScheme.XML) -> Counter:
+    return Counter((t.name, t.kind) for t in scan_markers(tagged.tagged, scheme).tokens)
+
+
+def oracle_match_flag(encoded: TaggedText, hypothesis: TaggedText, scheme=MarkerScheme.XML) -> bool:
+    """Does ``hypothesis`` carry the marker multiset of ``encoded``, the encoding of its source?"""
+    return oracle_signature(encoded, scheme) == oracle_signature(hypothesis, scheme)
 
 
 def strip_markers(tagged, scheme=MarkerScheme.XML) -> str:
@@ -199,6 +211,6 @@ def oracle_project(docs, backend, src_lang, tgt_lang, scheme=MarkerScheme.XML):
         projected, diagnostics = decode(hypothesis, scheme)
         if scheme is MarkerScheme.XML:
             projected = oracle_with_source_labels(projected, doc)
-        matched = signature(encoded, scheme) == signature(hypothesis, scheme)
+        matched = oracle_match_flag(encoded, hypothesis, scheme)
         results.append((projected._replace(lang=tgt_lang), diagnostics, matched, occurrences(projected.spans)))
     return results

@@ -26,11 +26,13 @@ from labelproj import (
     tag_name,
     validate,
 )
-from labelproj.codec import _decode, _encoded_signature, scan_markers
+from labelproj.codec import _decode, _encoded_signature, _match_flag, scan_markers
 from labelproj.evaluation import ReportAccumulator
 from labelproj.model import has_errors
 
-from codec_oracle import oracle_decode, oracle_encode, oracle_project, oracle_scan_markers, strip_markers
+from codec_oracle import (
+    oracle_decode, oracle_encode, oracle_match_flag, oracle_project, oracle_scan_markers, strip_markers
+)
 from conftest import canon, make_doc
 from model_oracle import partially_overlap
 from test_acceptance import _random_doc
@@ -591,3 +593,73 @@ def test_project_translates_nothing_for_a_report_with_a_bad_threshold():
 def test_project_refuses_a_window_below_one():
     with pytest.raises(ValueError, match="window must be >= 1, got 0"):
         next(project(iter([]), IdentityBackend(), "en", "de", ReportAccumulator(None), [], 0))
+
+
+# ------------------------------------------------------------- match flag
+
+@st.composite
+def _edited_markers(draw, tagged: str, scheme: MarkerScheme) -> str:
+    """``tagged`` with up to three of its recognized markers dropped, duplicated or renamed (in the bracket
+    scheme a rename turns an open into a close and back), and a piece of marker soup spliced in somewhere."""
+    tokens = scan_markers(tagged, scheme).tokens
+    edits = dict(draw(st.lists(
+        st.tuples(st.integers(0, max(len(tokens) - 1, 0)), st.sampled_from(["drop", "duplicate", "rename"])),
+        max_size=3,
+    )))
+    pieces, cursor = [], 0
+    for i, token in enumerate(tokens):
+        pieces.append(tagged[cursor : token.start])
+        cursor = token.end
+        marker = tagged[token.start : token.end]
+        edit = edits.get(i)
+        if edit == "rename" and scheme is XML:
+            slash = "/" if token.kind == "close" else ""
+            marker = f"<{slash}{draw(st.sampled_from(['a', 'b', 'z', 'aa']))}>"
+        elif edit == "rename":
+            marker = "[" if marker == "]" else "]"
+        pieces.append({"drop": "", "duplicate": marker * 2}.get(edit, marker))
+    pieces.append(tagged[cursor:])
+    edited = "".join(pieces)
+    at = draw(st.integers(0, len(edited)))
+    return edited[:at] + draw(st.sampled_from(["", "", *NOISE, "<a>", "</a>"])) + edited[at:]
+
+
+def _valid_colliding_doc(seed: int):
+    doc = _colliding_doc(random.Random(seed), "c")
+    assume(not has_errors(validate(doc)))
+    return doc
+
+
+# Texts with no '<' (the flag's fast path), texts with marker-shaped substrings of both schemes, and
+# ``_colliding_doc``'s texts, whose markers an inserted marker can split.
+match_flag_docs = st.one_of(
+    valid_docs(),
+    project_batches(max_docs=1).map(lambda docs: docs[0]),
+    st.integers(0, 2**32).map(_valid_colliding_doc),
+)
+
+
+@settings(max_examples=500)
+@given(match_flag_docs, st.sampled_from([XML, BRACKETS]), st.data())
+def test_match_flag_equals_the_signature_comparison(doc, scheme, data):
+    encoded = encode(doc, scheme)
+    hypothesis = TaggedText(doc.id, "de", data.draw(_edited_markers(encoded.tagged, scheme)))
+    scan = scan_markers(hypothesis.tagged, scheme)
+    assert _match_flag(doc, encoded, scan, scheme) == oracle_match_flag(encoded, hypothesis, scheme)
+
+
+@pytest.mark.parametrize("hypothesis, matched", [
+    ("x <a>y</a>", True),
+    ("</a> x <a>", True),  # an orphan close and an unclosed open: the same multiset all the same
+    ("<a>x y", False),
+    ("<a>x</a> <a>y</a>", False),
+    ("<b>x</b> y", False),
+    ("<a>x</b> y", False),  # the opens match, the closes do not
+    ("<a>x</a> <1>", True),  # a lookalike is no marker
+])
+def test_match_flag_compares_multisets_not_pairs(hypothesis, matched):
+    doc = make_doc("x y", [Span("a", 0, 1)])
+    encoded = encode(doc, XML)
+    hyp = TaggedText(doc.id, "de", hypothesis)
+    assert _match_flag(doc, encoded, scan_markers(hyp.tagged, XML), XML) is matched
+    assert oracle_match_flag(encoded, hyp, XML) is matched

@@ -169,8 +169,11 @@ def _package_sources() -> dict[str, str]:
 
 
 def test_one_function_scans_for_markers():
-    # Decode, signature and the seeded backends all take their markers from this one pass.
-    assert readers_of(_package_sources(), {"_SCANNER", "_BRACKET_SCANNER"}) == ["codec.py: scan_markers"]
+    # Decode and the seeded backends take their markers from this one pass; ``signature`` counts the same
+    # scanners' matches without stripping or pairing them, so there is still one marker grammar.
+    assert readers_of(_package_sources(), {"_SCANNER", "_BRACKET_SCANNER"}) == [
+        "codec.py: scan_markers", "codec.py: signature"
+    ]
 
 
 def test_one_function_parses_json_read_from_outside():
