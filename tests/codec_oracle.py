@@ -8,7 +8,8 @@ byte-equal tagged strings and equal (document, diagnostics) results.
 ``decode`` recovers. ``oracle_signature`` is ``signature`` as it was before
 it counted the scanner's matches itself: a Counter over ``scan_markers``'s
 tokens. ``oracle_match_flag`` compares two of them, as ``project``'s match
-flag once did.
+flag once did. ``oracle_occurrences`` is ``occurrences`` with its old
+key function.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from collections import Counter, namedtuple
 
 from labelproj import AnnotatedText, MarkerScheme, Span, TaggedText, decode, encode, tag_name
-from labelproj.codec import occurrences, scan_markers
+from labelproj.codec import scan_markers
 from labelproj.errors import InvalidAnnotationError
 from labelproj.model import MARKER_RE, SEVERITY_INFO, SEVERITY_WARNING, Diagnostic, has_errors, validate
 
@@ -55,6 +56,13 @@ def oracle_scan_markers(tagged, scheme=MarkerScheme.XML):
         kind = "close" if exact.group(1) else "open"
         tokens.append(_Token(exact.group(2), kind, match.start(), match.end()))
     return tokens, diagnostics
+
+
+def oracle_occurrences(spans) -> dict[str, list[int]]:
+    by_tag: dict[str, list[int]] = {}
+    for i in sorted(range(len(spans)), key=lambda i: (spans[i].start, spans[i].end)):
+        by_tag.setdefault(spans[i].tag, []).append(i)
+    return by_tag
 
 
 def oracle_signature(tagged: TaggedText, scheme=MarkerScheme.XML) -> Counter:
@@ -192,8 +200,8 @@ def oracle_decode(tagged, scheme=MarkerScheme.XML, *, doc_id="", lang=""):
 def oracle_with_source_labels(doc: AnnotatedText, source: AnnotatedText) -> AnnotatedText:
     """Every span of ``doc`` rebuilt with the label of the source span with the same (tag, occurrence index)."""
     labels = [None] * len(doc.spans)
-    source_positions = occurrences(source.spans)
-    for tag, positions in occurrences(doc.spans).items():
+    source_positions = oracle_occurrences(source.spans)
+    for tag, positions in oracle_occurrences(doc.spans).items():
         for i, j in zip(positions, source_positions.get(tag, ())):
             labels[i] = source.spans[j].label
     return doc._replace(spans=tuple(Span(s.tag, s.start, s.end, label) for s, label in zip(doc.spans, labels)))
@@ -212,5 +220,5 @@ def oracle_project(docs, backend, src_lang, tgt_lang, scheme=MarkerScheme.XML):
         if scheme is MarkerScheme.XML:
             projected = oracle_with_source_labels(projected, doc)
         matched = oracle_match_flag(encoded, hypothesis, scheme)
-        results.append((projected._replace(lang=tgt_lang), diagnostics, matched, occurrences(projected.spans)))
+        results.append((projected._replace(lang=tgt_lang), diagnostics, matched, oracle_occurrences(projected.spans)))
     return results

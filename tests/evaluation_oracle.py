@@ -12,13 +12,14 @@ Kept only as an oracle: tests require the production tally to give equal
 from __future__ import annotations
 
 from labelproj import AnnotatedText
-from labelproj.codec import occurrences
 from labelproj.similarity import _reaches
+
+from codec_oracle import oracle_occurrences
 
 
 def oracle_doc_counts(projected: AnnotatedText, reference: AnnotatedText, threshold: float) -> tuple[int, int, int]:
-    proj_by_tag = occurrences(projected.spans)
-    ref_by_tag = occurrences(reference.spans)
+    proj_by_tag = oracle_occurrences(projected.spans)
+    ref_by_tag = oracle_occurrences(reference.spans)
 
     tp = fp = fn = 0
     for tag in set(proj_by_tag) | set(ref_by_tag):

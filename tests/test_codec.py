@@ -26,12 +26,13 @@ from labelproj import (
     tag_name,
     validate,
 )
-from labelproj.codec import _decode, _encoded_signature, _match_flag, scan_markers
+from labelproj.codec import _decode, _encoded_signature, _match_flag, occurrences, scan_markers
 from labelproj.evaluation import ReportAccumulator
 from labelproj.model import has_errors
 
 from codec_oracle import (
-    oracle_decode, oracle_encode, oracle_match_flag, oracle_project, oracle_scan_markers, strip_markers
+    oracle_decode, oracle_encode, oracle_match_flag, oracle_occurrences, oracle_project, oracle_scan_markers,
+    strip_markers,
 )
 from conftest import canon, make_doc
 from model_oracle import partially_overlap
@@ -416,6 +417,13 @@ def test_decode_tokens_are_the_signature_on_mutated_strings():
     for _, scheme, raw in _mutated_strings():
         _, _, scan = _decode(bare(raw), scheme)
         assert Counter((t.name, t.kind) for t in scan.tokens) == signature(bare(raw), scheme)
+
+
+@given(st.lists(st.builds(Span, st.sampled_from(["a", "b", "aa"]), st.integers(0, 4), st.integers(0, 4),
+                          st.sampled_from([None, "PER"])), max_size=8))
+def test_occurrences_equals_the_oracle(spans):
+    # Key order too: the tags come in the text order of their first span.
+    assert list(occurrences(spans).items()) == list(oracle_occurrences(spans).items())
 
 
 # Marker-shaped and bracket substrings for document texts: an inserted marker
