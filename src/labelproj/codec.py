@@ -45,6 +45,8 @@ MarkerKind = Literal["open", "close"]
 # first ">", so a grammar match spans exactly the lookalike it would
 # otherwise be. The bracket scanner has the same groups: 1 is set on a close,
 # and 2 is the name, empty for a bracket and None only for a lookalike.
+# ``signature`` counts the same two groups with ``findall`` (a lookalike's
+# name reads "" there), so a change to the groups changes both readers.
 _SCANNER = re.compile(MARKER_RE.pattern + r"|</?[^<>]*>")
 _BRACKET_SCANNER = re.compile(r"(?:(\])|\[)()")
 
@@ -106,7 +108,7 @@ def scan_markers(tagged: str, scheme: MarkerScheme = MarkerScheme.XML) -> Marker
     diagnostics: list[Diagnostic] = []
     cursor = removed = rank = 0
     for match in (_SCANNER if scheme is MarkerScheme.XML else _BRACKET_SCANNER).finditer(tagged):
-        slash, name = match.groups()
+        slash, name = match.group(1, 2)
         start, end = match.span()
         if name is None:
             message = f"marker-like substring {match.group()!r} left as literal text"
@@ -127,7 +129,7 @@ def scan_markers(tagged: str, scheme: MarkerScheme = MarkerScheme.XML) -> Marker
             orphans.append(token)
     pieces.append(tagged[cursor:])
     pairs.sort()  # ranks are unique, so no token is compared
-    unclosed = sorted([entry for stack in stacks.values() for entry in stack])
+    unclosed = sorted(entry for stack in stacks.values() for entry in stack)
     return MarkerScan("".join(pieces), tokens, pairs, orphans, unclosed, diagnostics)
 
 
@@ -235,27 +237,19 @@ def signature(tagged: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> Co
     return Counter({(name, "close" if slash else "open"): n for (slash, name), n in found.items() if name or not xml})
 
 
-def _encoded_signature(
-    doc: AnnotatedText, encoded: TaggedText, scheme: MarkerScheme
-) -> Counter[tuple[str, MarkerKind]]:
-    """``signature(encoded, scheme)`` for ``encoded = encode(doc, scheme)``, counted from the spans. An
-    inserted marker can split a marker-shaped substring of the text, so such a text's encoding is scanned.
-    """
-    if scheme is MarkerScheme.BRACKETS:  # the text's own brackets count too
-        opens, closes = (len(doc.spans) + doc.text.count(literal) for literal in "[]")
-        return Counter({("", "open"): opens, ("", "close"): closes})
-    if MARKER_RE.search(doc.text):
-        return signature(encoded, scheme)
-    return Counter((span.tag, kind) for span in doc.spans for kind in ("open", "close"))
-
-
 def _match_flag(doc: AnnotatedText, encoded: TaggedText, scan: MarkerScan, scheme: MarkerScheme) -> bool:
     """``signature(encoded, scheme) == signature(hypothesis, scheme)`` for ``encoded = encode(doc, scheme)`` and
-    ``scan`` the hypothesis's scan. An XML source text without ``<`` holds no marker, so its encoding has one open
-    and one close per span: the hypothesis must have those names among its opens and among its closes."""
-    if scheme is MarkerScheme.BRACKETS or "<" in doc.text:
-        return _encoded_signature(doc, encoded, scheme) == Counter((t.name, t.kind) for t in scan.tokens)
+    ``scan`` the hypothesis's scan. Brackets have one name, and the text's own brackets count too. An inserted
+    marker can split a marker-shaped substring of an XML text, so such a text's encoding is scanned; any other
+    text's encoding has exactly one open and one close per span, so the hypothesis must have the span tags as the
+    names of its opens and of its closes."""
     tokens = scan.tokens
+    if scheme is MarkerScheme.BRACKETS:
+        opens = sum([t.kind == "open" for t in tokens])
+        n = len(doc.spans)
+        return opens == n + doc.text.count("[") and len(tokens) - opens == n + doc.text.count("]")
+    if "<" in doc.text and MARKER_RE.search(doc.text):
+        return signature(encoded, scheme) == Counter((t.name, t.kind) for t in tokens)
     if len(tokens) != 2 * len(doc.spans):
         return False
     opens = sorted([t.name for t in tokens if t.kind == "open"])

@@ -114,7 +114,7 @@ def read_items(path: Path, fmt: DatasetFormat, error_budget: int, diagnostics: l
             diagnostics += [_at_line(d, lineno) for d in validate(AnnotatedText(text.id, "", text.tagged))]
             yield text
             continue
-        if line.isspace():  # a line read from a file is never empty
+        if not line.strip():
             continue
         try:
             record = parse_json(line.rstrip("\n"))

@@ -226,7 +226,7 @@ class ReportAccumulator:
     def add(self, projected: AnnotatedText, by_tag: dict, reference: AnnotatedText, matched: bool | None) -> None:
         """Count one pair: ``by_tag`` is ``occurrences(projected.spans)``, ``matched`` its match flag or None."""
         tp, fp, fn = _doc_counts(projected, by_tag, reference, self.threshold)
-        row = self._rows.get(reference.lang) or self._rows.setdefault(reference.lang, [0] * 7)
+        row = self._rows.setdefault(reference.lang, [0] * 7)
         row[0] += 1
         row[1] += len(reference.spans)
         row[2] += tp

@@ -26,7 +26,7 @@ from labelproj import (
     tag_name,
     validate,
 )
-from labelproj.codec import _decode, _encoded_signature, _match_flag, occurrences, scan_markers
+from labelproj.codec import _decode, _match_flag, occurrences, scan_markers
 from labelproj.evaluation import ReportAccumulator
 from labelproj.model import has_errors
 
@@ -447,7 +447,7 @@ def _colliding_doc(rng: random.Random, doc_id: str):
     return make_doc(text, canon(spans), doc_id=doc_id)
 
 
-def test_encoded_signature_matches_scan_of_encoding():
+def test_match_flag_holds_for_the_encoding_itself():
     rng = random.Random(0x51C)
     docs = [*_criterion_1_docs(), *(_colliding_doc(rng, f"col{i}") for i in range(3_000))]
     collisions = 0
@@ -458,7 +458,7 @@ def test_encoded_signature_matches_scan_of_encoding():
         collisions += any(d.code == "MARKER_COLLISION" for d in diagnostics)
         for scheme in (XML, BRACKETS):
             encoded = encode(doc, scheme)
-            assert _encoded_signature(doc, encoded, scheme) == signature(encoded, scheme)
+            assert _match_flag(doc, encoded, scan_markers(encoded.tagged, scheme), scheme)
     assert collisions > 1_000
 
 
@@ -671,3 +671,21 @@ def test_match_flag_compares_multisets_not_pairs(hypothesis, matched):
     hyp = TaggedText(doc.id, "de", hypothesis)
     assert _match_flag(doc, encoded, scan_markers(hyp.tagged, XML), XML) is matched
     assert oracle_match_flag(encoded, hyp, XML) is matched
+
+
+@pytest.mark.parametrize("text, at, scheme, hypothesis, matched", [
+    ("x < y", 0, XML, "<a></a>x < y", True),  # a '<' that starts no marker
+    ("x < y", 0, XML, "<a>x < y", False),
+    ("<ab>", 0, XML, "<a></a><ab>", True),  # the text's own marker stays whole in the encoding
+    ("<ab>", 0, XML, "<a></a>", False),
+    ("<ab>", 2, XML, "<a></a>", True),  # the inserted markers split it: "<a<a></a>b>"
+    ("<ab>", 2, XML, "<a></a><ab>", False),
+    ("x [y", 0, BRACKETS, "[]x [y", True),  # the text's own bracket counts
+    ("x [y", 0, BRACKETS, "[]x y", False),
+])
+def test_match_flag_on_texts_with_marker_characters(text, at, scheme, hypothesis, matched):
+    doc = make_doc(text, [Span("a", at, at)])
+    encoded = encode(doc, scheme)
+    hyp = TaggedText(doc.id, "de", hypothesis)
+    assert _match_flag(doc, encoded, scan_markers(hyp.tagged, scheme), scheme) is matched
+    assert oracle_match_flag(encoded, hyp, scheme) is matched
