@@ -86,14 +86,42 @@ def _inputs(run_dir, n: int = 40, reference: bool = True, plant: dict | None = N
         (run_dir / name).write_text(f"old {name}\n", encoding="utf-8")
 
 
-def _evaluate_inputs(run_dir) -> None:
+def _evaluate_inputs(run_dir, scheme: str = "xml", edits: dict | None = None) -> None:
+    """``evaluate``'s four inputs for 30 documents, the pair files in ``scheme``; then each file that ``edits``
+    names is rewritten with the lines its function returns for the file's lines."""
     docs = _docs(30)
     dump(_reference(docs), run_dir / "ref.jsonl")
     # A projection that lost every third document's last span, in the reference's language.
     dump([doc._replace(lang="de", spans=doc.spans[:-1] if i % 3 == 0 else doc.spans) for i, doc in enumerate(docs)],
          run_dir / "projected.jsonl")
-    dump([encode(doc) for doc in docs], run_dir / "src.tagged.jsonl")
-    _hypothesis_inputs(run_dir)
+    dump([encode(doc, MarkerScheme(scheme)) for doc in docs], run_dir / "src.tagged.jsonl")
+    _hypothesis_inputs(run_dir, scheme)
+    for name, edit in (edits or {}).items():
+        lines = (run_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        (run_dir / name).write_text("".join(edit(lines)), encoding="utf-8")
+
+
+def _copy_line(i: int, j: int):
+    """An edit of a file's lines that puts a copy of line ``j`` in place of line ``i``."""
+    return lambda lines: [*lines[:i], lines[j], *lines[i + 1:]]
+
+
+def _staged_inputs(run_dir) -> None:
+    """``project --backend drop:0.3``'s inputs, ``in.jsonl`` and ``ref.jsonl``, and its staged form:
+    ``src.tagged.jsonl``, ``hyp.tagged.jsonl`` and ``projected.jsonl``, made by ``encode``, ``translate`` and
+    ``decode``."""
+    _inputs(run_dir)
+    stages = [
+        ["encode", "-i", "in.jsonl", "-o", "src.tagged.jsonl"],
+        ["translate", "-i", "src.tagged.jsonl", "-o", "hyp.tagged.jsonl", "--backend", "drop:0.3", "--seed", "3",
+         "--src-lang", "en", "--tgt-lang", "de"],
+        ["decode", "-i", "hyp.tagged.jsonl", "-o", "projected.jsonl"],
+    ]
+    for argv in stages:
+        with redirect_stderr(io.StringIO()):
+            code = main([str(run_dir / arg) if arg.endswith(".jsonl") else arg for arg in argv])
+        if code != 0:
+            raise RuntimeError(f"{argv[0]} exited {code}")
 
 
 def _tagged_inputs(run_dir, scheme: str = "xml", n: int = 30) -> None:
@@ -303,6 +331,58 @@ RUNS = {
     "evaluate-missing-projected-source-tagged-alone": (
         ["evaluate", "--projected", "missing.jsonl", "--reference", "ref.jsonl", "--source-tagged", "src.tagged.jsonl"],
         _evaluate_inputs,
+    ),
+    "evaluate-tagged-brackets-json": (
+        [*EVALUATE, *TAGGED, "--scheme", "brackets", "--report", "json"], lambda d: _evaluate_inputs(d, "brackets")
+    ),
+    # A malformed line in each of the four files, each file over its own budget of 1.
+    **{
+        f"evaluate-error-budget-{budget}": (
+            [*EVALUATE, *TAGGED, "--error-budget", str(budget), "--report", "json"],
+            lambda d: _evaluate_inputs(d, edits=dict.fromkeys(
+                ["projected.jsonl", "ref.jsonl", "src.tagged.jsonl", "hyp.tagged.jsonl"],
+                lambda lines: [*lines[:5], "not json\n", *lines[5:]],
+            )),
+        )
+        for budget in (0, 1)
+    },
+    "evaluate-dataset-report-out": (
+        [*EVALUATE, *TAGGED, "--dataset", "demo", "--report", "csv", "--report-out", "report.csv"], _evaluate_inputs
+    ),
+    # One run per class of error, the inputs otherwise whole.
+    "evaluate-pair-files-differ-in-length": (
+        [*EVALUATE, *TAGGED], lambda d: _evaluate_inputs(d, edits={"hyp.tagged.jsonl": lambda lines: lines[:-1]})
+    ),
+    "evaluate-repeated-pair-id": (
+        [*EVALUATE, *TAGGED],
+        lambda d: _evaluate_inputs(d, edits={"src.tagged.jsonl": _copy_line(7, 3), "hyp.tagged.jsonl": _copy_line(7, 3)}),
+    ),
+    # Pairs d4 and d5 get each other's hypothesis; the reference, neighbours swapped, reaches d5 first.
+    "evaluate-pair-ids-differ": (
+        [*EVALUATE, *TAGGED],
+        lambda d: _evaluate_inputs(d, edits={"hyp.tagged.jsonl": lambda lines: [*lines[:4], lines[5], lines[4], *lines[6:]]}),
+    ),
+    "evaluate-repeated-projected-id": (
+        [*EVALUATE, *TAGGED], lambda d: _evaluate_inputs(d, edits={"projected.jsonl": _copy_line(8, 2)})
+    ),
+    "evaluate-reference-id-without-projected": (
+        [*EVALUATE, *TAGGED], lambda d: _evaluate_inputs(d, edits={"projected.jsonl": lambda lines: lines[:-1]})
+    ),
+    # The projected file's error wins, though the pair files' comes earlier in their lines.
+    "evaluate-repeated-pair-id-then-malformed-projected-line": (
+        [*EVALUATE, *TAGGED],
+        lambda d: _evaluate_inputs(d, edits={
+            "src.tagged.jsonl": _copy_line(2, 1),
+            "hyp.tagged.jsonl": _copy_line(2, 1),
+            "projected.jsonl": lambda lines: [*lines[:20], "not json\n", *lines[20:]],
+        }),
+    ),
+    "evaluate-staged-drop:0.3": ([*EVALUATE, *TAGGED, "--report", "json"], _staged_inputs),
+    "project-dataset": (
+        [*PROJECT, *WITH_REFERENCE, "--backend", "drop:0.3", "--dataset", "demo", "--report", "csv"], _inputs
+    ),
+    "project-diagnostics": (
+        [*PROJECT, "--backend", "drop:0.3", "--diagnostics", "diags.jsonl"], lambda d: _inputs(d, reference=False)
     ),
 }
 

@@ -3,9 +3,12 @@ change of behaviour re-pins only the runs it names."""
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from golden_runs import RUNS, digest
+from labelproj.cli import build_parser
 
 
 PINS = {
@@ -15,10 +18,21 @@ PINS = {
     "encode-error-budget-0": "e569dc82215280486643ffba630f7b5606edea17d6d705abecda92df605afcdc",
     "encode-error-budget-1": "64e2cead8d9ea52dbdad279ca8aa6120d48776d5288e47318ccb406e622ba835",
     "encode-xml": "ad4743ab34c56e69e77cf1069afed5a12f5822cb63f1eb36a754cda97cb82289",
+    "evaluate-dataset-report-out": "57b7a829335a20731a9d4df5088adb7fbdcc9cd5f5c858b88131a6dfb468d7a7",
+    "evaluate-error-budget-0": "fc0df06849a58400741d8d97e622180cceba1720289957d3c8d7d936f1a71ad8",
+    "evaluate-error-budget-1": "ea904a5f0daa60459a244c3ed7ec9096ac48a83688f7e97f8955f245f0e620d9",
     "evaluate-json": "4174de81392d2500a5b4accfb578ae7c24c4bf28b23c8d1c4c5a7a2b8234b15d",
     "evaluate-missing-projected-bad-threshold": "b24a4359ad6d1a40f8e980a57c5c92473c5718bda577277acef7e36e08d35453",
     "evaluate-missing-projected-source-tagged-alone": "4f2d85ad4db56878ac96f411abe65a1cd5a76ccfb167083666c3741b56c83784",
+    "evaluate-pair-files-differ-in-length": "64c3b2828ba825bf1a0ad7afce3e9dbcd33b9e83fb4191e7de201b28bd0b33e5",
+    "evaluate-pair-ids-differ": "f83515cdaf19ee00ac73d9377cc3fba7fac9c4b696179192dfedd02d8bc905cb",
+    "evaluate-reference-id-without-projected": "566fa958152e52d0f93b1a8cb6dd5342835c233ed803daafe4f0df7e70d47f99",
+    "evaluate-repeated-pair-id": "657db6c961fcabac45ddf95561337d0d86b6a1671fcf34eef05cac599afdd533",
+    "evaluate-repeated-pair-id-then-malformed-projected-line": "3dffd4e624be317ffaf3bbfdfa1f51778c5f7536c82e57d6980c16197dfd9a2b",
+    "evaluate-repeated-projected-id": "d75f93750b3097c8ef21499ebb073add0c5483602dcee8cd80239db603b779e7",
+    "evaluate-staged-drop:0.3": "f9d896bec545cc5396fc5b631986787fdaa4e1e5332a9615cc35446e1122b669",
     "evaluate-table": "4baba4753b7496d3800d5a2abdd679deb816c9400608399e98594e6525b6535b",
+    "evaluate-tagged-brackets-json": "79579c951c05eb13555865ed3d2ec19b61f433431cc09a32ff655bf1c46fd810",
     "evaluate-tagged-json": "e4bd3bb9bacfbd83fda317d861d9c3e4bcc85859df5ca1aae348cbe88078caff",
     "evaluate-tagged-table": "30fd63529b749f4876ce8fdbffc295fcf3a026ff3fbc4a17a5024e4891836240",
     "filter-qa-constant-90": "aeb9642f7b089ea1f8597b44756a2464a7ddba4c540cef1d72db4b57af9372dd",
@@ -26,6 +40,8 @@ PINS = {
     "filter-qa-http": "057fe68a5bd41a05c9e768d7f4c8dd24c35c6d350f08d4c317b67adaf2084376",
     "filter-qa-no-score-filter": "aeb9642f7b089ea1f8597b44756a2464a7ddba4c540cef1d72db4b57af9372dd",
     "prep": "018ffbfe88aa73afce54e7f74f43286be72d1c2ee8fc7f17be8a78776bb467fb",
+    "project-dataset": "5355ebabb4a1bae453e9f079dcced4f94d62139c97248227e53317aec3b536cf",
+    "project-diagnostics": "ba93d3c047b99d75dc32d28e999e026189e823caf19cc53f23251c2fd6ece572",
     "project-drop:0.3-brackets": "5e2dea28aa26bf78ae9825bafb3ea8f254baf3af297db8878e43b8c7363e9d17",
     "project-drop:0.3-xml": "63e834b9051aec3f6d3ade5c9e5cf7b2ca6b3bcf3d4281dda1d7256551fee3b4",
     "project-duplicate-id": "4b3a779cee090cd98ca2ece0a57ac09c7e921cc4ac72fa20465957d179d86768",
@@ -71,3 +87,12 @@ def test_golden_run_is_pinned(tmp_path, name):
 
 def test_every_run_is_pinned():
     assert sorted(PINS) == sorted(RUNS)
+
+
+def test_every_command_has_a_run_and_every_flag_of_evaluate_and_project_is_in_one():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == sorted({argv[0] for argv, _ in RUNS.values()})
+    for command in ("evaluate", "project"):
+        given = {arg for argv, _ in RUNS.values() if argv[0] == command for arg in argv}
+        flags = [action.option_strings for action in commands[command]._actions if action.dest != "help"]
+        assert [names[-1] for names in flags if not given & set(names)] == [], command
