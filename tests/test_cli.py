@@ -9,9 +9,11 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -23,6 +25,7 @@ from labelproj import (
     RawMarkupPair,
     Span,
     TaggedText,
+    cli,
     codec,
     corpus,
     dump,
@@ -38,6 +41,7 @@ from labelproj.backends import (
 
 from codec_oracle import oracle_project
 from conftest import make_doc
+from evaluation_oracle import oracle_cmd_evaluate
 from test_acceptance import _random_doc
 from test_codec import _Answering
 
@@ -985,14 +989,14 @@ def test_evaluate_csv_report(tmp_path, capsys):
 ], ids=["bad-threshold", "source-tagged-alone", "hypothesis-tagged-alone"])
 def test_evaluate_checks_its_flags_before_it_reads_any_input(tmp_path, capsys, monkeypatch, flags, message):
     # --projected names no file, so a run that read its inputs first would report that instead.
-    loaded = []
-    monkeypatch.setattr("labelproj.cli.load", lambda path, *args: loaded.append(path))
+    read = []
+    monkeypatch.setattr("labelproj.cli.read_items", lambda path, *args: read.append(path) or iter(()))
     write_annotated(tmp_path / "ref.jsonl", DOCS)
     assert main([
         "evaluate", "--projected", str(tmp_path / "missing.jsonl"), "--reference", str(tmp_path / "ref.jsonl"), *flags,
     ]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert loaded == []
+    assert read == []
 
 
 def test_synth_checks_its_flags_before_it_reads_its_input(tmp_path, capsys, monkeypatch):
@@ -1071,6 +1075,126 @@ def test_evaluate_checks_pair_ids_only_for_reference_ids(tmp_path, capsys):
     hypothesis.write_text("\n".join([renamed(lines[0], "x2"), *lines[1:], renamed(lines[0], "x2")]) + "\n")
     assert main(argv) == 1
     assert "pair ids differ: '1' vs 'x2'" in capsys.readouterr().err
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+EVALUATE_FILES = ("projected.jsonl", "ref.jsonl", "src.tagged.jsonl", "hyp.tagged.jsonl")
+
+
+def _edited(lines: list[str], kind: str, i: int, j: int) -> list[str]:
+    """``lines`` with line ``i`` copied over line ``j``, dropped, swapped with line ``j``, or a malformed line put
+    after it; indices wrap around the file."""
+    if kind == "malformed":
+        i = i % len(lines) + 1 if lines else 0
+        return [*lines[:i], "not json\n", *lines[i:]]
+    if not lines:
+        return lines
+    i, j = i % len(lines), j % len(lines)
+    lines = list(lines)
+    if kind == "copy":
+        lines[j] = lines[i]
+    elif kind == "drop":
+        del lines[i]
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+EDITS = st.lists(
+    st.tuples(st.sampled_from(EVALUATE_FILES), st.sampled_from(["copy", "drop", "swap", "malformed"]),
+              st.integers(0, 9), st.integers(0, 9)),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), off_reference=st.integers(0, 2), edits=EDITS,
+       shuffled=st.booleans(), tagged=st.booleans(), budget=st.sampled_from([0, 1]),
+       scheme=st.sampled_from(["xml", "brackets"]), report_out=st.booleans())
+def test_evaluate_gives_what_reading_each_input_whole_gave(seed, n, off_reference, edits, shuffled, tagged, budget,
+                                                          scheme, report_out):
+    # Four consistent files, then planted faults: repeated, missing, swapped and malformed lines in any of them.
+    rng = random.Random(seed)
+    docs = [_random_doc(rng, f"d{i}") for i in range(n)]
+    reference = [doc._replace(lang="de") for doc in docs]
+    projected = [doc._replace(spans=doc.spans[:rng.randint(0, len(doc.spans))]) for doc in reference]
+    extra = [_random_doc(rng, f"x{i}") for i in range(off_reference)]  # pairs with no reference document
+    if shuffled:
+        rng.shuffle(reference)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        encoded = lambda items: [codec.encode(doc, codec.MarkerScheme(scheme)) for doc in items]
+        for name, items in zip(EVALUATE_FILES, [projected, reference, encoded(docs + extra), encoded(projected + extra)]):
+            dump(items, run_dir / name)
+        for name, kind, i, j in edits:
+            lines = (run_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            (run_dir / name).write_text("".join(_edited(lines, kind, i, j)), encoding="utf-8")
+        paths = [str(run_dir / name) for name in EVALUATE_FILES]
+        argv = ["evaluate", "--projected", paths[0], "--reference", paths[1], "--scheme", scheme,
+                "--error-budget", str(budget), "--report", "json"]
+        argv += ["--source-tagged", paths[2], "--hypothesis-tagged", paths[3]] * tagged
+        argv += ["--report-out", str(run_dir / "report.json")] * report_out
+        outcomes = []
+        for evaluate in (None, oracle_cmd_evaluate):
+            with contextlib.ExitStack() as stack:
+                if evaluate:
+                    stack.enter_context(mock.patch.object(cli, "cmd_evaluate", evaluate))
+                outcome = _run(argv)
+            written = run_dir / "report.json"
+            outcomes.append((*outcome, written.read_text(encoding="utf-8") if written.exists() else None))
+            written.unlink(missing_ok=True)
+    assert outcomes[0] == outcomes[1]
+
+
+LITERAL_PREFIXES = ["", "<1> ", "<ab> ", "[ ", "x ] y [ "]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       backend=st.sampled_from(["identity", "shuffle", "drop:0", "drop:0.3", "drop:0.7", "drop:1"]),
+       scheme=st.sampled_from(["xml", "brackets"]), batch_size=st.integers(1, 3), max_in_flight=st.integers(1, 3),
+       prefixes=st.lists(st.sampled_from(LITERAL_PREFIXES), min_size=12, max_size=12))
+def test_staged_projection_scores_what_project_scores(seed, n, backend, scheme, batch_size, max_in_flight, prefixes):
+    # project --reference against encode | translate | decode | evaluate --source-tagged --hypothesis-tagged.
+    rng = random.Random(seed)
+    docs = []
+    for i, prefix in zip(range(n), prefixes):
+        doc = _random_doc(rng, f"d{i}")
+        spans = tuple(s._replace(start=s.start + len(prefix), end=s.end + len(prefix), label=rng.choice([None, "PER"]))
+                      for s in doc.spans)
+        docs.append(doc._replace(text=prefix + doc.text, spans=spans))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = lambda name: str(Path(tmp) / name)
+        dump(docs, Path(path("in.jsonl")))
+        dump([doc._replace(lang="de") for doc in reversed(docs)], Path(path("ref.jsonl")))
+        common = ["--scheme", scheme]
+        backend_flags = ["--backend", backend, "--seed", "7", "--src-lang", "en", "--tgt-lang", "de",
+                         "--batch-size", str(batch_size), "--max-in-flight", str(max_in_flight)]
+        report = ["--reference", path("ref.jsonl"), "--report", "json"]
+        runs = [
+            ["project", "-i", path("in.jsonl"), "-o", path("fused.jsonl"), *backend_flags, *report,
+             "--report-out", path("fused.json")],
+            ["encode", "-i", path("in.jsonl"), "-o", path("src.tagged.jsonl")],
+            ["translate", "-i", path("src.tagged.jsonl"), "-o", path("hyp.tagged.jsonl"), *backend_flags],
+            ["decode", "-i", path("hyp.tagged.jsonl"), "-o", path("staged.jsonl")],
+            ["evaluate", "--projected", path("staged.jsonl"), *report, "--report-out", path("staged.json"),
+             "--source-tagged", path("src.tagged.jsonl"), "--hypothesis-tagged", path("hyp.tagged.jsonl")],
+        ]
+        for argv in runs:
+            assert _run([*argv, *common])[0] == 0, argv
+        assert Path(path("staged.json")).read_bytes() == Path(path("fused.json")).read_bytes()
+        unlabelled = lambda name: [
+            doc._replace(spans=tuple(s._replace(label=None) for s in doc.spans))
+            for doc in load(Path(path(name)), DatasetFormat.ANNOTATED_JSONL)[0]
+        ]
+        assert unlabelled("staged.jsonl") == unlabelled("fused.jsonl")
 
 
 def test_tagswap_and_prep(tmp_path):
