@@ -45,7 +45,7 @@ from .errors import (
     NoTokensError,
     ScorerUnavailableError,
 )
-from .evaluation import PRF, EvalReport, build_report, label_match_f1, projection_rate
+from .evaluation import PRF, EvalReport, build_report, label_match_f1
 from .model import AnnotatedText, Diagnostic, Span, TaggedText, validate
 from .similarity import gestalt_ratio
 from .synth import InsertionMode, MarkerConfig, derive_seed, insert_markers, tokenize_boundaries
@@ -98,7 +98,6 @@ __all__ = [
     "load",
     "prepare_training_corpus",
     "project",
-    "projection_rate",
     "read_diagnostics",
     "signature",
     "tag_name",

@@ -13,8 +13,9 @@ import json
 import math
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .backends import (
     MAX_IN_FLIGHT,
@@ -41,10 +42,8 @@ from .dataio import (
     write_records,
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError, UsageError
-from .evaluation import (
-    DEFAULT_DATASET, DEFAULT_THRESHOLD, ReportAccumulator, build_report, check_threshold, markers_match, render_table
-)
-from .model import Diagnostic
+from .evaluation import DEFAULT_DATASET, DEFAULT_THRESHOLD, ReportAccumulator, _tally, render_table
+from .model import AnnotatedText, Diagnostic
 from .synth import InsertionMode, MarkerConfig, derive_seed, sample_corpus
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
@@ -103,12 +102,7 @@ def make_scorer(value: str | None) -> ScorerBackend | None:
 
 
 def _emit_report(report, fmt: str | None, out_path: str | None) -> None:
-    if fmt == "csv":
-        text = report.to_csv()
-    elif fmt == "json":
-        text = report.to_json()
-    else:
-        text = report.to_table()
+    text = {"csv": report.to_csv, "json": report.to_json}.get(fmt, report.to_table)()
     if out_path:
         atomic_write_text(Path(out_path), text)
     else:
@@ -144,7 +138,7 @@ def _note_input_diagnostics(diagnostics: list[Diagnostic]) -> None:
 
 
 def _report_options(args: argparse.Namespace) -> dict:
-    """The --dataset and --threshold values given; ``build_report`` supplies the defaults."""
+    """The --dataset and --threshold values given; ``ReportAccumulator`` supplies the defaults."""
     return {key: getattr(args, key) for key in ("dataset", "threshold") if getattr(args, key) is not None}
 
 
@@ -242,31 +236,37 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.threshold is not None:
-        check_threshold(args.threshold)
-    if bool(args.source_tagged) != bool(args.hypothesis_tagged):
-        raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
+    failures: dict[int, Exception] = {}  # rank -> first error; _tally raises the lowest, which whole reads meet first
+    flags: dict[str, bool | AlignmentError] = {}  # pair id -> match flag, or the error of a pair whose ids differ
     diagnostics: list[Diagnostic] = []
 
-    def read(fmt: DatasetFormat, path: str) -> list:
-        return list(read_items(Path(path), fmt, args.error_budget, diagnostics))
+    def read(path: str, rank: int, fmt: DatasetFormat = DatasetFormat.TAGGED_JSONL) -> Iterator:
+        try:
+            yield from read_items(Path(path), fmt, args.error_budget, diagnostics)
+        except (LabelProjError, OSError) as exc:
+            failures.setdefault(rank, exc)
 
-    projected = read(DatasetFormat.ANNOTATED_JSONL, args.projected)
-    reference = read(DatasetFormat.ANNOTATED_JSONL, args.reference)
-    marker_matches = {}
-    if args.source_tagged:
-        sources, hypotheses = (
-            read(DatasetFormat.TAGGED_JSONL, path) for path in (args.source_tagged, args.hypothesis_tagged)
-        )
-        if len(sources) != len(hypotheses):
-            raise AlignmentError("source/hypothesis tagged files differ in length")
-        pairs = {s.id: (s, h) for s, h in zip(sources, hypotheses)}  # only reference ids are scored and checked
-        if len(pairs) != len(sources):
-            raise AlignmentError("duplicate ids among source/hypothesis pairs")
-        marker_matches = {r.id: markers_match(*pairs[r.id], _scheme(args)) for r in reference if r.id in pairs}
+    def reference() -> Iterator[AnnotatedText]:
+        for ref in read(args.reference, 2, DatasetFormat.ANNOTATED_JSONL):
+            if isinstance(flags.get(ref.id), AlignmentError):  # the first pair, in reference order, whose ids differ
+                failures.setdefault(7, flags[ref.id])
+            yield ref
 
-    report = build_report(projected, reference, marker_matches, **_report_options(args))
-    _emit_report(report, args.report, args.report_out)
+    counts = ReportAccumulator(reference(), **_report_options(args))  # refuses a bad threshold before any read
+    if bool(args.source_tagged) != bool(args.hypothesis_tagged):
+        raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
+    pairs = zip_longest(read(args.source_tagged, 3), read(args.hypothesis_tagged, 4)) if args.source_tagged else ()
+    for source, hypothesis in pairs:
+        if source is None or hypothesis is None:
+            failures.setdefault(5, AlignmentError("source/hypothesis tagged files differ in length"))
+        elif source.id in flags:
+            failures.setdefault(6, AlignmentError("duplicate ids among source/hypothesis pairs"))
+        elif source.id != hypothesis.id:
+            flags[source.id] = AlignmentError(f"pair ids differ: {source.id!r} vs {hypothesis.id!r}")
+        else:
+            flags[source.id] = signature(source, _scheme(args)) == signature(hypothesis, _scheme(args))
+    _tally(read(args.projected, 1, DatasetFormat.ANNOTATED_JSONL), counts, flags, failures)
+    _emit_report(counts.report(), args.report, args.report_out)
     _note_input_diagnostics(diagnostics)
     return 0
 

@@ -11,7 +11,8 @@ into a global precision/recall/F1.
 
 The projection rate is the fraction of translation pairs whose hypothesis
 contains exactly the same multiset of markers as its source: the sum of
-one match flag per pair (:func:`markers_match`) over the number of pairs.
+one match flag per pair, ``signature(source) == signature(hypothesis)``,
+over the number of pairs.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import io
 import json
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .codec import MarkerScheme, corresponding, occurrences, signature
+from .codec import _ranked, corresponding, occurrences
 from .errors import AlignmentError, EmptyInputError
-from .model import AnnotatedText, TaggedText, record_type
+from .model import AnnotatedText, record_type
 from .similarity import _reaches
 
 DEFAULT_THRESHOLD = 0.5
@@ -57,20 +58,17 @@ def _doc_counts(projected: AnnotatedText, by_tag: dict, reference: AnnotatedText
     return tp, len(projected.spans) - tp, len(reference.spans) - tp
 
 
-def check_threshold(threshold: float) -> None:
-    """Raise ValueError unless ``threshold`` is a similarity in [0, 1]."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-
-
-def _tally(projected: Iterable, reference: Iterable, marker_matches: Mapping, **options) -> ReportAccumulator:
-    """A :class:`ReportAccumulator` fed every projected document that has a reference, then checked."""
-    counts = ReportAccumulator(reference, **options)
+def _tally(projected: Iterable, counts: ReportAccumulator, matches: Mapping, failures: dict) -> ReportAccumulator:
+    """``counts`` fed every projected document that has a reference, then checked. Both inputs are read to their ends:
+    a repeated projected id is kept in ``failures`` under rank 8 and the check's error under 9, beside any the caller
+    ranked lower, and the lowest-ranked error is raised."""
     for doc in projected:
-        ref = counts.reference_for(doc.id)
+        ref = _ranked(failures, 8, counts.reference_for, doc.id)
         if ref is not None:
-            counts.add(doc, occurrences(doc.spans), ref, marker_matches.get(doc.id))
-    counts.check()
+            counts.add(doc, occurrences(doc.spans), ref, matches.get(doc.id))
+    _ranked(failures, 9, counts.check)
+    if failures:
+        raise failures[min(failures)]
     return counts
 
 
@@ -86,23 +84,7 @@ def label_match_f1(
     corresponding reference span, or whose similarity falls below the
     threshold, is a false positive; the mirror cases are false negatives.
     """
-    return _tally(projected, reference, {}, threshold=threshold).prf()
-
-
-def markers_match(source: TaggedText, hypothesis: TaggedText, scheme: MarkerScheme = MarkerScheme.XML) -> bool:
-    """One pair's match flag: do both sides carry the same marker multiset?"""
-    if source.id != hypothesis.id:
-        raise AlignmentError(f"pair ids differ: {source.id!r} vs {hypothesis.id!r}")
-    return signature(source, scheme) == signature(hypothesis, scheme)
-
-
-def projection_rate(
-    pairs: Sequence[tuple[TaggedText, TaggedText]], scheme: MarkerScheme = MarkerScheme.XML
-) -> float:
-    """Fraction of pairs whose two sides carry identical marker multisets."""
-    if not pairs:
-        raise EmptyInputError("projection rate is undefined on an empty pair list")
-    return sum(markers_match(source, hyp, scheme) for source, hyp in pairs) / len(pairs)
+    return _tally(projected, ReportAccumulator(reference, threshold=threshold), {}, {}).prf()
 
 
 @record_type
@@ -189,7 +171,8 @@ class ReportAccumulator:
     reference (None) it only refuses a repeated projected id. A threshold outside [0, 1] is refused at once."""
 
     def __init__(self, reference: Iterable | None, dataset: str = DEFAULT_DATASET, threshold: float = DEFAULT_THRESHOLD):
-        check_threshold(threshold)
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         self.dataset = dataset
         self.threshold = threshold
         self.has_reference = reference is not None
@@ -284,4 +267,4 @@ def build_report(
     flags of its reference ids, and is ``None`` when it has none. Rows sort
     by language. Raises :class:`EmptyInputError` with no reference documents.
     """
-    return _tally(projected, reference, marker_matches or {}, dataset=dataset, threshold=threshold).report()
+    return _tally(projected, ReportAccumulator(reference, dataset, threshold), marker_matches or {}, {}).report()

@@ -22,7 +22,7 @@ from labelproj import AlignmentError, AnnotatedText, DatasetFormat, LabelProjErr
 from labelproj.cli import _emit_report, _note_input_diagnostics, _report_options
 from labelproj.codec import signature
 from labelproj.dataio import read_items
-from labelproj.evaluation import build_report, check_threshold
+from labelproj.evaluation import build_report
 from labelproj.similarity import _reaches
 
 from codec_oracle import oracle_occurrences
@@ -63,8 +63,8 @@ def oracle_markers_match(source: TaggedText, hypothesis: TaggedText, scheme: Mar
 def oracle_cmd_evaluate(args: argparse.Namespace) -> int:
     """``labelproj evaluate`` reading each input whole, in the order projected, reference, source, hypothesis,
     then checking the pair files and scoring the projected documents, each step raising its first error."""
-    if args.threshold is not None:
-        check_threshold(args.threshold)
+    if args.threshold is not None and not 0.0 <= args.threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {args.threshold}")
     if bool(args.source_tagged) != bool(args.hypothesis_tagged):
         raise LabelProjError("--source-tagged and --hypothesis-tagged must be given together")
     diagnostics: list = []

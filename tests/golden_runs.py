@@ -355,12 +355,12 @@ RUNS = {
     ),
     "evaluate-repeated-pair-id": (
         [*EVALUATE, *TAGGED],
-        lambda d: _evaluate_inputs(d, edits={"src.tagged.jsonl": _copy_line(7, 3), "hyp.tagged.jsonl": _copy_line(7, 3)}),
+        lambda d: _evaluate_inputs(d, edits=dict.fromkeys(["src.tagged.jsonl", "hyp.tagged.jsonl"], _copy_line(7, 3))),
     ),
     # Pairs d4 and d5 get each other's hypothesis; the reference, neighbours swapped, reaches d5 first.
     "evaluate-pair-ids-differ": (
         [*EVALUATE, *TAGGED],
-        lambda d: _evaluate_inputs(d, edits={"hyp.tagged.jsonl": lambda lines: [*lines[:4], lines[5], lines[4], *lines[6:]]}),
+        lambda d: _evaluate_inputs(d, edits={"hyp.tagged.jsonl": lambda ls: [*ls[:4], ls[5], ls[4], *ls[6:]]}),
     ),
     "evaluate-repeated-projected-id": (
         [*EVALUATE, *TAGGED], lambda d: _evaluate_inputs(d, edits={"projected.jsonl": _copy_line(8, 2)})

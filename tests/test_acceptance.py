@@ -23,7 +23,6 @@ from labelproj import (
     insert_markers,
     label_match_f1,
     prepare_training_corpus,
-    projection_rate,
     tag_name,
     tag_swap,
     tokenize_boundaries,
@@ -33,7 +32,7 @@ from labelproj.cli import main
 from labelproj.corpus import RawMarkupPair
 from labelproj.dataio import ingest_qa, read_qa_tree
 
-from conftest import canon, make_doc
+from conftest import canon, evaluated_projection_rate, make_doc
 from test_similarity import oracle_ratio
 
 
@@ -129,7 +128,7 @@ def test_criterion_2_gestalt_matches_brute_force():
     _pass(2, f"{checked} sampled pairs agree exactly with the brute-force oracle")
 
 
-def test_criterion_3_metric_fixtures():
+def test_criterion_3_metric_fixtures(tmp_path):
     reference = make_doc(
         "Alpha beta gamma",
         [Span("a", 0, 5), Span("b", 6, 10), Span("c", 11, 16)],
@@ -154,7 +153,7 @@ def test_criterion_3_metric_fixtures():
         (tt(3, "<b>x</b>"), tt(3, "x")),
         (tt(4, "<a>x</a>"), tt(4, "<a>x</a>")),
     ]
-    assert projection_rate(pairs) == 0.5
+    assert evaluated_projection_rate(tmp_path, pairs) == 0.5
     _pass(3, "label-match and projection-rate fixtures reproduced")
 
 

@@ -13,13 +13,12 @@ from labelproj import (
     build_report,
     gestalt_ratio,
     label_match_f1,
-    projection_rate,
 )
 
 from labelproj.codec import occurrences
 from labelproj.evaluation import _doc_counts
 
-from conftest import make_doc
+from conftest import evaluated_projection_rate, make_doc
 from evaluation_oracle import oracle_doc_counts
 
 
@@ -195,34 +194,34 @@ def tt(doc_id: str, tagged: str, lang: str = "en") -> TaggedText:
     return TaggedText(doc_id, lang, tagged)
 
 
-def test_projection_rate_identity_is_one():
+def test_projection_rate_identity_is_one(tmp_path):
     pairs = [(tt("1", "<a>x</a>"), tt("1", "<a>x</a>")), (tt("2", "y"), tt("2", "y"))]
-    assert projection_rate(pairs) == 1.0
+    assert evaluated_projection_rate(tmp_path, pairs) == 1.0
 
 
-def test_projection_rate_half_broken():
+def test_projection_rate_half_broken(tmp_path):
     pairs = [
         (tt("1", "<a>x</a>"), tt("1", "<a>x</a>")),
         (tt("2", "<a>x</a>"), tt("2", "<a>x")),      # close dropped
         (tt("3", "<b>x</b>"), tt("3", "<b>u</b>")),  # text change only
         (tt("4", "<a>x</a>"), tt("4", "x</a>")),     # open dropped
     ]
-    assert projection_rate(pairs) == 0.5
+    assert evaluated_projection_rate(tmp_path, pairs) == 0.5
 
 
-def test_projection_rate_ignores_non_marker_text():
+def test_projection_rate_ignores_non_marker_text(tmp_path):
     pairs = [(tt("1", "<a>x</a> tail"), tt("1", "prefix <a>completely different</a>"))]
-    assert projection_rate(pairs) == 1.0
+    assert evaluated_projection_rate(tmp_path, pairs) == 1.0
 
 
-def test_projection_rate_empty_input():
-    with pytest.raises(EmptyInputError):
-        projection_rate([])
+def test_projection_rate_empty_input(tmp_path, capsys):
+    assert evaluated_projection_rate(tmp_path, []) is None
+    assert capsys.readouterr().err == "error: no groups to report on\n"
 
 
-def test_projection_rate_id_mismatch():
-    with pytest.raises(AlignmentError):
-        projection_rate([(tt("1", "x"), tt("2", "x"))])
+def test_projection_rate_id_mismatch(tmp_path, capsys):
+    assert evaluated_projection_rate(tmp_path, [(tt("1", "x"), tt("2", "x"))]) is None
+    assert capsys.readouterr().err == "error: pair ids differ: '1' vs '2'\n"
 
 
 # ------------------------------------------------------------------ report
