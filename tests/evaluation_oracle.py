@@ -9,8 +9,9 @@ negative. Tests require equal (tp, fp, fn) counts for every document pair and
 threshold.
 
 ``oracle_cmd_evaluate`` is ``evaluate`` as it was when it read every input
-whole, with ``oracle_markers_match`` as its match flag. Tests require the
-streaming command to give the same exit code, stdout, stderr and report file.
+whole, with ``oracle_markers_match`` as its match flag and the report loop
+that raised each error at once. Tests require the streaming command to give
+the same exit code, stdout, stderr and report file.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from pathlib import Path
 
 from labelproj import AlignmentError, AnnotatedText, DatasetFormat, LabelProjError, MarkerScheme, TaggedText
 from labelproj.cli import _emit_report, _note_input_diagnostics, _report_options
-from labelproj.codec import signature
+from labelproj.codec import occurrences, signature
 from labelproj.dataio import read_items
-from labelproj.evaluation import build_report
+from labelproj.evaluation import ReportAccumulator
 from labelproj.similarity import _reaches
 
 from codec_oracle import oracle_occurrences
@@ -87,7 +88,12 @@ def oracle_cmd_evaluate(args: argparse.Namespace) -> int:
         scheme = MarkerScheme(args.scheme)
         marker_matches = {r.id: oracle_markers_match(*pairs[r.id], scheme) for r in reference if r.id in pairs}
 
-    report = build_report(projected, reference, marker_matches, **_report_options(args))
-    _emit_report(report, args.report, args.report_out)
+    counts = ReportAccumulator(reference, **_report_options(args))  # fed as build_report fed it, each error at once
+    for doc in projected:
+        ref = counts.reference_for(doc.id)
+        if ref is not None:
+            counts.add(doc, occurrences(doc.spans), ref, marker_matches.get(doc.id))
+    counts.check()
+    _emit_report(counts.report(), args.report, args.report_out)
     _note_input_diagnostics(diagnostics)
     return 0

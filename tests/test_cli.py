@@ -17,7 +17,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 import labelproj
 from labelproj import (
@@ -1117,14 +1117,14 @@ EVALUATE_FILES = ("projected.jsonl", "ref.jsonl", "src.tagged.jsonl", "hyp.tagge
 
 
 def _edited(lines: list[str], kind: str, i: int, j: int) -> list[str]:
-    """``lines`` with line ``i`` copied over line ``j``, dropped, swapped with line ``j``, or a malformed line put
-    after it; indices wrap around the file."""
+    """``lines`` with line ``i`` copied over line ``j``, dropped, swapped with line ``j``, the last two swapped, or
+    a malformed line put after line ``i``; indices wrap around the file."""
     if kind == "malformed":
         i = i % len(lines) + 1 if lines else 0
         return [*lines[:i], "not json\n", *lines[i:]]
-    if not lines:
-        return lines
-    i, j = i % len(lines), j % len(lines)
+    if len(lines) < 2:
+        return lines[:0] if kind == "drop" else lines
+    i, j = (-1, -2) if kind == "swap-last" else (i % len(lines), j % len(lines))
     lines = list(lines)
     if kind == "copy":
         lines[j] = lines[i]
@@ -1135,20 +1135,35 @@ def _edited(lines: list[str], kind: str, i: int, j: int) -> list[str]:
     return lines
 
 
-EDITS = st.lists(
-    st.tuples(st.sampled_from(EVALUATE_FILES), st.sampled_from(["copy", "drop", "swap", "malformed"]),
-              st.integers(0, 9), st.integers(0, 9)),
-    max_size=4,
-)
+SOURCE, HYPOTHESIS = EVALUATE_FILES[2:]
+# Each fault the oracle test can plant: the files it edits, alike, and how.
+FAULTS = {
+    "repeated-projected-id": (["projected.jsonl"], "copy"),
+    "missing-projected-id": (["projected.jsonl"], "drop"),
+    "repeated-reference-id": (["ref.jsonl"], "copy"),
+    "missing-reference-id": (["ref.jsonl"], "drop"),
+    "repeated-pair-id": ([SOURCE, HYPOTHESIS], "copy"),
+    "short-source": ([SOURCE], "drop"),
+    "short-hypothesis": ([HYPOTHESIS], "drop"),
+    "pair-ids-differ": ([HYPOTHESIS], "swap"),
+    "pair-ids-differ-last": ([HYPOTHESIS], "swap-last"),  # off the reference when the last two pairs are
+    **{f"malformed-line-in-{name}": ([name], "malformed") for name in EVALUATE_FILES},
+}
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), off_reference=st.integers(0, 2), edits=EDITS,
-       shuffled=st.booleans(), tagged=st.booleans(), budget=st.sampled_from([0, 1]),
-       scheme=st.sampled_from(["xml", "brackets"]), report_out=st.booleans())
-def test_evaluate_gives_what_reading_each_input_whole_gave(seed, n, off_reference, edits, shuffled, tagged, budget,
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), off_reference=st.integers(0, 2),
+       faults=st.lists(st.sampled_from(sorted(FAULTS)), max_size=4, unique=True), shuffled=st.booleans(),
+       tagged=st.booleans(), budget=st.sampled_from([0, 1]), scheme=st.sampled_from(["xml", "brackets"]),
+       report_out=st.booleans())
+# Two faults of neighbouring ranks, each of which alone fails the run at seed 3.
+@example(3, 5, 0, ["repeated-pair-id", "short-hypothesis"], False, True, 0, "xml", False)
+@example(3, 5, 0, ["repeated-pair-id", "pair-ids-differ"], False, True, 0, "xml", False)
+@example(3, 5, 0, ["repeated-pair-id", "malformed-line-in-hyp.tagged.jsonl"], False, True, 0, "xml", False)
+@example(3, 5, 0, ["repeated-projected-id", "missing-reference-id"], False, True, 0, "xml", False)
+def test_evaluate_gives_what_reading_each_input_whole_gave(seed, n, off_reference, faults, shuffled, tagged, budget,
                                                           scheme, report_out):
-    # Four consistent files, then planted faults: repeated, missing, swapped and malformed lines in any of them.
+    # Four consistent files, then planted faults, each at seeded lines.
     rng = random.Random(seed)
     docs = [_random_doc(rng, f"d{i}") for i in range(n)]
     reference = [doc._replace(lang="de") for doc in docs]
@@ -1162,9 +1177,12 @@ def test_evaluate_gives_what_reading_each_input_whole_gave(seed, n, off_referenc
         inputs = [projected, reference, encoded(docs + extra), encoded(projected + extra)]
         for name, items in zip(EVALUATE_FILES, inputs):
             dump(items, run_dir / name)
-        for name, kind, i, j in edits:
-            lines = (run_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
-            (run_dir / name).write_text("".join(_edited(lines, kind, i, j)), encoding="utf-8")
+        for fault in faults:
+            names, kind = FAULTS[fault]
+            i, j = rng.randrange(10), rng.randrange(10)
+            for name in names:
+                lines = (run_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+                (run_dir / name).write_text("".join(_edited(lines, kind, i, j)), encoding="utf-8")
         paths = [str(run_dir / name) for name in EVALUATE_FILES]
         argv = ["evaluate", "--projected", paths[0], "--reference", paths[1], "--scheme", scheme,
                 "--error-budget", str(budget), "--report", "json"]
