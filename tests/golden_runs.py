@@ -106,6 +106,23 @@ def _copy_line(i: int, j: int):
     return lambda lines: [*lines[:i], lines[j], *lines[i + 1:]]
 
 
+def _edited(inputs, name: str, edit, old_output: str | None = None):
+    """``inputs``, then the file ``name`` rewritten with the lines ``edit`` returns for its lines; with
+    ``old_output``, that file as an earlier run left it, which a failing run must leave as it is."""
+    def write(run_dir) -> None:
+        inputs(run_dir)
+        lines = (run_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        (run_dir / name).write_text("".join(edit(lines)), encoding="utf-8")
+        if old_output:
+            (run_dir / old_output).write_text(f"old {old_output}\n", encoding="utf-8")
+    return write
+
+
+def _malformed_at(i: int):
+    """An edit of a file's lines that puts a line that is not JSON before line ``i``."""
+    return lambda lines: [*lines[:i], "not json\n", *lines[i:]]
+
+
 def _staged_inputs(run_dir) -> None:
     """``project --backend drop:0.3``'s inputs, ``in.jsonl`` and ``ref.jsonl``, and its staged form:
     ``src.tagged.jsonl``, ``hyp.tagged.jsonl`` and ``projected.jsonl``, made by ``encode``, ``translate`` and
@@ -285,6 +302,18 @@ RUNS = {
     },
     "translate-empty": ([*TRANSLATE, "--tgt-lang", "de", "--backend", "drop:0.3"], lambda d: _tagged_inputs(d, n=0)),
     "translate-equal-languages": ([*TRANSLATE, "--tgt-lang", "en", "--backend", "identity"], _tagged_inputs),
+    "translate-http-windows": (
+        [*TRANSLATE, "--tgt-lang", "de", "--backend", STUB, *SMALL_WINDOWS], lambda d: _tagged_inputs(d, n=2 * W + 1)
+    ),
+    "translate-error-budget-1": (
+        [*TRANSLATE, "--tgt-lang", "de", "--backend", "drop:0.3", *SMALL_WINDOWS, "--error-budget", "1"],
+        _edited(lambda d: _tagged_inputs(d, n=2 * W + 1), "in.tagged.jsonl", _malformed_at(W + 3)),
+    ),
+    # The input's error wins over the backend's, which the first window meets.
+    "translate-equal-languages-late-input-error": (
+        [*TRANSLATE, "--tgt-lang", "en", "--backend", "identity", *SMALL_WINDOWS],
+        _edited(lambda d: _tagged_inputs(d, n=2 * W + 1), "in.tagged.jsonl", _malformed_at(W + 3), "out.tagged.jsonl"),
+    ),
     # Both keep every pair, the first because each scores above the default bound, so both give the same bytes.
     "filter-qa-constant-90": ([*FILTER_QA, "--scorer", "constant:90"], _qa_inputs),
     "filter-qa-no-score-filter": ([*FILTER_QA, "--no-score-filter"], _qa_inputs),
@@ -310,12 +339,27 @@ RUNS = {
     "synth-single-sequential-lengths": ([*SYNTH, "--mode", "single", "--sequential-lengths"], _text_inputs),
     "synth-simple": ([*SYNTH, "--mode", "simple"], _text_inputs),
     "synth-complex": ([*SYNTH, "--mode", "complex"], _text_inputs),
+    "synth-p-open-p-close-src-lang": (
+        [*SYNTH, "--p-open", "0.4", "--p-close", "0.3", "--src-lang", "deu_Latn"], _text_inputs
+    ),
     "tagswap": (["tagswap", "-i", "raw.jsonl", "-o", "out.jsonl"], _raw_inputs),
+    # The sidecar holds the reading's diagnostic, then each pair's.
+    "tagswap-error-budget-1-diagnostics": (
+        ["tagswap", "-i", "raw.jsonl", "-o", "out.jsonl", "--error-budget", "1", "--diagnostics", "diags.jsonl"],
+        _edited(_raw_inputs, "raw.jsonl", _malformed_at(3)),
+    ),
+    "decode-error-budget-1-diagnostics": (
+        [*DECODE, "--error-budget", "1", "--diagnostics", "diags.jsonl"],
+        _edited(_hypothesis_inputs, "hyp.tagged.jsonl", _malformed_at(5)),
+    ),
     "prep": (["prep", "-i", "raw.jsonl", "--out-dir", "prep", "--dev-fraction", "0.2", "--seed", "1"], _raw_inputs),
     "sweep-brackets": (SWEEP, _text_inputs),
     "stats-annotated-table": (["stats", "-i", "in.jsonl"], lambda d: _inputs(d, reference=False)),
     "stats-tagged-xml-json": ([*STATS, "--report", "json"], _tagged_inputs),
     "stats-tagged-brackets-table": ([*STATS, "--scheme", "brackets"], lambda d: _tagged_inputs(d, "brackets")),
+    "stats-error-budget-1": (
+        [*STATS, "--error-budget", "1"], _edited(_tagged_inputs, "in.tagged.jsonl", _malformed_at(5))
+    ),
     "project-http": (
         [*PROJECT, *WITH_REFERENCE, "--backend", STUB, *SMALL_WINDOWS, "--report", "json"], _inputs
     ),

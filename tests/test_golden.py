@@ -14,6 +14,7 @@ from labelproj.cli import build_parser
 PINS = {
     "decode-drop:0.3-brackets-diagnostics": "e7f2b34bcaaa63a3e5f2d13844a133430a3ad398e6a6fc7870fb0fa7e7427bab",
     "decode-drop:0.3-xml": "d13e0d3faa204fc0a811165525f77e8e05f4fa8da6a7e533b4780b9f771be361",
+    "decode-error-budget-1-diagnostics": "3a917b22a507086f4824656f81ae48a779ce61533a7e14be6da383ab1d589401",
     "encode-brackets": "7b97232bf56917e77164abc11a4f6dff1290dfab88a06193d17ce03aa74fd493",
     "encode-error-budget-0": "e569dc82215280486643ffba630f7b5606edea17d6d705abecda92df605afcdc",
     "encode-error-budget-1": "64e2cead8d9ea52dbdad279ca8aa6120d48776d5288e47318ccb406e622ba835",
@@ -62,17 +63,23 @@ PINS = {
     "project-size-18": "8cfa536fb9339ac1c64b1abc4ff110160b306704755c6aaea3b4872430c22ab7",
     "project-size-19": "ea34afc9a90065c1c89ce46ad75688edbc763125a72fb7a1e49dd6abebb4ee66",
     "stats-annotated-table": "eb919a7cc6f5cdf6dcda6060af850ab3907f728e746d21dd439ada4d79ebf305",
+    "stats-error-budget-1": "a763a52d662e0a16824148cf1913bd00e65a3c1640abefd9ee9b204d01dbfd85",
     "stats-tagged-brackets-table": "1a6f6b9e7f0a686a17ca5bb2394a91be4ca40c260b64e07eeed3dc73c4a03046",
     "stats-tagged-xml-json": "be387f3becc91cd66959f9d69f537542c44c96dc500febce46a0caad7d0ea471",
     "sweep-brackets": "7e6d6f1a99e61910afb170b240855b45ce15d5414eb8669ada54ef7f1364b8ac",
     "synth-complex": "c5ec10838230fba30c95dec4df97224e9531926574c5b16c72239769d56866ca",
+    "synth-p-open-p-close-src-lang": "58108e47992616175bd81728619681e78aaff1c212dafd744d99bc71d337a043",
     "synth-simple": "53fbaa707e7e04fe407a2467f7a7c2066e78c566dc89599a3e996d87485b8a07",
     "synth-single-sequential-lengths": "6e5e15a2fbc1e563667a3947b6814ba76dc958ceadc2ef0719d6213ee028f460",
     "tagswap": "0562fade878064b1635684d7ec5f94da13d313c7110397005536a81f3fc74269",
+    "tagswap-error-budget-1-diagnostics": "5f7cfe4825edf0d1be23b831f129c6ea32d544965b3d7bc6469aba93146c46ab",
     "translate-drop:0.3-brackets": "ca0a6c812cc34e878fd3b0aa930bf1d8b565a27d0f72931ca76f227458c6c071",
     "translate-drop:0.3-xml": "9f519fdd42375c5380a66b25cd80b01096cadd24d1c658fd84417b0b9b6e623c",
     "translate-empty": "cb4b9e358bca7ac0c4285eecfc7bff493fe324ddffea79ac371619c6c825fe8e",
     "translate-equal-languages": "3abad1cd05011e92e78d107f9022eb6e4c6042ff85f060443a68c24171807ca1",
+    "translate-equal-languages-late-input-error": "b2db559e103d0490210f820a9d9f07987397186fa42c486926e77d33835f5872",
+    "translate-error-budget-1": "fe055cddff5428cfedfeece0c1ffd4a3ad5ed1bda1f6111d7855a9fc910c488e",
+    "translate-http-windows": "a4dec049b1065e3fef2842699e84bb76f26e5f15a738725369ad5e9daee8b1bb",
     "translate-identity-xml": "a30b785958523e62951f5b17e15841a710ea311a419864cf0af65849ed45b4b1",
     "translate-shuffle-xml": "13505410a89dd160d258ae88e23e8eb8caaceaee8f96df43c57c455fcda16d49",
 }
@@ -89,10 +96,10 @@ def test_every_run_is_pinned():
     assert sorted(PINS) == sorted(RUNS)
 
 
-def test_every_command_has_a_run_and_every_flag_of_evaluate_and_project_is_in_one():
+def test_every_command_has_a_run_and_every_flag_of_a_per_record_command_is_in_one():
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
     assert sorted(commands) == sorted({argv[0] for argv, _ in RUNS.values()})
-    for command in ("evaluate", "project"):
+    for command in ("evaluate", "project", "encode", "decode", "tagswap", "translate", "stats", "synth"):
         given = {arg for argv, _ in RUNS.values() if argv[0] == command for arg in argv}
         flags = [action.option_strings for action in commands[command]._actions if action.dest != "help"]
         assert [names[-1] for names in flags if not given & set(names)] == [], command
