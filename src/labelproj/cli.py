@@ -28,14 +28,13 @@ from .backends import (
     TagShufflerBackend,
     TranslationBackend,
 )
-from .codec import MarkerScheme, _place_markers, decode, encode, project, signature
+from .codec import MarkerScheme, _place_markers, decode, encode, project, signature, windows
 from .corpus import filter_parallel_qa, pair_qa_contexts, prepare_training_corpus, tag_swap
 from .dataio import (
     DatasetFormat,
     atomic_write_text,
     dump,
     ingest_qa,
-    load,
     read_items,
     read_qa_tree,
     write_diagnostics,
@@ -43,7 +42,7 @@ from .dataio import (
 )
 from .errors import AlignmentError, ErrorBudgetExceeded, LabelProjError, UsageError
 from .evaluation import DEFAULT_DATASET, DEFAULT_THRESHOLD, ReportAccumulator, _tally, render_table
-from .model import AnnotatedText, Diagnostic
+from .model import AnnotatedText, Diagnostic, TaggedText
 from .synth import InsertionMode, MarkerConfig, derive_seed, sample_corpus
 
 ENV_BACKEND_URL = "LP_BACKEND_URL"
@@ -143,25 +142,30 @@ def _report_options(args: argparse.Namespace) -> dict:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    docs, diagnostics = load(Path(args.input), DatasetFormat.ANNOTATED_JSONL, args.error_budget)
-    tagged = [_place_markers(doc, _scheme(args)) for doc in docs]  # load has validated each one
-    dump(tagged, Path(args.output))
-    print(f"encoded {len(tagged)} documents -> {Path(args.output)}", file=sys.stderr)
+    diagnostics: list[Diagnostic] = []
+    docs = read_items(Path(args.input), DatasetFormat.ANNOTATED_JSONL, args.error_budget, diagnostics)
+    count = dump((_place_markers(doc, _scheme(args)) for doc in docs), Path(args.output))  # read_items validated each
+    print(f"encoded {count} documents -> {Path(args.output)}", file=sys.stderr)
     _note_input_diagnostics(diagnostics)
     return 0
 
 
 def _map_records(args: argparse.Namespace, fmt: DatasetFormat, convert: Callable) -> int:
-    """Load -i and map each item to (output, diagnostics): dump the outputs to -o and write load's
+    """Map each item of -i, one at a time, to (output, diagnostics): dump the outputs to -o, then write the read's
     diagnostics, then each item's under its id, to the sidecar. Returns the number of items."""
     _check_distinct_outputs(args)
-    items, load_diags = load(Path(args.input), fmt, args.error_budget)
-    results = [convert(item) for item in items]
-    dump([output for output, _ in results], Path(args.output))
-    write_diagnostics(
-        _diagnostics_path(args), [(None, load_diags), *((item.id, diags) for item, (_, diags) in zip(items, results))]
-    )
-    return len(results)
+    groups: list[tuple[str | None, list[Diagnostic]]] = [(None, [])]  # the read's, then each non-empty group
+
+    def outputs() -> Iterator:
+        for item in read_items(Path(args.input), fmt, args.error_budget, groups[0][1]):
+            output, diags = convert(item)
+            if diags:
+                groups.append((item.id, diags))
+            yield output
+
+    count = dump(outputs(), Path(args.output))
+    write_diagnostics(_diagnostics_path(args), groups)
+    return count
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -172,10 +176,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = MarkerConfig(InsertionMode(args.mode), args.p_open, args.p_close, args.seed, args.sequential_lengths)
-    lines, diagnostics = load(Path(args.input), DatasetFormat.PLAIN_TEXT)
-    docs = sample_corpus(lines, config, args.src_lang)
-    dump(docs, Path(args.output))
-    print(f"sampled spans for {len(docs)} sentences -> {Path(args.output)}", file=sys.stderr)
+    diagnostics: list[Diagnostic] = []
+    lines = read_items(Path(args.input), DatasetFormat.PLAIN_TEXT, 0, diagnostics)
+    count = dump(sample_corpus(lines, config, args.src_lang), Path(args.output))
+    print(f"sampled spans for {count} sentences -> {Path(args.output)}", file=sys.stderr)
     _note_input_diagnostics(diagnostics)
     return 0
 
@@ -191,26 +195,21 @@ def cmd_prep(args: argparse.Namespace) -> int:
     pairs = read_items(Path(args.input), DatasetFormat.RAW_MARKUP_JSONL, args.error_budget, read_diags)
     corpus = prepare_training_corpus(pairs, dev_fraction=args.dev_fraction, seed=args.seed)
     out_dir = Path(args.out_dir)
-    dump(corpus.train, out_dir / "train.jsonl")
-    dump(corpus.dev, out_dir / "dev.jsonl")
+    train, dev = dump(corpus.train, out_dir / "train.jsonl"), dump(corpus.dev, out_dir / "dev.jsonl")
     provenance = {
         "provenance": corpus.provenance._asdict(),
         "dropped": [{"id": pair.id, "reason": reason} for pair, reason in corpus.dropped],
         "read_diagnostics": [d._asdict() for d in read_diags],
     }
     atomic_write_text(out_dir / "provenance.json", json.dumps(provenance, ensure_ascii=False, indent=2) + "\n")
-    print(
-        f"prepared {len(corpus.train)} train / {len(corpus.dev)} dev examples -> {out_dir}",
-        file=sys.stderr,
-    )
+    print(f"prepared {train} train / {dev} dev examples -> {out_dir}", file=sys.stderr)
     return 0
 
 
 def cmd_filter_qa(args: argparse.Namespace) -> int:
     min_score = None if args.no_score_filter else args.min_score
     scorer = make_scorer(args.scorer) if min_score is not None else None
-    src_tree = read_qa_tree(Path(args.src_json))
-    tgt_tree = read_qa_tree(Path(args.tgt_json))
+    src_tree, tgt_tree = read_qa_tree(Path(args.src_json)), read_qa_tree(Path(args.tgt_json))
     src, tgt = ingest_qa(src_tree, args.src_lang), ingest_qa(tgt_tree, args.tgt_lang)
     pairs, unaligned = pair_qa_contexts(src, tgt)
     kept, dropped, filter_diags = filter_parallel_qa(pairs, scorer, min_score)
@@ -225,12 +224,36 @@ def cmd_filter_qa(args: argparse.Namespace) -> int:
     return 0
 
 
+# project and translate take this many times --batch-size × --max-in-flight documents at a time: whole chunks, so
+# requests are those of one batch, with every slot busy. Slots idle while a window is decoded, so a larger one loses
+# less speed but holds more. At 3, on a 2-core host, project-drop peaked 17% lower and project-http ran 5% slower.
+WINDOW_ROUNDS = 3
+
+
+def _window(args: argparse.Namespace) -> int:
+    return args.batch_size * args.max_in_flight * WINDOW_ROUNDS
+
+
 def cmd_translate(args: argparse.Namespace) -> int:
     backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
-    texts, diagnostics = load(Path(args.input), DatasetFormat.TAGGED_JSONL, args.error_budget)
-    translated = backend.translate_batch(texts, args.src_lang, args.tgt_lang)
-    dump(translated, Path(args.output))
-    print(f"translated {len(translated)} texts -> {Path(args.output)}", file=sys.stderr)
+    diagnostics: list[Diagnostic] = []
+    texts = read_items(Path(args.input), DatasetFormat.TAGGED_JSONL, args.error_budget, diagnostics)
+
+    def translated() -> Iterator[TaggedText]:
+        # An input error is raised at once; after a backend error no window is sent, but the input is read to its end.
+        failure = None
+        for position, batch in windows(texts, _window(args)):
+            if failure is None:
+                try:
+                    yield from backend.translate_batch(batch, args.src_lang, args.tgt_lang, position)
+                except (LabelProjError, OSError, ValueError) as exc:
+                    failure = exc
+        if failure is not None:
+            raise failure
+
+    with backend:
+        count = dump(translated(), Path(args.output))
+    print(f"translated {count} texts -> {Path(args.output)}", file=sys.stderr)
     _note_input_diagnostics(diagnostics)
     return 0
 
@@ -271,12 +294,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-# project takes this many times --batch-size × --max-in-flight documents at a time: whole chunks, so requests
-# are those of one batch, with every slot busy. Slots idle while a window is decoded, so a larger one loses less
-# speed but holds more. At 3, on a 2-core host, project-drop peaked 17% lower and project-http ran 5% slower.
-WINDOW_ROUNDS = 3
-
-
 def cmd_project(args: argparse.Namespace) -> int:
     if not args.reference:
         for flag in ("report_out", "report", "threshold", "dataset"):
@@ -291,12 +308,12 @@ def cmd_project(args: argparse.Namespace) -> int:
     counts = ReportAccumulator(gold, **_report_options(args))
     _check_distinct_outputs(args)
     backend = make_backend(args.backend, args.seed, args.batch_size, args.max_in_flight, _scheme(args))
-    window = args.batch_size * args.max_in_flight * WINDOW_ROUNDS
     with backend:
-        projected = project(docs, backend, args.src_lang, args.tgt_lang, counts, decode_groups, window, _scheme(args))
-        dump(projected, Path(args.output))
+        projected = project(docs, backend, args.src_lang, args.tgt_lang, counts, decode_groups, _window(args),
+                            _scheme(args))
+        count = dump(projected, Path(args.output))
     write_diagnostics(_diagnostics_path(args), [(None, load_diags), *decode_groups])
-    print(f"projected {len(counts)} documents -> {Path(args.output)}", file=sys.stderr)
+    print(f"projected {count} documents -> {Path(args.output)}", file=sys.stderr)
     if args.reference:
         _emit_report(counts.report(), args.report, args.report_out)
     _note_input_diagnostics(reference_diags)
@@ -337,21 +354,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             other = cells.setdefault(name, config)
             if other is not config:
                 raise LabelProjError(f"cells ({other.p_open}, {other.p_close}) and ({p_open}, {p_close}) share {name}")
-    lines, diagnostics = load(Path(args.input), DatasetFormat.PLAIN_TEXT)
+    diagnostics: list[Diagnostic] = []
+    lines = list(read_items(Path(args.input), DatasetFormat.PLAIN_TEXT, 0, diagnostics))  # read once for every cell
     out_dir = Path(args.out_dir)
     scheme = _scheme(args)
-    manifest = {
-        "mode": args.mode,
-        "seed": args.seed,
-        "source": str(args.input),
-        "cells": [],
-    }
+    manifest = {"mode": args.mode, "seed": args.seed, "source": str(args.input), "cells": []}
     for name, cell in cells.items():
-        tagged = [encode(doc, scheme) for doc in sample_corpus(lines, cell, args.src_lang)]
-        dump(tagged, out_dir / name)
-        manifest["cells"].append(
-            {"p_open": cell.p_open, "p_close": cell.p_close, "path": name, "examples": len(tagged)}
-        )
+        examples = dump((encode(doc, scheme) for doc in sample_corpus(lines, cell, args.src_lang)), out_dir / name)
+        manifest["cells"].append({"p_open": cell.p_open, "p_close": cell.p_close, "path": name, "examples": examples})
     atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(manifest['cells'])} corpora -> {out_dir}", file=sys.stderr)
     _note_input_diagnostics(diagnostics)
@@ -363,9 +373,9 @@ STATS_COLUMNS = ("language", "examples", "total_tags", "min_tags", "max_tags", "
 
 def cmd_stats(args: argparse.Namespace) -> int:
     fmt = DatasetFormat(args.format)
-    items, diagnostics = load(Path(args.input), fmt, args.error_budget)
-    per_lang: dict[str, list[tuple[int, int]]] = {}
-    for item in items:
+    diagnostics: list[Diagnostic] = []
+    per_lang: dict[str, tuple] = {}  # language -> (examples, total tags, min tags, max tags, max unique tags)
+    for item in read_items(Path(args.input), fmt, args.error_budget, diagnostics):
         if fmt is DatasetFormat.ANNOTATED_JSONL:
             tags = len(item.spans)
             unique = len({span.tag for span in item.spans})
@@ -374,14 +384,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
             opens = [(name, n) for (name, kind), n in sig.items() if kind == "open"]
             tags = sum(n for _, n in opens)
             unique = len(opens)
-        per_lang.setdefault(item.lang, []).append((tags, unique))
-
-    rows = []
-    for lang in sorted(per_lang):
-        counts = per_lang[lang]
-        totals = [c[0] for c in counts]
-        average = round(sum(totals) / len(counts), 4)
-        rows.append((lang, len(counts), sum(totals), min(totals), max(totals), average, max(c[1] for c in counts)))
+        examples, total, low, high, most = per_lang.get(item.lang, (0, 0, tags, tags, unique))
+        per_lang[item.lang] = (examples + 1, total + tags, min(low, tags), max(high, tags), max(most, unique))
+    rows = [
+        (lang, examples, total, low, high, round(total / examples, 4), unique)
+        for lang, (examples, total, low, high, unique) in sorted(per_lang.items())
+    ]
     if args.report == "json":
         sys.stdout.write(json.dumps([dict(zip(STATS_COLUMNS, row)) for row in rows], indent=2) + "\n")
     else:
@@ -421,11 +429,7 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help=f"identity | shuffle | drop:Q | an http(s) URL (default ${ENV_BACKEND_URL})",
-    )
+    parser.add_argument("--backend", help=f"identity | shuffle | drop:Q | an http(s) URL (default ${ENV_BACKEND_URL})")
     parser.add_argument("--batch-size", type=int, default=32)
     parser.add_argument("--max-in-flight", type=int, default=4)
     parser.add_argument("--src-lang", required=True)
@@ -479,11 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("filter-qa", help="keep parallel QA contexts with matching counts and score")
-    p.add_argument("--src-json", required=True)
-    p.add_argument("--tgt-json", required=True)
-    p.add_argument("--src-lang", required=True)
-    p.add_argument("--tgt-lang", required=True)
-    p.add_argument("--out-dir", required=True)
+    for flag in ("--src-json", "--tgt-json", "--src-lang", "--tgt-lang", "--out-dir"):
+        p.add_argument(flag, required=True)
     p.add_argument("--min-score", type=float, default=80.0)
     p.add_argument("--no-score-filter", action="store_true")
     p.add_argument("--scorer", default=None, help=f"constant:V | http(s) URL (default ${ENV_SCORER_URL})")
@@ -519,12 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, "--scheme", "--seed")
     p.add_argument("--mode", choices=[m.value for m in InsertionMode], default="complex")
     p.add_argument("--src-lang", default="eng_Latn")
-    p.add_argument("--p-open-min", type=float, default=0.1)
-    p.add_argument("--p-open-max", type=float, default=0.5)
-    p.add_argument("--p-open-step", type=float, default=0.1)
-    p.add_argument("--p-close-min", type=float, default=0.1)
-    p.add_argument("--p-close-max", type=float, default=0.5)
-    p.add_argument("--p-close-step", type=float, default=0.1)
+    for name in ("p-open", "p-close"):
+        for end, default in (("min", 0.1), ("max", 0.5), ("step", 0.1)):
+            p.add_argument(f"--{name}-{end}", type=float, default=default)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("stats", help="per-language tag statistics for a dataset")

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from enum import Enum
 from functools import cache
-from itertools import islice
+from itertools import count, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import AlignmentError, InvalidAnnotationError, LabelProjError
@@ -297,6 +297,19 @@ def _ranked(failures: dict[int, Exception], alignment_rank: int, call, *args):
         failures.setdefault(2, exc)
 
 
+def windows(items: Iterable, size: int) -> Iterator[tuple[int, list]]:
+    """``items`` in lists of ``size``, each with its first item's position in the run. The last list is shorter, and
+    yielded even when empty, so an empty run refuses what a full one does."""
+    if size < 1:
+        raise ValueError(f"window must be >= 1, got {size}")
+    items = iter(items)  # each window reads on from the last, a list as well as a reader
+    for position in count(0, size):
+        window = list(islice(items, size))
+        yield position, window
+        if len(window) < size:
+            return
+
+
 def project(
     docs: Iterable[AnnotatedText],
     backend: TranslationBackend,
@@ -314,13 +327,8 @@ def project(
     After an error no window is translated, but both inputs are read to their ends, and the error raised is the one
     a whole read meets first: reading ``docs`` (raised at once), the reference, a repeated id, the backend, then the
     report's alignment or an empty report."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    docs = iter(docs)  # each window reads on from the last, a list as well as a reader
     failures: dict[int, Exception] = {}  # the first error of each rank above, counted from 1
-    position = 0
-    while True:  # the last window is translated even when empty, so an empty run refuses what a full one does
-        batch = list(islice(docs, window))
+    for position, batch in windows(docs, window):
         references = [_ranked(failures, 3, counts.reference_for, doc.id) for doc in batch]
         if not failures:
             try:
@@ -339,9 +347,6 @@ def project(
                 if reference is not None:
                     counts.add(projected, by_tag, reference, _match_flag(doc, encoded, scan, scheme))
                 yield projected
-        position += len(batch)
-        if len(batch) < window:
-            break
     if counts.has_reference:
         _ranked(failures, 5, counts.check)
     if failures:

@@ -16,7 +16,7 @@ import re
 import tempfile
 from contextlib import suppress
 from enum import Enum
-from itertools import chain, groupby, islice
+from itertools import chain, count, groupby, islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
@@ -269,8 +269,9 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def dump(items: Iterable[Any], path: Path) -> None:
-    """Write items to ``path`` one line at a time, atomically, in the format their type fixes.
+def dump(items: Iterable[Any], path: Path) -> int:
+    """Write items to ``path`` one line at a time, atomically, in the format their type fixes, and return the
+    number of items written.
 
     The first item's type picks the format. An item of another type, or a
     type no format holds, raises :class:`FormatError` and leaves any old
@@ -279,7 +280,9 @@ def dump(items: Iterable[Any], path: Path) -> None:
     items = iter(items)
     head = list(islice(items, 1))
     kind = type(head[0]) if head else None
-    atomic_write_text(path, (_record_line(item, kind) + "\n" for item in chain(head, items)))
+    written = count()  # zip stops at the items' end before it draws from this, so its next value is their number
+    atomic_write_text(path, (_record_line(item, kind) + "\n" for item, _ in zip(chain(head, items), written)))
+    return next(written)
 
 
 def write_records(path: Path, records: Iterable[Mapping[str, Any]]) -> None:

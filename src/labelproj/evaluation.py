@@ -182,10 +182,6 @@ class ReportAccumulator:
         self._repeat: tuple[int, str] | None = None  # the first repeated reference id's position and message
         self._rows: dict[str, list[int]] = {}  # language -> [examples, spans, tp, fp, fn, flags, true flags]
 
-    def __len__(self) -> int:
-        """The number of projected ids asked for so far."""
-        return len(self._asked)
-
     def _read_until(self, doc_id: str | None) -> AnnotatedText | None:
         """Read the reference up to the document with id ``doc_id``, indexing every other document read."""
         for position, ref in self._reference:

@@ -66,9 +66,6 @@ class Span(NamedTuple):
     end: int
     label: str | None = None
 
-    def length(self) -> int:
-        return self.end - self.start
-
 
 class _AnnotatedFields(NamedTuple):
     id: str

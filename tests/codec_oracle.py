@@ -92,7 +92,7 @@ def oracle_encode(doc: AnnotatedText, scheme=MarkerScheme.XML) -> TaggedText:
         raise InvalidAnnotationError(f"document {doc.id!r} fails validation: {codes}")
 
     opens = list(enumerate(doc.spans))
-    opens.sort(key=lambda item: (item[1].start, -item[1].length(), _tag_sort_key(item[1].tag), item[0]))
+    opens.sort(key=lambda item: (item[1].start, -(item[1].end - item[1].start), _tag_sort_key(item[1].tag), item[0]))
     open_rank = {idx: rank for rank, (idx, _) in enumerate(opens)}
 
     opens_at: dict[int, list[int]] = {}

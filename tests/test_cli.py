@@ -453,10 +453,11 @@ def test_project_in_windows_gives_what_one_batch_gives(tmp_path, backend, scheme
         assert read_diagnostics(tmp_path / "out.jsonl.diagnostics.jsonl") == groups
 
 
-# A small process that spawns its arguments and prints their exit code and peak RSS in KiB. On Linux a
-# child's ru_maxrss counts what its parent held when it was spawned, so pytest must not be that parent.
+# A small process that spawns its arguments, their stdout discarded, and prints their exit code and peak RSS in
+# KiB. On Linux a child's ru_maxrss counts what its parent held when it was spawned, so pytest must not be that parent.
 _SPAWN_AND_MEASURE = (
-    "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ); "
+    "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ, "
+    "file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]); "
     "_, status, usage = os.wait4(pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
 )
 
@@ -472,42 +473,44 @@ def _peak_mib(*cli_args: str) -> float:
     return int(peak_kib) / 1024
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
-def test_project_peak_memory_does_not_grow_with_its_input(tmp_path):
+@pytest.fixture(scope="module")
+def memory_inputs(tmp_path_factory):
+    """For n in 1,000 and 10,000: the first n of 10,000 seeded documents, annotated, encoded, translated by
+    ``drop:0.3`` and as raw markup pairs, each in ``{kind}{n}.jsonl``; and where each command writes."""
+    root = tmp_path_factory.mktemp("memory")
     rng = random.Random(0x3E3)
-    docs = [_random_doc(rng, f"d{i}") for i in range(10_000)]
-    peak_mib = {}
-    for n in (1_000, 10_000):
-        annotated = tmp_path / f"in{n}.jsonl"
-        dump(docs[:n], annotated)
-        peak_mib[n] = _peak_mib(
-            "project", "-i", str(annotated), "-o", str(tmp_path / "out.jsonl"), "--reference", str(annotated),
-            "--backend", "drop:0.3", "--src-lang", "en", "--tgt-lang", "de",
-            "--report-out", str(tmp_path / "report.txt"), "--error-budget", "0",
-        )
-    # On a 2-core Linux host, holding every document grew the peak by 32.5 MiB; a window at a time grew it
-    # by 0.8 MiB, mostly the ids it keeps.
-    assert peak_mib[10_000] - peak_mib[1_000] < 4.0, peak_mib
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
-def test_evaluate_peak_memory_does_not_grow_with_its_input(tmp_path):
-    rng = random.Random(0xE7A1)
     docs = [_random_doc(rng, f"d{i}") for i in range(10_000)]
     sources = [codec.encode(doc) for doc in docs]
     hypotheses = TagDropperBackend(0.3, 0).translate_batch(sources, "en", "de")
-    peak_mib = {}
+    pairs = [RawMarkupPair(s.id, "en", "de", f"<p>{s.tagged}</p>", f"<p>{h.tagged}</p>")
+             for s, h in zip(sources, hypotheses)]
     for n in (1_000, 10_000):
-        files = [tmp_path / f"{name}{n}.jsonl" for name in ("annotated", "source", "hypothesis")]
-        for path, items in zip(files, (docs, sources, hypotheses)):
-            dump(items[:n], path)
-        annotated, source, hypothesis = map(str, files)
-        peak_mib[n] = _peak_mib(
-            "evaluate", "--projected", annotated, "--reference", annotated, "--source-tagged", source,
-            "--hypothesis-tagged", hypothesis, "--report", "json", "--report-out", str(tmp_path / "report.json"),
-        )
-    # On a 2-core Linux host, reading every input whole grew the peak from 19.2 to 46.2 MiB; streaming grew it by
-    # 1.4 MiB, mostly the ids and flags it keeps.
+        for kind, items in (("annotated", docs), ("source", sources), ("hypothesis", hypotheses), ("raw", pairs)):
+            dump(items[:n], root / f"{kind}{n}.jsonl")
+    return root
+
+
+# Each command's argv over the inputs of size {n} in {d}; every one must hold a bounded part of its input.
+MEMORY_RUNS = {
+    "project": "project -i {d}/annotated{n}.jsonl -o {d}/out.jsonl --reference {d}/annotated{n}.jsonl "
+               "--backend drop:0.3 --src-lang en --tgt-lang de --report-out {d}/report.txt --error-budget 0",
+    "evaluate": "evaluate --projected {d}/annotated{n}.jsonl --reference {d}/annotated{n}.jsonl "
+                "--source-tagged {d}/source{n}.jsonl --hypothesis-tagged {d}/hypothesis{n}.jsonl "
+                "--report json --report-out {d}/report.json",
+    "encode": "encode -i {d}/annotated{n}.jsonl -o {d}/out.jsonl",
+    "decode": "decode -i {d}/hypothesis{n}.jsonl -o {d}/out.jsonl",
+    "translate": "translate -i {d}/source{n}.jsonl -o {d}/out.jsonl --backend drop:0.3 --src-lang en --tgt-lang de",
+    "stats": "stats -i {d}/annotated{n}.jsonl",
+    "tagswap": "tagswap -i {d}/raw{n}.jsonl -o {d}/out.jsonl",
+}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("command", sorted(MEMORY_RUNS))
+def test_peak_memory_does_not_grow_with_the_input(memory_inputs, command):
+    peak_mib = {n: _peak_mib(*MEMORY_RUNS[command].format(d=memory_inputs, n=n).split()) for n in (1_000, 10_000)}
+    # On a 2-core Linux host, holding every document grew project's peak by 32.5 MiB, and evaluate's by 27 MiB;
+    # reading one record at a time grows a peak by about 1 MiB, mostly the ids a run keeps.
     assert peak_mib[10_000] - peak_mib[1_000] < 4.0, peak_mib
 
 
@@ -616,6 +619,56 @@ def test_project_sends_the_chunks_one_batch_would(tmp_path, failing_translator):
     texts = [codec.encode(doc).tagged for doc in docs]
     chunks = [texts[i : i + 2] for i in range(0, len(texts), 2)]
     assert sorted(failing_translator.requests) == sorted(chunks)
+
+
+def _translate_windows(tmp_path, server, texts: list, lines=list) -> int:
+    """Run ``translate`` on ``texts``, its input file's lines edited by ``lines``, in windows of ``WINDOW`` against
+    ``server``; the exit code."""
+    dump(texts, tmp_path / "in.jsonl")
+    edited = lines((tmp_path / "in.jsonl").read_text(encoding="utf-8").splitlines(keepends=True))
+    (tmp_path / "in.jsonl").write_text("".join(edited), encoding="utf-8")
+    return main([
+        "translate", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl"), *WINDOW_FLAGS,
+        "--backend", f"http://127.0.0.1:{server.server_port}", "--src-lang", "en", "--tgt-lang", "de",
+    ])
+
+
+def _windows_of(chunks: list) -> list:
+    """``chunks`` of two texts each, grouped by the window of ``WINDOW`` texts they fall in, each group sorted."""
+    return [sorted(chunks[i : i + WINDOW // 2]) for i in range(0, len(chunks), WINDOW // 2)]
+
+
+def test_translate_sends_the_chunks_one_batch_would_window_by_window(tmp_path, failing_translator):
+    rng = random.Random(0x7A)
+    texts = [codec.encode(_random_doc(rng, f"d{i}")) for i in range(2 * WINDOW + 1)]
+    assert _translate_windows(tmp_path, failing_translator, texts) == 0
+    chunks = [[t.tagged for t in texts[i : i + 2]] for i in range(0, len(texts), 2)]
+    # A window's chunks go out concurrently, but every one of them before any chunk of the next window.
+    assert _windows_of(failing_translator.requests) == _windows_of(chunks)
+    assert load(tmp_path / "out.jsonl", DatasetFormat.TAGGED_JSONL)[0] == [t._replace(lang="de") for t in texts]
+
+
+@pytest.mark.parametrize("malformed, code, message", [
+    (True, 2, "1 rejected records exceed budget of 0"),
+    (False, 1, 'backend returned HTTP 400: {"error": "no"}'),
+])
+def test_translate_sends_no_window_after_a_backend_error_and_a_later_input_error_wins(
+    tmp_path, capsys, failing_translator, malformed, code, message
+):
+    rng = random.Random(0x7B)
+    texts = [codec.encode(_random_doc(rng, f"d{i}")) for i in range(2 * WINDOW + 1)]
+    texts[WINDOW + 3] = texts[WINDOW + 3]._replace(tagged=texts[WINDOW + 3].tagged + " FAIL")  # window 2 fails
+    (tmp_path / "out.jsonl").write_text("old out.jsonl\n", encoding="utf-8")
+    # With ``malformed``, a line that is not JSON opens window 3.
+    edit = (lambda lines: [*lines[: 2 * WINDOW], "not json\n", *lines[2 * WINDOW :]]) if malformed else list
+    assert _translate_windows(tmp_path, failing_translator, texts, edit) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == "old out.jsonl\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+    sent = [text for chunk in failing_translator.requests for text in chunk]
+    assert sorted(sent[:WINDOW]) == sorted(t.tagged for t in texts[:WINDOW])  # window 1, whole
+    assert texts[WINDOW + 3].tagged in sent[WINDOW:]  # window 2, up to its failing chunk
+    assert texts[2 * WINDOW].tagged not in sent  # window 3, not at all
 
 
 def test_project_uses_env_backend(tmp_path, monkeypatch):
@@ -1030,7 +1083,7 @@ def test_evaluate_checks_its_flags_before_it_reads_any_input(tmp_path, capsys, m
 def test_synth_checks_its_flags_before_it_reads_its_input(tmp_path, capsys, monkeypatch):
     # -i names no file, so a run that read its input first would report that instead.
     loaded = []
-    monkeypatch.setattr("labelproj.cli.load", lambda path, *args: loaded.append(path))
+    monkeypatch.setattr("labelproj.cli.read_items", lambda path, *args: loaded.append(path))
     assert main(["synth", "-i", str(tmp_path / "missing.txt"), "-o", str(tmp_path / "out.jsonl"), "--p-open", "2"]) == 1
     assert capsys.readouterr().err == "error: p_open must be in [0, 1], got 2.0\n"
     assert loaded == []

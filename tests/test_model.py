@@ -181,7 +181,7 @@ def test_span_contract():
         span.start = 3
     assert repr(span) == "Span(tag='a', start=0, end=1, label=None)"
     assert {span, Span("a", 0, 1), Span("a", 0, 1, "PER")} == {Span("a", 0, 1), Span("a", 0, 1, "PER")}
-    assert span.length() == 1 and len(span) == 4 and span[0] == "a"
+    assert len(span) == 4 and span[0] == "a"
     tag, start, end, label = span
     assert (tag, start, end, label) == ("a", 0, 1, None)
 

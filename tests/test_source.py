@@ -187,5 +187,10 @@ def test_one_function_checks_tag_names():
 
 
 def test_one_function_windows_the_documents_of_a_run():
-    # ``project`` is the one per-document path from input to output; ``dump`` only peeks at its first item.
-    assert readers_of(_package_sources(), {"islice"}) == ["codec.py: project", "dataio.py: dump"]
+    # ``project`` and ``translate`` take their windows from ``windows``; ``dump`` only peeks at its first item.
+    assert readers_of(_package_sources(), {"islice"}) == ["codec.py: windows", "dataio.py: dump"]
+
+
+def test_no_command_reads_its_whole_input_through_load():
+    # Every command reads through ``read_items``, one record at a time; ``load`` is for library callers.
+    assert readers_of({"cli.py": _package_sources()["cli.py"]}, {"load"}) == []

@@ -208,7 +208,7 @@ def test_sample_corpus_seeds_each_non_blank_line_from_its_id(mode):
     texts = ["John lives in Paris", "", "  \t ", "the Huguenot population", " a b c "]
     lines = [TaggedText(str(i), "", text) for i, text in enumerate(texts, start=1)]
     config = MarkerConfig(mode, p_open=0.6, p_close=0.4, seed=11)
-    docs = sample_corpus(lines, config, "eng_Latn")
+    docs = list(sample_corpus(lines, config, "eng_Latn"))
     assert [doc.id for doc in docs] == ["1", "4", "5"]
     assert docs == [
         insert_markers(line.tagged, config._replace(seed=derive_seed(11, line.id)), doc_id=line.id, lang="eng_Latn")
