@@ -475,8 +475,8 @@ def _peak_mib(*cli_args: str) -> float:
 
 @pytest.fixture(scope="module")
 def memory_inputs(tmp_path_factory):
-    """For n in 1,000 and 10,000: the first n of 10,000 seeded documents, annotated, encoded, translated by
-    ``drop:0.3`` and as raw markup pairs, each in ``{kind}{n}.jsonl``; and where each command writes."""
+    """The directory that holds, for n in 1,000 and 10,000, the first n of 10,000 seeded documents in
+    ``{kind}{n}.jsonl``: annotated, encoded, translated by ``drop:0.3`` and as raw markup pairs."""
     root = tmp_path_factory.mktemp("memory")
     rng = random.Random(0x3E3)
     docs = [_random_doc(rng, f"d{i}") for i in range(10_000)]
